@@ -3,7 +3,7 @@ n <= 8 study, and the same study served from the on-disk cache.
 
 Run from the root of a checkout:
 
-    python3 bench/run.py --workload search --seed 1 --seconds 12 --trace 0
+    python3 bench/run.py --workload search --seed 1 --seconds 8 --trace 0
     python3 bench/run.py --workload all --seed 1     # every workload in turn
 
 Workloads (one process, one caller, a closed loop of whole rounds):
@@ -14,10 +14,13 @@ Workloads (one process, one caller, a closed loop of whole rounds):
 * ``study-warm``  the same study from the cache that the set-up fills.
 
 Rounds repeat while the next one still fits in ``--seconds`` (at least one
-runs). Outputs are checked after the timed part. The last line of standard
-output is one JSON object with the keys ``correct``, ``attempted``, ``failed``
-and ``metrics``: the end-to-end metrics with ``--trace 0``, the per-layer ones
-with ``--trace 1`` (one untraced pass, then one traced round).
+runs). Times are reported in reference seconds: measured seconds scaled by
+the host speed that a calibration slice interleaved with the work measures
+(see calibrate.py). Outputs are checked after the timed part. The last line
+of standard output is one JSON object with the keys ``correct``,
+``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
+``--trace 0``, the per-layer ones with ``--trace 1`` (one untraced pass, then
+one traced round).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
@@ -45,8 +49,10 @@ WORKLOADS = ("search", "study", "study-warm")
 # the conditional kinds are asked given the next word. Query cost is
 # heavy-tailed (over 1000 random words, a length-13 conditional-exact pair took
 # up to 1.4 s against a median of 7 ms), so the lengths are kept short and a
-# round holds many words: over ten seeds its total moved by under 8% and its
-# percentiles by under 5%, where about 20 longer words moved by some 20%.
+# round holds many words; about 20 longer words moved by some 20% from seed to
+# seed. The kinds' costs differ by up to 20 times, so the per-query
+# percentiles fall between the kinds' clusters; at these lengths they moved by
+# about 6% from seed to seed, against 10-15% with every length one shorter.
 SEARCH_LENGTHS = {
     "unique": 14,
     "exact": 10,
@@ -55,7 +61,7 @@ SEARCH_LENGTHS = {
     "conditional-unique": 13,
     "conditional-exact": 13,
 }
-SEARCH_WORDS = 160
+SEARCH_WORDS = 96
 STUDY_N = 8
 IMPORT_PROBES = 9
 
@@ -72,6 +78,7 @@ sys.path.insert(0, str(SRC))
 import autocomplexity as ac  # noqa: E402
 from autocomplexity import complexity  # noqa: E402
 
+import calibrate  # noqa: E402
 import checks  # noqa: E402
 import tracing  # noqa: E402
 
@@ -84,7 +91,13 @@ KNOWN_FAULTS = frozenset({ac.MetricKind.J_MAX})
 
 
 def start_and_import_s() -> float:
-    """Median wall time of a fresh interpreter that imports the package."""
+    """Median wall time of a fresh interpreter that imports the package.
+
+    It is reported as measured: process start is mostly the kernel's and the
+    file system's work, and it did not follow the calibration slices (over
+    eight set-ups the probes' median ranged over 8% and the slices' mean
+    over 40%).
+    """
     code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import autocomplexity"
     times = []
     for _ in range(IMPORT_PROBES):
@@ -118,6 +131,10 @@ class Search:
         self.cache = None
         self.notes = {}
 
+    # the part of the set-up spent in a child process, in seconds and in
+    # reference seconds (only study-warm has one)
+    fill_wall_s = fill_ref_s = 0.0
+
     def round(self):
         results = {}
         for i, query in self.queries:
@@ -150,6 +167,8 @@ class Study:
         self.scratch = scratch
         self.cache = None
         self.notes = {}
+
+    fill_wall_s = fill_ref_s = 0.0
 
     def cache_dir(self) -> Path:
         return Path(tempfile.mkdtemp(dir=self.scratch))
@@ -186,10 +205,14 @@ class StudyWarm(Study):
     def __init__(self, seed: int, scratch: Path):
         super().__init__(seed, scratch)
         self.warm_dir = scratch / "warm-cache"
-        subprocess.run(
+        start = time.perf_counter()
+        child = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--fill-cache", str(self.warm_dir)],
-            check=True,
+            check=True, stdout=subprocess.PIPE, text=True,
         )
+        self.fill_wall_s = time.perf_counter() - start
+        factor, slices_s = json.loads(child.stdout)
+        self.fill_ref_s = (self.fill_wall_s - slices_s) * factor
 
     def cache_dir(self) -> Path:
         return self.warm_dir
@@ -198,30 +221,39 @@ class StudyWarm(Study):
 CLASSES = {"search": Search, "study": Study, "study-warm": StudyWarm}
 
 
-def timed_rounds(workload, seconds: float) -> dict:
+def timed_rounds(workload, seconds: float, pacer) -> dict:
     """Whole rounds while the next one, as long as the last, fits in ``seconds``.
 
-    Only the last round's output is kept (for the checks), so memory held for
-    checking never adds to the next round's peak.
+    Each round's wall and CPU time leave out the calibration slices run
+    inside it and are scaled by the host speed those slices measured. Only the
+    last round's output is kept (for the checks), so memory held for checking
+    never adds to the next round's peak.
     """
-    walls, cpus, samples = [], [], []
+    walls, cpus, raw_walls = [], [], []
+    # compact arrays, so that the samples add little to the peak resident set
+    times, slices_before = array("d"), array("q")
     attempted = failed = 0
     spent = 0.0
+    run_mark = pacer.mark()
     while True:
         output = None
-        with tracing.timed_compute(samples):
+        with tracing.timed_compute(times, slices_before, pacer):
+            mark = pacer.mark()
             wall0, cpu0 = time.perf_counter(), time.process_time()
             ops, bad, output = workload.round()
             cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
-        walls.append(wall)
-        cpus.append(cpu)
+            factor, slices_wall, slices_cpu = pacer.since(mark)
+        walls.append((wall - slices_wall) * factor)
+        cpus.append((cpu - slices_cpu) * factor)
+        raw_walls.append(wall - slices_wall)
         attempted += ops
         failed += bad
         spent += wall
         if spent + wall > seconds:
             break
     return {
-        "walls": walls, "cpus": cpus, "samples": samples,
+        "walls": walls, "cpus": cpus, "raw_walls": raw_walls,
+        "factor": pacer.since(run_mark)[0], "samples": pacer.scale_calls(times, slices_before),
         "attempted": attempted, "failed": failed, "output": output,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -231,25 +263,35 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> dict:
     scratch = OUT / f"tmp-{os.getpid()}"
     shutil.rmtree(scratch, ignore_errors=True)
     scratch.mkdir(parents=True)
+    pacer = calibrate.Pacer()
     try:
-        setup = start_and_import_s()
+        probe = start_and_import_s()
         start = time.perf_counter()
         workload = CLASSES[name](seed, scratch)
-        setup += time.perf_counter() - start
+        build = time.perf_counter() - start - workload.fill_wall_s
+        # input generation is far too short to scale; the cache fill is scaled
+        # by the slices its child process ran
+        setup = probe + build + workload.fill_ref_s
+        raw_setup = probe + build + workload.fill_wall_s
 
-        timed = timed_rounds(workload, seconds)
+        timed = timed_rounds(workload, seconds, pacer)
         attempted, failed = timed["attempted"], timed["failed"]
         walls = timed["walls"]
         if trace:
-            tracer = tracing.Tracer()
-            with tracer.installed():
+            # the traced round runs slices too; the spans leave their time out
+            tracer = tracing.Tracer(pacer)
+            with tracing.timed_compute(array("d"), array("q"), pacer), tracer.installed():
+                mark = pacer.mark()
                 start = time.perf_counter()
                 ops, bad, _ = workload.round()
                 traced_wall = time.perf_counter() - start
+                factor, slices_wall, _ = pacer.since(mark)
             attempted += ops
             failed += bad
-            metrics = tracer.layer_metrics(workload.cache)
-            metrics["trace.overhead_s"] = (traced_wall - statistics.median(walls), "s")
+            metrics = tracer.layer_metrics(factor, workload.cache)
+            metrics["trace.overhead_s"] = (
+                (traced_wall - slices_wall) * factor - statistics.median(walls), "s"
+            )
         else:
             samples = timed["samples"]
             metrics = {
@@ -276,11 +318,16 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> dict:
         print(f"axiom violations at n = {STUDY_N}: {workload.notes}")
     print(f"{name} seed={seed} rounds={len(walls)} queries={len(timed['samples'])} "
           f"attempted={attempted} failed={failed} correct={not problems}")
+    print(f"  measured seconds: set-up {raw_setup:.6g}, round wall median "
+          f"{statistics.median(timed['raw_walls']):.6g}; host speed factor {timed['factor']:.4g} "
+          f"(reference seconds per measured second)")
     for k, (v, u) in metrics.items():
         print(f"  {k:40s} {v:.6g} {u}")
     OUT.mkdir(parents=True, exist_ok=True)
     record = dict(result, workload=name, seed=seed, seconds=seconds, trace=int(trace),
-                  round_walls=walls, problems=problems, notes=workload.notes)
+                  round_walls=walls, measured_round_walls=timed["raw_walls"],
+                  measured_setup_s=raw_setup, host_factor=timed["factor"],
+                  problems=problems, notes=workload.notes)
     (OUT / f"{name}-seed{seed}-trace{int(trace)}.json").write_text(json.dumps(record, indent=1))
     return result
 
@@ -306,12 +353,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=12)
+    parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--fill-cache", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.fill_cache:
-        study(ac.ComplexityProvider(ac.ResultCache(args.fill_cache)))
+        # prints the host speed factor and the slices' wall time for the parent
+        pacer = calibrate.Pacer()
+        mark = pacer.mark()
+        with tracing.timed_compute(array("d"), array("q"), pacer):
+            study(ac.ComplexityProvider(ac.ResultCache(args.fill_cache)))
+        factor, slices_s, _ = pacer.since(mark)
+        print(json.dumps([factor, slices_s]))
     elif args.workload == "all":
         run_all(args)
     else:

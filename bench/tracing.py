@@ -49,25 +49,33 @@ def patched(functions: dict, methods: dict | None = None):
 
 
 @contextmanager
-def timed_compute(samples: list):
-    """Append the wall time of every ``compute`` call to ``samples``."""
+def timed_compute(times, slices_before, pacer):
+    """Append the wall time of every ``compute`` call to ``times`` and the
+    number of calibration slices run before it to ``slices_before``, and let
+    ``pacer`` run a slice, if one is due, before each call."""
     original = complexity.compute
+    tick = pacer.tick
+    slices = pacer.slices
 
     def timed(*args, **kwargs):
+        tick()
         start = perf_counter()
         try:
             return original(*args, **kwargs)
         finally:
-            samples.append(perf_counter() - start)
+            times.append(perf_counter() - start)
+            slices_before.append(len(slices))
 
     with patched({original: timed}):
         yield
 
 
 class Tracer:
-    """Per-name span totals and counters for one traced round."""
+    """Per-name span totals and counters for one traced round. Spans leave
+    out the time of the calibration slices that ``pacer`` runs inside them."""
 
-    def __init__(self):
+    def __init__(self, pacer):
+        self.pacer = pacer
         self.calls = Counter()
         self.total = defaultdict(float)
         self.own = defaultdict(float)
@@ -77,14 +85,15 @@ class Tracer:
 
     def span(self, name: str, fn, after=None):
         children = self._children
+        pacer = self.pacer
 
         def wrapper(*args, **kwargs):
             children.append(0.0)
-            start = perf_counter()
+            start, paused = perf_counter(), pacer.spent_wall
             try:
                 result = fn(*args, **kwargs)
             finally:
-                elapsed = perf_counter() - start
+                elapsed = perf_counter() - start - (pacer.spent_wall - paused)
                 inner = children.pop()
                 if children:
                     children[-1] += elapsed
@@ -160,8 +169,9 @@ class Tracer:
         with patched(functions, methods):
             yield self
 
-    def layer_metrics(self, result_cache=None) -> dict[str, tuple[float, str]]:
-        """Per-layer figures of the traced round, as name -> (value, unit)."""
+    def layer_metrics(self, factor: float, result_cache=None) -> dict[str, tuple[float, str]]:
+        """Per-layer figures of the traced round, as name -> (value, unit),
+        with times scaled by the host speed ``factor`` to reference seconds."""
         calls, total, own, counts = self.calls, self.total, self.own, self.counts
 
         def ratio(a, b):
@@ -216,4 +226,5 @@ class Tracer:
             "words.slow_normalize_s": (total["words.slow_normalize"], "s"),
             "words.track_s": (total["words.track"], "s"),
         })
-        return out
+        scale = {"s": factor, "1/s": 1 / factor}
+        return {name: (value * scale.get(unit, 1), unit) for name, (value, unit) in out.items()}
