@@ -172,7 +172,7 @@ def cmd_table(args) -> int:
         row = sample_distribution(args.sample, args.samples, args.seed, provider)
         _print_rows([row], args.format)
     else:
-        rows = distribution_table(args.n, provider, jobs=args.jobs)
+        rows = distribution_table(args.n, provider)
         _print_rows(rows, args.format)
     return EXIT_OK
 
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample one row at length N instead")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     _add_common(p, max_states=False)
     p.set_defaults(func=cmd_table)

@@ -34,7 +34,7 @@ from .automata import (
     verify_certificate,
     walk_nfa,
 )
-from .words import Word, slow_normalize, slow_words, track
+from .words import Word, slow_words, track
 
 KIND_UNIQUE = "unique"
 KIND_EXACT = "exact"
@@ -55,6 +55,9 @@ COMPLEXITY_KINDS = frozenset(
 )
 
 CONDITIONAL_KINDS = frozenset({KIND_COND_UNIQUE, KIND_COND_EXACT})
+
+# kinds whose value is invariant under reversing the word(s); see ``compute``
+REVERSIBLE_KINDS = frozenset({KIND_UNIQUE, KIND_EXACT, KIND_COND_UNIQUE, KIND_COND_EXACT})
 
 # short names accepted by the command line
 KIND_ALIASES = {
@@ -218,10 +221,6 @@ class _UniqueWalkSearch:
 
     def leaf_ok(self) -> bool:
         return self.v_stack[-1][self.seq[-1]] == 1
-
-    def walk_edges(self) -> list[tuple[int, int, int]]:
-        seq = self.seq
-        return [(seq[i], self.labels[i], seq[i + 1]) for i in range(len(seq) - 1)]
 
 
 class _ExactWalkSearch:
@@ -535,6 +534,19 @@ def _compute_det_total(
     raise BudgetExceeded(cap + 1, counter["nodes"])
 
 
+def _slow(symbols: tuple[int, ...]) -> Word:
+    """Symbols relabeled in order of first occurrence, over exactly the symbols used."""
+    relabel: dict[int, int] = {}
+    slow = tuple([relabel.setdefault(s, len(relabel)) for s in symbols])
+    return Word(slow, max(len(relabel), 1))
+
+
+def _canonical_part(query: ComplexityQuery, part: slice) -> ComplexityQuery:
+    """Canonical key of the query on ``symbols[part]`` of both words."""
+    condition = None if query.condition is None else _slow(query.condition.symbols[part])
+    return ComplexityQuery(query.kind, _slow(query.target.symbols[part]), condition)
+
+
 def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
     """The cache key form: both words relabeled to their slow representatives.
 
@@ -543,13 +555,43 @@ def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
     form over the used symbols preserves every counting discipline along with
     the witness state sequences.
     """
+    return _canonical_part(query, slice(None))
 
-    def canon(w: Word) -> Word:
-        slow = slow_normalize(w)
-        return Word(slow.symbols, max(slow.symbols, default=0) + 1)
 
-    condition = None if query.condition is None else canon(query.condition)
-    return ComplexityQuery(query.kind, canon(query.target), condition)
+def reversal_class_key(query: ComplexityQuery) -> ComplexityQuery:
+    """The canonical key of the query or of its reversal, whichever sorts first.
+
+    Both have the same value for the kinds in ``REVERSIBLE_KINDS`` (see
+    ``compute``); other kinds get the plain canonical key. The key names a
+    value, not a certificate: the witnesses of the two orientations differ.
+    """
+    key = canonical_query(query)
+    if key.kind not in REVERSIBLE_KINDS:
+        return key
+    back = _canonical_part(key, slice(None, None, -1))
+
+    def order(q: ComplexityQuery) -> tuple:
+        return q.target.symbols, () if q.condition is None else q.condition.symbols
+
+    return min(key, back, key=order)
+
+
+# w[:-1] and w[1:], then the same two factors reversed
+_FACTORS = (slice(None, -1), slice(1, None))
+_FACTORS_BOTH_WAYS = _FACTORS + (slice(-2, None, -1), slice(None, 0, -1))
+
+
+def _factor_floor(key: ComplexityQuery, cache) -> int:
+    """The largest value ``cache`` holds for the two aligned factors of length
+    n - 1 of the canonical query ``key``, looked up in both orientations for
+    the reversible kinds. A factor the cache lacks counts as 1; none is
+    computed here."""
+    floor = 1
+    for part in _FACTORS_BOTH_WAYS if key.kind in REVERSIBLE_KINDS else _FACTORS:
+        hit = cache.get(_canonical_part(key, part))
+        if hit is not None and hit[0] > floor:
+            floor = hit[0]
+    return floor
 
 
 def compute(
@@ -559,8 +601,41 @@ def compute(
 ) -> ComplexityResult:
     """Smallest witness state count for the query, with a verified certificate.
 
-    Searches walk-generated witnesses on 1, 2, ... states, so the first hit is
-    minimal and the lexicographically least witnessing sequence is returned.
+    Searches walk-generated witnesses on increasing state counts, so the first
+    hit is minimal and the lexicographically least witnessing sequence is
+    returned. Without a cache the search starts at 1 state. With a cache and
+    n >= 2 letters it starts at the *factor floor*: the largest value the
+    cache already holds for ``w[:-1]`` and ``w[1:]`` (for the conditional
+    kinds the aligned pairs ``x[:-1] | y[:-1]`` and ``x[1:] | y[1:]``), each
+    looked up in both orientations for ``REVERSIBLE_KINDS``. A factor the
+    cache lacks counts as 1 and is never computed here. Levels below the
+    floor hold no witness, so the value and the certificate are the ones a
+    search from 1 finds. The floor trusts cached values exactly as a cache
+    hit already does: the hit re-verifies its witness, but its minimality,
+    like the floor's, rests on the value having been searched for.
+
+    The bounds behind the floor, for walk-generated witnesses (one start, one
+    accept, the edges of one accepting walk):
+
+    * Factors (every walk kind, conditional ones included): take a witness
+      for ``w = u v z`` whose accepting walk is at state p after ``u`` and at
+      state r after ``uv``, and make p the start and r the only accept. The
+      middle of the walk accepts ``v``. A second walk (unique kinds) or a
+      second word (exact kinds) of length ``|v|`` from p to r would splice
+      between the walk's first ``|u|`` and last ``|z|`` steps into a second
+      one of length n for ``w``, and determinism is kept. So
+      ``A(v) <= A(w)`` for every factor ``v``.
+    * One more letter (unique and exact): give a witness for ``w[:-1]`` one
+      fresh state f, the only accept, entered only by an edge labeled
+      ``w[-1]`` from the old accept. Its accepting walks and words of length
+      n are those of the old witness extended by that edge, so
+      ``A(w) <= A(w[:-1]) + 1``: once the cache holds ``w[:-1]``, the
+      value is the floor or one more.
+    * Reversal (unique, exact and both conditional kinds): reversing every
+      edge and swapping start and accept maps the walks of length n from
+      start to accept one to one onto walks reading the reversed word(s), so
+      ``A(w) = A(w^R)``. Reversal does not keep determinism, so the DFA kinds
+      are excluded.
     """
     budget = budget or Budget()
     started = time.perf_counter()
@@ -577,6 +652,7 @@ def compute(
         return _compute_det_total(query, budget, started)
 
     key = canonical_query(query)
+    floor = 1
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
@@ -588,10 +664,14 @@ def compute(
             ok, _why = verify_certificate(cert)
             if ok and cert.claimed_states == value:
                 return ComplexityResult(value, cert, 0, time.perf_counter() - started)
+        if n >= 2:
+            floor = _factor_floor(key, cache)
+            if budget.max_states is not None and floor > budget.max_states:
+                raise BudgetExceeded(floor, 0)
 
     counter = {"nodes": 0}
     cap = budget.max_states if budget.max_states is not None else n + 1
-    for q in range(1, cap + 1):
+    for q in range(floor, cap + 1):
         for seq in _iter_witness_sequences(
             kind, target, condition, q, counter, budget.max_nodes, q
         ):

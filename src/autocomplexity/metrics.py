@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,9 +31,10 @@ from .complexity import (
     ComplexityQuery,
     compute,
     max_complexity,
+    reversal_class_key,
     value_at_most,
 )
-from .words import Word, fractional_power, slow_normalize, slow_words, track
+from .words import Word, fractional_power, slow_words, track
 
 
 class MetricKind(Enum):
@@ -52,40 +52,66 @@ class MetricKind(Enum):
 
 
 class ComplexityProvider:
-    """Memoized complexity lookups keyed by slow canonical forms."""
+    """Memoized complexity values, shared across relabeling and reversal classes.
+
+    The memo is keyed on the words as given, so a repeated call costs one
+    dictionary lookup. On a miss the words are normalized to
+    ``reversal_class_key``: the slow canonical form, or for the unique and
+    conditional-unique kinds the canonical form of the word(s) or of their
+    reversal, whichever sorts first. ``A(w) = A(w^R)`` holds there because
+    reversing every edge of a witness and swapping its start and accept maps
+    its accepting walks one to one onto walks reading the reversed word(s).
+    ``det-partial`` keeps the plain canonical form: reversal does not keep
+    determinism. Only values are shared; ``compute`` still certifies the word
+    it is asked about.
+
+    Without a cache argument the provider keeps a memory-only
+    ``ResultCache``, so that ``compute`` starts each search at the factor
+    floor: ``A(v) <= A(w)`` for every factor ``v`` of ``w`` (a witness for
+    ``w``, started and stopped where its walk enters and leaves ``v``,
+    singles out ``v``), so the values of ``w[:-1]`` and ``w[1:]`` already in
+    the cache bound ``A(w)`` from below, and ``A(w) <= A(w[:-1]) + 1`` (a
+    fresh last state) keeps the search within one level of it; ``compute``
+    gives the three proofs in full. The floor trusts cached values exactly
+    as a cache hit does. Setting ``cache`` to None later is allowed: the
+    values then come from searches from 1 state.
+    """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
-        self.cache = cache
+        self.cache = cache if cache is not None else ResultCache()
         self.max_nodes = max_nodes
         self._memo: dict[tuple, int] = {}
 
-    def _value(self, query: ComplexityQuery) -> int:
-        key = (
-            query.kind,
-            query.target.symbols,
-            query.target.alphabet_size,
-            None if query.condition is None else query.condition.symbols,
-            None if query.condition is None else query.condition.alphabet_size,
+    def _miss(self, key: tuple, query: ComplexityQuery) -> int:
+        """Value for ``query``, memoized under ``key`` and under its class key."""
+        rep = reversal_class_key(query)
+        rep_key = (
+            rep.kind,
+            rep.target.symbols,
+            None if rep.condition is None else rep.condition.symbols,
         )
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = compute(query, Budget(max_nodes=self.max_nodes), self.cache).value
-            self._memo[key] = hit
-        return hit
+        value = self._memo.get(rep_key)
+        if value is None:
+            value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value
+            self._memo[rep_key] = value
+        self._memo[key] = value
+        return value
 
     def unconditional(self, x: Word) -> int:
-        return self._value(ComplexityQuery(KIND_UNIQUE, slow_normalize(x)))
+        key = (KIND_UNIQUE, x.symbols, None)
+        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_UNIQUE, x))
 
     def conditional(self, x: Word, y: Word) -> int:
-        return self._value(
-            ComplexityQuery(KIND_COND_UNIQUE, slow_normalize(x), slow_normalize(y))
-        )
+        key = (KIND_COND_UNIQUE, x.symbols, y.symbols)
+        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_COND_UNIQUE, x, y))
 
     def track_value(self, x: Word, y: Word) -> int:
-        return self._value(ComplexityQuery(KIND_UNIQUE, slow_normalize(track(x, y))))
+        key = ("track", x.symbols, y.symbols)
+        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_UNIQUE, track(x, y)))
 
     def det_unconditional(self, x: Word) -> int:
-        return self._value(ComplexityQuery(KIND_DET_PARTIAL, slow_normalize(x)))
+        key = (KIND_DET_PARTIAL, x.symbols, None)
+        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_DET_PARTIAL, x))
 
 
 def is_unit_j_distance(x: Word, y: Word, provider: ComplexityProvider) -> bool:
@@ -247,33 +273,18 @@ def _distribution_row(n: int, provider: ComplexityProvider) -> DistributionRow:
     return DistributionRow(n=n, counts=_tally(values))
 
 
-def _row_worker(args) -> tuple[int, tuple[int, ...]]:
-    n, cache_dir, max_nodes = args
-    cache = ResultCache(cache_dir) if cache_dir else None
-    provider = ComplexityProvider(cache, max_nodes)
-    return n, _distribution_row(n, provider).counts
-
-
 def distribution_table(
-    n_max: int,
-    provider: ComplexityProvider | None = None,
-    jobs: int = 1,
+    n_max: int, provider: ComplexityProvider | None = None
 ) -> list[DistributionRow]:
-    """Exhaustive conditional-complexity distribution rows for n = 0..n_max."""
+    """Exhaustive conditional-complexity distribution rows for n = 0..n_max.
+
+    Rows run in order on one provider, so each row's values are cached before
+    the next row's searches look up their factor floors.
+    """
     if n_max > 10:
         raise ValueError("exhaustive rows stop at length 10; sample longer lengths")
     provider = provider or ComplexityProvider()
-    if jobs <= 1:
-        return [_distribution_row(n, provider) for n in range(n_max + 1)]
-    cache_dir = None
-    if provider.cache is not None and provider.cache.directory is not None:
-        cache_dir = str(provider.cache.directory)
-    args = [(n, cache_dir, provider.max_nodes) for n in range(n_max + 1)]
-    rows: dict[int, tuple[int, ...]] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for n, counts in pool.map(_row_worker, args):
-            rows[n] = counts
-    return [DistributionRow(n=n, counts=rows[n]) for n in range(n_max + 1)]
+    return [_distribution_row(n, provider) for n in range(n_max + 1)]
 
 
 def sample_distribution(

@@ -153,12 +153,6 @@ def test_distribution_table_guards_length(provider):
         distribution_table(11, provider)
 
 
-def test_distribution_table_parallel_matches(provider):
-    sequential = distribution_table(3, provider)
-    parallel = distribution_table(3, provider, jobs=2)
-    assert [r.counts for r in sequential] == [r.counts for r in parallel]
-
-
 def test_format_table_brackets_mode(provider):
     text = format_table(distribution_table(4, provider))
     assert "[45]" in text and text.splitlines()[0].startswith("n\\q")
