@@ -31,13 +31,6 @@ from .automata import (
 )
 from .cache import ResultCache
 from .complexity import (
-    KIND_ALIASES,
-    KIND_COND_EXACT,
-    KIND_COND_UNIQUE,
-    KIND_DET_PARTIAL,
-    KIND_DET_TOTAL,
-    KIND_EXACT,
-    KIND_UNIQUE,
     Budget,
     BudgetExceeded,
     ComplexityQuery,
@@ -52,6 +45,16 @@ from .complexity import (
     sparse_witness_report,
     value_at_most,
     witness_at,
+)
+from .kinds import (
+    KIND_ALIASES,
+    KIND_COND_EXACT,
+    KIND_COND_UNIQUE,
+    KIND_DET_PARTIAL,
+    KIND_DET_TOTAL,
+    KIND_EXACT,
+    KIND_UNIQUE,
+    KINDS,
 )
 from .metrics import (
     ComplexityProvider,

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from .kinds import KINDS
 from .words import ParseError, Word
 
 SUBSET_STATE_LIMIT = 24
@@ -358,20 +359,6 @@ def is_total(m: Nfa) -> bool:
     )
 
 
-CERTIFICATE_KINDS = frozenset(
-    {
-        "unique",
-        "exact",
-        "conditional-unique",
-        "conditional-exact",
-        "det-partial",
-        "det-total",
-    }
-)
-
-CONDITIONAL_KINDS = frozenset({"conditional-unique", "conditional-exact"})
-
-
 @dataclass(frozen=True)
 class WitnessCertificate:
     """An NFA together with a machine-checkable claim about a word.
@@ -388,11 +375,12 @@ class WitnessCertificate:
     condition: Word | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in CERTIFICATE_KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if self.claimed_states != self.nfa.state_count:
             raise ValueError("claimed_states must equal the NFA state count")
-        if (self.condition is not None) != (self.kind in CONDITIONAL_KINDS):
+        if (self.condition is not None) != kind.conditional:
             raise ValueError("condition must be present exactly for conditional kinds")
         # normalize Word subclasses so that round-trips compare equal
         if type(self.target) is not Word:

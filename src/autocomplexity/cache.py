@@ -1,7 +1,8 @@
 """On-disk memo for computed complexity values.
 
 One record per line, tab-separated: kind, canonical target, canonical
-condition (or "-"), value, witnessing state sequence. Words are written as
+condition (or "-"), value, witnessing state sequence (for det-total the
+deterministic walk its total DFA is built from). Words are written as
 digit strings when the alphabet fits (dot-separated otherwise) with an
 ``@alphabet_size`` suffix; sequences are comma-separated state indices.
 
@@ -16,7 +17,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .words import Word
+from .complexity import ComplexityQuery, memo_key
+from .words import Word, is_slow
 
 try:
     import fcntl
@@ -49,11 +51,40 @@ def parse_word(text: str) -> Word:
     return Word(symbols, alphabet_size)
 
 
-class ResultCache:
-    """Memo of (kind, canonical target, canonical condition) -> (value, sequence).
+def _records(path: Path):
+    """(key, value, sequence, line) for each valid line of a cache file.
 
-    Keys must already be canonical; ``complexity.compute`` normalizes before
-    calling in. With ``directory=None`` the cache is memory-only.
+    A line is valid when its kind and words make a ``ComplexityQuery`` and its
+    sequence is a slow walk of one step per letter; other lines are skipped
+    with a warning.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                kind, target, condition, value, seq = line.split("\t")
+                query = ComplexityQuery(
+                    kind, parse_word(target), None if condition == "-" else parse_word(condition)
+                )
+                sequence = tuple(int(s) for s in seq.split(","))
+                if len(sequence) != len(query.target) + 1 or not is_slow(
+                    Word(sequence, len(sequence))
+                ):
+                    raise ValueError("the sequence is not a slow walk over the word")
+                record = memo_key(query), int(value), sequence, line + "\n"
+            except (ValueError, IndexError):
+                warnings.warn(f"skipping corrupt cache line {lineno} in {path}")
+                continue
+            yield record
+
+
+class ResultCache:
+    """Memo of canonical queries -> (value, sequence), keyed by ``memo_key``.
+
+    Queries must already be canonical; ``complexity.compute`` normalizes
+    before calling in. With ``directory=None`` the cache is memory-only.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
@@ -73,51 +104,23 @@ class ResultCache:
             return None
         return self.directory / CACHE_FILENAME
 
-    @staticmethod
-    def _key(query) -> tuple:
-        condition = query.condition
-        return (
-            query.kind,
-            query.target.symbols,
-            query.target.alphabet_size,
-            None if condition is None else condition.symbols,
-            None if condition is None else condition.alphabet_size,
-        )
-
     def _load(self) -> None:
         self._loaded = True
         path = self.path
         if path is None or not path.exists():
             return
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    kind, target, condition, value, seq = line.split("\t")
-                    tw = parse_word(target)
-                    cw = None if condition == "-" else parse_word(condition)
-                    key = (
-                        kind,
-                        tw.symbols,
-                        tw.alphabet_size,
-                        None if cw is None else cw.symbols,
-                        None if cw is None else cw.alphabet_size,
-                    )
-                    self._memo[key] = (int(value), tuple(int(s) for s in seq.split(",")))
-                except (ValueError, IndexError):
-                    warnings.warn(f"skipping corrupt cache line {lineno} in {path}")
+        for key, value, sequence, _line in _records(path):
+            self._memo[key] = (value, sequence)
 
     def get(self, query) -> tuple[int, tuple[int, ...]] | None:
         if not self._loaded:
             self._load()
-        return self._memo.get(self._key(query))
+        return self._memo.get(memo_key(query))
 
     def put(self, query, value: int, sequence: tuple[int, ...]) -> None:
         if not self._loaded:
             self._load()
-        key = self._key(query)
+        key = memo_key(query)
         if self._memo.get(key) == (value, sequence):
             return
         self._memo[key] = (value, tuple(sequence))
@@ -146,23 +149,20 @@ class ResultCache:
         return len(self._memo)
 
     def compact(self) -> None:
-        """Rewrite the backing file with one line per key, atomically."""
-        if not self._loaded:
-            self._load()
+        """Rewrite the backing file with the last valid line per key, atomically."""
         path = self.path
         if path is None:
             return
+        latest = {}
+        if path.exists():
+            for key, _value, _sequence, line in _records(path):
+                latest[key] = line
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".cache-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                for key in sorted(self._memo, key=repr):
-                    kind, tsym, talpha, csym, calpha = key
-                    value, seq = self._memo[key]
-                    target = format_word(Word(tsym, talpha))
-                    condition = "-" if csym is None else format_word(Word(csym, calpha))
-                    seq_text = ",".join(str(s) for s in seq)
-                    fh.write(f"{kind}\t{target}\t{condition}\t{value}\t{seq_text}\n")
+                for line in sorted(latest.values()):
+                    fh.write(line)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

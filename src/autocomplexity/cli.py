@@ -22,7 +22,6 @@ from .automata import (
 )
 from .cache import ResultCache
 from .complexity import (
-    KIND_ALIASES,
     Budget,
     BudgetExceeded,
     ComplexityQuery,
@@ -30,6 +29,7 @@ from .complexity import (
     search_emergent,
     sparse_witness_report,
 )
+from .kinds import KIND_ALIASES, KINDS
 from .metrics import (
     ComplexityProvider,
     MetricKind,
@@ -48,15 +48,6 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_CAPACITY = 5
 EXIT_VERIFICATION = 6
-
-KIND_DISPLAY = {
-    "unique": "A_Nu",
-    "exact": "A_Ne",
-    "det-total": "A",
-    "det-partial": "A-",
-    "conditional-unique": "A_Nu",
-    "conditional-exact": "A_Ne",
-}
 
 
 def _parse_word(text: str, alphabet: int | None) -> Word:
@@ -96,9 +87,9 @@ def _emit_certificate(args, cert) -> None:
 
 def cmd_complexity(args) -> int:
     word = _parse_word(args.word, args.alphabet)
-    kind = KIND_ALIASES[args.kind]
-    result = compute(ComplexityQuery(kind, word), _budget(args), _cache(args))
-    print(f"{KIND_DISPLAY[kind]}({args.word or 'ε'}) = {result.value}")
+    kind = KINDS[KIND_ALIASES[args.kind]]
+    result = compute(ComplexityQuery(kind.name, word), _budget(args), _cache(args))
+    print(f"{kind.symbol}({args.word or 'ε'}) = {result.value}")
     if args.stats:
         print(f"explored {result.explored} nodes in {result.elapsed:.3f}s")
     _emit_certificate(args, result.certificate)
@@ -108,9 +99,9 @@ def cmd_complexity(args) -> int:
 def cmd_conditional(args) -> int:
     x = _parse_word(args.x, args.alphabet_x)
     y = _parse_word(args.y, args.alphabet_y)
-    kind = "conditional-unique" if args.kind == "anu" else "conditional-exact"
-    result = compute(ComplexityQuery(kind, x, y), _budget(args), _cache(args))
-    print(f"{KIND_DISPLAY[kind]}({args.x} | {args.y}) = {result.value}")
+    kind = next(k for k in KINDS.values() if k.conditional and k.alias == args.kind)
+    result = compute(ComplexityQuery(kind.name, x, y), _budget(args), _cache(args))
+    print(f"{kind.symbol}({args.x} | {args.y}) = {result.value}")
     if args.stats:
         print(f"explored {result.explored} nodes in {result.elapsed:.3f}s")
     _emit_certificate(args, result.certificate)
@@ -292,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditional", help="conditional complexity of x given y")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--kind", choices=["anu", "ane"], default="anu")
+    p.add_argument("--kind", choices=[k.alias for k in KINDS.values() if k.conditional],
+                   default="anu")
     p.add_argument("--alphabet-x", type=int, default=None)
     p.add_argument("--alphabet-y", type=int, default=None)
     p.add_argument("--certificate", metavar="PATH")

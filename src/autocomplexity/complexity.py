@@ -34,38 +34,19 @@ from .automata import (
     verify_certificate,
     walk_nfa,
 )
+from .kinds import (
+    KIND_COND_EXACT,
+    KIND_COND_UNIQUE,
+    KIND_DET_PARTIAL,
+    KIND_DET_TOTAL,
+    KIND_EXACT,
+    KIND_UNIQUE,
+    KINDS,
+)
 from .words import Word, slow_words, track
 
-KIND_UNIQUE = "unique"
-KIND_EXACT = "exact"
-KIND_DET_TOTAL = "det-total"
-KIND_DET_PARTIAL = "det-partial"
-KIND_COND_UNIQUE = "conditional-unique"
-KIND_COND_EXACT = "conditional-exact"
-
-COMPLEXITY_KINDS = frozenset(
-    {
-        KIND_UNIQUE,
-        KIND_EXACT,
-        KIND_DET_TOTAL,
-        KIND_DET_PARTIAL,
-        KIND_COND_UNIQUE,
-        KIND_COND_EXACT,
-    }
-)
-
-CONDITIONAL_KINDS = frozenset({KIND_COND_UNIQUE, KIND_COND_EXACT})
-
-# kinds whose value is invariant under reversing the word(s); see ``compute``
-REVERSIBLE_KINDS = frozenset({KIND_UNIQUE, KIND_EXACT, KIND_COND_UNIQUE, KIND_COND_EXACT})
-
-# short names accepted by the command line
-KIND_ALIASES = {
-    "anu": KIND_UNIQUE,
-    "ane": KIND_EXACT,
-    "a": KIND_DET_TOTAL,
-    "aminus": KIND_DET_PARTIAL,
-}
+COMPLEXITY_KINDS = frozenset(KINDS)
+CONDITIONAL_KINDS = frozenset(k.name for k in KINDS.values() if k.conditional)
 
 DEFAULT_MAX_NODES = 10**9
 
@@ -113,42 +94,39 @@ class ComplexityResult:
 
 
 def _walk_labels(kind: str, target: Word, condition: Word | None) -> Word:
-    if kind in CONDITIONAL_KINDS:
+    if KINDS[kind].conditional:
         assert condition is not None
         return track(condition, target)
     return target
 
 
 def _step_classes(kind: str, target: Word, condition: Word | None) -> tuple[tuple[int, ...], int]:
-    if kind in CONDITIONAL_KINDS:
+    if KINDS[kind].conditional:
         assert condition is not None
         return condition.symbols, condition.alphabet_size
     return (0,) * len(target), 1
 
 
-class _UniqueWalkSearch:
-    """Incremental accepting-walk counting for unique-acceptance kinds."""
+class _WalkCounts:
+    """Partial accepting walks per state, saturated at 2 (unique kinds)."""
 
-    __slots__ = ("q", "labels", "classes", "seq", "v_stack", "edge_use", "pair_label", "adj", "records")
+    __slots__ = ("q", "adj")
 
-    def __init__(self, labels: tuple[int, ...], classes: tuple[int, ...], class_count: int, q: int):
+    def __init__(self, q: int, class_count: int, deterministic: bool):
         self.q = q
-        self.labels = labels
-        self.classes = classes
-        self.seq: list[int] = [0]
-        v0 = [0] * q
-        v0[0] = 1
-        self.v_stack: list[list[int]] = [v0]
-        self.edge_use: dict[tuple[int, int, int], int] = {}
-        self.pair_label: dict[tuple[int, int, int], int] = {}
         # successors per (condition class, source); one entry per pair because
-        # the pair_label prune forbids class-mates on a shared pair
+        # the pair-label prune forbids class-mates on a shared pair
         self.adj: list[list[list[int]]] = [
             [[] for _ in range(q)] for _ in range(class_count)
         ]
-        self.records: list = []
 
-    def _step(self, v: list[int], cls: int) -> list[int]:
+    def start(self) -> list[int]:
+        v = [0] * self.q
+        v[0] = 1
+        return v
+
+    def advance(self, v: list[int], cls: int, state: int) -> list[int] | None:
+        """The counts one step on, or None when 2 walks reach ``state``."""
         nv = [0] * self.q
         adj = self.adj[cls]
         for frm, x in enumerate(v):
@@ -156,102 +134,38 @@ class _UniqueWalkSearch:
                 for to in adj[frm]:
                     c = nv[to] + x
                     nv[to] = c if c < 2 else 2
-        return nv
+        return None if nv[state] >= 2 else nv
 
-    def try_push(self, nxt: int) -> bool:
-        seq = self.seq
-        t = len(seq) - 1
-        frm = seq[t]
-        label = self.labels[t]
-        cls = self.classes[t]
-        edge = (frm, label, nxt)
-        use = self.edge_use.get(edge)
-        if use is not None:
-            v = self._step(self.v_stack[t], cls)
-            if v[nxt] >= 2:
-                return False
-            self.edge_use[edge] = use + 1
-            seq.append(nxt)
-            self.v_stack.append(v)
-            self.records.append((edge, None, None))
-            return True
-        pair_key = (frm, nxt, cls)
-        if pair_key in self.pair_label:
-            # a second label on this pair within one class doubles the walk
-            return False
-        self.edge_use[edge] = 1
-        self.pair_label[pair_key] = label
-        self.adj[cls][frm].append(nxt)
-        vs = self.v_stack
-        snapshot = vs[1 : t + 1]
-        ok = True
-        for i in range(1, t + 1):
-            vi = self._step(vs[i - 1], self.classes[i - 1])
-            vs[i] = vi
-            if vi[seq[i]] >= 2:
-                ok = False
-                break
-        if ok:
-            v = self._step(vs[t], cls)
-            if v[nxt] >= 2:
-                ok = False
-        if not ok:
-            vs[1 : t + 1] = snapshot
-            del self.edge_use[edge]
-            del self.pair_label[pair_key]
-            self.adj[cls][frm].remove(nxt)
-            return False
-        seq.append(nxt)
-        vs.append(v)
-        self.records.append((edge, pair_key, snapshot))
+    @staticmethod
+    def count(v: list[int], state: int) -> int:
+        return v[state]
+
+    def add_edge(self, frm: int, label: int, to: int, cls: int) -> bool:
+        self.adj[cls][frm].append(to)
         return True
 
-    def pop(self) -> None:
-        edge, pair_key, snapshot = self.records.pop()
-        self.seq.pop()
-        self.v_stack.pop()
-        if pair_key is None:
-            self.edge_use[edge] -= 1
-        else:
-            del self.edge_use[edge]
-            del self.pair_label[pair_key]
-            self.adj[pair_key[2]][pair_key[0]].remove(pair_key[1])
-            t = len(self.seq) - 1
-            self.v_stack[1 : t + 1] = snapshot
-
-    def leaf_ok(self) -> bool:
-        return self.v_stack[-1][self.seq[-1]] == 1
+    def remove_edge(self, frm: int, label: int, to: int, cls: int) -> None:
+        self.adj[cls][frm].remove(to)
 
 
-class _ExactWalkSearch:
-    """Incremental distinct-word counting for exact-acceptance kinds."""
+class _WordCounts:
+    """Distinct partial words per reachable state set (a bit mask), saturated
+    at 2 (exact kinds); a ``deterministic`` map keeps one successor per
+    (state, label)."""
 
-    __slots__ = (
-        "q", "labels", "classes", "seq", "f_stack", "edge_use", "pair_label",
-        "label_pairs", "class_labels", "det_map", "records",
-    )
+    __slots__ = ("label_pairs", "class_labels", "det_map")
 
-    def __init__(
-        self,
-        labels: tuple[int, ...],
-        classes: tuple[int, ...],
-        class_count: int,
-        q: int,
-        deterministic: bool = False,
-    ):
-        self.q = q
-        self.labels = labels
-        self.classes = classes
-        self.seq: list[int] = [0]
-        self.f_stack: list[dict[int, int]] = [{1: 1}]  # mask of {state 0} -> one word
-        self.edge_use: dict[tuple[int, int, int], int] = {}
-        self.pair_label: dict[tuple[int, int, int], int] = {}
+    def __init__(self, q: int, class_count: int, deterministic: bool):
         self.label_pairs: dict[int, set[tuple[int, int]]] = {}
         self.class_labels: list[dict[int, int]] = [dict() for _ in range(class_count)]
         self.det_map: dict[tuple[int, int], int] | None = {} if deterministic else None
-        self.records: list = []
 
-    def _step(self, f: dict[int, int], cls: int) -> dict[int, int]:
+    @staticmethod
+    def start() -> dict[int, int]:
+        return {1: 1}  # mask of {state 0} -> one word
+
+    def advance(self, f: dict[int, int], cls: int, state: int) -> dict[int, int] | None:
+        """The counts one step on, or None when 2 words reach ``state``."""
         nf: dict[int, int] = {}
         for label in self.class_labels[cls]:
             pairs = self.label_pairs[label]
@@ -263,10 +177,10 @@ class _ExactWalkSearch:
                 if img:
                     c = nf.get(img, 0) + cnt
                     nf[img] = c if c < 2 else 2
-        return nf
+        return None if self.count(nf, state) >= 2 else nf
 
     @staticmethod
-    def _covering(f: dict[int, int], state: int) -> int:
+    def count(f: dict[int, int], state: int) -> int:
         total = 0
         for mask, cnt in f.items():
             if mask >> state & 1:
@@ -275,64 +189,21 @@ class _ExactWalkSearch:
                     return 2
         return total
 
-    def try_push(self, nxt: int) -> bool:
-        seq = self.seq
-        t = len(seq) - 1
-        frm = seq[t]
-        label = self.labels[t]
-        cls = self.classes[t]
-        edge = (frm, label, nxt)
-        use = self.edge_use.get(edge)
-        if use is not None:
-            f = self._step(self.f_stack[t], cls)
-            if self._covering(f, nxt) >= 2:
-                return False
-            self.edge_use[edge] = use + 1
-            seq.append(nxt)
-            self.f_stack.append(f)
-            self.records.append((edge, None, None))
-            return True
-        if self.det_map is not None and self.det_map.get((frm, label), nxt) != nxt:
-            return False
-        pair_key = (frm, nxt, cls)
-        if pair_key in self.pair_label:
-            # swapping labels on a shared pair would accept a second word
-            return False
-        self.edge_use[edge] = 1
-        self.pair_label[pair_key] = label
-        self.label_pairs.setdefault(label, set()).add((frm, nxt))
-        self.class_labels[cls][label] = self.class_labels[cls].get(label, 0) + 1
+    def add_edge(self, frm: int, label: int, to: int, cls: int) -> bool:
+        """Add the edge, or return False if it breaks determinism."""
         if self.det_map is not None:
-            self.det_map[(frm, label)] = nxt
-        fs = self.f_stack
-        snapshot = fs[1 : t + 1]
-        ok = True
-        for i in range(1, t + 1):
-            fi = self._step(fs[i - 1], self.classes[i - 1])
-            fs[i] = fi
-            if self._covering(fi, seq[i]) >= 2:
-                ok = False
-                break
-        if ok:
-            f = self._step(fs[t], cls)
-            if self._covering(f, nxt) >= 2:
-                ok = False
-        if not ok:
-            fs[1 : t + 1] = snapshot
-            self._remove_edge(edge, pair_key, cls)
-            return False
-        seq.append(nxt)
-        fs.append(f)
-        self.records.append((edge, pair_key, snapshot))
+            if (frm, label) in self.det_map:
+                return False
+            self.det_map[(frm, label)] = to
+        self.label_pairs.setdefault(label, set()).add((frm, to))
+        refs = self.class_labels[cls]
+        refs[label] = refs.get(label, 0) + 1
         return True
 
-    def _remove_edge(self, edge, pair_key, cls) -> None:
-        frm, label, nxt = edge
-        del self.edge_use[edge]
-        del self.pair_label[pair_key]
-        pairset = self.label_pairs[label]
-        pairset.discard((frm, nxt))
-        if not pairset:
+    def remove_edge(self, frm: int, label: int, to: int, cls: int) -> None:
+        pairs = self.label_pairs[label]
+        pairs.discard((frm, to))
+        if not pairs:
             del self.label_pairs[label]
         refs = self.class_labels[cls]
         refs[label] -= 1
@@ -341,31 +212,92 @@ class _ExactWalkSearch:
         if self.det_map is not None:
             del self.det_map[(frm, label)]
 
+
+class _WalkSearch:
+    """One walk's state sequence, grown and shrunk one step at a time, with
+    the competing walks or words counted incrementally by ``counts``.
+
+    ``stack[t]`` holds the counts after t steps. A step along an edge the
+    walk already uses only extends the stack; a new edge changes every
+    earlier step, so the prefix is recounted and rolled back to a snapshot
+    if that prunes.
+    """
+
+    __slots__ = (
+        "counts", "advance", "labels", "classes", "seq", "stack", "edge_use", "pair_label", "records",
+    )
+
+    def __init__(self, counts, labels: tuple[int, ...], classes: tuple[int, ...]):
+        self.counts = counts
+        self.advance = counts.advance
+        self.labels = labels
+        self.classes = classes
+        self.seq: list[int] = [0]
+        self.stack: list = [counts.start()]
+        self.edge_use: dict[tuple[int, int, int], int] = {}
+        self.pair_label: dict[tuple[int, int, int], int] = {}
+        self.records: list = []
+
+    def try_push(self, nxt: int) -> bool:
+        seq = self.seq
+        t = len(seq) - 1
+        frm = seq[t]
+        label = self.labels[t]
+        cls = self.classes[t]
+        edge = (frm, label, nxt)
+        stack = self.stack
+        use = self.edge_use.get(edge)
+        if use is not None:
+            v = self.advance(stack[t], cls, nxt)
+            if v is None:
+                return False
+            self.edge_use[edge] = use + 1
+            seq.append(nxt)
+            stack.append(v)
+            self.records.append((edge, None, None))
+            return True
+        pair_key = (frm, nxt, cls)
+        # a second label on a pair within one class would let the walk swap
+        # edges, doubling the walk or the word
+        if pair_key in self.pair_label or not self.counts.add_edge(frm, label, nxt, cls):
+            return False
+        self.edge_use[edge] = 1
+        self.pair_label[pair_key] = label
+        snapshot = stack[1 : t + 1]
+        advance = self.advance
+        classes = self.classes
+        for i in range(1, t + 1):
+            v = advance(stack[i - 1], classes[i - 1], seq[i])
+            if v is None:
+                break
+            stack[i] = v
+        else:
+            v = advance(stack[t], cls, nxt)
+        if v is None:
+            stack[1 : t + 1] = snapshot
+            del self.edge_use[edge]
+            del self.pair_label[pair_key]
+            self.counts.remove_edge(frm, label, nxt, cls)
+            return False
+        seq.append(nxt)
+        stack.append(v)
+        self.records.append((edge, pair_key, snapshot))
+        return True
+
     def pop(self) -> None:
         edge, pair_key, snapshot = self.records.pop()
         self.seq.pop()
-        self.f_stack.pop()
+        self.stack.pop()
         if pair_key is None:
             self.edge_use[edge] -= 1
         else:
-            t = len(self.seq) - 1
-            cls = self.classes[t]
-            self._remove_edge(edge, pair_key, cls)
-            self.f_stack[1 : t + 1] = snapshot
+            del self.edge_use[edge]
+            del self.pair_label[pair_key]
+            self.counts.remove_edge(*edge, pair_key[2])
+            self.stack[1 : len(self.seq)] = snapshot
 
     def leaf_ok(self) -> bool:
-        return self._covering(self.f_stack[-1], self.seq[-1]) == 1
-
-
-def _make_search(kind: str, labels: Word, classes: tuple[int, ...], class_count: int, q: int):
-    if kind in (KIND_UNIQUE, KIND_COND_UNIQUE):
-        return _UniqueWalkSearch(labels.symbols, classes, class_count, q)
-    if kind in (KIND_EXACT, KIND_COND_EXACT, KIND_DET_PARTIAL):
-        return _ExactWalkSearch(
-            labels.symbols, classes, class_count, q,
-            deterministic=(kind == KIND_DET_PARTIAL),
-        )
-    raise ValueError(f"kind {kind!r} has no walk search")
+        return self.counts.count(self.stack[-1], self.seq[-1]) == 1
 
 
 def _iter_witness_sequences(
@@ -379,14 +311,17 @@ def _iter_witness_sequences(
     leaf_filter: Callable[[list[int]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every slow sequence on exactly q states whose walk NFA witnesses."""
+    if kind == KIND_DET_TOTAL:
+        raise ValueError("total DFAs are not walk-generated; no sequence stream")
     n = len(target)
     if n == 0:
         if q == 1:
             yield (0,)
         return
-    labels = _walk_labels(kind, target, condition)
+    spec = KINDS[kind]
     classes, class_count = _step_classes(kind, target, condition)
-    search = _make_search(kind, labels, classes, class_count, q)
+    counts = (_WalkCounts if spec.counts == "walks" else _WordCounts)(q, class_count, spec.deterministic)
+    search = _WalkSearch(counts, _walk_labels(kind, target, condition).symbols, classes)
     seq = search.seq
 
     def rec(top: int) -> Iterator[tuple[int, ...]]:
@@ -421,10 +356,17 @@ def _empty_word_certificate(kind: str, target: Word, condition: Word | None) -> 
 
 
 def _certificate_for(
-    kind: str, target: Word, condition: Word | None, sequence: tuple[int, ...]
-) -> WitnessCertificate:
-    labels = _walk_labels(kind, target, condition)
-    nfa = walk_nfa(sequence, labels)
+    kind: str, target: Word, condition: Word | None, value: int, sequence: tuple[int, ...],
+    counter: dict[str, int], max_nodes: int,
+) -> WitnessCertificate | None:
+    """The certificate of a (value, sequence) record: the walk NFA of the
+    sequence, or for det-total the total DFA ``_total_dfa`` builds from it
+    (None if there is none)."""
+    nfa = walk_nfa(sequence, _walk_labels(kind, target, condition))
+    if kind == KIND_DET_TOTAL:
+        nfa = _total_dfa(nfa, value, len(target), counter, max_nodes)
+        if nfa is None:
+            return None
     return WitnessCertificate(
         kind=kind,
         target=target,
@@ -496,41 +438,58 @@ def _sink_completion(base: Nfa) -> Nfa:
     return Nfa(q + 1, base.start, base.accepts, frozenset(edges), sigma)
 
 
-def _compute_det_total(
-    query: ComplexityQuery, budget: Budget, started: float
-) -> ComplexityResult:
-    counter = {"nodes": 0}
-    target = query.target
+def _total_dfa(
+    base: Nfa, value: int, n: int, counter: dict[str, int], max_nodes: int
+) -> Nfa | None:
+    """A total DFA on ``value`` states from the deterministic witness ``base``:
+    ``base`` filled in when ``value`` is its state count, ``base`` plus one
+    dead state when ``value`` is one more; None otherwise or if no filling
+    keeps a single accepted word."""
+    if value == base.state_count + 1:
+        return _sink_completion(base)
+    if value == base.state_count:
+        return _complete_to_total(base, n, counter, max_nodes, value)
+    return None
+
+
+def _search_levels(
+    kind: str, target: Word, condition: Word | None, floor: int, budget: Budget,
+    counter: dict[str, int],
+) -> tuple[int, tuple[int, ...]]:
+    """The least state count from ``floor`` on with a witness, and the least
+    witnessing sequence there."""
+    cap = budget.max_states if budget.max_states is not None else len(target) + 1
+    for q in range(floor, cap + 1):
+        for seq in _iter_witness_sequences(
+            kind, target, condition, q, counter, budget.max_nodes, q
+        ):
+            return q, seq
+    raise BudgetExceeded(cap + 1, counter["nodes"])
+
+
+def _search_det_total(
+    target: Word, budget: Budget, counter: dict[str, int]
+) -> tuple[int, tuple[int, ...], Nfa]:
+    """The det-total value, the det-partial sequence its witness is built
+    from, and the witness: the first deterministic witness on the fewest
+    states that fills in to a total DFA, else the first one plus a dead state."""
     n = len(target)
     cap = budget.max_states if budget.max_states is not None else n + 2
-    base_cert: WitnessCertificate | None = None
     for q in range(1, cap + 1):
-        found_partial = None
+        first = None
         for seq in _iter_witness_sequences(
             KIND_DET_PARTIAL, target, None, q, counter, budget.max_nodes, q
         ):
-            if found_partial is None:
-                found_partial = seq
-            nfa = walk_nfa(seq, target)
-            total = _complete_to_total(nfa, n, counter, budget.max_nodes, q)
+            if first is None:
+                first = seq
+            total = _total_dfa(walk_nfa(seq, target), q, n, counter, budget.max_nodes)
             if total is not None:
-                cert = WitnessCertificate(
-                    kind=KIND_DET_TOTAL, target=target, nfa=total,
-                    claimed_states=total.state_count,
-                )
-                return ComplexityResult(q, cert, counter["nodes"], time.perf_counter() - started)
-        if found_partial is not None:
+                return q, seq, total
+        if first is not None:
             # no total DFA at the minimum: one extra dead state always suffices
-            total = _sink_completion(walk_nfa(found_partial, target))
-            if total.state_count <= cap:
-                cert = WitnessCertificate(
-                    kind=KIND_DET_TOTAL, target=target, nfa=total,
-                    claimed_states=total.state_count,
-                )
-                return ComplexityResult(
-                    total.state_count, cert, counter["nodes"], time.perf_counter() - started
-                )
-            raise BudgetExceeded(q + 1, counter["nodes"])
+            if q + 1 > cap:
+                raise BudgetExceeded(q + 1, counter["nodes"])
+            return q + 1, first, _sink_completion(walk_nfa(first, target))
     raise BudgetExceeded(cap + 1, counter["nodes"])
 
 
@@ -544,7 +503,10 @@ def _slow(symbols: tuple[int, ...]) -> Word:
 def _canonical_part(query: ComplexityQuery, part: slice) -> ComplexityQuery:
     """Canonical key of the query on ``symbols[part]`` of both words."""
     condition = None if query.condition is None else _slow(query.condition.symbols[part])
-    return ComplexityQuery(query.kind, _slow(query.target.symbols[part]), condition)
+    target = _slow(query.target.symbols[part])
+    if query.kind == KIND_DET_TOTAL:
+        target = Word(target.symbols, query.target.alphabet_size)
+    return ComplexityQuery(query.kind, target, condition)
 
 
 def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
@@ -553,20 +515,37 @@ def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
     Relabeling either alphabet permutes labels pointwise, and symbols that
     never occur cannot appear on any witness edge, so shrinking to the slow
     form over the used symbols preserves every counting discipline along with
-    the witness state sequences.
+    the witness state sequences. det-total keeps its alphabet size: a total
+    DFA has an edge for every letter, used or not.
     """
     return _canonical_part(query, slice(None))
+
+
+def memo_key(query: ComplexityQuery) -> tuple:
+    """The flat memo key ``(kind, target symbols, condition symbols or None)``.
+
+    Alphabet sizes are left out, so the words as given and their canonical
+    forms can share one key when their symbols agree; unused letters label
+    no witness edge, so the values agree too. det-total, which takes no
+    condition, holds its alphabet size in the third place instead.
+    """
+    condition = query.condition
+    if condition is not None:
+        return query.kind, query.target.symbols, condition.symbols
+    if query.kind == KIND_DET_TOTAL:
+        return query.kind, query.target.symbols, query.target.alphabet_size
+    return query.kind, query.target.symbols, None
 
 
 def reversal_class_key(query: ComplexityQuery) -> ComplexityQuery:
     """The canonical key of the query or of its reversal, whichever sorts first.
 
-    Both have the same value for the kinds in ``REVERSIBLE_KINDS`` (see
-    ``compute``); other kinds get the plain canonical key. The key names a
+    Both have the same value for the reversible kinds (see ``compute``);
+    other kinds get the plain canonical key. The key names a
     value, not a certificate: the witnesses of the two orientations differ.
     """
     key = canonical_query(query)
-    if key.kind not in REVERSIBLE_KINDS:
+    if not KINDS[key.kind].reversible:
         return key
     back = _canonical_part(key, slice(None, None, -1))
 
@@ -587,7 +566,7 @@ def _factor_floor(key: ComplexityQuery, cache) -> int:
     the reversible kinds. A factor the cache lacks counts as 1; none is
     computed here."""
     floor = 1
-    for part in _FACTORS_BOTH_WAYS if key.kind in REVERSIBLE_KINDS else _FACTORS:
+    for part in _FACTORS_BOTH_WAYS if KINDS[key.kind].reversible else _FACTORS:
         hit = cache.get(_canonical_part(key, part))
         if hit is not None and hit[0] > floor:
             floor = hit[0]
@@ -607,12 +586,14 @@ def compute(
     n >= 2 letters it starts at the *factor floor*: the largest value the
     cache already holds for ``w[:-1]`` and ``w[1:]`` (for the conditional
     kinds the aligned pairs ``x[:-1] | y[:-1]`` and ``x[1:] | y[1:]``), each
-    looked up in both orientations for ``REVERSIBLE_KINDS``. A factor the
+    looked up in both orientations for the reversible kinds. A factor the
     cache lacks counts as 1 and is never computed here. Levels below the
     floor hold no witness, so the value and the certificate are the ones a
     search from 1 finds. The floor trusts cached values exactly as a cache
     hit already does: the hit re-verifies its witness, but its minimality,
-    like the floor's, rests on the value having been searched for.
+    like the floor's, rests on the value having been searched for. det-total
+    always starts at 1; its cache record keeps the deterministic walk its
+    total DFA was built from, and a hit builds that DFA again.
 
     The bounds behind the floor, for walk-generated witnesses (one start, one
     accept, the edges of one accepting walk):
@@ -648,10 +629,8 @@ def compute(
         assert ok, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
 
-    if kind == KIND_DET_TOTAL:
-        return _compute_det_total(query, budget, started)
-
     key = canonical_query(query)
+    counter = {"nodes": 0}
     floor = 1
     if cache is not None:
         hit = cache.get(key)
@@ -660,26 +639,23 @@ def compute(
             if budget.max_states is not None and value > budget.max_states:
                 # the true value is known and provably beyond the allowance
                 raise BudgetExceeded(budget.max_states + 1, 0)
-            cert = _certificate_for(kind, target, condition, seq)
-            ok, _why = verify_certificate(cert)
-            if ok and cert.claimed_states == value:
-                return ComplexityResult(value, cert, 0, time.perf_counter() - started)
-        if n >= 2:
+            cert = _certificate_for(kind, target, condition, value, seq, counter, budget.max_nodes)
+            if cert is not None and verify_certificate(cert)[0] and cert.claimed_states == value:
+                return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
+        if n >= 2 and kind != KIND_DET_TOTAL:
             floor = _factor_floor(key, cache)
             if budget.max_states is not None and floor > budget.max_states:
                 raise BudgetExceeded(floor, 0)
 
-    counter = {"nodes": 0}
-    cap = budget.max_states if budget.max_states is not None else n + 1
-    for q in range(floor, cap + 1):
-        for seq in _iter_witness_sequences(
-            kind, target, condition, q, counter, budget.max_nodes, q
-        ):
-            cert = _certificate_for(kind, target, condition, seq)
-            if cache is not None:
-                cache.put(key, q, seq)
-            return ComplexityResult(q, cert, counter["nodes"], time.perf_counter() - started)
-    raise BudgetExceeded(cap + 1, counter["nodes"])
+    if kind == KIND_DET_TOTAL:
+        value, seq, nfa = _search_det_total(target, budget, counter)
+        cert = WitnessCertificate(kind=kind, target=target, nfa=nfa, claimed_states=value)
+    else:
+        value, seq = _search_levels(kind, target, condition, floor, budget, counter)
+        cert = _certificate_for(kind, target, condition, value, seq, counter, budget.max_nodes)
+    if cache is not None:
+        cache.put(key, value, seq)
+    return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
 
 
 def value_at_most(
@@ -698,7 +674,9 @@ def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX
     for seq in _iter_witness_sequences(
         query.kind, query.target, query.condition, states, counter, max_nodes, states
     ):
-        return _certificate_for(query.kind, query.target, query.condition, seq)
+        return _certificate_for(
+            query.kind, query.target, query.condition, states, seq, counter, max_nodes
+        )
     return None
 
 
@@ -706,8 +684,6 @@ def all_witness_sequences(
     query: ComplexityQuery, at_states: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> Iterator[tuple[int, ...]]:
     """Every witnessing slow state sequence using exactly at_states states."""
-    if query.kind == KIND_DET_TOTAL:
-        raise ValueError("total DFAs are not walk-generated; no sequence stream")
     counter = {"nodes": 0}
     yield from _iter_witness_sequences(
         query.kind, query.target, query.condition, at_states,

@@ -31,6 +31,7 @@ from .complexity import (
     ComplexityQuery,
     compute,
     max_complexity,
+    memo_key,
     reversal_class_key,
     value_at_most,
 )
@@ -85,11 +86,7 @@ class ComplexityProvider:
     def _miss(self, key: tuple, query: ComplexityQuery) -> int:
         """Value for ``query``, memoized under ``key`` and under its class key."""
         rep = reversal_class_key(query)
-        rep_key = (
-            rep.kind,
-            rep.target.symbols,
-            None if rep.condition is None else rep.condition.symbols,
-        )
+        rep_key = memo_key(rep)
         value = self._memo.get(rep_key)
         if value is None:
             value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value

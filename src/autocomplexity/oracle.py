@@ -31,21 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexity import (
-    KIND_COND_EXACT,
-    KIND_COND_UNIQUE,
-    KIND_EXACT,
-    KIND_UNIQUE,
-    ComplexityQuery,
-    canonical_query,
-)
+from .complexity import ComplexityQuery, canonical_query
+from .kinds import KINDS
 from .words import Word
 
 ORACLE_MAX_STATES = 3
 ORACLE_MAX_LENGTH = 8
-
-_UNIQUE_KINDS = frozenset({KIND_UNIQUE, KIND_COND_UNIQUE})
-_EXACT_KINDS = frozenset({KIND_EXACT, KIND_COND_EXACT})
 
 
 def _digraph_matrices(q: int) -> np.ndarray:
@@ -227,7 +218,8 @@ def oracle_min_states(query: ComplexityQuery, max_states: int = ORACLE_MAX_STATE
     Returns None when no witness exists within the bound. Deterministic kinds
     are not covered; lengths above 8 and bounds above 3 are rejected.
     """
-    if query.kind not in (_UNIQUE_KINDS | _EXACT_KINDS):
+    kind = KINDS[query.kind]
+    if kind.deterministic:
         raise ValueError(f"the oracle does not handle kind {query.kind!r}")
     if max_states > ORACLE_MAX_STATES or max_states < 1:
         raise ValueError(f"oracle state bound must be within 1..{ORACLE_MAX_STATES}")
@@ -243,7 +235,7 @@ def oracle_min_states(query: ComplexityQuery, max_states: int = ORACLE_MAX_STATE
         y = query.condition
     if y.alphabet_size > 2 and len(set(y.symbols)) > 2:
         raise ValueError("oracle supports condition alphabets of size at most 2")
-    variant = "unique" if query.kind in _UNIQUE_KINDS else "exact"
+    variant = "unique" if kind.counts == "walks" else "exact"
 
     if n == 0:
         return 1

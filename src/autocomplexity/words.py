@@ -10,7 +10,6 @@ equality, and the classical power/primitivity predicates.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 
@@ -89,9 +88,6 @@ class TrackWord(Word):
 
     def __str__(self) -> str:
         return "".join(f"({g},{d})" for g, d in self.pairs())
-
-    def pairs_json(self) -> str:
-        return json.dumps([list(p) for p in self.pairs()])
 
 
 @dataclass(frozen=True)
@@ -252,12 +248,6 @@ def slow_words(n: int, alphabet_size: int):
             prefix.pop()
 
     yield from extend([], -1)
-
-
-def permutation_words(max_len: int, alphabet_size: int):
-    """Yield slow permutation words of each length 1..max_len (one per class)."""
-    for length in range(1, min(max_len, alphabet_size) + 1):
-        yield Word(tuple(range(length)), alphabet_size)
 
 
 def fractional_power(w: Word, length: int) -> Word:

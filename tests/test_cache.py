@@ -2,7 +2,14 @@ import warnings
 
 import pytest
 
-from autocomplexity import KIND_COND_UNIQUE, KIND_UNIQUE, ComplexityQuery, ResultCache
+from autocomplexity import (
+    KIND_COND_UNIQUE,
+    KIND_UNIQUE,
+    ComplexityQuery,
+    ResultCache,
+    compute,
+    verify_certificate,
+)
 from autocomplexity.cache import format_word, parse_word
 from autocomplexity.words import Word
 
@@ -46,14 +53,26 @@ def test_conditional_keys_distinct(tmp_path):
 def test_corrupt_lines_skipped(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(q_plain("0001"), 2, (0, 0, 0, 0, 1))
+    corrupt = [
+        "completely broken line",
+        "unique\t0@2\t-\tnot_an_int\t0",
+        # a sequence too short for the word, and one that is not slow
+        "unique\t0010@2\t-\t3\t0,1",
+        "unique\t0010@2\t-\t3\t0,2,1,0,0",
+        # an unknown kind, and a condition of another length
+        "bogus\t0@2\t-\t1\t0,0",
+        "conditional-unique\t01@2\t0@1\t2\t0,0,1",
+    ]
     with open(cache.path, "a") as fh:
-        fh.write("completely broken line\n")
-        fh.write("unique\t0@2\t-\tnot_an_int\t0\n")
+        fh.write("".join(line + "\n" for line in corrupt))
     fresh = ResultCache(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert fresh.get(q_plain("0001")) == (2, (0, 0, 0, 0, 1))
-    assert len(caught) == 2
+    assert len(caught) == len(corrupt)
+    assert len(fresh) == 1
+    result = compute(q_plain("0010"), cache=fresh)
+    assert result.value == 3 and verify_certificate(result.certificate)[0]
 
 
 def test_compaction_dedupes(tmp_path):

@@ -258,17 +258,27 @@ def test_alt_conditional_characterization_experiment():
 
 
 def test_compute_uses_cache(tmp_path):
-    cache = ResultCache(tmp_path)
-    w = Word.parse("0001", 2)
-    first = compute(ComplexityQuery(KIND_UNIQUE, w), cache=cache)
-    assert first.explored > 0
-    again = compute(ComplexityQuery(KIND_UNIQUE, w), cache=cache)
-    assert again.explored == 0 and again.value == first.value
-    # a relabeled word is served from the same canonical entry
-    relabeled = compute(ComplexityQuery(KIND_UNIQUE, Word.parse("1110", 2)), cache=cache)
-    assert relabeled.explored == 0 and relabeled.value == first.value
-    assert verify_certificate(relabeled.certificate)[0]
-    assert relabeled.certificate.target == Word.parse("1110", 2)
+    # 0001 has a det-total witness with a dead state, 0011 one filled in
+    cases = [(KIND_UNIQUE, "0001"), (KIND_DET_TOTAL, "0001"), (KIND_DET_TOTAL, "0011")]
+    for i, (kind, text) in enumerate(cases):
+        cache = ResultCache(tmp_path / str(i))
+        w = Word.parse(text, 2)
+        first = compute(ComplexityQuery(kind, w), cache=cache)
+        assert first.explored > 0 and len(cache) == 1
+        again = compute(ComplexityQuery(kind, w), cache=cache)
+        assert again.value == first.value and again.certificate == first.certificate
+        assert verify_certificate(again.certificate)[0]
+        # a relabeled word is served from the same canonical entry
+        flipped = Word(tuple(1 - s for s in w.symbols), 2)
+        relabeled = compute(ComplexityQuery(kind, flipped), cache=cache)
+        assert relabeled.value == first.value and len(cache) == 1
+        assert verify_certificate(relabeled.certificate)[0]
+        assert relabeled.certificate.target == flipped
+        if kind == KIND_UNIQUE:
+            assert again.explored == relabeled.explored == 0
+        else:
+            # a det-total hit fills its total DFA in again, with no level search
+            assert again.explored < first.explored and relabeled.explored < first.explored
 
 
 def test_all_kind_certificates_serialize_round_trip():

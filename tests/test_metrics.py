@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autocomplexity import KIND_UNIQUE, ComplexityQuery, oracle_min_states
 from autocomplexity.metrics import (
     ComplexityProvider,
     MetricKind,
@@ -123,6 +124,24 @@ def test_verify_metric_one_sided_corruption_reported(provider):
     report = verify_metric(3, MetricKind.J_NUM, Lying())
     assert not report.ok
     assert report.symmetry_violations or report.triangle_violations
+
+
+def test_jmax_triangle_counterexample(provider):
+    # jmax is not a metric: verify-metric finds 28 triangle violations at
+    # n = 8, against the paper's claim; this pins one of them
+    x, y, z = (Word.parse(t, 2) for t in ("00100100", "00100011", "01010100"))
+    assert [provider.unconditional(w) for w in (x, y, z)] == [3, 5, 3]
+    assert provider.conditional(x, z) == provider.conditional(z, x) == 3
+    pairs = ((x, y), (y, x), (y, z), (z, y))
+    assert [provider.conditional(a, b) for a, b in pairs] == [2, 2, 2, 2]
+    assert oracle_min_states(ComplexityQuery(KIND_UNIQUE, y)) is None
+
+    def d(a, b):
+        return metric_value(MetricKind.J_MAX, a, b, provider)
+
+    assert d(x, z) == 1.0
+    assert d(x, y) + d(y, z) == pytest.approx(2 / math.log2(5))
+    assert d(x, z) > d(x, y) + d(y, z)
 
 
 def test_jmax_det_baseline_flag(provider):
