@@ -2,7 +2,8 @@
 
 Words on the command line are digit strings over alphabets of size at most 10
 (alphabet size defaults to max digit + 1). Exit codes: 2 usage, 3 parse
-errors, 4 budget exhausted, 5 capacity limits, 6 failed verification.
+errors, 4 budget exhausted, 5 capacity limits, 6 failed verification. A
+reader that closes stdout early (``| head``) ends the command quietly with 0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .automata import (
@@ -358,7 +360,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; give the interpreter's final flush a sink
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

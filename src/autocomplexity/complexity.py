@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .automata import (
@@ -465,6 +466,68 @@ def _search_levels(
         ):
             return q, seq
     raise BudgetExceeded(cap + 1, counter["nodes"])
+
+
+class ShapeCatalogue:
+    """The unique-walk shapes of one length n, built level by level on demand.
+
+    Level q lists the sequences ``_iter_witness_sequences`` yields for the
+    unique kind and ``0^n`` on q states, in that order: the slow sequences
+    whose walk graph has exactly one walk of length n from start to accept.
+    ``A_Nu`` counts walks whatever their labels, and the pair-label prune
+    gives each state pair one label, so a sequence witnesses a word w of
+    length n exactly when it is on this list and w is constant on its step
+    partition (positions i and j share a class when
+    ``(s_i, s_i+1) = (s_j, s_j+1)``). The labeled search for w therefore
+    yields the compatible shapes of each level in catalogue order, and
+    ``lookup`` returns what ``_search_levels`` from level 1 returns: the
+    least level with a compatible shape and the first such shape there.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        # per level: (sequence, getter of the positions whose pair occurred
+        # before, getter of those first occurrences), or None getters
+        self.levels: list[list[tuple]] = []
+
+    def _build(self, q: int, counter: dict[str, int], max_nodes: int) -> None:
+        """Append level q whole; a budget overrun keeps no part of it."""
+        shapes = []
+        for seq in _iter_witness_sequences(
+            KIND_UNIQUE, Word((0,) * self.n, 1), None, q, counter, max_nodes, q
+        ):
+            first: dict[tuple[int, int], int] = {}
+            later, earlier = [], []
+            for i in range(self.n):
+                j = first.setdefault((seq[i], seq[i + 1]), i)
+                if j != i:
+                    later.append(i)
+                    earlier.append(j)
+            if later:
+                shapes.append((seq, itemgetter(*later), itemgetter(*earlier)))
+            else:
+                shapes.append((seq, None, None))
+        self.levels.append(shapes)
+
+    def lookup(self, target: Word, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[int, tuple[int, ...]]:
+        """The unique-kind value of ``target`` and its least witnessing sequence.
+
+        Levels are built as far as needed, with ``max_nodes`` for all the
+        building one lookup does. Every level below the one being built is
+        whole and holds no compatible shape, so ``BudgetExceeded.lower_bound``
+        is that level.
+        """
+        if len(target) != self.n:
+            raise ValueError(f"the catalogue holds shapes of length {self.n}")
+        symbols = target.symbols
+        counter = {"nodes": 0}
+        for q in range(1, self.n + 2):
+            if q > len(self.levels):
+                self._build(q, counter, max_nodes)
+            for seq, later, earlier in self.levels[q - 1]:
+                if later is None or later(symbols) == earlier(symbols):
+                    return q, seq
+        raise BudgetExceeded(self.n + 2, counter["nodes"])
 
 
 def _search_det_total(

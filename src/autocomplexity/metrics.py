@@ -29,11 +29,11 @@ from .complexity import (
     KIND_UNIQUE,
     Budget,
     ComplexityQuery,
+    ShapeCatalogue,
     compute,
     max_complexity,
     memo_key,
     reversal_class_key,
-    value_at_most,
 )
 from .words import Word, fractional_power, slow_words, track
 
@@ -76,12 +76,20 @@ class ComplexityProvider:
     gives the three proofs in full. The floor trusts cached values exactly
     as a cache hit does. Setting ``cache`` to None later is allowed: the
     values then come from searches from 1 state.
+
+    Unique-kind values of nonempty words (``unconditional`` and
+    ``track_value``) come from one ``ShapeCatalogue`` per length instead of a
+    search per word. The lookup gives the value and witnessing sequence the
+    search from 1 state gives, and that record goes to the cache as
+    ``compute`` would write it. ``max_nodes`` bounds the catalogue building
+    one lookup does.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
         self.cache = cache if cache is not None else ResultCache()
         self.max_nodes = max_nodes
         self._memo: dict[tuple, int] = {}
+        self._catalogues: dict[int, ShapeCatalogue] = {}
 
     def _miss(self, key: tuple, query: ComplexityQuery) -> int:
         """Value for ``query``, memoized under ``key`` and under its class key."""
@@ -89,7 +97,14 @@ class ComplexityProvider:
         rep_key = memo_key(rep)
         value = self._memo.get(rep_key)
         if value is None:
-            value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value
+            n = len(rep.target)
+            if rep.kind == KIND_UNIQUE and n >= 1:
+                catalogue = self._catalogues.setdefault(n, ShapeCatalogue(n))
+                value, seq = catalogue.lookup(rep.target, self.max_nodes)
+                if self.cache is not None:
+                    self.cache.put(rep, value, seq)
+            else:
+                value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value
             self._memo[rep_key] = value
         self._memo[key] = value
         return value
@@ -356,10 +371,8 @@ def classify_unit_distance(
     for x in ground:
         if x == zero:
             continue
-        v = value_at_most(
-            ComplexityQuery(KIND_UNIQUE, x), ceiling // 2, provider.cache, provider.max_nodes
-        )
-        if v is not None and v >= 2:
+        v = provider.unconditional(x)
+        if 2 <= v <= ceiling // 2:
             candidates.append((x, v))
     for i, (x, vx) in enumerate(candidates):
         for y, vy in candidates[i + 1 :]:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -147,6 +149,18 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["verify-metric", "--n", "4", "--kind", "jmax"])
+    sys.stdout.close()  # the sink main left for the final flush
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_capacity_exit_code(tmp_path, capsys):

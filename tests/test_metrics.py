@@ -144,6 +144,27 @@ def test_jmax_triangle_counterexample(provider):
     assert d(x, z) > d(x, y) + d(y, z)
 
 
+@pytest.mark.extended
+def test_metric_axioms_at_length_nine():
+    # jnum, jnum-max and j pass every axiom at n = 9; jmax breaks the
+    # triangle inequality 64 times (28 at n = 8)
+    provider = ComplexityProvider()
+    distribution_table(9, provider)
+    counts = {}
+    for kind in MetricKind:
+        report = verify_metric(9, kind, provider)
+        counts[kind] = tuple(
+            len(v)
+            for v in (report.identity_violations, report.symmetry_violations, report.triangle_violations)
+        )
+    assert counts == {
+        MetricKind.J_NUM: (0, 0, 0),
+        MetricKind.J_NUM_MAX: (0, 0, 0),
+        MetricKind.J: (0, 0, 0),
+        MetricKind.J_MAX: (0, 0, 64),
+    }
+
+
 def test_jmax_det_baseline_flag(provider):
     x, y = Word.parse("0010", 2), Word.parse("0111", 2)
     default = metric_value(MetricKind.J_MAX, x, y, provider)
