@@ -37,7 +37,6 @@ from .complexity import (
     ComplexityResult,
     SparseWitnessReport,
     all_witness_sequences,
-    alt_conditional_value,
     compute,
     emergent_simplicity,
     max_complexity,

@@ -180,7 +180,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search_emergent(args) -> int:
-    words = search_emergent(args.max_len, args.alphabet, _cache(args))
+    words = search_emergent(args.max_len, args.alphabet, _cache(args), args.budget)
     for w in words:
         print(w)
     print(f"{len(words)} word(s) with emergent simplicity up to length {args.max_len}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .automata import (
     Nfa,
@@ -94,18 +94,14 @@ class ComplexityResult:
     elapsed: float
 
 
-def _walk_labels(kind: str, target: Word, condition: Word | None) -> Word:
+def _walk_words(kind: str, target: Word, condition: Word | None) -> tuple[Word, Word]:
+    """The word a query's walks read and the word of their step classes,
+    built once per query: ``track(condition, target)`` and ``condition`` for
+    the conditional kinds, else ``target`` and the one-class word ``0^n``."""
     if KINDS[kind].conditional:
         assert condition is not None
-        return track(condition, target)
-    return target
-
-
-def _step_classes(kind: str, target: Word, condition: Word | None) -> tuple[tuple[int, ...], int]:
-    if KINDS[kind].conditional:
-        assert condition is not None
-        return condition.symbols, condition.alphabet_size
-    return (0,) * len(target), 1
+        return track(condition, target), condition
+    return target, Word((0,) * len(target), 1)
 
 
 class _WalkCounts:
@@ -303,34 +299,34 @@ class _WalkSearch:
 
 def _iter_witness_sequences(
     kind: str,
-    target: Word,
-    condition: Word | None,
+    labels: Word,
+    classes: Word,
     q: int,
     counter: dict[str, int],
     max_nodes: int,
     proven_lower: int,
-    leaf_filter: Callable[[list[int]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every slow sequence on exactly q states whose walk NFA witnesses."""
+    """Yield every slow sequence on exactly q states whose walk NFA, reading
+    ``labels`` with step classes ``classes`` (see ``_walk_words``), witnesses."""
     if kind == KIND_DET_TOTAL:
         raise ValueError("total DFAs are not walk-generated; no sequence stream")
-    n = len(target)
+    n = len(labels)
     if n == 0:
         if q == 1:
             yield (0,)
         return
     spec = KINDS[kind]
-    classes, class_count = _step_classes(kind, target, condition)
-    counts = (_WalkCounts if spec.counts == "walks" else _WordCounts)(q, class_count, spec.deterministic)
-    search = _WalkSearch(counts, _walk_labels(kind, target, condition).symbols, classes)
+    counts = (_WalkCounts if spec.counts == "walks" else _WordCounts)(
+        q, classes.alphabet_size, spec.deterministic
+    )
+    search = _WalkSearch(counts, labels.symbols, classes.symbols)
     seq = search.seq
 
     def rec(top: int) -> Iterator[tuple[int, ...]]:
         t = len(seq) - 1
         if t == n:
             if top == q - 1 and search.leaf_ok():
-                if leaf_filter is None or leaf_filter(seq):
-                    yield tuple(seq)
+                yield tuple(seq)
             return
         if q - 1 - top > n - t:
             return
@@ -346,8 +342,9 @@ def _iter_witness_sequences(
     yield from rec(0)
 
 
-def _empty_word_certificate(kind: str, target: Word, condition: Word | None) -> WitnessCertificate:
-    labels = _walk_labels(kind, target, condition)
+def _empty_word_certificate(
+    kind: str, target: Word, condition: Word | None, labels: Word
+) -> WitnessCertificate:
     if kind == KIND_DET_TOTAL:
         edges = frozenset((0, a, 0) for a in range(labels.alphabet_size))
         nfa = Nfa(1, 0, frozenset({0}), edges, labels.alphabet_size)
@@ -357,13 +354,13 @@ def _empty_word_certificate(kind: str, target: Word, condition: Word | None) -> 
 
 
 def _certificate_for(
-    kind: str, target: Word, condition: Word | None, value: int, sequence: tuple[int, ...],
-    counter: dict[str, int], max_nodes: int,
+    kind: str, target: Word, condition: Word | None, labels: Word, value: int,
+    sequence: tuple[int, ...], counter: dict[str, int], max_nodes: int,
 ) -> WitnessCertificate | None:
     """The certificate of a (value, sequence) record: the walk NFA of the
-    sequence, or for det-total the total DFA ``_total_dfa`` builds from it
-    (None if there is none)."""
-    nfa = walk_nfa(sequence, _walk_labels(kind, target, condition))
+    sequence reading ``labels``, or for det-total the total DFA
+    ``_total_dfa`` builds from it (None if there is none)."""
+    nfa = walk_nfa(sequence, labels)
     if kind == KIND_DET_TOTAL:
         nfa = _total_dfa(nfa, value, len(target), counter, max_nodes)
         if nfa is None:
@@ -453,53 +450,63 @@ def _total_dfa(
     return None
 
 
-def _search_levels(
-    kind: str, target: Word, condition: Word | None, floor: int, budget: Budget,
-    counter: dict[str, int],
+def _least_witness(
+    kind: str, labels: Word, classes: Word, floor: int, budget: Budget, counter: dict[str, int],
 ) -> tuple[int, tuple[int, ...]]:
-    """The least state count from ``floor`` on with a witness, and the least
-    witnessing sequence there."""
-    cap = budget.max_states if budget.max_states is not None else len(target) + 1
+    """The least state count from ``floor`` on with a witness reading
+    ``labels`` in ``classes``, and the least witnessing sequence there."""
+    cap = budget.max_states if budget.max_states is not None else len(labels) + 1
     for q in range(floor, cap + 1):
-        for seq in _iter_witness_sequences(
-            kind, target, condition, q, counter, budget.max_nodes, q
-        ):
+        for seq in _iter_witness_sequences(kind, labels, classes, q, counter, budget.max_nodes, q):
             return q, seq
     raise BudgetExceeded(cap + 1, counter["nodes"])
 
 
+def _search_levels(
+    kind: str, target: Word, condition: Word | None, floor: int, budget: Budget,
+    counter: dict[str, int],
+) -> tuple[int, tuple[int, ...]]:
+    """``_least_witness`` for one query: the labeled search every other route
+    to a value is checked against."""
+    return _least_witness(kind, *_walk_words(kind, target, condition), floor, budget, counter)
+
+
 class ShapeCatalogue:
-    """The unique-walk shapes of one length n, built level by level on demand.
+    """The unique-walk shapes for one condition word y, built level by level
+    on demand.
 
     Level q lists the sequences ``_iter_witness_sequences`` yields for the
-    unique kind and ``0^n`` on q states, in that order: the slow sequences
-    whose walk graph has exactly one walk of length n from start to accept.
-    ``A_Nu`` counts walks whatever their labels, and the pair-label prune
-    gives each state pair one label, so a sequence witnesses a word w of
-    length n exactly when it is on this list and w is constant on its step
-    partition (positions i and j share a class when
-    ``(s_i, s_i+1) = (s_j, s_j+1)``). The labeled search for w therefore
-    yields the compatible shapes of each level in catalogue order, and
-    ``lookup`` returns what ``_search_levels`` from level 1 returns: the
-    least level with a compatible shape and the first such shape there.
+    conditional-unique kind on q states with labels = classes = y, in that
+    order: the slow sequences whose walk graph has exactly one walk from
+    start to accept reading y. Walk counts read only the step classes, and
+    the pair-label prune gives each state pair one label per class, so a
+    sequence witnesses x given y exactly when it is on this list and x is
+    constant on its step partition (positions i and j share a class when
+    ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``). The labeled search for x
+    given y therefore yields the compatible shapes of each level in
+    catalogue order, and ``lookup(x)`` returns what
+    ``_search_levels(KIND_COND_UNIQUE, x, y, 1, ...)`` returns: the least
+    level with a compatible shape and the first such shape there. The unique
+    kind is the one-letter condition, ``A(x) = A(x | 0^n)``: the catalogue of
+    ``Word((0,) * n, 1)`` serves it, and its lookups return what
+    ``_search_levels(KIND_UNIQUE, x, None, 1, ...)`` returns.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        # per level: (sequence, getter of the positions whose pair occurred
+    def __init__(self, condition: Word):
+        self.condition = condition
+        # per level: (sequence, getter of the positions whose class occurred
         # before, getter of those first occurrences), or None getters
         self.levels: list[list[tuple]] = []
 
     def _build(self, q: int, counter: dict[str, int], max_nodes: int) -> None:
         """Append level q whole; a budget overrun keeps no part of it."""
+        y = self.condition
         shapes = []
-        for seq in _iter_witness_sequences(
-            KIND_UNIQUE, Word((0,) * self.n, 1), None, q, counter, max_nodes, q
-        ):
-            first: dict[tuple[int, int], int] = {}
+        for seq in _iter_witness_sequences(KIND_COND_UNIQUE, y, y, q, counter, max_nodes, q):
+            first: dict[tuple[int, int, int], int] = {}
             later, earlier = [], []
-            for i in range(self.n):
-                j = first.setdefault((seq[i], seq[i + 1]), i)
+            for i, c in enumerate(y.symbols):
+                j = first.setdefault((seq[i], c, seq[i + 1]), i)
                 if j != i:
                     later.append(i)
                     earlier.append(j)
@@ -510,38 +517,41 @@ class ShapeCatalogue:
         self.levels.append(shapes)
 
     def lookup(self, target: Word, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[int, tuple[int, ...]]:
-        """The unique-kind value of ``target`` and its least witnessing sequence.
+        """The conditional-unique value of ``target`` given the condition
+        word, and its least witnessing sequence.
 
         Levels are built as far as needed, with ``max_nodes`` for all the
         building one lookup does. Every level below the one being built is
         whole and holds no compatible shape, so ``BudgetExceeded.lower_bound``
         is that level.
         """
-        if len(target) != self.n:
-            raise ValueError(f"the catalogue holds shapes of length {self.n}")
+        n = len(self.condition)
+        if len(target) != n:
+            raise ValueError(f"the catalogue holds shapes of length {n}")
         symbols = target.symbols
         counter = {"nodes": 0}
-        for q in range(1, self.n + 2):
+        for q in range(1, n + 2):
             if q > len(self.levels):
                 self._build(q, counter, max_nodes)
             for seq, later, earlier in self.levels[q - 1]:
                 if later is None or later(symbols) == earlier(symbols):
                     return q, seq
-        raise BudgetExceeded(self.n + 2, counter["nodes"])
+        raise BudgetExceeded(n + 2, counter["nodes"])
 
 
 def _search_det_total(
-    target: Word, budget: Budget, counter: dict[str, int]
+    target: Word, classes: Word, budget: Budget, counter: dict[str, int]
 ) -> tuple[int, tuple[int, ...], Nfa]:
     """The det-total value, the det-partial sequence its witness is built
     from, and the witness: the first deterministic witness on the fewest
-    states that fills in to a total DFA, else the first one plus a dead state."""
+    states that fills in to a total DFA, else the first one plus a dead state.
+    ``classes`` is the one-class word of ``_walk_words``."""
     n = len(target)
     cap = budget.max_states if budget.max_states is not None else n + 2
     for q in range(1, cap + 1):
         first = None
         for seq in _iter_witness_sequences(
-            KIND_DET_PARTIAL, target, None, q, counter, budget.max_nodes, q
+            KIND_DET_PARTIAL, target, classes, q, counter, budget.max_nodes, q
         ):
             if first is None:
                 first = seq
@@ -685,9 +695,10 @@ def compute(
     started = time.perf_counter()
     target, condition, kind = query.target, query.condition, query.kind
     n = len(target)
+    labels, classes = _walk_words(kind, target, condition)
 
     if n == 0:
-        cert = _empty_word_certificate(kind, target, condition)
+        cert = _empty_word_certificate(kind, target, condition, labels)
         ok, why = verify_certificate(cert)
         assert ok, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
@@ -702,7 +713,9 @@ def compute(
             if budget.max_states is not None and value > budget.max_states:
                 # the true value is known and provably beyond the allowance
                 raise BudgetExceeded(budget.max_states + 1, 0)
-            cert = _certificate_for(kind, target, condition, value, seq, counter, budget.max_nodes)
+            cert = _certificate_for(
+                kind, target, condition, labels, value, seq, counter, budget.max_nodes
+            )
             if cert is not None and verify_certificate(cert)[0] and cert.claimed_states == value:
                 return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
         if n >= 2 and kind != KIND_DET_TOTAL:
@@ -711,11 +724,13 @@ def compute(
                 raise BudgetExceeded(floor, 0)
 
     if kind == KIND_DET_TOTAL:
-        value, seq, nfa = _search_det_total(target, budget, counter)
+        value, seq, nfa = _search_det_total(target, classes, budget, counter)
         cert = WitnessCertificate(kind=kind, target=target, nfa=nfa, claimed_states=value)
     else:
-        value, seq = _search_levels(kind, target, condition, floor, budget, counter)
-        cert = _certificate_for(kind, target, condition, value, seq, counter, budget.max_nodes)
+        value, seq = _least_witness(kind, labels, classes, floor, budget, counter)
+        cert = _certificate_for(
+            kind, target, condition, labels, value, seq, counter, budget.max_nodes
+        )
     if cache is not None:
         cache.put(key, value, seq)
     return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
@@ -724,21 +739,26 @@ def compute(
 def value_at_most(
     query: ComplexityQuery, max_states: int, cache=None, max_nodes: int = DEFAULT_MAX_NODES
 ) -> int | None:
-    """The complexity value if it is <= max_states, else None."""
+    """The complexity value if it is <= max_states, None if it is proven
+    above; a node-budget overrun, which proves neither, raises
+    ``BudgetExceeded``."""
     try:
         return compute(query, Budget(max_states=max_states, max_nodes=max_nodes), cache).value
-    except BudgetExceeded:
-        return None
+    except BudgetExceeded as e:
+        if e.lower_bound > max_states:
+            return None
+        raise
 
 
 def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX_NODES) -> WitnessCertificate | None:
     """First witness using exactly ``states`` states, without proving minimality."""
     counter = {"nodes": 0}
+    labels, classes = _walk_words(query.kind, query.target, query.condition)
     for seq in _iter_witness_sequences(
-        query.kind, query.target, query.condition, states, counter, max_nodes, states
+        query.kind, labels, classes, states, counter, max_nodes, states
     ):
         return _certificate_for(
-            query.kind, query.target, query.condition, states, seq, counter, max_nodes
+            query.kind, query.target, query.condition, labels, states, seq, counter, max_nodes
         )
     return None
 
@@ -749,7 +769,7 @@ def all_witness_sequences(
     """Every witnessing slow state sequence using exactly at_states states."""
     counter = {"nodes": 0}
     yield from _iter_witness_sequences(
-        query.kind, query.target, query.condition, at_states,
+        query.kind, *_walk_words(query.kind, query.target, query.condition), at_states,
         counter, max_nodes, at_states,
     )
 
@@ -796,14 +816,15 @@ def sparse_witness_report(
     exact_value = compute(exact_query, Budget(max_nodes=max_nodes), cache).value
     unique_value = compute(unique_query, Budget(max_nodes=max_nodes), cache).value
 
+    # the exact and unique kinds read the same labels
+    labels = _walk_words(exact_kind, x, y)[0]
     by_nfa: dict[Nfa, list[tuple[int, ...]]] = {}
     for seq in all_witness_sequences(exact_query, exact_value, max_nodes):
-        nfa = walk_nfa(seq, _walk_labels(exact_kind, x, y))
-        by_nfa.setdefault(nfa, []).append(seq)
+        by_nfa.setdefault(walk_nfa(seq, labels), []).append(seq)
 
     unique_edge_counts = set()
     for seq in all_witness_sequences(unique_query, unique_value, max_nodes):
-        unique_edge_counts.add(walk_nfa(seq, _walk_labels(unique_kind, x, y)).edge_count())
+        unique_edge_counts.add(walk_nfa(seq, labels).edge_count())
 
     entries = []
     for nfa, seqs in sorted(by_nfa.items(), key=lambda kv: sorted(kv[1])[0]):
@@ -865,58 +886,21 @@ def emergent_simplicity(w: Word, cache=None, max_nodes: int = DEFAULT_MAX_NODES)
     if value != max_complexity(n):
         return False
     square = Word(w.symbols * 2, w.alphabet_size)
+    # a node-budget overrun raises: "unknown" is not "not emergent"
     return value_at_most(
         ComplexityQuery(KIND_UNIQUE, square), n - 1, cache, max_nodes
     ) is not None
 
 
-def search_emergent(max_len: int, alphabet_size: int = 2, cache=None) -> list[Word]:
-    """All slow words of length <= max_len showing emergent simplicity."""
+def search_emergent(
+    max_len: int, alphabet_size: int = 2, cache=None, max_nodes: int = DEFAULT_MAX_NODES
+) -> list[Word]:
+    """All slow words of length <= max_len showing emergent simplicity;
+    ``max_nodes`` bounds each search, and an overrun raises ``BudgetExceeded``."""
     found = []
     for n in range(1, max_len + 1):
         for w in slow_words(n, alphabet_size):
-            if emergent_simplicity(w, cache):
+            if emergent_simplicity(w, cache, max_nodes):
                 found.append(w)
     return found
 
-
-def alt_conditional_value(
-    x: Word, y: Word, max_nodes: int = DEFAULT_MAX_NODES
-) -> int:
-    """Conditional complexity computed through the single-track reformulation.
-
-    Searches NFAs over the condition alphabet alone that read y along exactly
-    one walk, requiring the walk's edge sequence to repeat an edge only where x
-    repeats a symbol. Used as an experimental cross-check of the pair-label
-    search, not as its implementation.
-    """
-    if len(x) != len(y):
-        raise ValueError("words must have equal length")
-    n = len(y)
-    if n == 0:
-        return 1
-
-    def edge_partition_refines_x(seq: list[int]) -> bool:
-        value_of_edge: dict[tuple[int, int, int], int] = {}
-        for i in range(n):
-            edge = (seq[i], y[i], seq[i + 1])
-            seen = value_of_edge.setdefault(edge, x[i])
-            if seen != x[i]:
-                return False
-        return True
-
-    counter = {"nodes": 0}
-    for q in range(1, n + 2):
-        for _seq in _iter_witness_sequences(
-            KIND_COND_UNIQUE,
-            # the "target" never constrains this search; reuse y's shape
-            Word((0,) * n, 1),
-            y,
-            q,
-            counter,
-            max_nodes,
-            q,
-            leaf_filter=edge_partition_refines_x,
-        ):
-            return q
-    raise BudgetExceeded(n + 2, counter["nodes"])

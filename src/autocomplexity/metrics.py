@@ -78,11 +78,11 @@ class ComplexityProvider:
     values then come from searches from 1 state.
 
     Unique-kind values of nonempty words (``unconditional`` and
-    ``track_value``) come from one ``ShapeCatalogue`` per length instead of a
-    search per word. The lookup gives the value and witnessing sequence the
-    search from 1 state gives, and that record goes to the cache as
-    ``compute`` would write it. ``max_nodes`` bounds the catalogue building
-    one lookup does.
+    ``track_value``) come from one ``ShapeCatalogue`` per length, that of
+    the one-letter condition ``0^n``, instead of a search per word. The
+    lookup gives the value and witnessing sequence the search from 1 state
+    gives, and that record goes to the cache as ``compute`` would write it.
+    ``max_nodes`` bounds the catalogue building one lookup does.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
@@ -99,7 +99,9 @@ class ComplexityProvider:
         if value is None:
             n = len(rep.target)
             if rep.kind == KIND_UNIQUE and n >= 1:
-                catalogue = self._catalogues.setdefault(n, ShapeCatalogue(n))
+                catalogue = self._catalogues.get(n)
+                if catalogue is None:
+                    catalogue = self._catalogues[n] = ShapeCatalogue(Word((0,) * n, 1))
                 value, seq = catalogue.lookup(rep.target, self.max_nodes)
                 if self.cache is not None:
                     self.cache.put(rep, value, seq)

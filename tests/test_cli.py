@@ -106,6 +106,10 @@ def test_classify_command(capsys):
 def test_search_emergent_command(capsys):
     code, out, _ = run(capsys, "search-emergent", "--max-len", "5")
     assert code == 0 and "0 word(s)" in out
+    # the square of 0001000 needs more than 500 nodes: unknown, not "0 found"
+    code, out, err = run(capsys, "search-emergent", "--max-len", "7", "--budget", "500")
+    assert code == 4 and "search budget exhausted" in err
+    assert "word(s)" not in out
 
 
 def test_sparse_command(capsys):

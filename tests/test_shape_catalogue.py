@@ -1,9 +1,10 @@
-"""The unique-walk shape catalogue that serves the provider's unique-kind values.
+"""The walk-shape catalogue of a condition word, which serves the provider's
+unique-kind values as the catalogue of the one-letter condition ``0^n``.
 
-``compute`` stays the reference: every record the provider writes from the
-catalogue must be the ``(value, sequence)`` the labeled search from 1 state
-finds, with a certificate that verifies. No test here uses a disk cache
-except to read back the records of one run.
+The labeled search stays the reference: every catalogue lookup and every
+record the provider writes from it must be the ``(value, sequence)`` the
+labeled search from 1 state finds, with a certificate that verifies. No test
+here uses a disk cache except to read back the records of one run.
 """
 
 import pytest
@@ -22,21 +23,27 @@ from autocomplexity import (
 from autocomplexity.cache import parse_word
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
+    ShapeCatalogue,
     _certificate_for,
     _search_levels,
+    _walk_words,
     reversal_class_key,
 )
 from autocomplexity.metrics import ComplexityProvider, MetricKind, verify_metric
-from autocomplexity.words import Word, track
+from autocomplexity.words import Word, slow_words, track
 
 
-def assert_record_is_searched(target, record):
-    """``record`` is what the labeled search from 1 state returns for the
-    canonical word ``target``, and its certificate verifies."""
-    assert record == _search_levels(KIND_UNIQUE, target, None, 1, Budget(), {"nodes": 0}), target
+def assert_record_is_searched(target, record, condition=None):
+    """``record`` is what the labeled search from 1 state returns for
+    ``target`` (given ``condition``, if one is named), and its certificate
+    verifies."""
+    kind = KIND_UNIQUE if condition is None else KIND_COND_UNIQUE
+    query = (kind, target, condition)
+    assert record == _search_levels(*query, 1, Budget(), {"nodes": 0}), query
     value, seq = record
-    cert = _certificate_for(KIND_UNIQUE, target, None, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
-    assert verify_certificate(cert)[0] and cert.claimed_states == value, target
+    labels = _walk_words(*query)[0]
+    cert = _certificate_for(*query, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
+    assert verify_certificate(cert)[0] and cert.claimed_states == value, query
 
 
 def assert_provider_records(words):
@@ -106,14 +113,33 @@ def test_default_budget_gives_the_searched_value():
     assert ComplexityProvider().track_value(x, y) == searched
 
 
+@pytest.mark.parametrize("letters, max_len", [(2, 7), (3, 5)])
+def test_condition_catalogue_matches_labeled_search(letters, max_len):
+    """Every slow pair over ``letters`` letters up to ``max_len``: the
+    catalogue of y looks up x exactly as the conditional-unique search does."""
+    for n in range(1, max_len + 1):
+        words = list(slow_words(n, letters))
+        for y in words:
+            catalogue = ShapeCatalogue(y)
+            for x in words:
+                assert_record_is_searched(x, catalogue.lookup(x), y)
+
+
 @st.composite
-def binary_pairs(draw):
-    n = draw(st.integers(1, 7))
+def binary_pairs(draw, max_len):
+    n = draw(st.integers(1, max_len))
     x, y = (draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(2))
     return Word(tuple(x), 2), Word(tuple(y), 2)
 
 
-@given(binary_pairs())
+@given(binary_pairs(10))
+@settings(max_examples=40, deadline=None)
+def test_random_condition_catalogue_matches_labeled_search(pair):
+    x, y = pair
+    assert_record_is_searched(x, ShapeCatalogue(y).lookup(x), y)
+
+
+@given(binary_pairs(7))
 @settings(max_examples=40, deadline=None)
 def test_pair_word_sandwich(pair):
     """max(A(x), A(y), A(x|y), A(y|x)) <= A(x#y) <= min(A(x) A(y|x), A(y) A(x|y)).
