@@ -118,21 +118,30 @@ class ResultCache:
         return self._memo.get(memo_key(query))
 
     def put(self, query, value: int, sequence: tuple[int, ...]) -> None:
+        self.put_many([(query, value, sequence)])
+
+    def put_many(self, records) -> None:
+        """Store ``(query, value, sequence)`` records, skipping those equal to
+        what the memo holds, and append their lines to the file in one write
+        under one lock."""
         if not self._loaded:
             self._load()
-        key = memo_key(query)
-        if self._memo.get(key) == (value, sequence):
-            return
-        self._memo[key] = (value, tuple(sequence))
+        lines = []
+        for query, value, sequence in records:
+            key = memo_key(query)
+            sequence = tuple(sequence)
+            if self._memo.get(key) == (value, sequence):
+                continue
+            self._memo[key] = (value, sequence)
+            lines.append(self._format_line(query, value, sequence))
         path = self.path
-        if path is None:
+        if path is None or not lines:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        line = self._format_line(query, value, sequence)
         with open(path, "a", encoding="ascii") as fh:
             if fcntl is not None:
                 fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.write(line)
+            fh.write("".join(lines))
             fh.flush()
             if fcntl is not None:
                 fcntl.flock(fh, fcntl.LOCK_UN)

@@ -539,6 +539,91 @@ class ShapeCatalogue:
         raise BudgetExceeded(n + 2, counter["nodes"])
 
 
+def _least_witnesses(
+    condition: Word, targets: list[Word], budget: Budget, counter: dict[str, int],
+) -> list[tuple[int, tuple[int, ...]]]:
+    """``_search_levels(KIND_COND_UNIQUE, x, condition, 1, budget, ...)`` for
+    every x of ``targets``, from one search per level over the shapes of
+    ``ShapeCatalogue(condition)``.
+
+    The search carries the list of targets still active on the current
+    prefix. A step along an edge ``(p, y_t, q)`` first used at position j
+    drops the targets with ``x_t != x_j``, and a branch with no active
+    target left is pruned. A target drops out only where every extension of
+    the prefix is incompatible with it, so the first shape at which it is
+    active at a leaf is its first compatible shape in catalogue order: the
+    value and least witnessing sequence of its labeled search. Each target
+    resolves there and leaves every active list. Only ``budget.max_nodes``
+    applies: an overrun raises ``BudgetExceeded`` with the level being
+    searched as its lower bound, since the targets still pending failed
+    every level below it.
+    """
+    y = condition.symbols
+    n = len(y)
+    xs = [x.symbols for x in targets]
+    if any(len(x) != n for x in xs):
+        raise ValueError("condition and targets must have equal length")
+    found: list = [None] * len(xs)
+    pending = list(range(len(xs)))
+    max_nodes = budget.max_nodes
+    for q in range(1, n + 2):
+        if not pending:
+            return found
+        search = _WalkSearch(_WalkCounts(q, condition.alphabet_size, False), y, y)
+        seq = search.seq
+        first: dict[tuple[int, int, int], int] = {}
+        # active[t]: the targets active after t steps; lists are shared
+        # along steps that drop none
+        active = [pending] * (n + 1)
+
+        def resolve(witness: tuple[int, tuple[int, ...]]) -> None:
+            for i in active[n]:
+                found[i] = witness
+            shrunk = None
+            for lst in active:
+                if lst is not shrunk:
+                    lst[:] = [i for i in lst if found[i] is None]
+                    shrunk = lst
+
+        def rec(top: int) -> None:
+            t = len(seq) - 1
+            if t == n:
+                if top == q - 1 and search.leaf_ok():
+                    resolve((q, tuple(seq)))
+                return
+            if q - 1 - top > n - t:
+                return
+            live = active[t]
+            frm, c = seq[t], y[t]
+            for nxt in range(min(top + 1, q - 1) + 1):
+                if not live:
+                    return
+                counter["nodes"] += 1
+                if counter["nodes"] > max_nodes:
+                    raise BudgetExceeded(q, counter["nodes"])
+                edge = (frm, c, nxt)
+                j = first.get(edge)
+                if j is None:
+                    kept = live
+                else:
+                    kept = [i for i in live if xs[i][t] == xs[i][j]]
+                    if not kept:
+                        continue
+                if search.try_push(nxt):
+                    if j is None:
+                        first[edge] = t
+                    active[t + 1] = kept
+                    rec(top if nxt <= top else nxt)
+                    search.pop()
+                    if j is None:
+                        del first[edge]
+
+        rec(0)
+    if pending:
+        raise BudgetExceeded(n + 2, counter["nodes"])
+    return found
+
+
 def _search_det_total(
     target: Word, classes: Word, budget: Budget, counter: dict[str, int]
 ) -> tuple[int, tuple[int, ...], Nfa]:

@@ -10,6 +10,7 @@ from autocomplexity import (
     compute,
     verify_certificate,
 )
+from autocomplexity import cache as cache_module
 from autocomplexity.cache import format_word, parse_word
 from autocomplexity.words import Word
 
@@ -39,6 +40,33 @@ def test_put_get_round_trip(tmp_path):
     # a fresh instance reads the same record back from disk
     again = ResultCache(tmp_path)
     assert again.get(query) == (2, (0, 0, 0, 0, 1))
+
+
+def test_put_many_opens_the_file_once(tmp_path, monkeypatch):
+    records = [
+        (q_plain("0001"), 2, (0, 0, 0, 0, 1)),
+        (q_plain("01"), 2, (0, 0, 1)),
+        (ComplexityQuery(KIND_COND_UNIQUE, Word.parse("01", 2), Word.parse("00", 2)), 2, (0, 0, 1)),
+    ]
+    one_by_one = ResultCache(tmp_path / "single")
+    for record in records:
+        one_by_one.put(*record)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+    batch = ResultCache(tmp_path / "batch")
+    batch.put_many(records)
+    assert len(opened) == 1
+    assert batch.path.read_bytes() == one_by_one.path.read_bytes()
+    # records equal to the memo are skipped, and then nothing is opened
+    batch.put_many(records[:2])
+    batch.put_many([])
+    assert len(opened) == 1
+    assert ResultCache(tmp_path / "batch").get(records[2][0]) == records[2][1:]
 
 
 def test_conditional_keys_distinct(tmp_path):
