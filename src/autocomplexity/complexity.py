@@ -44,7 +44,7 @@ from .kinds import (
     KIND_UNIQUE,
     KINDS,
 )
-from .words import Word, slow_words, track
+from .words import Word, is_slow, slow_words, track
 
 COMPLEXITY_KINDS = frozenset(KINDS)
 CONDITIONAL_KINDS = frozenset(k.name for k in KINDS.values() if k.conditional)
@@ -651,17 +651,28 @@ def _search_det_total(
     raise BudgetExceeded(cap + 1, counter["nodes"])
 
 
-def _slow(symbols: tuple[int, ...]) -> Word:
-    """Symbols relabeled in order of first occurrence, over exactly the symbols used."""
+def _slow_symbols(symbols: tuple[int, ...]) -> tuple[int, ...]:
+    """Symbols relabeled in order of first occurrence."""
     relabel: dict[int, int] = {}
-    slow = tuple([relabel.setdefault(s, len(relabel)) for s in symbols])
-    return Word(slow, max(len(relabel), 1))
+    return tuple([relabel.setdefault(s, len(relabel)) for s in symbols])
+
+
+def _slow_word(slow: tuple[int, ...]) -> Word:
+    """The word of slow symbols over exactly the symbols used."""
+    return Word(slow, max(slow, default=0) + 1)
+
+
+def _is_slow_word(w: Word) -> bool:
+    """True iff ``w`` is slow and over exactly the symbols it uses."""
+    return is_slow(w) and w.alphabet_size == max(w.symbols, default=0) + 1
 
 
 def _canonical_part(query: ComplexityQuery, part: slice) -> ComplexityQuery:
     """Canonical key of the query on ``symbols[part]`` of both words."""
-    condition = None if query.condition is None else _slow(query.condition.symbols[part])
-    target = _slow(query.target.symbols[part])
+    condition = query.condition
+    if condition is not None:
+        condition = _slow_word(_slow_symbols(condition.symbols[part]))
+    target = _slow_word(_slow_symbols(query.target.symbols[part]))
     if query.kind == KIND_DET_TOTAL:
         target = Word(target.symbols, query.target.alphabet_size)
     return ComplexityQuery(query.kind, target, condition)
@@ -674,9 +685,15 @@ def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
     never occur cannot appear on any witness edge, so shrinking to the slow
     form over the used symbols preserves every counting discipline along with
     the witness state sequences. det-total keeps its alphabet size: a total
-    DFA has an edge for every letter, used or not.
+    DFA has an edge for every letter, used or not. A query already in that
+    form is returned as it is.
     """
-    return _canonical_part(query, slice(None))
+    target, condition = query.target, query.condition
+    if query.kind == KIND_DET_TOTAL:
+        canonical = is_slow(target)
+    else:
+        canonical = _is_slow_word(target) and (condition is None or _is_slow_word(condition))
+    return query if canonical else _canonical_part(query, slice(None))
 
 
 def memo_key(query: ComplexityQuery) -> tuple:
@@ -711,6 +728,32 @@ def reversal_class_key(query: ComplexityQuery) -> ComplexityQuery:
         return q.target.symbols, () if q.condition is None else q.condition.symbols
 
     return min(key, back, key=order)
+
+
+def class_key(key: tuple) -> tuple:
+    """``memo_key(reversal_class_key(q))`` from ``key = memo_key(q)``.
+
+    The symbol tuples are relabeled to their slow forms and, for the
+    reversible kinds, so are their reversals; the smaller of the two keys
+    wins, the forward one on a tie, by the order ``reversal_class_key`` uses.
+    No ``Word`` and no query is built.
+    """
+    kind, target, third = key
+    if kind == KIND_DET_TOTAL:
+        return kind, _slow_symbols(target), third
+    forward = kind, _slow_symbols(target), None if third is None else _slow_symbols(third)
+    if not KINDS[kind].reversible:
+        return forward
+    back = kind, _slow_symbols(target[::-1]), None if third is None else _slow_symbols(third[::-1])
+    return back if back < forward else forward
+
+
+def class_query(key: tuple) -> ComplexityQuery:
+    """The canonical query whose ``memo_key`` is the class key ``key``."""
+    kind, target, third = key
+    if kind == KIND_DET_TOTAL:
+        return ComplexityQuery(kind, Word(target, third))
+    return ComplexityQuery(kind, _slow_word(target), None if third is None else _slow_word(third))
 
 
 # w[:-1] and w[1:], then the same two factors reversed

@@ -20,7 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+
+import numpy as np
 
 from .cache import ResultCache
 from .complexity import (
@@ -32,10 +33,13 @@ from .complexity import (
     ComplexityQuery,
     ShapeCatalogue,
     _least_witnesses,
+    _slow_symbols,
+    _slow_word,
+    class_key,
+    class_query,
     compute,
     max_complexity,
     memo_key,
-    reversal_class_key,
 )
 from .words import Word, fractional_power, slow_words, track
 
@@ -58,12 +62,13 @@ class ComplexityProvider:
     """Memoized complexity values, shared across relabeling and reversal classes.
 
     The memo is keyed on the words as given, so a repeated call costs one
-    dictionary lookup. On a miss the words are normalized to
-    ``reversal_class_key``: the slow canonical form, or for the unique and
-    conditional-unique kinds the canonical form of the word(s) or of their
-    reversal, whichever sorts first. ``A(w) = A(w^R)`` holds there because
-    reversing every edge of a witness and swapping its start and accept maps
-    its accepting walks one to one onto walks reading the reversed word(s).
+    dictionary lookup. On a miss the words are normalized to their class key
+    (``complexity.class_key``, the memo key of ``reversal_class_key``): the
+    slow canonical form, or for the unique and conditional-unique kinds the
+    canonical form of the word(s) or of their reversal, whichever sorts
+    first. ``A(w) = A(w^R)`` holds there because reversing every edge of a
+    witness and swapping its start and accept maps its accepting walks one
+    to one onto walks reading the reversed word(s).
     ``det-partial`` keeps the plain canonical form: reversal does not keep
     determinism. Only values are shared; ``compute`` still certifies the word
     it is asked about.
@@ -99,11 +104,12 @@ class ComplexityProvider:
         self._catalogues: dict[int, ShapeCatalogue] = {}
 
     def _miss(self, key: tuple, query: ComplexityQuery) -> int:
-        """Value for ``query``, memoized under ``key`` and under its class key."""
-        rep = reversal_class_key(query)
-        rep_key = memo_key(rep)
+        """Value for ``query``, memoized under ``key`` and under its class key;
+        the class query is built only when the memo lacks the class."""
+        rep_key = class_key(memo_key(query))
         value = self._memo.get(rep_key)
         if value is None:
+            rep = class_query(rep_key)
             n = len(rep.target)
             if rep.kind == KIND_UNIQUE and n >= 1:
                 catalogue = self._catalogues.get(n)
@@ -122,13 +128,15 @@ class ComplexityProvider:
         """Memoize ``conditional(x, y)`` for every pair of ``ground``, words
         of one length, with one batch search per condition word.
 
-        Each pair's ``reversal_class_key`` is taken once. A class that the
-        memo or the cache holds is served at once. The classes that neither
-        holds are grouped by condition word, and ``_least_witnesses`` finds
-        a group's values and witnesses together. Their records go to the
-        cache in one ``put_many``, in the order in which the pairs, taken in
-        ``(y, x)`` order, first miss: the records and order that one
-        ``compute`` per pair writes. Every value is served by ``compute``
+        Each word's slow form and reversed slow form are taken once, and a
+        pair's class key (``class_key``) is found by comparing tuples: the
+        forward pair of forms, or the reversed pair if it sorts first. A
+        class that the memo or the cache holds is served at once. The
+        classes that neither holds are grouped by condition word, and
+        ``_least_witnesses`` finds a group's values and witnesses together.
+        Their records go to the cache in one ``put_many``, in the order in
+        which the pairs, taken in ``(y, x)`` order, first miss: the records
+        and order that one ``compute`` per pair writes. Every value is served by ``compute``
         from the cache, which re-verifies each fresh record as a hit. No
         factor floor is used: its cache lookups cost more time than the
         nodes it saved. A node-budget overrun raises ``BudgetExceeded``
@@ -138,35 +146,42 @@ class ComplexityProvider:
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()
         budget = Budget(max_nodes=self.max_nodes)
-        # A missing class is kept as its key and its pairs as (key, class
-        # key), with one Word per symbol string: a query per pair raised the
-        # peak resident set by 8 MB at n = 8.
+        # (symbols, slow form, reversed slow form) per word
+        forms = [
+            (w.symbols, _slow_symbols(w.symbols), _slow_symbols(w.symbols[::-1])) for w in ground
+        ]
+        # one Word per slow form; a missing class is kept as its key and its
+        # pairs as (key, class key): a query per pair raised the peak
+        # resident set by 8 MB at n = 8
+        words = {f: _slow_word(f) for _, fw, bw in forms for f in (fw, bw)}
         misses: dict[tuple, tuple] = {}  # class key -> itself, in first-miss order
-        words: dict[tuple[int, ...], Word] = {}
         waiting: list[tuple[tuple, tuple]] = []
-        for y, x in product(ground, repeat=2):
-            key = (KIND_COND_UNIQUE, x.symbols, y.symbols)
-            if key in memo:
-                continue
-            rep = reversal_class_key(ComplexityQuery(KIND_COND_UNIQUE, x, y))
-            rep_key = memo_key(rep)
-            if rep_key in misses:
-                rep_key = misses[rep_key]
-            else:
-                value = memo.get(rep_key)
-                # compute answers the empty word with no search and no record
-                if value is None and (not len(rep.target) or cache.get(rep) is not None):
-                    value = memo[rep_key] = compute(rep, budget, cache).value
-                if value is not None:
-                    memo[key] = value
-                    continue
-                misses[rep_key] = rep_key
-                words.setdefault(rep.target.symbols, rep.target)
-                words.setdefault(rep.condition.symbols, rep.condition)
-            waiting.append((key, rep_key))
 
         def query(rep_key: tuple) -> ComplexityQuery:
             return ComplexityQuery(KIND_COND_UNIQUE, words[rep_key[1]], words[rep_key[2]])
+
+        for y, fy, by in forms:
+            for x, fx, bx in forms:
+                key = (KIND_COND_UNIQUE, x, y)
+                if key in memo:
+                    continue
+                forward = KIND_COND_UNIQUE, fx, fy
+                back = KIND_COND_UNIQUE, bx, by
+                rep_key = back if back < forward else forward
+                if rep_key in misses:
+                    rep_key = misses[rep_key]
+                else:
+                    value = memo.get(rep_key)
+                    if value is None:
+                        rep = query(rep_key)
+                        # compute answers the empty word with no search and no record
+                        if not fx or cache.get(rep) is not None:
+                            value = memo[rep_key] = compute(rep, budget, cache).value
+                    if value is not None:
+                        memo[key] = value
+                        continue
+                    misses[rep_key] = rep_key
+                waiting.append((key, rep_key))
 
         groups: dict[tuple[int, ...], list[tuple]] = {}
         for rep_key in misses:
@@ -276,6 +291,27 @@ class MetricReport:
         )
 
 
+def _triangle_violations(d: list[list[float]], tolerance: float) -> list[tuple]:
+    """``(i, j, k, d[i][k], d[i][j] + d[j][k])`` for every ordered triple
+    with ``d[i][k] > d[i][j] + d[j][k] + tolerance``, in ``(i, j, k)`` order.
+
+    One ``size x size`` comparison per ``i``: entry ``(j, k)`` is that test,
+    with the sums taken left to right in float64 as Python takes them, so
+    exactly the triples of the triple loop are flagged; ``np.nonzero`` walks
+    them in C order. The reported numbers come from ``d``, as Python floats.
+    A ``size**3`` array is never built: at n = 8 it would take 16.8 MB.
+    """
+    m = np.array(d, dtype=np.float64)
+    found = []
+    for i, row in enumerate(m):
+        bad = row[None, :] > (row[:, None] + m) + tolerance
+        di = d[i]
+        for j, k in zip(*np.nonzero(bad)):
+            j, k = int(j), int(k)
+            found.append((i, j, k, di[k], di[j] + d[j][k]))
+    return found
+
+
 def verify_metric(
     n: int,
     kind: MetricKind,
@@ -298,7 +334,6 @@ def verify_metric(
 
     identity = []
     symmetry = []
-    triangle = []
     for i, x in enumerate(ground):
         if abs(d[i][i]) > tolerance:
             identity.append((x, d[i][i]))
@@ -307,13 +342,10 @@ def verify_metric(
                 identity.append((x, y, d[i][j]))
             if i < j and abs(d[i][j] - d[j][i]) > tolerance:
                 symmetry.append((x, y, d[i][j], d[j][i]))
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                if d[i][k] > d[i][j] + d[j][k] + tolerance:
-                    triangle.append(
-                        (ground[i], ground[j], ground[k], d[i][k], d[i][j] + d[j][k])
-                    )
+    triangle = [
+        (ground[i], ground[j], ground[k], d_ik, d_ijk)
+        for i, j, k, d_ik, d_ijk in _triangle_violations(d, tolerance)
+    ]
     return MetricReport(
         n=n,
         kind=kind,
@@ -428,6 +460,7 @@ def classify_unit_distance(
     ground = list(slow_words(n, 2))
     pairs: set[frozenset[Word]] = set()
     if method == "exhaustive":
+        provider.conditional_row(ground)
         for i, x in enumerate(ground):
             for y in ground[i + 1 :]:
                 if is_unit_j_distance(x, y, provider):

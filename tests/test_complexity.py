@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autocomplexity import (
     KIND_COND_EXACT,
@@ -21,6 +22,7 @@ from autocomplexity import (
     verify_certificate,
     witness_at,
 )
+from autocomplexity.automata import Nfa, WitnessCertificate
 from autocomplexity.words import Word, induced_partition, refines, slow_words, track
 
 
@@ -285,3 +287,66 @@ def test_all_kind_certificates_serialize_round_trip():
 
 def test_max_complexity_ceiling():
     assert [max_complexity(n) for n in range(0, 6)] == [1, 1, 2, 2, 3, 3]
+
+
+@st.composite
+def short_words(draw, n=None):
+    """A word of length up to 8 over 1-4 letters, or of length ``n``."""
+    if n is None:
+        n = draw(st.integers(0, 8))
+    letters = draw(st.integers(1, 4))
+    symbols = draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))
+    return Word(tuple(symbols), letters)
+
+
+@st.composite
+def short_pairs(draw):
+    x = draw(short_words())
+    return x, draw(short_words(len(x)))
+
+
+def conditional_certificate(x, y, nfa):
+    return WitnessCertificate(
+        kind=KIND_COND_UNIQUE, target=x, condition=y, nfa=nfa, claimed_states=nfa.state_count
+    )
+
+
+@given(short_words())
+@settings(max_examples=100, deadline=None)
+def test_self_condition_is_one_state(x):
+    """``A(x|x) = 1``.
+
+    Proof: one state, both start and accept, with a loop labeled ``(a, a)``
+    for each letter a. A walk of length n consistent with x reads ``x_t`` in
+    the condition at step t, so it takes the loop ``(x_t, x_t)``: there is
+    exactly one such walk, and it spells x. No witness has fewer states.
+    """
+    sigma = x.alphabet_size
+    loops = Nfa(1, 0, {0}, {(0, a * sigma + a, 0) for a in range(sigma)}, sigma * sigma)
+    assert verify_certificate(conditional_certificate(x, x, loops))[0]
+    assert compute(ComplexityQuery(KIND_COND_UNIQUE, x, x)).value == 1
+
+
+@given(short_pairs())
+@settings(max_examples=100, deadline=None)
+def test_condition_never_costs_states(pair):
+    """``A(x|y) <= A(x)``.
+
+    Proof: take a witness M for ``A(x)`` and relabel each edge ``(p, a, q)``
+    with ``(b, a)`` for every condition letter b. A walk consistent with y
+    may then use any edge at any step, so the walks consistent with y are
+    exactly the walks of M of length n from start to accept. M has one such
+    walk, and it reads x, so the relabeled M witnesses x given y on as many
+    states.
+    """
+    x, y = pair
+    witness = compute(ComplexityQuery(KIND_UNIQUE, x))
+    m = witness.certificate.nfa
+    sigma = x.alphabet_size
+    relabeled = Nfa(
+        m.state_count, m.start, m.accepts,
+        frozenset((p, b * sigma + a, q) for p, a, q in m.edges for b in range(y.alphabet_size)),
+        y.alphabet_size * sigma,
+    )
+    assert verify_certificate(conditional_certificate(x, y, relabeled))[0]
+    assert compute(ComplexityQuery(KIND_COND_UNIQUE, x, y)).value <= witness.value

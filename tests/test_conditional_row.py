@@ -4,14 +4,21 @@ word y carries every target x still active on the current prefix.
 The labeled search stays the reference: every value and witnessing sequence
 the batch finds must be what ``_search_levels`` from 1 state finds for that
 pair, and a row filled by the batch must write the cache records, in the
-order, that one ``compute`` per first-missing pair writes.
+order, that one ``compute`` per first-missing pair writes. Likewise the
+tuple-level ``class_key`` that the provider and the rows use must be the
+memo key of ``reversal_class_key``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from autocomplexity import (
+    KIND_COND_EXACT,
     KIND_COND_UNIQUE,
+    KIND_DET_PARTIAL,
+    KIND_DET_TOTAL,
+    KIND_EXACT,
+    KIND_UNIQUE,
     Budget,
     BudgetExceeded,
     ComplexityQuery,
@@ -20,13 +27,80 @@ from autocomplexity import (
 )
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
+    _canonical_part,
     _least_witnesses,
     _search_levels,
+    canonical_query,
+    class_key,
+    class_query,
     memo_key,
     reversal_class_key,
 )
 from autocomplexity.metrics import ComplexityProvider, distribution_table
-from autocomplexity.words import Word, slow_words
+from autocomplexity.words import Word, slow_words, track
+
+UNCONDITIONAL = (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_DET_TOTAL)
+CONDITIONAL = (KIND_COND_UNIQUE, KIND_COND_EXACT)
+
+
+def words_of(query):
+    """The kind and the symbols and alphabet size of both words: all that a
+    key or a cache record reads (a track word may stay a ``TrackWord``)."""
+    words = (query.target, query.condition)
+    return query.kind, [None if w is None else (w.symbols, w.alphabet_size) for w in words]
+
+
+def assert_class_key(query):
+    """``class_key`` is the memo key of ``reversal_class_key`` and names that
+    query, and ``canonical_query`` returns a canonical query as it is."""
+    rep = reversal_class_key(query)
+    key = class_key(memo_key(query))
+    assert key == memo_key(rep), query
+    assert words_of(class_query(key)) == words_of(rep)
+    assert canonical_query(rep) is rep
+    assert words_of(canonical_query(query)) == words_of(_canonical_part(query, slice(None)))
+
+
+def queries_of(x, y):
+    """The queries of the provider and the rows on x (given y): every kind,
+    and the unique kind of the track word ``track(x, y)``."""
+    yield from (ComplexityQuery(kind, x) for kind in UNCONDITIONAL)
+    yield from (ComplexityQuery(kind, x, y) for kind in CONDITIONAL)
+    yield ComplexityQuery(KIND_UNIQUE, track(x, y))
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 7), (3, 5)])
+def test_class_key_matches_reversal_class_key(letters, max_len):
+    """Every slow word and pair over ``letters`` letters up to ``max_len``."""
+    for n in range(max_len + 1):
+        words = list(slow_words(n, letters))
+        for x in words:
+            for y in words:
+                for query in queries_of(x, y):
+                    assert_class_key(query)
+
+
+@st.composite
+def unslow_pair(draw):
+    """Two words over 1-4 letters, drawn in any relabeling and often
+    palindromes, so that a word and its reversal tie."""
+    n = draw(st.integers(0, 8))
+    letters = draw(st.integers(1, 4))
+
+    def word():
+        half = draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            half[n - n // 2 :] = half[: n // 2][::-1]
+        return Word(tuple(half), draw(st.integers(letters, 5)))
+
+    return word(), word()
+
+
+@given(unslow_pair())
+@settings(max_examples=300, deadline=None)
+def test_random_class_key_matches_reversal_class_key(pair):
+    for query in queries_of(*pair):
+        assert_class_key(query)
 
 
 def assert_batch_is_searched(condition, targets):

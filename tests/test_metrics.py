@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from autocomplexity import KIND_UNIQUE, ComplexityQuery, oracle_min_states
 from autocomplexity.metrics import (
     ComplexityProvider,
     MetricKind,
+    _triangle_violations,
     classify_unit_distance,
     distribution_table,
     expected_unit_distance_pairs,
@@ -142,6 +144,61 @@ def test_jmax_triangle_counterexample(provider):
     assert d(x, z) == 1.0
     assert d(x, y) + d(y, z) == pytest.approx(2 / math.log2(5))
     assert d(x, z) > d(x, y) + d(y, z)
+
+
+def triangle_loop(d, tolerance):
+    """The triple loop ``_triangle_violations`` replaces, kept as its reference."""
+    size = len(d)
+    return [
+        (i, j, k, d[i][k], d[i][j] + d[j][k])
+        for i in range(size)
+        for j in range(size)
+        for k in range(size)
+        if d[i][k] > d[i][j] + d[j][k] + tolerance
+    ]
+
+
+def test_triangle_sweep_matches_loop_on_jmax_at_length_eight(provider):
+    ground = list(slow_words(8, 2))
+    provider.conditional_row(ground)
+    d = [[metric_value(MetricKind.J_MAX, x, y, provider) for y in ground] for x in ground]
+    swept = _triangle_violations(d, 1e-9)
+    assert len(swept) == 28
+    assert swept == triangle_loop(d, 1e-9)
+    # numbers from the list, never NumPy scalars, which print differently
+    assert all(type(v) is int for t in swept for v in t[:3])
+    assert all(type(v) is float for t in swept for v in t[3:])
+
+
+def test_triangle_sweep_at_the_tolerance_boundary():
+    # (0.5 + 0.45) + 1e-9 is one ulp below 0.5 + (0.45 + 1e-9): the sweep
+    # must add left to right, as the loop does
+    a, b, tolerance = 0.5, 0.45, 1e-9
+    edge = (a + b) + tolerance
+    assert edge < a + (b + tolerance)
+    for d_02, flagged in ((edge, False), (math.nextafter(edge, math.inf), True)):
+        d = [[0.0, a, d_02], [a, 0.0, b], [d_02, b, 0.0]]
+        swept = _triangle_violations(d, tolerance)
+        assert swept == triangle_loop(d, tolerance)
+        want = [(0, 1, 2, d_02, a + b), (2, 1, 0, d_02, b + a)] if flagged else []
+        assert swept == want
+
+
+def test_triangle_sweep_builds_no_cube():
+    # a size**3 float temporary at 256 words would take 134 MB
+    size = 256
+    d = [[float(i != j) for j in range(size)] for i in range(size)]
+    d[0][1] = d[1][0] = 2.5
+    tracemalloc.start()
+    try:
+        swept = _triangle_violations(d, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert swept == [(0, k, 1, 2.5, 2.0) for k in range(2, size)] + [
+        (1, k, 0, 2.5, 2.0) for k in range(2, size)
+    ]
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.extended
