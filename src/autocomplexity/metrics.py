@@ -94,7 +94,9 @@ class ComplexityProvider:
     ``conditional_row`` fills the conditional values of every pair of a set
     of words of one length, as ``distribution_table`` and ``verify_metric``
     ask for them, with one batch search per condition word; there
-    ``max_nodes`` bounds each condition word's search.
+    ``max_nodes`` bounds each condition word's search. ``track_row`` fills
+    the unconditional and pair-word values that ``verify_metric`` asks for
+    the ``j`` distance.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
@@ -103,10 +105,9 @@ class ComplexityProvider:
         self._memo: dict[tuple, int] = {}
         self._catalogues: dict[int, ShapeCatalogue] = {}
 
-    def _miss(self, key: tuple, query: ComplexityQuery) -> int:
-        """Value for ``query``, memoized under ``key`` and under its class key;
-        the class query is built only when the memo lacks the class."""
-        rep_key = class_key(memo_key(query))
+    def _class_value(self, rep_key: tuple) -> int:
+        """Value of the class key ``rep_key``, memoized; the class query is
+        built only when the memo lacks the class."""
         value = self._memo.get(rep_key)
         if value is None:
             rep = class_query(rep_key)
@@ -121,7 +122,11 @@ class ComplexityProvider:
             else:
                 value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value
             self._memo[rep_key] = value
-        self._memo[key] = value
+        return value
+
+    def _miss(self, key: tuple, query: ComplexityQuery) -> int:
+        """Value for ``query``, memoized under ``key`` and under its class key."""
+        value = self._memo[key] = self._class_value(class_key(memo_key(query)))
         return value
 
     def conditional_row(self, ground: list[Word]) -> None:
@@ -195,6 +200,37 @@ class ComplexityProvider:
             memo[rep_key] = compute(query(rep_key), budget, cache).value
         for key, rep_key in waiting:
             memo[key] = memo[rep_key]
+
+    def track_row(self, ground: list[Word], needed: np.ndarray) -> None:
+        """Memoize ``unconditional(x)``, ``unconditional(y)`` and
+        ``track_value(x, y)`` for every pair ``(x, y) = (ground[i], ground[j])``
+        with ``needed[i, j]``, as the ``j`` distance asks for them.
+
+        The pairs are taken in ``(i, j)`` order and the three values of a pair
+        in that order, so classes first miss, and their records reach the
+        cache, as under one call each. A pair word's class key is taken from
+        symbol tuples, with no ``track`` word and no query. ``track(y, x)``
+        relabels ``track(x, y)`` letter by letter, so the two share it: the
+        pair ``(j, i)``, if needed, is memoized with ``(i, j)``, and by then
+        one call each would find its class in the memo.
+        """
+        memo = self._memo
+        unconditional_keys = [(KIND_UNIQUE, w.symbols, None) for w in ground]
+        for i, row in enumerate(needed):
+            x = ground[i].symbols
+            for j in np.flatnonzero(row).tolist():
+                for key in (unconditional_keys[i], unconditional_keys[j]):
+                    if key not in memo:
+                        memo[key] = self._class_value(class_key(key))
+                y = ground[j]
+                key = ("track", x, y.symbols)
+                if key in memo:
+                    continue
+                d = y.alphabet_size
+                pair = tuple([a * d + b for a, b in zip(x, y.symbols)])
+                value = memo[key] = self._class_value(class_key((KIND_UNIQUE, pair, None)))
+                if needed[j, i]:
+                    memo.setdefault(("track", y.symbols, x), value)
 
     def unconditional(self, x: Word) -> int:
         key = (KIND_UNIQUE, x.symbols, None)
@@ -291,25 +327,107 @@ class MetricReport:
         )
 
 
-def _triangle_violations(d: list[list[float]], tolerance: float) -> list[tuple]:
+def _triangle_violations(d, tolerance: float) -> list[tuple]:
     """``(i, j, k, d[i][k], d[i][j] + d[j][k])`` for every ordered triple
-    with ``d[i][k] > d[i][j] + d[j][k] + tolerance``, in ``(i, j, k)`` order.
+    with ``d[i][k] > d[i][j] + d[j][k] + tolerance``, in ``(i, j, k)`` order,
+    for a square matrix ``d`` of floats (a NumPy array or nested lists).
 
     One ``size x size`` comparison per ``i``: entry ``(j, k)`` is that test,
     with the sums taken left to right in float64 as Python takes them, so
     exactly the triples of the triple loop are flagged; ``np.nonzero`` walks
-    them in C order. The reported numbers come from ``d``, as Python floats.
-    A ``size**3`` array is never built: at n = 8 it would take 16.8 MB.
+    them in C order. The reported numbers are Python floats, never NumPy
+    scalars, which print differently. A ``size**3`` array is never built: at
+    n = 8 it would take 16.8 MB.
     """
-    m = np.array(d, dtype=np.float64)
+    m = np.asarray(d, dtype=np.float64)
     found = []
     for i, row in enumerate(m):
         bad = row[None, :] > (row[:, None] + m) + tolerance
-        di = d[i]
-        for j, k in zip(*np.nonzero(bad)):
-            j, k = int(j), int(k)
-            found.append((i, j, k, di[k], di[j] + d[j][k]))
+        for j, k in zip(*(a.tolist() for a in np.nonzero(bad))):
+            found.append((i, j, k, float(row[k]), float(row[j]) + float(m[j, k])))
     return found
+
+
+def _log2(values: np.ndarray) -> np.ndarray:
+    """``math.log2`` of every entry of an integer array, read from a table of
+    ``math.log2`` over the distinct entries (NumPy's ``log2`` may differ from
+    it in the last bit). An entry below 1 raises as ``math.log2`` does."""
+    distinct = sorted(set(values.ravel().tolist()))
+    table = np.array([math.log2(v) for v in distinct], dtype=np.float64)
+    return table[np.searchsorted(distinct, values)]
+
+
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` entry by entry; a zero denominator raises as float
+    division does, never giving ``inf`` or ``nan``."""
+    if not den.all():
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+def _unconditional_values(ground: list[Word], needed: np.ndarray, provider) -> np.ndarray:
+    """``provider.unconditional`` of each word in a pair ``(i, j)`` of
+    ``needed``, asked in the order in which the sequence ``i, j`` of the
+    pairs, taken in ``(i, j)`` order, first names it; 0 for the other words."""
+    named: dict[int, None] = {}
+    for i, row in enumerate(needed):
+        js = np.flatnonzero(row).tolist()
+        if js:
+            named.update(dict.fromkeys([i, *js]))
+    u = np.zeros(len(ground), dtype=np.int64)
+    for w in named:
+        u[w] = provider.unconditional(ground[w])
+    return u
+
+
+def _distance_matrix(kind: MetricKind, ground: list[Word], provider) -> np.ndarray:
+    """``metric_value(kind, x, y, provider)`` for every pair of ``ground``,
+    as a float64 matrix, from integer matrices of the provider's values.
+
+    The values are read through the provider's public methods, so a
+    subclass that overrides one is seen, and only where ``metric_value``
+    reads them: ``C[i, j] = conditional(x_i, x_j)`` for every pair, the
+    unconditional values for the pairs off the 0 case of ``j`` and ``jmax``,
+    and ``track_value`` for those of ``j``, after ``track_row`` has
+    memoized them in the order one ``metric_value`` per pair would miss.
+    The 0 and 1 cases are decided on the integers; each log comes from
+    ``math.log2`` and each quotient is one float64 operation in the scalar
+    order, so every entry equals ``metric_value``'s bit for bit.
+    """
+    c = np.array([[provider.conditional(x, y) for y in ground] for x in ground], dtype=np.int64)
+    ct = c.T
+    if kind is MetricKind.J_NUM:
+        return _log2(c * ct)
+    top = np.maximum(c, ct)
+    if kind is MetricKind.J_NUM_MAX:
+        return _log2(top)
+    d = np.zeros(c.shape)
+    if kind is MetricKind.J:
+        needed = (c != 1) | (ct != 1)
+        provider.track_row(ground, needed)
+        u = _unconditional_values(ground, needed, provider)
+        product = u[:, None] * u[None, :]
+        t = np.zeros_like(c)
+        for i, row in enumerate(needed):
+            x = ground[i]
+            js = np.flatnonzero(row)
+            t[i, js] = [provider.track_value(x, ground[j]) for j in js.tolist()]
+        unit = needed & (t == product)
+        rest = needed & ~unit
+        cc = (c * ct)[rest]
+        den = _log2(cc * product[rest]) - _log2(t[rest])
+        d[rest] = _quotient(_log2(cc), den)
+    elif kind is MetricKind.J_MAX:
+        needed = top != 1
+        u = _unconditional_values(ground, needed, provider)
+        bottom = np.maximum(u[:, None], u[None, :])
+        unit = needed & (top == bottom)
+        rest = needed & ~unit
+        d[rest] = _quotient(_log2(top[rest]), _log2(bottom[rest]))
+    else:
+        raise ValueError(f"unknown metric kind {kind!r}")
+    d[unit] = 1.0
+    return d
 
 
 def verify_metric(
@@ -321,27 +439,31 @@ def verify_metric(
     """Exhaustively check the metric axioms on the slow binary words of length n.
 
     Checks d(x,x)=0, d(x,y)=0 => x=y, symmetry, and the triangle inequality
-    over every ordered triple, comparing reals within the tolerance.
+    over every ordered triple, comparing reals within the tolerance. The
+    distances are those of ``metric_value``, entry for entry
+    (``_distance_matrix``).
     """
     provider = provider or ComplexityProvider()
     ground = list(slow_words(n, 2))
     provider.conditional_row(ground)
     size = len(ground)
-    d = [[0.0] * size for _ in range(size)]
-    for i, x in enumerate(ground):
-        for j, y in enumerate(ground):
-            d[i][j] = metric_value(kind, x, y, provider)
+    d = _distance_matrix(kind, ground, provider)
 
     identity = []
-    symmetry = []
-    for i, x in enumerate(ground):
-        if abs(d[i][i]) > tolerance:
-            identity.append((x, d[i][i]))
-        for j, y in enumerate(ground):
-            if i != j and abs(d[i][j]) <= tolerance:
-                identity.append((x, y, d[i][j]))
-            if i < j and abs(d[i][j] - d[j][i]) > tolerance:
-                symmetry.append((x, y, d[i][j], d[j][i]))
+    flagged = np.abs(d) <= tolerance
+    np.fill_diagonal(flagged, np.abs(d.diagonal()) > tolerance)
+    for i in np.flatnonzero(flagged.any(axis=1)).tolist():
+        x = ground[i]
+        if flagged[i, i]:
+            identity.append((x, float(d[i, i])))
+        identity.extend(
+            (x, ground[j], float(d[i, j])) for j in np.flatnonzero(flagged[i]).tolist() if j != i
+        )
+    symmetry = [
+        (ground[i], ground[j], float(d[i, j]), float(d[j, i]))
+        for i, j in zip(*(a.tolist() for a in np.nonzero(np.abs(d - d.T) > tolerance)))
+        if i < j
+    ]
     triangle = [
         (ground[i], ground[j], ground[k], d_ik, d_ijk)
         for i, j, k, d_ik, d_ijk in _triangle_violations(d, tolerance)

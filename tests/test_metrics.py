@@ -1,13 +1,17 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autocomplexity import KIND_UNIQUE, ComplexityQuery, oracle_min_states
+from autocomplexity import KIND_UNIQUE, ComplexityQuery, ResultCache, oracle_min_states
 from autocomplexity.metrics import (
     ComplexityProvider,
     MetricKind,
+    MetricReport,
+    _distance_matrix,
+    _log2,
     _triangle_violations,
     classify_unit_distance,
     distribution_table,
@@ -126,6 +130,164 @@ def test_verify_metric_one_sided_corruption_reported(provider):
     report = verify_metric(3, MetricKind.J_NUM, Lying())
     assert not report.ok
     assert report.symmetry_violations or report.triangle_violations
+
+
+def test_verify_metric_reads_unconditional_and_track_through_the_provider(provider):
+    # a one-sided lie in track_value breaks the symmetry of j, and a lie in
+    # unconditional moves jmax; both are read through the subclass
+    class Lying(ComplexityProvider):
+        def unconditional(self, x):
+            value = provider.unconditional(x)
+            return value + 4 if x.symbols == (0, 1, 1, 0) else value
+
+        def track_value(self, x, y):
+            if (x.symbols, y.symbols) == ((0, 0, 1, 0), (0, 1, 1, 1)):
+                return self.unconditional(x) * self.unconditional(y)
+            return provider.track_value(x, y)
+
+    for kind in (MetricKind.J, MetricKind.J_MAX):
+        report = verify_metric(4, kind, Lying())
+        assert not report.ok
+        assert report == reference_report(4, kind, Lying())
+        assert report != verify_metric(4, kind, provider)
+    assert verify_metric(4, MetricKind.J, Lying()).symmetry_violations
+
+
+def test_verify_metric_lists_identity_violations_in_loop_order(provider):
+    # w given itself costs 2 and every other pair through w costs 1: row w
+    # holds d(w, w) > 0 followed by zeros, which the loop lists diagonal first
+    w = Word.parse("0110", 2)
+
+    class Lying(ComplexityProvider):
+        def conditional(self, x, y):
+            if x == w or y == w:
+                return 2 if x == y else 1
+            return provider.conditional(x, y)
+
+    for kind in (MetricKind.J_NUM, MetricKind.J_NUM_MAX):
+        report = verify_metric(4, kind, Lying())
+        assert report == reference_report(4, kind, Lying())
+        assert report.identity_violations[0] == (Word.parse("0000", 2), w, 0.0)
+        row = [v for v in report.identity_violations if v[0] == w]
+        assert row[0] == (w, 1.0 if kind is MetricKind.J_NUM_MAX else 2.0) and len(row) == 8
+
+
+def test_verify_metric_raises_on_a_zero_denominator(provider):
+    # j: a pair word as complex as the product of all four other values;
+    # jmax: both unconditional values 1 while the numerator is not
+    x, y = Word.parse("0010", 2), Word.parse("0111", 2)
+
+    class ZeroJ(ComplexityProvider):
+        def track_value(self, a, b):
+            if (a, b) == (x, y):
+                return (provider.conditional(a, b) * provider.conditional(b, a)
+                        * provider.unconditional(a) * provider.unconditional(b))
+            return provider.track_value(a, b)
+
+    class ZeroJmax(ComplexityProvider):
+        def unconditional(self, a):
+            return 1 if a == x else provider.unconditional(a)
+
+    zero = Word.parse("0000", 2)
+    for lying, kind, other in ((ZeroJ(), MetricKind.J, y), (ZeroJmax(), MetricKind.J_MAX, zero)):
+        with pytest.raises(ZeroDivisionError):
+            metric_value(kind, x, other, lying)
+        with pytest.raises(ZeroDivisionError):
+            verify_metric(4, kind, lying)
+
+
+def reference_report(n, kind, provider, tolerance=1e-9):
+    """``verify_metric`` as one ``metric_value`` per ordered pair and a
+    triple loop, kept as the reference for the matrix path."""
+    ground = list(slow_words(n, 2))
+    provider.conditional_row(ground)
+    d = [[metric_value(kind, x, y, provider) for y in ground] for x in ground]
+    identity = []
+    symmetry = []
+    for i, x in enumerate(ground):
+        if abs(d[i][i]) > tolerance:
+            identity.append((x, d[i][i]))
+        for j, y in enumerate(ground):
+            if i != j and abs(d[i][j]) <= tolerance:
+                identity.append((x, y, d[i][j]))
+            if i < j and abs(d[i][j] - d[j][i]) > tolerance:
+                symmetry.append((x, y, d[i][j], d[j][i]))
+    triangle = [
+        (ground[i], ground[j], ground[k], d_ik, d_ijk)
+        for i, j, k, d_ik, d_ijk in triangle_loop(d, tolerance)
+    ]
+    return MetricReport(n, kind, len(ground), tuple(identity), tuple(symmetry), tuple(triangle))
+
+
+def test_distance_matrix_equals_metric_value_bit_for_bit(provider):
+    for n in range(8):
+        ground = list(slow_words(n, 2))
+        provider.conditional_row(ground)
+        for kind in MetricKind:
+            m = _distance_matrix(kind, ground, provider)
+            for i, x in enumerate(ground):
+                for j, y in enumerate(ground):
+                    # hex() tells 0.0 from -0.0 and every last bit apart
+                    assert m[i, j].hex() == metric_value(kind, x, y, provider).hex(), (kind, x, y)
+
+
+def test_verify_metric_equals_reference_loop(provider):
+    for n in range(8):
+        for kind in MetricKind:
+            assert verify_metric(n, kind, provider) == reference_report(n, kind, provider)
+
+
+class SparseJmax(ComplexityProvider):
+    """C(x|000000) = 1 for every x but 011110, so that the pairs off the 0
+    case of jmax name 011110, alone in its reversal class, out of order."""
+
+    def conditional(self, x, y):
+        if y == Word((0,) * 6, 2) and x != Word.parse("011110", 2):
+            return 1
+        return super().conditional(x, y)
+
+
+def test_verify_metric_writes_the_reference_cache_lines(tmp_path):
+    # the matrix path writes the records one metric_value per pair writes,
+    # in the same order, and leaves the same memo
+    runs = [(kind, ComplexityProvider) for kind in MetricKind] + [(MetricKind.J_MAX, SparseJmax)]
+    for kind, provider_type in runs:
+        files, memos = [], []
+        for name, check in (("matrix", verify_metric), ("loop", reference_report)):
+            cache = ResultCache(tmp_path / provider_type.__name__ / kind.value / name)
+            provider = provider_type(cache)
+            check(6, kind, provider)
+            files.append(cache.path.read_bytes())
+            memos.append(provider._memo)
+        assert files[0] == files[1], (kind, provider_type)
+        assert memos[0] == memos[1], (kind, provider_type)
+
+
+def test_track_row_memoizes_what_one_call_per_value_does(tmp_path):
+    # an uneven mask: every pair above the diagonal, and below it only the
+    # pairs with j = 0
+    ground = list(slow_words(5, 2))
+    size = len(ground)
+    needed = np.array([[i < j or j == 0 for j in range(size)] for i in range(size)])
+    batch = ComplexityProvider(ResultCache(tmp_path / "batch"))
+    batch.track_row(ground, needed)
+    single = ComplexityProvider(ResultCache(tmp_path / "single"))
+    for i, j in zip(*np.nonzero(needed)):
+        x, y = ground[i], ground[j]
+        single.unconditional(x), single.unconditional(y), single.track_value(x, y)
+    assert batch._memo == single._memo
+    assert batch.cache.path.read_bytes() == single.cache.path.read_bytes()
+
+
+def test_log2_table_matches_math_log2():
+    # NumPy's log2 can differ from math.log2 in the last bit; on x86-64 with
+    # NumPy 2.4 it does at 1621, 3242 and 7957
+    values = np.array([[1, 2, 1621], [3242, 7957, 49]])
+    assert [v.hex() for v in _log2(values).ravel()] == [
+        math.log2(v).hex() for v in values.ravel().tolist()
+    ]
+    with pytest.raises(ValueError):
+        _log2(np.array([3, 0]))
 
 
 def test_jmax_triangle_counterexample(provider):
