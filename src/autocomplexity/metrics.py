@@ -39,9 +39,8 @@ from .complexity import (
     class_query,
     compute,
     max_complexity,
-    memo_key,
 )
-from .words import Word, fractional_power, slow_words, track
+from .words import Word, fractional_power, slow_words, track_symbols
 
 
 class MetricKind(Enum):
@@ -94,9 +93,7 @@ class ComplexityProvider:
     ``conditional_row`` fills the conditional values of every pair of a set
     of words of one length, as ``distribution_table`` and ``verify_metric``
     ask for them, with one batch search per condition word; there
-    ``max_nodes`` bounds each condition word's search. ``track_row`` fills
-    the unconditional and pair-word values that ``verify_metric`` asks for
-    the ``j`` distance.
+    ``max_nodes`` bounds each condition word's search.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
@@ -105,9 +102,11 @@ class ComplexityProvider:
         self._memo: dict[tuple, int] = {}
         self._catalogues: dict[int, ShapeCatalogue] = {}
 
-    def _class_value(self, rep_key: tuple) -> int:
-        """Value of the class key ``rep_key``, memoized; the class query is
+    def _miss(self, key: tuple, query_key: tuple) -> int:
+        """Value of the query whose memo key (``memo_key``) is ``query_key``,
+        memoized under ``key`` and under its class key; the class query is
         built only when the memo lacks the class."""
+        rep_key = class_key(query_key)
         value = self._memo.get(rep_key)
         if value is None:
             rep = class_query(rep_key)
@@ -122,11 +121,7 @@ class ComplexityProvider:
             else:
                 value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value
             self._memo[rep_key] = value
-        return value
-
-    def _miss(self, key: tuple, query: ComplexityQuery) -> int:
-        """Value for ``query``, memoized under ``key`` and under its class key."""
-        value = self._memo[key] = self._class_value(class_key(memo_key(query)))
+        self._memo[key] = value
         return value
 
     def conditional_row(self, ground: list[Word]) -> None:
@@ -201,52 +196,21 @@ class ComplexityProvider:
         for key, rep_key in waiting:
             memo[key] = memo[rep_key]
 
-    def track_row(self, ground: list[Word], needed: np.ndarray) -> None:
-        """Memoize ``unconditional(x)``, ``unconditional(y)`` and
-        ``track_value(x, y)`` for every pair ``(x, y) = (ground[i], ground[j])``
-        with ``needed[i, j]``, as the ``j`` distance asks for them.
-
-        The pairs are taken in ``(i, j)`` order and the three values of a pair
-        in that order, so classes first miss, and their records reach the
-        cache, as under one call each. A pair word's class key is taken from
-        symbol tuples, with no ``track`` word and no query. ``track(y, x)``
-        relabels ``track(x, y)`` letter by letter, so the two share it: the
-        pair ``(j, i)``, if needed, is memoized with ``(i, j)``, and by then
-        one call each would find its class in the memo.
-        """
-        memo = self._memo
-        unconditional_keys = [(KIND_UNIQUE, w.symbols, None) for w in ground]
-        for i, row in enumerate(needed):
-            x = ground[i].symbols
-            for j in np.flatnonzero(row).tolist():
-                for key in (unconditional_keys[i], unconditional_keys[j]):
-                    if key not in memo:
-                        memo[key] = self._class_value(class_key(key))
-                y = ground[j]
-                key = ("track", x, y.symbols)
-                if key in memo:
-                    continue
-                d = y.alphabet_size
-                pair = tuple([a * d + b for a, b in zip(x, y.symbols)])
-                value = memo[key] = self._class_value(class_key((KIND_UNIQUE, pair, None)))
-                if needed[j, i]:
-                    memo.setdefault(("track", y.symbols, x), value)
-
     def unconditional(self, x: Word) -> int:
         key = (KIND_UNIQUE, x.symbols, None)
-        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_UNIQUE, x))
+        return self._memo.get(key) or self._miss(key, key)
 
     def conditional(self, x: Word, y: Word) -> int:
         key = (KIND_COND_UNIQUE, x.symbols, y.symbols)
-        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_COND_UNIQUE, x, y))
+        return self._memo.get(key) or self._miss(key, key)
 
     def track_value(self, x: Word, y: Word) -> int:
         key = ("track", x.symbols, y.symbols)
-        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_UNIQUE, track(x, y)))
+        return self._memo.get(key) or self._miss(key, (KIND_UNIQUE, track_symbols(x, y), None))
 
     def det_unconditional(self, x: Word) -> int:
         key = (KIND_DET_PARTIAL, x.symbols, None)
-        return self._memo.get(key) or self._miss(key, ComplexityQuery(KIND_DET_PARTIAL, x))
+        return self._memo.get(key) or self._miss(key, key)
 
 
 def is_unit_j_distance(x: Word, y: Word, provider: ComplexityProvider) -> bool:
@@ -365,68 +329,79 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _unconditional_values(ground: list[Word], needed: np.ndarray, provider) -> np.ndarray:
-    """``provider.unconditional`` of each word in a pair ``(i, j)`` of
-    ``needed``, asked in the order in which the sequence ``i, j`` of the
-    pairs, taken in ``(i, j)`` order, first names it; 0 for the other words."""
-    named: dict[int, None] = {}
+def _pair_reads(ground: list[Word], needed: np.ndarray, provider, with_track: bool):
+    """What ``metric_value`` reads past the conditional values, for the pairs
+    ``(x, y) = (ground[i], ground[j])`` with ``needed[i, j]``, asked in its
+    order: pair by pair in ``(i, j)`` order, ``unconditional(x)``, then
+    ``unconditional(y)``, then, ``with_track``, ``track_value(x, y)``. So
+    classes first miss, and their records reach the cache, as under one
+    ``metric_value`` per pair.
+
+    Returns the unconditional values as an array over ``ground`` (0 for a
+    word no pair names) and the pair-word values as a list, in pair order.
+    """
+    u: list[int | None] = [None] * len(ground)
+    t = []
     for i, row in enumerate(needed):
-        js = np.flatnonzero(row).tolist()
-        if js:
-            named.update(dict.fromkeys([i, *js]))
-    u = np.zeros(len(ground), dtype=np.int64)
-    for w in named:
-        u[w] = provider.unconditional(ground[w])
-    return u
+        x = ground[i]
+        for j in np.flatnonzero(row).tolist():
+            y = ground[j]
+            # each word once: asked again, its value would be a memo hit
+            if u[i] is None:
+                u[i] = provider.unconditional(x)
+            if u[j] is None:
+                u[j] = provider.unconditional(y)
+            if with_track:
+                t.append(provider.track_value(x, y))
+    return np.array([v or 0 for v in u], dtype=np.int64), t
 
 
 def _distance_matrix(kind: MetricKind, ground: list[Word], provider) -> np.ndarray:
     """``metric_value(kind, x, y, provider)`` for every pair of ``ground``,
-    as a float64 matrix, from integer matrices of the provider's values.
+    as a float64 matrix, from integer arrays of the provider's values.
 
     The values are read through the provider's public methods, so a
     subclass that overrides one is seen, and only where ``metric_value``
-    reads them: ``C[i, j] = conditional(x_i, x_j)`` for every pair, the
-    unconditional values for the pairs off the 0 case of ``j`` and ``jmax``,
-    and ``track_value`` for those of ``j``, after ``track_row`` has
-    memoized them in the order one ``metric_value`` per pair would miss.
-    The 0 and 1 cases are decided on the integers; each log comes from
-    ``math.log2`` and each quotient is one float64 operation in the scalar
-    order, so every entry equals ``metric_value``'s bit for bit.
+    reads them: ``C[i, j] = conditional(x_i, x_j)`` for every pair, and the
+    unconditional and pair-word values (``_pair_reads``) for the pairs off
+    the 0 case of ``j`` and ``jmax``. The 0 and 1 cases are decided on the
+    integers; each log comes from ``math.log2`` and each quotient is one
+    float64 operation in the scalar order, so every entry equals
+    ``metric_value``'s bit for bit.
     """
-    c = np.array([[provider.conditional(x, y) for y in ground] for x in ground], dtype=np.int64)
+    size = len(ground)
+    c = np.empty((size, size), dtype=np.int64)
+    for i, x in enumerate(ground):
+        c[i] = [provider.conditional(x, y) for y in ground]
     ct = c.T
     if kind is MetricKind.J_NUM:
         return _log2(c * ct)
-    top = np.maximum(c, ct)
     if kind is MetricKind.J_NUM_MAX:
-        return _log2(top)
-    d = np.zeros(c.shape)
+        return _log2(np.maximum(c, ct))
     if kind is MetricKind.J:
         needed = (c != 1) | (ct != 1)
-        provider.track_row(ground, needed)
-        u = _unconditional_values(ground, needed, provider)
-        product = u[:, None] * u[None, :]
-        t = np.zeros_like(c)
-        for i, row in enumerate(needed):
-            x = ground[i]
-            js = np.flatnonzero(row)
-            t[i, js] = [provider.track_value(x, ground[j]) for j in js.tolist()]
-        unit = needed & (t == product)
-        rest = needed & ~unit
-        cc = (c * ct)[rest]
-        den = _log2(cc * product[rest]) - _log2(t[rest])
-        d[rest] = _quotient(_log2(cc), den)
+        u, t = _pair_reads(ground, needed, provider, True)
+        num = (c * ct)[needed]
+        product = np.multiply.outer(u, u)[needed]
+        t = np.array(t, dtype=np.int64)
+        rest = t != product
+        num, product, t = num[rest], product[rest], t[rest]
+        values = _quotient(_log2(num), _log2(num * product) - _log2(t))
     elif kind is MetricKind.J_MAX:
+        top = np.maximum(c, ct)
         needed = top != 1
-        u = _unconditional_values(ground, needed, provider)
-        bottom = np.maximum(u[:, None], u[None, :])
-        unit = needed & (top == bottom)
-        rest = needed & ~unit
-        d[rest] = _quotient(_log2(top[rest]), _log2(bottom[rest]))
+        u, _ = _pair_reads(ground, needed, provider, False)
+        num = top[needed]
+        den = np.maximum.outer(u, u)[needed]
+        rest = num != den
+        values = _quotient(_log2(num[rest]), _log2(den[rest]))
     else:
         raise ValueError(f"unknown metric kind {kind!r}")
-    d[unit] = 1.0
+    # off the 0 case: 1 where the integers say so, the quotient elsewhere
+    off_zero = np.ones(rest.shape)
+    off_zero[rest] = values
+    d = np.zeros((size, size))
+    d[needed] = off_zero
     return d
 
 

@@ -130,14 +130,20 @@ class Partition:
         raise IndexError(i)
 
 
-def track(x: Word, y: Word) -> TrackWord:
-    """Zip two equal-length words into the word of pairs ``(x_i, y_i)``."""
+def track_symbols(x: Word, y: Word) -> tuple[int, ...]:
+    """The symbols of ``track(x, y)``: ``a * |y's alphabet| + b`` per pair
+    of letters ``(a, b)``, with no ``TrackWord`` built."""
     if len(x) != len(y):
         raise ValueError(f"track requires equal lengths, got {len(x)} and {len(y)}")
     d = y.alphabet_size
-    syms = tuple(a * d + b for a, b in zip(x.symbols, y.symbols))
+    return tuple([a * d + b for a, b in zip(x.symbols, y.symbols)])
+
+
+def track(x: Word, y: Word) -> TrackWord:
+    """Zip two equal-length words into the word of pairs ``(x_i, y_i)``."""
+    d = y.alphabet_size
     return TrackWord(
-        syms,
+        track_symbols(x, y),
         x.alphabet_size * d,
         first_factor_size=x.alphabet_size,
         second_factor_size=d,

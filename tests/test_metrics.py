@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autocomplexity import KIND_UNIQUE, ComplexityQuery, ResultCache, oracle_min_states
+from autocomplexity import KIND_UNIQUE, ComplexityQuery, ResultCache, compute, oracle_min_states
+from autocomplexity.complexity import class_key, memo_key
 from autocomplexity.metrics import (
     ComplexityProvider,
     MetricKind,
@@ -22,7 +24,7 @@ from autocomplexity.metrics import (
     sample_distribution,
     verify_metric,
 )
-from autocomplexity.words import Word, power, slow_normalize, slow_words
+from autocomplexity.words import Word, power, slow_normalize, slow_words, track
 
 
 def test_metric_kind_parse():
@@ -263,20 +265,20 @@ def test_verify_metric_writes_the_reference_cache_lines(tmp_path):
         assert memos[0] == memos[1], (kind, provider_type)
 
 
-def test_track_row_memoizes_what_one_call_per_value_does(tmp_path):
-    # an uneven mask: every pair above the diagonal, and below it only the
-    # pairs with j = 0
-    ground = list(slow_words(5, 2))
-    size = len(ground)
-    needed = np.array([[i < j or j == 0 for j in range(size)] for i in range(size)])
-    batch = ComplexityProvider(ResultCache(tmp_path / "batch"))
-    batch.track_row(ground, needed)
-    single = ComplexityProvider(ResultCache(tmp_path / "single"))
-    for i, j in zip(*np.nonzero(needed)):
-        x, y = ground[i], ground[j]
-        single.unconditional(x), single.unconditional(y), single.track_value(x, y)
-    assert batch._memo == single._memo
-    assert batch.cache.path.read_bytes() == single.cache.path.read_bytes()
+def test_track_value_keys_the_pair_word_by_its_query():
+    # the pair word's class key comes from symbol tuples; it is the class
+    # key of the query on track(x, y), and the value is that query's
+    provider = ComplexityProvider()
+    for x in (Word(s, 2) for s in itertools.product(range(2), repeat=3)):
+        for y in (Word(s, 3) for s in itertools.product(range(3), repeat=3)):
+            query = ComplexityQuery(KIND_UNIQUE, track(x, y))
+            rep_key = class_key(memo_key(query))
+            before = set(provider._memo)
+            value = provider.track_value(x, y)
+            assert set(provider._memo) - before <= {("track", x.symbols, y.symbols), rep_key}
+            assert provider._memo[rep_key] == value == compute(query).value
+    with pytest.raises(ValueError):
+        provider.track_value(Word.parse("01", 2), Word.parse("0", 2))
 
 
 def test_log2_table_matches_math_log2():
