@@ -12,6 +12,7 @@ is skipped with a warning, never served.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 import warnings
@@ -56,8 +57,19 @@ def _records(path: Path):
 
     A line is valid when its kind and words make a ``ComplexityQuery`` and its
     sequence is a slow walk of one step per letter; other lines are skipped
-    with a warning.
+    with a warning. Each distinct word field and each distinct slow walk is
+    parsed once per file, and the records share them.
     """
+    # a field that fails raises again on every line that holds it
+    word = functools.cache(parse_word)
+
+    @functools.cache
+    def walk(text: str) -> tuple[int, ...]:
+        sequence = tuple(int(s) for s in text.split(","))
+        if not is_slow(Word(sequence, len(sequence))):
+            raise ValueError("the sequence is not a slow walk")
+        return sequence
+
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -65,14 +77,10 @@ def _records(path: Path):
                 continue
             try:
                 kind, target, condition, value, seq = line.split("\t")
-                query = ComplexityQuery(
-                    kind, parse_word(target), None if condition == "-" else parse_word(condition)
-                )
-                sequence = tuple(int(s) for s in seq.split(","))
-                if len(sequence) != len(query.target) + 1 or not is_slow(
-                    Word(sequence, len(sequence))
-                ):
-                    raise ValueError("the sequence is not a slow walk over the word")
+                query = ComplexityQuery(kind, word(target), None if condition == "-" else word(condition))
+                sequence = walk(seq)
+                if len(sequence) != len(query.target) + 1:
+                    raise ValueError("the sequence is not a walk over the word")
                 record = memo_key(query), int(value), sequence, line + "\n"
             except (ValueError, IndexError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {path}")

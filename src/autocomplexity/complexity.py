@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator
 
 from .automata import (
@@ -450,12 +449,27 @@ def _total_dfa(
     return None
 
 
+def value_cap(kind: str, n: int) -> int:
+    """The largest value a length-n query of ``kind`` can have, and the last
+    level its search tries: ``max_complexity(n)`` for the unique, exact and
+    conditional kinds, n + 1 for det-partial (a path) and n + 2 for det-total
+    (a path and a dead state). The exact and conditional values are at most
+    the unique one: one walk reads one word, and a unique witness whose walk
+    edges are tagged with the condition letters of their steps keeps its one
+    walk."""
+    if kind == KIND_DET_PARTIAL:
+        return n + 1
+    if kind == KIND_DET_TOTAL:
+        return n + 2
+    return max_complexity(n)
+
+
 def _least_witness(
     kind: str, labels: Word, classes: Word, floor: int, budget: Budget, counter: dict[str, int],
 ) -> tuple[int, tuple[int, ...]]:
     """The least state count from ``floor`` on with a witness reading
     ``labels`` in ``classes``, and the least witnessing sequence there."""
-    cap = budget.max_states if budget.max_states is not None else len(labels) + 1
+    cap = budget.max_states if budget.max_states is not None else value_cap(kind, len(labels))
     for q in range(floor, cap + 1):
         for seq in _iter_witness_sequences(kind, labels, classes, q, counter, budget.max_nodes, q):
             return q, seq
@@ -471,92 +485,37 @@ def _search_levels(
     return _least_witness(kind, *_walk_words(kind, target, condition), floor, budget, counter)
 
 
-class ShapeCatalogue:
-    """The unique-walk shapes for one condition word y, built level by level
-    on demand.
-
-    Level q lists the sequences ``_iter_witness_sequences`` yields for the
-    conditional-unique kind on q states with labels = classes = y, in that
-    order: the slow sequences whose walk graph has exactly one walk from
-    start to accept reading y. Walk counts read only the step classes, and
-    the pair-label prune gives each state pair one label per class, so a
-    sequence witnesses x given y exactly when it is on this list and x is
-    constant on its step partition (positions i and j share a class when
-    ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``). The labeled search for x
-    given y therefore yields the compatible shapes of each level in
-    catalogue order, and ``lookup(x)`` returns what
-    ``_search_levels(KIND_COND_UNIQUE, x, y, 1, ...)`` returns: the least
-    level with a compatible shape and the first such shape there. The unique
-    kind is the one-letter condition, ``A(x) = A(x | 0^n)``: the catalogue of
-    ``Word((0,) * n, 1)`` serves it, and its lookups return what
-    ``_search_levels(KIND_UNIQUE, x, None, 1, ...)`` returns.
-    """
-
-    def __init__(self, condition: Word):
-        self.condition = condition
-        # per level: (sequence, getter of the positions whose class occurred
-        # before, getter of those first occurrences), or None getters
-        self.levels: list[list[tuple]] = []
-
-    def _build(self, q: int, counter: dict[str, int], max_nodes: int) -> None:
-        """Append level q whole; a budget overrun keeps no part of it."""
-        y = self.condition
-        shapes = []
-        for seq in _iter_witness_sequences(KIND_COND_UNIQUE, y, y, q, counter, max_nodes, q):
-            first: dict[tuple[int, int, int], int] = {}
-            later, earlier = [], []
-            for i, c in enumerate(y.symbols):
-                j = first.setdefault((seq[i], c, seq[i + 1]), i)
-                if j != i:
-                    later.append(i)
-                    earlier.append(j)
-            if later:
-                shapes.append((seq, itemgetter(*later), itemgetter(*earlier)))
-            else:
-                shapes.append((seq, None, None))
-        self.levels.append(shapes)
-
-    def lookup(self, target: Word, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[int, tuple[int, ...]]:
-        """The conditional-unique value of ``target`` given the condition
-        word, and its least witnessing sequence.
-
-        Levels are built as far as needed, with ``max_nodes`` for all the
-        building one lookup does. Every level below the one being built is
-        whole and holds no compatible shape, so ``BudgetExceeded.lower_bound``
-        is that level.
-        """
-        n = len(self.condition)
-        if len(target) != n:
-            raise ValueError(f"the catalogue holds shapes of length {n}")
-        symbols = target.symbols
-        counter = {"nodes": 0}
-        for q in range(1, n + 2):
-            if q > len(self.levels):
-                self._build(q, counter, max_nodes)
-            for seq, later, earlier in self.levels[q - 1]:
-                if later is None or later(symbols) == earlier(symbols):
-                    return q, seq
-        raise BudgetExceeded(n + 2, counter["nodes"])
-
-
 def _least_witnesses(
     condition: Word, targets: list[Word], budget: Budget, counter: dict[str, int],
 ) -> list[tuple[int, tuple[int, ...]]]:
     """``_search_levels(KIND_COND_UNIQUE, x, condition, 1, budget, ...)`` for
-    every x of ``targets``, from one search per level over the shapes of
-    ``ShapeCatalogue(condition)``.
+    every x of ``targets``, from one search per level over the shapes of the
+    condition word y.
+
+    The shapes of level q are the sequences ``_iter_witness_sequences``
+    yields for the conditional-unique kind on q states with labels = classes
+    = y, in that order: the slow sequences whose walk graph has exactly one
+    walk from start to accept reading y. Walk counts read only the step
+    classes, and the pair-label prune gives each state pair one label per
+    class, so a shape witnesses x given y exactly when x is constant on its
+    step partition (positions i and j share a class when
+    ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``). The labeled search for x
+    given y therefore yields the compatible shapes of each level in this
+    order. The unique kind is the one-letter condition,
+    ``A(x) = A(x | 0^n)``: with y = ``Word((0,) * n, 1)`` the records are
+    those of ``_search_levels(KIND_UNIQUE, x, None, 1, ...)``.
 
     The search carries the list of targets still active on the current
     prefix. A step along an edge ``(p, y_t, q)`` first used at position j
     drops the targets with ``x_t != x_j``, and a branch with no active
     target left is pruned. A target drops out only where every extension of
     the prefix is incompatible with it, so the first shape at which it is
-    active at a leaf is its first compatible shape in catalogue order: the
-    value and least witnessing sequence of its labeled search. Each target
-    resolves there and leaves every active list. Only ``budget.max_nodes``
-    applies: an overrun raises ``BudgetExceeded`` with the level being
-    searched as its lower bound, since the targets still pending failed
-    every level below it.
+    active at a leaf is its first compatible shape: the value and least
+    witnessing sequence of its labeled search. Each target resolves there
+    and leaves every active list. Only ``budget.max_nodes`` applies: an
+    overrun raises ``BudgetExceeded`` with the level being searched as its
+    lower bound, since the targets still pending failed every level below
+    it.
     """
     y = condition.symbols
     n = len(y)
@@ -566,7 +525,8 @@ def _least_witnesses(
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
     max_nodes = budget.max_nodes
-    for q in range(1, n + 2):
+    cap = value_cap(KIND_COND_UNIQUE, n)
+    for q in range(1, cap + 1):
         if not pending:
             return found
         search = _WalkSearch(_WalkCounts(q, condition.alphabet_size, False), y, y)
@@ -620,7 +580,7 @@ def _least_witnesses(
 
         rec(0)
     if pending:
-        raise BudgetExceeded(n + 2, counter["nodes"])
+        raise BudgetExceeded(cap + 1, counter["nodes"])
     return found
 
 
@@ -632,7 +592,7 @@ def _search_det_total(
     states that fills in to a total DFA, else the first one plus a dead state.
     ``classes`` is the one-class word of ``_walk_words``."""
     n = len(target)
-    cap = budget.max_states if budget.max_states is not None else n + 2
+    cap = budget.max_states if budget.max_states is not None else value_cap(KIND_DET_TOTAL, n)
     for q in range(1, cap + 1):
         first = None
         for seq in _iter_witness_sequences(
@@ -764,12 +724,13 @@ _FACTORS_BOTH_WAYS = _FACTORS + (slice(-2, None, -1), slice(None, 0, -1))
 def _factor_floor(key: ComplexityQuery, cache) -> int:
     """The largest value ``cache`` holds for the two aligned factors of length
     n - 1 of the canonical query ``key``, looked up in both orientations for
-    the reversible kinds. A factor the cache lacks counts as 1; none is
-    computed here."""
+    the reversible kinds. A factor the cache lacks, or holds above its
+    ``value_cap``, counts as 1; none is computed here."""
     floor = 1
+    cap = value_cap(key.kind, len(key.target) - 1)
     for part in _FACTORS_BOTH_WAYS if KINDS[key.kind].reversible else _FACTORS:
         hit = cache.get(_canonical_part(key, part))
-        if hit is not None and hit[0] > floor:
+        if hit is not None and floor < hit[0] <= cap:
             floor = hit[0]
     return floor
 
@@ -792,7 +753,9 @@ def compute(
     floor hold no witness, so the value and the certificate are the ones a
     search from 1 finds. The floor trusts cached values exactly as a cache
     hit already does: the hit re-verifies its witness, but its minimality,
-    like the floor's, rests on the value having been searched for. det-total
+    like the floor's, rests on the value having been searched for. A cached
+    value above ``value_cap`` is never served nor used as a floor; the query
+    is searched again and its record rewritten. det-total
     always starts at 1; its cache record keeps the deterministic walk its
     total DFA was built from, and a hit builds that DFA again.
 
@@ -836,7 +799,8 @@ def compute(
     floor = 1
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None:
+        # a value above the cap is wrong whatever its witness: search again
+        if hit is not None and hit[0] <= value_cap(kind, n):
             value, seq = hit
             if budget.max_states is not None and value > budget.max_states:
                 # the true value is known and provably beyond the allowance
@@ -859,6 +823,8 @@ def compute(
         cert = _certificate_for(
             kind, target, condition, labels, value, seq, counter, budget.max_nodes
         )
+    ok, why = verify_certificate(cert)
+    assert ok, why
     if cache is not None:
         cache.put(key, value, seq)
     return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)

@@ -16,6 +16,7 @@ comparing floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .complexity import (
     KIND_UNIQUE,
     Budget,
     ComplexityQuery,
-    ShapeCatalogue,
     _least_witnesses,
     _slow_symbols,
     _slow_word,
@@ -83,24 +83,15 @@ class ComplexityProvider:
     as a cache hit does. Setting ``cache`` to None later is allowed: the
     values then come from searches from 1 state.
 
-    Unique-kind values of nonempty words (``unconditional`` and
-    ``track_value``) come from one ``ShapeCatalogue`` per length, that of
-    the one-letter condition ``0^n``, instead of a search per word. The
-    lookup gives the value and witnessing sequence the search from 1 state
-    gives, and that record goes to the cache as ``compute`` would write it.
-    ``max_nodes`` bounds the catalogue building one lookup does.
-
-    ``conditional_row`` fills the conditional values of every pair of a set
-    of words of one length, as ``distribution_table`` and ``verify_metric``
-    ask for them, with one batch search per condition word; there
-    ``max_nodes`` bounds each condition word's search.
+    ``prefetch`` memoizes many unique and conditional-unique values with one
+    batch search per condition word, which ``max_nodes`` bounds; a single
+    miss goes to ``compute``.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
         self.cache = cache if cache is not None else ResultCache()
         self.max_nodes = max_nodes
         self._memo: dict[tuple, int] = {}
-        self._catalogues: dict[int, ShapeCatalogue] = {}
 
     def _miss(self, key: tuple, query_key: tuple) -> int:
         """Value of the query whose memo key (``memo_key``) is ``query_key``,
@@ -109,92 +100,99 @@ class ComplexityProvider:
         rep_key = class_key(query_key)
         value = self._memo.get(rep_key)
         if value is None:
-            rep = class_query(rep_key)
-            n = len(rep.target)
-            if rep.kind == KIND_UNIQUE and n >= 1:
-                catalogue = self._catalogues.get(n)
-                if catalogue is None:
-                    catalogue = self._catalogues[n] = ShapeCatalogue(Word((0,) * n, 1))
-                value, seq = catalogue.lookup(rep.target, self.max_nodes)
-                if self.cache is not None:
-                    self.cache.put(rep, value, seq)
-            else:
-                value = compute(rep, Budget(max_nodes=self.max_nodes), self.cache).value
-            self._memo[rep_key] = value
+            budget = Budget(max_nodes=self.max_nodes)
+            value = self._memo[rep_key] = compute(class_query(rep_key), budget, self.cache).value
         self._memo[key] = value
         return value
 
-    def conditional_row(self, ground: list[Word]) -> None:
-        """Memoize ``conditional(x, y)`` for every pair of ``ground``, words
-        of one length, with one batch search per condition word.
+    def prefetch(self, keys) -> None:
+        """Memoize the value of every key of ``keys``, the memo keys the
+        public methods build: ``(KIND_UNIQUE, x.symbols, None)``,
+        ``(KIND_COND_UNIQUE, x.symbols, y.symbols)`` and
+        ``("track", x.symbols, y.symbols)``.
 
-        Each word's slow form and reversed slow form are taken once, and a
-        pair's class key (``class_key``) is found by comparing tuples: the
-        forward pair of forms, or the reversed pair if it sorts first. A
-        class that the memo or the cache holds is served at once. The
-        classes that neither holds are grouped by condition word, and
-        ``_least_witnesses`` finds a group's values and witnesses together.
-        Their records go to the cache in one ``put_many``, in the order in
-        which the pairs, taken in ``(y, x)`` order, first miss: the records
-        and order that one ``compute`` per pair writes. Every value is served by ``compute``
-        from the cache, which re-verifies each fresh record as a hit. No
-        factor floor is used: its cache lookups cost more time than the
-        nodes it saved. A node-budget overrun raises ``BudgetExceeded``
-        before any record of the missing classes is written. Without a cache
-        the row uses a throwaway memory cache.
+        A key's class key (``class_key``) comes from comparing the slow forms
+        of its words and of their reversals, each taken once; a pair word is
+        relabeled from its letter pairs, which name the letters of
+        ``track(x, y)`` one to one. A class the memo or the cache holds is
+        served at once. The others are grouped by condition word, the unique
+        kind's being ``0^n`` since ``A(x) = A(x | 0^n)``, and one
+        ``_least_witnesses`` per group finds their records. These go to the
+        cache in one ``put_many``, in the order ``keys`` first miss them, as
+        one read per key writes them, and every value is then served by
+        ``compute`` as a re-verified hit. No factor floor is used: its cache
+        lookups cost more time than the nodes it saved. A node-budget overrun
+        raises ``BudgetExceeded`` before any record is written. Without a
+        cache a throwaway memory cache is used.
         """
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()
         budget = Budget(max_nodes=self.max_nodes)
-        # (symbols, slow form, reversed slow form) per word
-        forms = [
-            (w.symbols, _slow_symbols(w.symbols), _slow_symbols(w.symbols[::-1])) for w in ground
-        ]
-        # one Word per slow form; a missing class is kept as its key and its
-        # pairs as (key, class key): a query per pair raised the peak
-        # resident set by 8 MB at n = 8
-        words = {f: _slow_word(f) for _, fw, bw in forms for f in (fw, bw)}
+        # (slow form, reversed slow form) and slow Word once per word. A
+        # missing class is kept as its key, and each key that reads it in
+        # `waiting`, its class key in `classes`: a query per read raised the
+        # peak resident set by 8 MB at n = 8, and a (key, class key) pair per
+        # read, with the pairs of `_pair_reads` in a list, by 1.5 MB
+        form = functools.cache(lambda symbols: (_slow_symbols(symbols), _slow_symbols(symbols[::-1])))
+        word = functools.cache(_slow_word)
         misses: dict[tuple, tuple] = {}  # class key -> itself, in first-miss order
-        waiting: list[tuple[tuple, tuple]] = []
+        waiting: list[tuple] = []
+        classes: list[tuple] = []
 
         def query(rep_key: tuple) -> ComplexityQuery:
-            return ComplexityQuery(KIND_COND_UNIQUE, words[rep_key[1]], words[rep_key[2]])
+            kind, target, condition = rep_key
+            return ComplexityQuery(kind, word(target), None if condition is None else word(condition))
 
-        for y, fy, by in forms:
-            for x, fx, bx in forms:
-                key = (KIND_COND_UNIQUE, x, y)
-                if key in memo:
+        for key in keys:
+            if key in memo:
+                continue
+            kind, x, y = key
+            if kind == "track":
+                # pair words are met once each: their forms are not kept
+                letters = tuple(zip(x, y, strict=True))
+                kind, fx, bx = KIND_UNIQUE, _slow_symbols(letters), _slow_symbols(letters[::-1])
+                fy = by = None
+            elif kind in (KIND_UNIQUE, KIND_COND_UNIQUE):
+                fx, bx = form(x)
+                fy, by = (None, None) if y is None else form(y)
+            else:
+                raise ValueError(f"no batch serves the kind {kind!r}")
+            forward, back = (kind, fx, fy), (kind, bx, by)
+            rep_key = back if back < forward else forward
+            if rep_key in misses:
+                rep_key = misses[rep_key]
+            else:
+                value = memo.get(rep_key)
+                if value is None:
+                    rep = query(rep_key)
+                    # compute answers the empty word with no search and no record
+                    if not fx or cache.get(rep) is not None:
+                        value = memo[rep_key] = compute(rep, budget, cache).value
+                if value is not None:
+                    memo[key] = value
                     continue
-                forward = KIND_COND_UNIQUE, fx, fy
-                back = KIND_COND_UNIQUE, bx, by
-                rep_key = back if back < forward else forward
-                if rep_key in misses:
-                    rep_key = misses[rep_key]
-                else:
-                    value = memo.get(rep_key)
-                    if value is None:
-                        rep = query(rep_key)
-                        # compute answers the empty word with no search and no record
-                        if not fx or cache.get(rep) is not None:
-                            value = memo[rep_key] = compute(rep, budget, cache).value
-                    if value is not None:
-                        memo[key] = value
-                        continue
-                    misses[rep_key] = rep_key
-                waiting.append((key, rep_key))
+                misses[rep_key] = rep_key
+            waiting.append(key)
+            classes.append(rep_key)
 
         groups: dict[tuple[int, ...], list[tuple]] = {}
         for rep_key in misses:
-            groups.setdefault(rep_key[2], []).append(rep_key)
+            _, target, condition = rep_key
+            groups.setdefault((0,) * len(target) if condition is None else condition, []).append(rep_key)
         found = {}
-        for condition, keys in groups.items():
-            targets = [words[k[1]] for k in keys]
-            found.update(zip(keys, _least_witnesses(words[condition], targets, budget, {"nodes": 0})))
+        for condition, group in groups.items():
+            targets = [word(k[1]) for k in group]
+            found.update(zip(group, _least_witnesses(word(condition), targets, budget, {"nodes": 0})))
         cache.put_many((query(k), *found.pop(k)) for k in misses)
         for rep_key in misses:
             memo[rep_key] = compute(query(rep_key), budget, cache).value
-        for key, rep_key in waiting:
+        for key, rep_key in zip(waiting, classes):
             memo[key] = memo[rep_key]
+
+    def conditional_row(self, ground: list[Word]) -> None:
+        """Memoize ``conditional(x, y)`` for every pair of ``ground``, words
+        of one length: ``prefetch`` of their keys in ``(y, x)`` order."""
+        self.prefetch((KIND_COND_UNIQUE, x.symbols, y.symbols) for y in ground for x in ground)
 
     def unconditional(self, x: Word) -> int:
         key = (KIND_UNIQUE, x.symbols, None)
@@ -244,6 +242,11 @@ def metric_value(
     if kind is MetricKind.J:
         if a_xy == 1 and a_yx == 1:
             return 0.0
+        # the three words share the batch of 0^n: at n = 16 it took 1.2-1.3 s
+        # against 1.4-3.2 s for three searches
+        provider.prefetch([
+            (KIND_UNIQUE, x.symbols, None), (KIND_UNIQUE, y.symbols, None), ("track", x.symbols, y.symbols)
+        ])
         a_x = provider.unconditional(x)
         a_y = provider.unconditional(y)
         a_track = provider.track_value(x, y)
@@ -331,29 +334,40 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _pair_reads(ground: list[Word], needed: np.ndarray, provider, with_track: bool):
     """What ``metric_value`` reads past the conditional values, for the pairs
-    ``(x, y) = (ground[i], ground[j])`` with ``needed[i, j]``, asked in its
-    order: pair by pair in ``(i, j)`` order, ``unconditional(x)``, then
-    ``unconditional(y)``, then, ``with_track``, ``track_value(x, y)``. So
-    classes first miss, and their records reach the cache, as under one
-    ``metric_value`` per pair.
+    ``(x, y) = (ground[i], ground[j])`` with ``needed[i, j]``. Their keys go
+    to ``provider.prefetch`` in its order: pair by pair in ``(i, j)`` order,
+    ``unconditional(x)``, then ``unconditional(y)``, then, ``with_track``,
+    ``track_value(x, y)``. So classes first miss, and their records reach
+    the cache, as under one ``metric_value`` per pair. The values are then
+    read through the public methods.
 
     Returns the unconditional values as an array over ``ground`` (0 for a
     word no pair names) and the pair-word values as a list, in pair order.
     """
-    u: list[int | None] = [None] * len(ground)
-    t = []
-    for i, row in enumerate(needed):
-        x = ground[i]
-        for j in np.flatnonzero(row).tolist():
-            y = ground[j]
-            # each word once: asked again, its value would be a memo hit
-            if u[i] is None:
-                u[i] = provider.unconditional(x)
-            if u[j] is None:
-                u[j] = provider.unconditional(y)
+    # generated twice, never held (see ComplexityProvider.prefetch)
+    def pairs():
+        for i, row in enumerate(needed):
+            for j in np.flatnonzero(row).tolist():
+                yield i, j
+
+    named: dict[int, None] = {}  # the words the pairs name, in first-read order
+
+    def keys():
+        for i, j in pairs():
+            for k in (i, j):
+                # each word once: asked again, its value would be a memo hit
+                if k not in named:
+                    named[k] = None
+                    yield KIND_UNIQUE, ground[k].symbols, None
             if with_track:
-                t.append(provider.track_value(x, y))
-    return np.array([v or 0 for v in u], dtype=np.int64), t
+                yield "track", ground[i].symbols, ground[j].symbols
+
+    provider.prefetch(keys())
+    u = np.zeros(len(ground), dtype=np.int64)
+    for k in named:
+        u[k] = provider.unconditional(ground[k])
+    t = [provider.track_value(ground[i], ground[j]) for i, j in pairs()] if with_track else []
+    return u, t
 
 
 def _distance_matrix(kind: MetricKind, ground: list[Word], provider) -> np.ndarray:
@@ -555,21 +569,15 @@ def classify_unit_distance(
     """
     provider = provider or ComplexityProvider()
     ground = list(slow_words(n, 2))
-    pairs: set[frozenset[Word]] = set()
     if method == "exhaustive":
         provider.conditional_row(ground)
-        for i, x in enumerate(ground):
-            for y in ground[i + 1 :]:
-                if is_unit_j_distance(x, y, provider):
-                    pairs.add(frozenset({x, y}))
-        return pairs
+        return _unit_pairs([(x, y) for i, x in enumerate(ground) for y in ground[i + 1 :]], provider)
     if method != "fast":
         raise ValueError("method must be 'fast' or 'exhaustive'")
 
     zero = Word((0,) * n, 2)
-    for x in ground:
-        if x != zero and is_unit_j_distance(zero, x, provider):
-            pairs.add(frozenset({zero, x}))
+    # the pairs with 0^n come first: they read every other word's value
+    pairs = _unit_pairs([(zero, x) for x in ground if x != zero], provider)
     ceiling = max_complexity(n)
     candidates = []
     for x in ground:
@@ -578,13 +586,29 @@ def classify_unit_distance(
         v = provider.unconditional(x)
         if 2 <= v <= ceiling // 2:
             candidates.append((x, v))
-    for i, (x, vx) in enumerate(candidates):
-        for y, vy in candidates[i + 1 :]:
-            if vx * vy > ceiling:
-                continue
-            if is_unit_j_distance(x, y, provider):
-                pairs.add(frozenset({x, y}))
-    return pairs
+    near = [(x, y) for i, (x, vx) in enumerate(candidates) for y, vy in candidates[i + 1 :] if vx * vy <= ceiling]
+    return pairs | _unit_pairs(near, provider)
+
+
+def _unit_pairs(pairs: list[tuple[Word, Word]], provider: ComplexityProvider) -> set[frozenset[Word]]:
+    """The pairs of ``pairs`` at J distance 1. The keys that
+    ``is_unit_j_distance`` reads go to ``provider.prefetch`` first, one
+    step of its reads at a time: ``conditional(x, y)``, then
+    ``conditional(y, x)`` where that is 1, then ``track_value(x, y)``,
+    ``unconditional(x)`` and ``unconditional(y)`` where the two are not
+    both 1."""
+    c = provider.conditional
+    provider.prefetch((KIND_COND_UNIQUE, x.symbols, y.symbols) for x, y in pairs)
+    provider.prefetch((KIND_COND_UNIQUE, y.symbols, x.symbols) for x, y in pairs if c(x, y) == 1)
+    provider.prefetch(
+        key
+        for x, y in pairs
+        if c(x, y) != 1 or c(y, x) != 1
+        for key in (
+            ("track", x.symbols, y.symbols), (KIND_UNIQUE, x.symbols, None), (KIND_UNIQUE, y.symbols, None)
+        )
+    )
+    return {frozenset({x, y}) for x, y in pairs if is_unit_j_distance(x, y, provider)}
 
 
 def expected_unit_distance_pairs(n: int) -> set[frozenset[Word]]:

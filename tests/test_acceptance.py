@@ -279,7 +279,10 @@ def test_criterion_8_extended_classification(n, provider):
 def test_criterion_9a_half_length_ceiling(provider):
     bad = []
     for n in range(1, 13):
-        for w in slow_words(n, 2):
+        words = list(slow_words(n, 2))
+        # one batch per length; each value is then read as any caller reads it
+        provider.prefetch((KIND_UNIQUE, w.symbols, None) for w in words)
+        for w in words:
             if provider.unconditional(w) > max_complexity(n):
                 bad.append(str(w))
     report("9a half-length ceiling n<=12", not bad, str(bad[:5]))

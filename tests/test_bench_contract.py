@@ -20,7 +20,7 @@ TRACED_ROUND = f"""
 import json, sys
 sys.path[:0] = [{str(BENCH)!r}, {str(SRC)!r}]
 import calibrate, tracing
-from autocomplexity import ComplexityProvider, MetricKind, distribution_table, verify_metric
+from autocomplexity import ComplexityProvider, MetricKind, Word, distribution_table, verify_metric
 
 tracer = tracing.Tracer(calibrate.Pacer())
 with tracer.installed():
@@ -28,8 +28,11 @@ with tracer.installed():
     distribution_table(5, provider)
     for kind in MetricKind:
         verify_metric(5, kind, provider)
-names = sorted(tracer.layer_metrics(1.0, provider.cache))
-print(json.dumps({{"names": names, "calls": tracer.calls}}))
+    # a single compute miss, which writes through put; the batches above
+    # write through put_many
+    provider.det_unconditional(Word.parse("01101", 2))
+layer = tracer.layer_metrics(1.0, provider.cache)
+print(json.dumps({{"names": sorted(layer), "entries": layer["cache.entries"][0], "calls": tracer.calls}}))
 """
 
 LAYER_METRICS = {
@@ -67,3 +70,4 @@ def test_tracer_reaches_every_layer():
     assert set(report["names"]) == LAYER_METRICS
     for name in ("complexity.compute", "words.track", "cache.put", "metrics.provider"):
         assert report["calls"].get(name, 0) > 0, name
+    assert report["entries"] > 0

@@ -12,6 +12,7 @@ from autocomplexity import (
 )
 from autocomplexity import cache as cache_module
 from autocomplexity.cache import format_word, parse_word
+from autocomplexity.metrics import ComplexityProvider, MetricKind, verify_metric
 from autocomplexity.words import Word
 
 
@@ -90,6 +91,11 @@ def test_corrupt_lines_skipped(tmp_path):
         # an unknown kind, and a condition of another length
         "bogus\t0@2\t-\t1\t0,0",
         "conditional-unique\t01@2\t0@1\t2\t0,0,1",
+        # fields met before are parsed once, yet every line is checked: a
+        # walk read above that is too long for this word, a bad word twice
+        "unique\t01@2\t-\t2\t0,0,0,0,1",
+        "unique\t01@x\t-\t2\t0,0,1",
+        "unique\t01@x\t-\t2\t0,0,1",
     ]
     with open(cache.path, "a") as fh:
         fh.write("".join(line + "\n" for line in corrupt))
@@ -101,6 +107,31 @@ def test_corrupt_lines_skipped(tmp_path):
     assert len(fresh) == 1
     result = compute(q_plain("0010"), cache=fresh)
     assert result.value == 3 and verify_certificate(result.certificate)[0]
+
+
+def cache_holding(directory, lines):
+    directory.mkdir(parents=True)
+    (directory / cache_module.CACHE_FILENAME).write_text("".join(lines), encoding="ascii")
+    return ResultCache(directory)
+
+
+def test_value_above_the_cap_is_searched_again(tmp_path):
+    # the 5-state walk is a valid witness for 0101, but no value of a word of
+    # length 4 exceeds max_complexity(4) = 3; the true value is 2
+    bogus = ["unique\t0101@2\t-\t5\t0,1,2,3,4\n"]
+    word = Word.parse("0101", 2)
+    cache = cache_holding(tmp_path / "compute", bogus)
+    result = compute(q_plain("0101"), cache=cache)
+    assert result.value == 2 and result.explored > 0
+    assert ResultCache(tmp_path / "compute").get(q_plain("0101"))[0] == 2  # rewritten
+    provider = ComplexityProvider(cache_holding(tmp_path / "provider", bogus))
+    assert provider.unconditional(word) == 2
+    metric = ComplexityProvider(cache_holding(tmp_path / "metric", bogus))
+    assert verify_metric(4, MetricKind.J, metric) == verify_metric(4, MetricKind.J)
+    assert metric.unconditional(word) == 2
+    # nor is it a floor for the words that hold 0101 as a factor
+    floor = cache_holding(tmp_path / "floor", bogus)
+    assert compute(q_plain("01010"), cache=floor).value == compute(q_plain("01010")).value
 
 
 def test_compaction_dedupes(tmp_path):

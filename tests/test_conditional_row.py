@@ -1,12 +1,13 @@
-"""The batch search behind exhaustive table rows: one search per condition
-word y carries every target x still active on the current prefix.
+"""The batch search behind every many-word query: one search per condition
+word y carries every target x still active on the current prefix, and the
+unique kind is the one-letter condition ``0^n``.
 
 The labeled search stays the reference: every value and witnessing sequence
 the batch finds must be what ``_search_levels`` from 1 state finds for that
-pair, and a row filled by the batch must write the cache records, in the
-order, that one ``compute`` per first-missing pair writes. Likewise the
-tuple-level ``class_key`` that the provider and the rows use must be the
-memo key of ``reversal_class_key``.
+pair or word, with a certificate that verifies, and a provider filled by the
+batch must write the cache records, in the order, that one ``compute`` per
+first-missing class key writes. Likewise the tuple-level ``class_key`` that
+the provider and the rows use must be the memo key of ``reversal_class_key``.
 """
 
 import pytest
@@ -24,19 +25,23 @@ from autocomplexity import (
     ComplexityQuery,
     ResultCache,
     compute,
+    verify_certificate,
 )
+from autocomplexity.cache import parse_word
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
     _canonical_part,
+    _certificate_for,
     _least_witnesses,
     _search_levels,
+    _walk_words,
     canonical_query,
     class_key,
     class_query,
     memo_key,
     reversal_class_key,
 )
-from autocomplexity.metrics import ComplexityProvider, distribution_table
+from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
 from autocomplexity.words import Word, slow_words, track
 
 UNCONDITIONAL = (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_DET_TOTAL)
@@ -135,21 +140,38 @@ def test_random_batch_matches_labeled_search(case):
 
 
 def test_row_records_match_compute_per_pair(tmp_path):
-    """The cache file of ``distribution_table(6)`` is byte for byte the one a
-    ``compute`` per first-missing class key, taken in ``(y, x)`` order, writes."""
-    distribution_table(6, ComplexityProvider(ResultCache(tmp_path / "rows")))
+    """The cache file of a cold ``distribution_table(6)`` followed by
+    ``verify_metric(6, k)`` for the four kinds is byte for byte the one a
+    ``compute`` per first-missing class key writes: the rows' pairs in
+    ``(y, x)`` order, then, pair by pair in ``(x, y)`` order off the 0 case
+    of ``j``, the words x and y and the pair word x#y."""
+    provider = ComplexityProvider(ResultCache(tmp_path / "rows"))
+    distribution_table(6, provider)
+    for kind in MetricKind:
+        verify_metric(6, kind, provider)
     reference = ResultCache(tmp_path / "reference")
     seen = set()
+
+    def value(query):
+        # a class the reference holds is a hit, which writes nothing
+        rep = reversal_class_key(query)
+        seen.add(memo_key(rep))
+        return compute(rep, cache=reference).value
+
     for n in range(7):
         ground = list(slow_words(n, 2))
         for y in ground:
             for x in ground:
-                rep = reversal_class_key(ComplexityQuery(KIND_COND_UNIQUE, x, y))
-                if memo_key(rep) not in seen:
-                    seen.add(memo_key(rep))
-                    compute(rep, cache=reference)
+                value(ComplexityQuery(KIND_COND_UNIQUE, x, y))
+    for x in ground:
+        for y in ground:
+            pair = ComplexityQuery(KIND_COND_UNIQUE, x, y), ComplexityQuery(KIND_COND_UNIQUE, y, x)
+            if any(value(q) != 1 for q in pair):
+                for w in (x, y, track(x, y)):
+                    value(ComplexityQuery(KIND_UNIQUE, w))
     written = (tmp_path / "rows" / "results.tsv").read_bytes()
     assert written.count(b"\n") == len(seen) - 1  # n = 0 writes no record
+    assert written.count(b"\nunique\t") > 0
     assert written == (tmp_path / "reference" / "results.tsv").read_bytes()
 
 
@@ -171,3 +193,119 @@ def test_row_budget_overrun_writes_nothing(tmp_path):
         for x in ground:
             want = compute(ComplexityQuery(KIND_COND_UNIQUE, x, y)).value
             assert provider.conditional(x, y) == want
+
+
+def assert_record_is_searched(target, record):
+    """``record`` is what the labeled unique-kind search from 1 state returns
+    for ``target``, and its certificate verifies."""
+    query = (KIND_UNIQUE, target, None)
+    assert record == _search_levels(*query, 1, Budget(), {"nodes": 0}), target
+    value, seq = record
+    labels = _walk_words(*query)[0]
+    cert = _certificate_for(*query, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
+    assert verify_certificate(cert)[0] and cert.claimed_states == value, target
+
+
+def assert_provider_records(words):
+    """One batch of a fresh provider fills every word's unique-kind value."""
+    provider = ComplexityProvider()
+    provider.prefetch((KIND_UNIQUE, w.symbols, None) for w in words)
+    for w in words:
+        rep = reversal_class_key(ComplexityQuery(KIND_UNIQUE, w))
+        record = provider.cache.get(rep)
+        assert record is not None and record[0] == provider.unconditional(w)
+        assert_record_is_searched(rep.target, record)
+
+
+@st.composite
+def same_length_words(draw, letters, max_len):
+    n = draw(st.integers(1, max_len))
+    return [
+        Word(tuple(draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))), letters)
+        for _ in range(2)
+    ]
+
+
+@given(same_length_words(2, 12))
+@settings(max_examples=40, deadline=None)
+def test_binary_records_match_labeled_search(words):
+    assert_provider_records(words)
+
+
+@given(same_length_words(4, 9))
+@settings(max_examples=40, deadline=None)
+def test_four_letter_records_match_labeled_search(words):
+    assert_provider_records(words)
+
+
+def test_verify_metric_records_match_labeled_search(tmp_path):
+    verify_metric(6, MetricKind.J, ComplexityProvider(ResultCache(tmp_path)))
+    unique = 0
+    for line in (tmp_path / "results.tsv").read_text(encoding="ascii").splitlines():
+        kind, target, _condition, value, seq = line.split("\t")
+        if kind == KIND_UNIQUE:
+            unique += 1
+            record = int(value), tuple(int(s) for s in seq.split(","))
+            assert_record_is_searched(parse_word(target), record)
+    assert unique > 0
+
+
+def test_budget_overrun_is_unknown_not_a_value():
+    # a lone pair word is one compute miss: an overrun raises the lower bound
+    # that compute proves with the same budget, and nothing is kept
+    x, y = Word.parse("00100100", 2), Word.parse("00100011", 2)
+    rep = reversal_class_key(ComplexityQuery(KIND_UNIQUE, track(x, y)))
+    with pytest.raises(BudgetExceeded) as searched:
+        compute(rep, Budget(max_nodes=100))
+    provider = ComplexityProvider(max_nodes=100)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded) as e:
+            provider.track_value(x, y)
+        assert e.value.lower_bound == searched.value.lower_bound == 4
+        assert not provider._memo and len(provider.cache) == 0
+    provider.max_nodes = DEFAULT_MAX_NODES
+    assert provider.track_value(x, y) == compute(ComplexityQuery(KIND_UNIQUE, track(x, y))).value
+
+
+def test_default_budget_gives_the_searched_value():
+    x, y = Word.parse("00100100", 2), Word.parse("00100011", 2)
+    searched = compute(ComplexityQuery(KIND_UNIQUE, track(x, y))).value
+    assert ComplexityProvider().track_value(x, y) == searched
+    batch = ComplexityProvider()
+    batch.prefetch([("track", x.symbols, y.symbols)])
+    assert batch.track_value(x, y) == searched
+    with pytest.raises(ValueError):
+        batch.prefetch([(KIND_DET_PARTIAL, x.symbols, None)])
+
+
+@st.composite
+def binary_pairs(draw, max_len):
+    n = draw(st.integers(1, max_len))
+    x, y = (draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(2))
+    return Word(tuple(x), 2), Word(tuple(y), 2)
+
+
+@given(binary_pairs(7))
+@settings(max_examples=40, deadline=None)
+def test_pair_word_sandwich(pair):
+    """max(A(x), A(y), A(x|y), A(y|x)) <= A(x#y) <= min(A(x) A(y|x), A(y) A(x|y)).
+
+    Lower: a witness for x#y has one accepting walk of length n in all, so
+    one reads y on the condition coordinate and it spells x; dropping one
+    coordinate of every label merges edges but keeps that walk, so the
+    result singles out x (or y). Upper: in the product of a witness for x
+    and a witness for y given x, an accepting walk's first component is the
+    one walk reading x, so its second is the one walk reading x on the
+    condition coordinate, which spells y: one walk, reading x#y.
+
+    ``A(x#y)`` comes from the provider's batch, every other value from
+    ``compute`` with no cache, so the two routes are checked together.
+    """
+    x, y = pair
+    a_x, a_y = (compute(ComplexityQuery(KIND_UNIQUE, w)).value for w in (x, y))
+    a_xy = compute(ComplexityQuery(KIND_COND_UNIQUE, x, y)).value
+    a_yx = compute(ComplexityQuery(KIND_COND_UNIQUE, y, x)).value
+    provider = ComplexityProvider()
+    provider.prefetch([("track", x.symbols, y.symbols)])
+    a_pair = provider.track_value(x, y)
+    assert max(a_x, a_y, a_xy, a_yx) <= a_pair <= min(a_x * a_yx, a_y * a_xy)
