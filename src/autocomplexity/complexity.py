@@ -13,7 +13,11 @@ competitors extend along the remaining walk edges:
 
 * exact walk/word counting is maintained incrementally; as soon as the count
   of partial walks (or distinct words) reaching the walk's current position
-  hits 2, the branch dies;
+  hits 2, the branch dies. The unique kinds count walks and the exact kinds
+  words. The DFA kinds are searched by walk counts with one successor per
+  (state, label): in a DFA a word has at most one walk, so the walk counts
+  are the word counts (see ``_WalkCounts``). Their certificates are still
+  verified as exact-kind witnesses;
 * two distinct labels sharing a (from, to) pair and a condition class would
   let the final walk swap edges, so such a pair is rejected immediately.
 
@@ -104,57 +108,78 @@ def _walk_words(kind: str, target: Word, condition: Word | None) -> tuple[Word, 
 
 
 class _WalkCounts:
-    """Partial accepting walks per state, saturated at 2 (unique kinds)."""
+    """Partial accepting walks per state, saturated at 2, as the pair of bit
+    masks ``(one, two)`` of the states reached by at least one and by at
+    least two walks (unique and DFA kinds).
 
-    __slots__ = ("q", "adj")
+    A deterministic counter also keeps the set of (state, label) pairs in use
+    and refuses a second successor for one of them. In a DFA the words read
+    from the start and the walks from the start correspond one to one: a walk
+    reads one word, and determinism leaves each word at most one walk. So
+    the number of walks reaching a state is the number of words reaching it,
+    and the prune and the leaf test of the word counts are unchanged.
+    """
+
+    __slots__ = ("succ", "det")
 
     def __init__(self, q: int, class_count: int, deterministic: bool):
-        self.q = q
-        # successors per (condition class, source); one entry per pair because
-        # the pair-label prune forbids class-mates on a shared pair
-        self.adj: list[list[list[int]]] = [
-            [[] for _ in range(q)] for _ in range(class_count)
-        ]
-
-    def start(self) -> list[int]:
-        v = [0] * self.q
-        v[0] = 1
-        return v
-
-    def advance(self, v: list[int], cls: int, state: int) -> list[int] | None:
-        """The counts one step on, or None when 2 walks reach ``state``."""
-        nv = [0] * self.q
-        adj = self.adj[cls]
-        for frm, x in enumerate(v):
-            if x:
-                for to in adj[frm]:
-                    c = nv[to] + x
-                    nv[to] = c if c < 2 else 2
-        return None if nv[state] >= 2 else nv
+        # successor mask per (condition class, source); each bit is one edge
+        # because the pair-label prune forbids class-mates on a shared pair
+        self.succ: list[list[int]] = [[0] * q for _ in range(class_count)]
+        self.det: set[tuple[int, int]] | None = set() if deterministic else None
 
     @staticmethod
-    def count(v: list[int], state: int) -> int:
-        return v[state]
+    def start() -> tuple[int, int]:
+        return 1, 0  # one walk at state 0
+
+    def advance(self, v: tuple[int, int], cls: int, state: int) -> tuple[int, int] | None:
+        """The counts one step on, or None when 2 walks reach ``state``."""
+        one, two = v
+        succ = self.succ[cls]
+        n1 = n2 = 0
+        while one:
+            low = one & -one
+            s = succ[low.bit_length() - 1]
+            # a state gets 2 walks from a source with 2, or from a second source
+            n2 |= s if low & two else n1 & s
+            n1 |= s
+            one ^= low
+        return None if n2 >> state & 1 else (n1, n2)
+
+    @staticmethod
+    def count(v: tuple[int, int], state: int) -> int:
+        return 2 if v[1] >> state & 1 else v[0] >> state & 1
+
+    @staticmethod
+    def reaches(v: tuple[int, int], state: int) -> int:
+        return v[0] >> state & 1
 
     def add_edge(self, frm: int, label: int, to: int, cls: int) -> bool:
-        self.adj[cls][frm].append(to)
+        """Add the edge, or return False if it breaks determinism."""
+        det = self.det
+        if det is not None:
+            if (frm, label) in det:
+                return False
+            det.add((frm, label))
+        self.succ[cls][frm] |= 1 << to
         return True
 
     def remove_edge(self, frm: int, label: int, to: int, cls: int) -> None:
-        self.adj[cls][frm].remove(to)
+        self.succ[cls][frm] &= ~(1 << to)
+        if self.det is not None:
+            self.det.remove((frm, label))
 
 
 class _WordCounts:
     """Distinct partial words per reachable state set (a bit mask), saturated
-    at 2 (exact kinds); a ``deterministic`` map keeps one successor per
-    (state, label)."""
+    at 2 (exact kinds), with one successor mask per (label, source)."""
 
-    __slots__ = ("label_pairs", "class_labels", "det_map")
+    __slots__ = ("q", "class_labels")
 
-    def __init__(self, q: int, class_count: int, deterministic: bool):
-        self.label_pairs: dict[int, set[tuple[int, int]]] = {}
-        self.class_labels: list[dict[int, int]] = [dict() for _ in range(class_count)]
-        self.det_map: dict[tuple[int, int], int] | None = {} if deterministic else None
+    def __init__(self, q: int, class_count: int):
+        self.q = q
+        # per condition class: label -> successor mask per source state
+        self.class_labels: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
 
     @staticmethod
     def start() -> dict[int, int]:
@@ -163,13 +188,13 @@ class _WordCounts:
     def advance(self, f: dict[int, int], cls: int, state: int) -> dict[int, int] | None:
         """The counts one step on, or None when 2 words reach ``state``."""
         nf: dict[int, int] = {}
-        for label in self.class_labels[cls]:
-            pairs = self.label_pairs[label]
+        for succ in self.class_labels[cls].values():
             for mask, cnt in f.items():
                 img = 0
-                for frm, to in pairs:
-                    if mask >> frm & 1:
-                        img |= 1 << to
+                while mask:
+                    low = mask & -mask
+                    img |= succ[low.bit_length() - 1]
+                    mask ^= low
                 if img:
                     c = nf.get(img, 0) + cnt
                     nf[img] = c if c < 2 else 2
@@ -185,28 +210,27 @@ class _WordCounts:
                     return 2
         return total
 
+    @staticmethod
+    def reaches(f: dict[int, int], state: int) -> bool:
+        for mask in f:
+            if mask >> state & 1:
+                return True
+        return False
+
     def add_edge(self, frm: int, label: int, to: int, cls: int) -> bool:
-        """Add the edge, or return False if it breaks determinism."""
-        if self.det_map is not None:
-            if (frm, label) in self.det_map:
-                return False
-            self.det_map[(frm, label)] = to
-        self.label_pairs.setdefault(label, set()).add((frm, to))
         refs = self.class_labels[cls]
-        refs[label] = refs.get(label, 0) + 1
+        succ = refs.get(label)
+        if succ is None:
+            succ = refs[label] = [0] * self.q
+        succ[frm] |= 1 << to
         return True
 
     def remove_edge(self, frm: int, label: int, to: int, cls: int) -> None:
-        pairs = self.label_pairs[label]
-        pairs.discard((frm, to))
-        if not pairs:
-            del self.label_pairs[label]
         refs = self.class_labels[cls]
-        refs[label] -= 1
-        if not refs[label]:
+        succ = refs[label]
+        succ[frm] &= ~(1 << to)
+        if not any(succ):
             del refs[label]
-        if self.det_map is not None:
-            del self.det_map[(frm, label)]
 
 
 class _WalkSearch:
@@ -214,18 +238,23 @@ class _WalkSearch:
     the competing walks or words counted incrementally by ``counts``.
 
     ``stack[t]`` holds the counts after t steps. A step along an edge the
-    walk already uses only extends the stack; a new edge changes every
-    earlier step, so the prefix is recounted and rolled back to a snapshot
-    if that prunes.
+    walk already uses only extends the stack. A new edge ``(frm, label,
+    nxt)`` of class ``cls`` can change ``stack[i + 1]`` only at a step i of
+    class ``cls`` whose counts reach ``frm``, so the prefix is recounted
+    from the first such step. Where a recounted vector comes out as it was,
+    the steps up to the next one that can take the edge keep theirs too. The
+    stack is rolled back to a snapshot if the recount prunes.
     """
 
     __slots__ = (
-        "counts", "advance", "labels", "classes", "seq", "stack", "edge_use", "pair_label", "records",
+        "counts", "advance", "reaches", "labels", "classes", "seq", "stack", "edge_use",
+        "pair_label", "records",
     )
 
     def __init__(self, counts, labels: tuple[int, ...], classes: tuple[int, ...]):
         self.counts = counts
         self.advance = counts.advance
+        self.reaches = counts.reaches
         self.labels = labels
         self.classes = classes
         self.seq: list[int] = [0]
@@ -261,12 +290,22 @@ class _WalkSearch:
         self.pair_label[pair_key] = label
         snapshot = stack[1 : t + 1]
         advance = self.advance
+        reaches = self.reaches
         classes = self.classes
-        for i in range(1, t + 1):
-            v = advance(stack[i - 1], classes[i - 1], seq[i])
+        i = 0
+        while i < t:
+            if classes[i] != cls or not reaches(stack[i], frm):
+                i += 1
+                continue
+            # recount until a vector comes out as it was
+            while i < t:
+                v = advance(stack[i], classes[i], seq[i + 1])
+                i += 1
+                if v is None or v == stack[i]:
+                    break
+                stack[i] = v
             if v is None:
                 break
-            stack[i] = v
         else:
             v = advance(stack[t], cls, nxt)
         if v is None:
@@ -296,6 +335,15 @@ class _WalkSearch:
         return self.counts.count(self.stack[-1], self.seq[-1]) == 1
 
 
+def _counter(kind: str, q: int, class_count: int):
+    """The counter a kind's walk search keeps on q states: walks for the
+    unique and DFA kinds (see ``_WalkCounts``), words for the exact kinds."""
+    spec = KINDS[kind]
+    if spec.counts == "words" and not spec.deterministic:
+        return _WordCounts(q, class_count)
+    return _WalkCounts(q, class_count, spec.deterministic)
+
+
 def _iter_witness_sequences(
     kind: str,
     labels: Word,
@@ -314,11 +362,7 @@ def _iter_witness_sequences(
         if q == 1:
             yield (0,)
         return
-    spec = KINDS[kind]
-    counts = (_WalkCounts if spec.counts == "walks" else _WordCounts)(
-        q, classes.alphabet_size, spec.deterministic
-    )
-    search = _WalkSearch(counts, labels.symbols, classes.symbols)
+    search = _WalkSearch(_counter(kind, q, classes.alphabet_size), labels.symbols, classes.symbols)
     seq = search.seq
 
     def rec(top: int) -> Iterator[tuple[int, ...]]:

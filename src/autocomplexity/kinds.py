@@ -17,9 +17,11 @@ class Kind:
     """One acceptance discipline.
 
     ``counts`` names what a witness must make unique among the runs of the
-    word's length: accepting ``"walks"`` or accepted ``"words"``; the walk
-    search keeps that count. ``deterministic`` witnesses allow one successor
-    per (state, label). ``reversible`` kinds have ``A(w) = A(w^R)`` (see
+    word's length: accepting ``"walks"`` or accepted ``"words"``; certificates
+    are verified against it. The walk search keeps that count, except that
+    it counts walks for the ``deterministic`` kinds, whose witnesses allow
+    one successor per (state, label): there each word has at most one walk,
+    so the two counts agree. ``reversible`` kinds have ``A(w) = A(w^R)`` (see
     ``complexity.compute``). ``alias`` is the command-line ``--kind`` name,
     shared by a kind and its conditional form, and ``symbol`` its display name.
     """

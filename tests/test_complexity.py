@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +25,9 @@ from autocomplexity import (
     verify_certificate,
     witness_at,
 )
-from autocomplexity.automata import Nfa, WitnessCertificate
+from autocomplexity.automata import Nfa, WitnessCertificate, walk_nfa
+from autocomplexity.complexity import _WalkSearch, _counter, _walk_words
+from autocomplexity.kinds import KINDS
 from autocomplexity.words import Word, induced_partition, refines, slow_words, track
 
 
@@ -87,8 +92,6 @@ def test_canonical_tie_break_is_lexicographic():
     seqs = list(all_witness_sequences(q, r.value))
     walk = min(seqs)
     rebuilt = compute(q).certificate
-    from autocomplexity.automata import walk_nfa
-
     assert rebuilt.nfa == walk_nfa(walk, Word.parse("0101", 2))
 
 
@@ -350,3 +353,284 @@ def test_condition_never_costs_states(pair):
     )
     assert verify_certificate(conditional_certificate(x, y, relabeled))[0]
     assert compute(ComplexityQuery(KIND_COND_UNIQUE, x, y)).value <= witness.value
+
+
+@functools.cache
+def slow_sequences(n, k):
+    """Every slow state sequence s_0..s_n with s_0 = 0 on exactly k states,
+    in lexicographic order."""
+    found = []
+    seq = [0]
+
+    def rec(top):
+        if len(seq) == n + 1:
+            if top == k - 1:
+                found.append(tuple(seq))
+            return
+        for nxt in range(min(top + 1, k - 1) + 1):
+            seq.append(nxt)
+            rec(max(top, nxt))
+            seq.pop()
+
+    rec(0)
+    return found
+
+
+def every_word(n, alphabet_size):
+    return [Word(s, alphabet_size) for s in itertools.product(range(alphabet_size), repeat=n)]
+
+
+def stream_cases():
+    """(kinds, target, condition): every binary word with n <= 5 and ternary
+    word with n <= 3 for the unconditional walk kinds, every binary pair
+    with n <= 4 for the conditional ones."""
+    for alphabet_size, top in ((2, 5), (3, 3)):
+        for n in range(top + 1):
+            for x in every_word(n, alphabet_size):
+                yield (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL), x, None
+    for n in range(5):
+        words = every_word(n, 2)
+        for x in words:
+            for y in words:
+                yield (KIND_COND_UNIQUE, KIND_COND_EXACT), x, y
+
+
+def test_witness_stream_is_every_verified_sequence():
+    """``all_witness_sequences(q, k)`` yields, in order, exactly the slow
+    sequences on k states whose walk NFA is a verified witness: the prunes
+    and the counters lose no witness and pass no false one."""
+    for kinds, x, y in stream_cases():
+        labels = x if y is None else track(y, x)
+        for k in range(1, len(x) + 2):
+            seqs = slow_sequences(len(x), k)
+            nfas = [walk_nfa(seq, labels) for seq in seqs]
+            for kind in kinds:
+                expected = [
+                    seq for seq, nfa in zip(seqs, nfas)
+                    if verify_certificate(WitnessCertificate(
+                        kind=kind, target=x, condition=y, nfa=nfa, claimed_states=k,
+                    ))[0]
+                ]
+                assert list(all_witness_sequences(ComplexityQuery(kind, x, y), k)) == expected, (
+                    kind, x, y, k,
+                )
+
+
+class ReferenceWalkCounts:
+    """Partial accepting walks per state in a list, saturated at 2: the walk
+    counter before bit masks, kept as the reference for ``_WalkCounts``."""
+
+    def __init__(self, q, class_count):
+        self.q = q
+        self.adj = [[[] for _ in range(q)] for _ in range(class_count)]
+
+    def start(self):
+        v = [0] * self.q
+        v[0] = 1
+        return v
+
+    def advance(self, v, cls, state):
+        nv = [0] * self.q
+        adj = self.adj[cls]
+        for frm, x in enumerate(v):
+            if x:
+                for to in adj[frm]:
+                    nv[to] = min(nv[to] + x, 2)
+        return None if nv[state] >= 2 else nv
+
+    @staticmethod
+    def count(v, state):
+        return v[state]
+
+    def add_edge(self, frm, label, to, cls):
+        self.adj[cls][frm].append(to)
+        return True
+
+    def remove_edge(self, frm, label, to, cls):
+        self.adj[cls][frm].remove(to)
+
+
+class ReferenceWordCounts:
+    """Distinct partial words per reachable state set from (from, to) pair
+    sets, with a determinism map for the DFA kinds: the word counter before
+    bit masks and walk counts for the DFA kinds."""
+
+    def __init__(self, class_count, deterministic):
+        self.label_pairs = {}
+        self.class_labels = [{} for _ in range(class_count)]
+        self.det_map = {} if deterministic else None
+
+    @staticmethod
+    def start():
+        return {1: 1}
+
+    def advance(self, f, cls, state):
+        nf = {}
+        for label in self.class_labels[cls]:
+            for mask, cnt in f.items():
+                img = 0
+                for frm, to in self.label_pairs[label]:
+                    if mask >> frm & 1:
+                        img |= 1 << to
+                if img:
+                    nf[img] = min(nf.get(img, 0) + cnt, 2)
+        return None if self.count(nf, state) >= 2 else nf
+
+    @staticmethod
+    def count(f, state):
+        return min(sum(cnt for mask, cnt in f.items() if mask >> state & 1), 2)
+
+    def add_edge(self, frm, label, to, cls):
+        if self.det_map is not None:
+            if (frm, label) in self.det_map:
+                return False
+            self.det_map[(frm, label)] = to
+        self.label_pairs.setdefault(label, set()).add((frm, to))
+        refs = self.class_labels[cls]
+        refs[label] = refs.get(label, 0) + 1
+        return True
+
+    def remove_edge(self, frm, label, to, cls):
+        pairs = self.label_pairs[label]
+        pairs.discard((frm, to))
+        if not pairs:
+            del self.label_pairs[label]
+        refs = self.class_labels[cls]
+        refs[label] -= 1
+        if not refs[label]:
+            del refs[label]
+        if self.det_map is not None:
+            del self.det_map[(frm, label)]
+
+
+class ReferenceSearch:
+    """The walk search that recounts the whole prefix on every new edge,
+    kept as the reference for ``_WalkSearch``."""
+
+    def __init__(self, counts, labels, classes):
+        self.counts = counts
+        self.labels = labels
+        self.classes = classes
+        self.seq = [0]
+        self.stack = [counts.start()]
+        self.edge_use = {}
+        self.pair_label = {}
+        self.records = []
+
+    def try_push(self, nxt):
+        seq, stack = self.seq, self.stack
+        t = len(seq) - 1
+        frm, label, cls = seq[t], self.labels[t], self.classes[t]
+        edge = (frm, label, nxt)
+        if edge in self.edge_use:
+            v = self.counts.advance(stack[t], cls, nxt)
+            if v is None:
+                return False
+            self.edge_use[edge] += 1
+            seq.append(nxt)
+            stack.append(v)
+            self.records.append((edge, None, None))
+            return True
+        pair_key = (frm, nxt, cls)
+        if pair_key in self.pair_label or not self.counts.add_edge(frm, label, nxt, cls):
+            return False
+        snapshot = stack[1:]
+        v = None
+        for i in range(1, t + 1):
+            v = self.counts.advance(stack[i - 1], self.classes[i - 1], seq[i])
+            if v is None:
+                break
+            stack[i] = v
+        else:
+            v = self.counts.advance(stack[t], cls, nxt)
+        if v is None:
+            stack[1:] = snapshot
+            self.counts.remove_edge(frm, label, nxt, cls)
+            return False
+        self.edge_use[edge] = 1
+        self.pair_label[pair_key] = label
+        seq.append(nxt)
+        stack.append(v)
+        self.records.append((edge, pair_key, snapshot))
+        return True
+
+    def pop(self):
+        edge, pair_key, snapshot = self.records.pop()
+        self.seq.pop()
+        self.stack.pop()
+        if pair_key is None:
+            self.edge_use[edge] -= 1
+        else:
+            del self.edge_use[edge]
+            del self.pair_label[pair_key]
+            self.counts.remove_edge(*edge, pair_key[2])
+            self.stack[1:] = snapshot
+
+
+WALK_KINDS = (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_COND_UNIQUE, KIND_COND_EXACT)
+
+
+@st.composite
+def push_runs(draw):
+    """A kind, a target (and condition) of length 1-14 on 1-3 letters, a
+    state count, and moves: 0-4 picks the state to push among those that
+    keep the sequence slow, 5 pops."""
+    kind = draw(st.sampled_from(WALK_KINDS))
+    n = draw(st.integers(1, 14))
+
+    def word():
+        letters = draw(st.integers(1, 3))
+        return Word(tuple(draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))), letters)
+
+    x = word()
+    y = word() if KINDS[kind].conditional else None
+    q = draw(st.integers(1, 5))
+    moves = draw(st.lists(st.integers(0, 5), min_size=n, max_size=60))
+    return ComplexityQuery(kind, x, y), q, moves
+
+
+@given(push_runs())
+@settings(max_examples=300, deadline=None)
+def test_try_push_matches_the_reference_counters(run):
+    """Every push accepts or rejects as under the reference counters and the
+    full recount, and leaves the same sequence and the same counts."""
+    query, q, moves = run
+    labels, classes = _walk_words(query.kind, query.target, query.condition)
+    spec = KINDS[query.kind]
+    if spec.counts == "walks":
+        reference = ReferenceWalkCounts(q, classes.alphabet_size)
+    else:
+        reference = ReferenceWordCounts(classes.alphabet_size, spec.deterministic)
+    ref = ReferenceSearch(reference, labels.symbols, classes.symbols)
+    new = _WalkSearch(_counter(query.kind, q, classes.alphabet_size), labels.symbols, classes.symbols)
+    n = len(query.target)
+    for move in moves:
+        if move == 5 or len(new.seq) == n + 1:
+            if len(new.seq) > 1:
+                new.pop()
+                ref.pop()
+        else:
+            nxt = move % (min(max(new.seq) + 1, q - 1) + 1)
+            assert new.try_push(nxt) == ref.try_push(nxt)
+        assert new.seq == ref.seq
+        for v, w in zip(new.stack, ref.stack, strict=True):
+            for state in range(q):
+                assert new.counts.count(v, state) == reference.count(w, state)
+
+
+# compute(q).explored at the values the kernel had before bit masks and the
+# targeted recount: one seeded query per kind, lengths 10-12
+PINNED_EXPLORED = [
+    (KIND_UNIQUE, "111010111100", None, 6483),
+    (KIND_EXACT, "0110100001", None, 1540),
+    (KIND_DET_PARTIAL, "100000110101", None, 1049),
+    (KIND_DET_TOTAL, "00001111100", None, 1982),
+    (KIND_COND_UNIQUE, "011111010111", "001100010100", 134),
+    (KIND_COND_EXACT, "00010111101", "10111110011", 506),
+]
+
+
+@pytest.mark.parametrize("kind, x, y, explored", PINNED_EXPLORED, ids=[p[0] for p in PINNED_EXPLORED])
+def test_explored_pinned(kind, x, y, explored):
+    query = ComplexityQuery(kind, Word.parse(x, 2), None if y is None else Word.parse(y, 2))
+    assert compute(query).explored == explored
