@@ -7,7 +7,8 @@ digit strings when the alphabet fits (dot-separated otherwise) with an
 ``@alphabet_size`` suffix; sequences are comma-separated state indices.
 
 The file is append-only; ``compact()`` rewrites it atomically. A corrupt line
-is skipped with a warning, never served.
+is skipped with a warning, never served. A hit is served once its witness
+re-verifies; ``audit()`` also proves every record minimal.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .complexity import ComplexityQuery, memo_key
+from .complexity import ComplexityQuery, audit_record, memo_key
 from .words import Word, is_slow
 
 try:
@@ -53,7 +54,8 @@ def parse_word(text: str) -> Word:
 
 
 def _records(path: Path):
-    """(key, value, sequence, line) for each valid line of a cache file.
+    """(query, value, sequence, line number, line) for each valid line of a
+    cache file.
 
     A line is valid when its kind and words make a ``ComplexityQuery`` and its
     sequence is a slow walk of one step per letter; other lines are skipped
@@ -81,7 +83,7 @@ def _records(path: Path):
                 sequence = walk(seq)
                 if len(sequence) != len(query.target) + 1:
                     raise ValueError("the sequence is not a walk over the word")
-                record = memo_key(query), int(value), sequence, line + "\n"
+                record = query, int(value), sequence, lineno, line + "\n"
             except (ValueError, IndexError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {path}")
                 continue
@@ -117,8 +119,8 @@ class ResultCache:
         path = self.path
         if path is None or not path.exists():
             return
-        for key, value, sequence, _line in _records(path):
-            self._memo[key] = (value, sequence)
+        for query, value, sequence, _lineno, _line in _records(path):
+            self._memo[memo_key(query)] = (value, sequence)
 
     def get(self, query) -> tuple[int, tuple[int, ...]] | None:
         if not self._loaded:
@@ -172,8 +174,8 @@ class ResultCache:
             return
         latest = {}
         if path.exists():
-            for key, _value, _sequence, line in _records(path):
-                latest[key] = line
+            for query, _value, _sequence, _lineno, line in _records(path):
+                latest[memo_key(query)] = line
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".cache-", suffix=".tmp")
         try:
@@ -185,6 +187,17 @@ class ResultCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def audit(self):
+        """``(line number, line, reason)`` for every valid line of the file,
+        in file order, with ``complexity.audit_record``'s reason, None for a
+        record that holds. Lines come from the file, not the memo, so a line
+        that a later one for the same query replaced is audited too."""
+        path = self.path
+        if path is None or not path.exists():
+            return
+        for query, value, sequence, lineno, line in _records(path):
+            yield lineno, line, audit_record(query, value, sequence)
 
     def clear(self) -> None:
         self._memo.clear()

@@ -246,6 +246,17 @@ def cmd_cache(args) -> int:
         return EXIT_USAGE
     if args.action == "stats":
         print(f"{len(cache)} cached result(s) in {cache.path}")
+    elif args.action == "audit":
+        checked = failed = 0
+        for lineno, line, reason in cache.audit():
+            checked += 1
+            if reason is not None:
+                failed += 1
+                print(f"line {lineno}: {' '.join(line.split())}: {reason}")
+        if failed:
+            print(f"{failed} of {checked} cached record(s) failed in {cache.path}")
+            return EXIT_VERIFICATION
+        print(f"{checked} cached record(s) verified and minimal in {cache.path}")
     elif args.action == "compact":
         cache.compact()
         print(f"compacted {cache.path}")
@@ -348,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_export_dot)
 
-    p = sub.add_parser("cache", help="inspect or maintain the on-disk cache")
-    p.add_argument("action", choices=["stats", "compact", "clear"])
+    p = sub.add_parser("cache", help="inspect, audit or maintain the on-disk cache")
+    p.add_argument("action", choices=["stats", "audit", "compact", "clear"])
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_cache)
 

@@ -417,6 +417,24 @@ def _certificate_for(
     )
 
 
+def _record_certificate(
+    kind: str, target: Word, condition: Word | None, labels: Word, value: int,
+    sequence: tuple[int, ...], counter: dict[str, int], max_nodes: int,
+) -> tuple[WitnessCertificate | None, str | None]:
+    """``(certificate, None)`` for a cached ``(value, sequence)`` record whose
+    certificate (``_certificate_for``) is built, verifies and has ``value``
+    states, else ``(None, reason)``."""
+    cert = _certificate_for(kind, target, condition, labels, value, sequence, counter, max_nodes)
+    if cert is None:
+        return None, f"no total DFA on {value} states is built from the walk"
+    ok, why = verify_certificate(cert)
+    if not ok:
+        return None, f"the certificate fails: {why}"
+    if cert.claimed_states != value:
+        return None, f"the certificate has {cert.claimed_states} states, not {value}"
+    return cert, None
+
+
 def _complete_to_total(
     base: Nfa, n: int, counter: dict[str, int], max_nodes: int, proven_lower: int
 ) -> Nfa | None:
@@ -797,7 +815,12 @@ def compute(
     floor hold no witness, so the value and the certificate are the ones a
     search from 1 finds. The floor trusts cached values exactly as a cache
     hit already does: the hit re-verifies its witness, but its minimality,
-    like the floor's, rests on the value having been searched for. A cached
+    like the floor's, rests on the value having been searched for. Only
+    ``autocomplexity cache audit`` (``audit_record``) proves it. A cache file
+    holding just the line ``unique 0000@1 - 3 0,1,2,2,2`` (fields separated
+    by tabs) is served as ``A(0000) = 3`` with 0 nodes, since that 3-state
+    walk is a valid witness within the cap, though the value is 1; through
+    the floor, ``00000`` then gets 3 as well. A cached
     value above ``value_cap`` is never served nor used as a floor; the query
     is searched again and its record rewritten. det-total
     always starts at 1; its cache record keeps the deterministic walk its
@@ -849,10 +872,10 @@ def compute(
             if budget.max_states is not None and value > budget.max_states:
                 # the true value is known and provably beyond the allowance
                 raise BudgetExceeded(budget.max_states + 1, 0)
-            cert = _certificate_for(
+            cert, _why = _record_certificate(
                 kind, target, condition, labels, value, seq, counter, budget.max_nodes
             )
-            if cert is not None and verify_certificate(cert)[0] and cert.claimed_states == value:
+            if cert is not None:
                 return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
         if n >= 2 and kind != KIND_DET_TOTAL:
             floor = _factor_floor(key, cache)
@@ -886,6 +909,36 @@ def value_at_most(
         if e.lower_bound > max_states:
             return None
         raise
+
+
+def audit_record(query: ComplexityQuery, value: int, sequence: tuple[int, ...]) -> str | None:
+    """Why a cache must not serve the record ``(value, sequence)`` of
+    ``query``, or None when the record holds.
+
+    The record is first checked as ``compute`` checks a hit: the value is at
+    most ``value_cap`` and the certificate rebuilt from the sequence verifies
+    with ``value`` states. Its minimality is then proven by
+    ``value_at_most(query, value - 1)`` with no cache, so that neither the
+    record nor a factor floor read from the same file vouches for itself; a
+    value of 1 is minimal by definition. That is a full search per record,
+    which is why a hit is never checked this way. A node-budget overrun
+    raises ``BudgetExceeded``.
+    """
+    kind, target, condition = query.kind, query.target, query.condition
+    cap = value_cap(kind, len(target))
+    if value > cap:
+        return f"the value is above the cap of {cap}"
+    labels = _walk_words(kind, target, condition)[0]
+    _cert, why = _record_certificate(
+        kind, target, condition, labels, value, sequence, {"nodes": 0}, DEFAULT_MAX_NODES
+    )
+    if why is not None:
+        return why
+    if value > 1:
+        smaller = value_at_most(query, value - 1)
+        if smaller is not None:
+            return f"not minimal: the value is {smaller}"
+    return None
 
 
 def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX_NODES) -> WitnessCertificate | None:

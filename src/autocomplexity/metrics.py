@@ -12,6 +12,10 @@ where C is the unique-acceptance complexity and x#y the pair word. The
 quotients use the convention 0/0 = 0, and the boundary decisions (is the
 distance exactly 0, exactly 1?) are made on the integer complexities, never by
 comparing floats.
+
+NumPy is imported inside the functions that build and check the distance
+matrices, so importing the package, and every command but ``verify-metric``,
+does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cache import ResultCache
 from .complexity import (
@@ -41,6 +44,9 @@ from .complexity import (
     max_complexity,
 )
 from .words import Word, fractional_power, slow_words, track_symbols
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MetricKind(Enum):
@@ -306,6 +312,8 @@ def _triangle_violations(d, tolerance: float) -> list[tuple]:
     scalars, which print differently. A ``size**3`` array is never built: at
     n = 8 it would take 16.8 MB.
     """
+    import numpy as np
+
     m = np.asarray(d, dtype=np.float64)
     found = []
     for i, row in enumerate(m):
@@ -319,6 +327,8 @@ def _log2(values: np.ndarray) -> np.ndarray:
     """``math.log2`` of every entry of an integer array, read from a table of
     ``math.log2`` over the distinct entries (NumPy's ``log2`` may differ from
     it in the last bit). An entry below 1 raises as ``math.log2`` does."""
+    import numpy as np
+
     distinct = sorted(set(values.ravel().tolist()))
     table = np.array([math.log2(v) for v in distinct], dtype=np.float64)
     return table[np.searchsorted(distinct, values)]
@@ -344,6 +354,8 @@ def _pair_reads(ground: list[Word], needed: np.ndarray, provider, with_track: bo
     Returns the unconditional values as an array over ``ground`` (0 for a
     word no pair names) and the pair-word values as a list, in pair order.
     """
+    import numpy as np
+
     # generated twice, never held (see ComplexityProvider.prefetch)
     def pairs():
         for i, row in enumerate(needed):
@@ -383,6 +395,8 @@ def _distance_matrix(kind: MetricKind, ground: list[Word], provider) -> np.ndarr
     float64 operation in the scalar order, so every entry equals
     ``metric_value``'s bit for bit.
     """
+    import numpy as np
+
     size = len(ground)
     c = np.empty((size, size), dtype=np.int64)
     for i, x in enumerate(ground):
@@ -432,6 +446,8 @@ def verify_metric(
     distances are those of ``metric_value``, entry for entry
     (``_distance_matrix``).
     """
+    import numpy as np
+
     provider = provider or ComplexityProvider()
     ground = list(slow_words(n, 2))
     provider.conditional_row(ground)

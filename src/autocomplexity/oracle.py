@@ -20,20 +20,23 @@ each is justified by the definitions alone:
 
 Concretely, a structure is one digraph per condition symbol. For each
 structure and accept state the filtered walk counts are computed with a
-saturating DP (vectorized with numpy across all structures at once); the
-surviving structures are summarized by the partition of word positions that
-any witnessed target must respect.
+saturating DP (vectorized with NumPy across all structures at once; NumPy
+is imported on first use, not with the package); the surviving structures
+are summarized by the partition of word positions that any witnessed target
+must respect.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexity import ComplexityQuery, canonical_query
 from .kinds import KINDS
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_MAX_STATES = 3
 ORACLE_MAX_LENGTH = 8
@@ -41,6 +44,8 @@ ORACLE_MAX_LENGTH = 8
 
 def _digraph_matrices(q: int) -> np.ndarray:
     """All 2^(q*q) digraphs on q vertices as a (count, q, q) 0/1 array."""
+    import numpy as np
+
     count = 1 << (q * q)
     ids = np.arange(count, dtype=np.uint64)
     mats = np.zeros((count, q, q), dtype=np.uint8)
@@ -100,6 +105,8 @@ def _scan_partitions(
 
 def _collect(keys: np.ndarray, mask: np.ndarray, y_symbols, q) -> set:
     """Decode incidence-bit keys of the masked structures into partitions."""
+    import numpy as np
+
     n = len(y_symbols)
     chosen = keys[mask]
     if chosen.size == 0:
@@ -123,6 +130,8 @@ def _collect(keys: np.ndarray, mask: np.ndarray, y_symbols, q) -> set:
 
 def _incidence_keys(fwd, bwd, mats_step, n: int, q: int, f: int, words: int):
     """Pack on-an-accepting-walk bits (t,u,v) into per-structure integer keys."""
+    import numpy as np
+
     shape = fwd[0].shape[:-1]
     keys = np.zeros(shape + (words,), dtype=np.uint64)
     for t in range(n):
@@ -138,6 +147,8 @@ def _incidence_keys(fwd, bwd, mats_step, n: int, q: int, f: int, words: int):
 
 
 def _scan_one_class(y_symbols, q, variant):
+    import numpy as np
+
     n = len(y_symbols)
     mats = _digraph_matrices(q)
     fwd = [np.zeros((mats.shape[0], q), dtype=np.uint8)]
@@ -164,6 +175,8 @@ def _scan_one_class(y_symbols, q, variant):
 
 
 def _scan_two_classes(y_symbols, q, variant):
+    import numpy as np
+
     n = len(y_symbols)
     mats = _digraph_matrices(q)
     nd = mats.shape[0]

@@ -1,9 +1,22 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import autocomplexity
+from autocomplexity import (
+    ComplexityProvider,
+    ComplexityQuery,
+    ResultCache,
+    Word,
+    certificate_to_json,
+    compute,
+    distribution_table,
+)
 from autocomplexity.cli import main
 
 
@@ -133,6 +146,36 @@ def test_cache_commands(tmp_path, capsys):
     assert code == 2
 
 
+def test_cache_audit_names_unproven_records(tmp_path, capsys):
+    (tmp_path / "results.tsv").write_text(
+        # a valid 3-state witness within the cap, served by a hit, though A(0000) = 1
+        "unique\t0000@1\t-\t3\t0,1,2,2,2\n"
+        # what a search of 00000 from that record's factor floor writes
+        "unique\t00000@1\t-\t3\t0,0,0,0,1,2\n"
+        "unique\t0101@2\t-\t2\t0,1,0,1,0\n"
+        "unique\t0101@2\t-\t5\t0,1,2,3,4\n"
+        "exact\t0101@2\t-\t1\t0,0,0,0,0\n"
+    )
+    code, out, _ = run(capsys, "cache", "audit", "--cache-dir", str(tmp_path))
+    assert code == 6
+    lines = out.splitlines()
+    assert lines[0] == "line 1: unique 0000@1 - 3 0,1,2,2,2: not minimal: the value is 1"
+    assert lines[1] == "line 2: unique 00000@1 - 3 0,0,0,0,1,2: not minimal: the value is 1"
+    assert lines[2] == "line 4: unique 0101@2 - 5 0,1,2,3,4: the value is above the cap of 3"
+    assert lines[3].startswith("line 5: exact 0101@2 - 1 0,0,0,0,0: the certificate fails")
+    assert lines[4].startswith("4 of 5 cached record(s) failed")
+    # the audit writes nothing
+    assert len((tmp_path / "results.tsv").read_text().splitlines()) == 5
+
+
+def test_cache_audit_passes_a_filled_cache(tmp_path, capsys):
+    distribution_table(4, ComplexityProvider(ResultCache(tmp_path)))
+    code, out, _ = run(capsys, "cache", "audit", "--cache-dir", str(tmp_path))
+    records = len((tmp_path / "results.tsv").read_text().splitlines())
+    assert code == 0 and records > 0
+    assert out.startswith(f"{records} cached record(s) verified and minimal")
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AUTOCOMPLEXITY_CACHE_DIR", str(tmp_path))
     code, _, _ = run(capsys, "complexity", "0101")
@@ -191,3 +234,51 @@ def test_determinism_same_invocation(capsys):
     one = run(capsys, "table", "--n", "3", "--format", "csv")
     two = run(capsys, "table", "--n", "3", "--format", "csv")
     assert one == two
+
+
+# run in a fresh interpreter: the command lines, then, as the last line,
+# per command [argv[0], exit code, whether NumPy is loaded]
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import autocomplexity
+from autocomplexity.cli import main
+report = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_verify_metric_loads_numpy(tmp_path):
+    cert = tmp_path / "cert.json"
+    query = ComplexityQuery("unique", Word.parse("0110"))
+    cert.write_text(certificate_to_json(compute(query).certificate))
+    commands = [
+        ["complexity", "0110"],
+        ["conditional", "01", "10"],
+        ["metric", "j", "0110", "0101"],
+        ["table", "--n", "5"],
+        ["table", "--sample", "6", "--samples", "20"],
+        ["classify", "--n", "5"],
+        ["classify", "--n", "5", "--audit"],
+        ["sparse", "0110"],
+        ["search-emergent", "--max-len", "4"],
+        ["check", str(cert)],
+        ["export-dot", str(cert)],
+        ["cache", "stats", "--cache-dir", str(tmp_path / "cache")],
+        # last: once loaded, NumPy stays in sys.modules
+        ["verify-metric", "--n", "5", "--kind", "jnum"],
+    ]
+    src = str(Path(autocomplexity.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "AUTOCOMPLEXITY_CACHE_DIR"}
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, src, json.dumps(commands)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report[0] == ["import", 0, False]
+    assert report[1:-1] == [[argv[0], 0, False] for argv in commands[:-1]]
+    assert report[-1] == ["verify-metric", 0, True]
