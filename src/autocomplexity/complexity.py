@@ -9,7 +9,8 @@ lexicographic order, for an ascending number of allowed states, and checks the
 walk-generated NFA.
 
 Two prunes keep the enumeration small, both sound because a partial walk's
-competitors extend along the remaining walk edges:
+competitors extend along the remaining walk edges, and a third rule settles
+most steps before the counts are recounted:
 
 * exact walk/word counting is maintained incrementally; as soon as the count
   of partial walks (or distinct words) reaching the walk's current position
@@ -19,7 +20,18 @@ competitors extend along the remaining walk edges:
   are the word counts (see ``_WalkCounts``). Their certificates are still
   verified as exact-kind witnesses;
 * two distinct labels sharing a (from, to) pair and a condition class would
-  let the final walk swap edges, so such a pair is rejected immediately.
+  let the final walk swap edges, so such a pair is rejected immediately;
+* the *image* of a search node, its counts one step on under the current
+  edges, is computed once and shared by every step out of it. A step along
+  an edge the walk already uses pushes the image, and dies where the image
+  holds 2. A step along a new edge dies where another walk or word already
+  arrives in the image: exactly one walk (one word u) reaches the walk's
+  position, and the new edge adds only that walk (only u followed by the
+  edge's label) to its target. Adding an edge never lowers a count, so the
+  counts that the recount of the prefix would find are at least those the
+  image was taken from, and such a step would die after the recount too.
+  The same steps survive, so the nodes and witnesses are those of the full
+  recount.
 
 Deterministic-total automata are not walk-generated; they are handled by
 completing walk-generated deterministic witnesses into total transition
@@ -120,9 +132,10 @@ class _WalkCounts:
     and the prune and the leaf test of the word counts are unchanged.
     """
 
-    __slots__ = ("succ", "det")
+    __slots__ = ("q", "succ", "det")
 
     def __init__(self, q: int, class_count: int, deterministic: bool):
+        self.q = q
         # successor mask per (condition class, source); each bit is one edge
         # because the pair-label prune forbids class-mates on a shared pair
         self.succ: list[list[int]] = [[0] * q for _ in range(class_count)]
@@ -145,6 +158,19 @@ class _WalkCounts:
             n1 |= s
             one ^= low
         return None if n2 >> state & 1 else (n1, n2)
+
+    def image(
+        self, v: tuple[int, int], cls: int, frm: int, label: int
+    ) -> tuple[tuple[int, int], int, int]:
+        """The counts ``(n1, n2)`` one step on from ``v`` under the current
+        edges, then the states a new edge and a reused edge out of ``frm``
+        cannot enter: ``n1`` and ``n2``. One walk is at ``frm``, and a new
+        edge carries exactly that walk to its target, so a target already
+        in ``n1`` would hold 2 (or, reached over another edge out of ``frm``
+        in this class, be refused by the pair-label prune)."""
+        # no walk reaches state q, so the step is never pruned
+        nv = self.advance(v, cls, self.q)
+        return nv, nv[0], nv[1]
 
     @staticmethod
     def count(v: tuple[int, int], state: int) -> int:
@@ -200,6 +226,33 @@ class _WordCounts:
                     nf[img] = c if c < 2 else 2
         return None if self.count(nf, state) >= 2 else nf
 
+    def image(
+        self, f: dict[int, int], cls: int, frm: int, label: int
+    ) -> tuple[dict[int, int], int, int]:
+        """The counts one step on from ``f`` under the current edges, then
+        the states a new edge ``frm --label-->`` and a reused edge cannot
+        enter. One word u reaches ``frm``, and a new edge adds only
+        ``u label`` to its target, so it cannot enter a state that another
+        word reaches: one reached by 2 words, or by a word whose states are
+        not ``own``, the ``label`` image of u's states."""
+        # no word reaches state q, so the step is never pruned
+        nf = self.advance(f, cls, self.q)
+        any1 = any2 = 0
+        for mask, cnt in nf.items():
+            any2 |= mask if cnt > 1 else any1 & mask
+            any1 |= mask
+        own = 0
+        succ = self.class_labels[cls].get(label)
+        if succ is not None:
+            for mask in f:
+                if mask >> frm & 1:
+                    while mask:
+                        low = mask & -mask
+                        own |= succ[low.bit_length() - 1]
+                        mask ^= low
+                    break
+        return nf, any2 | (any1 & ~own), any2
+
     @staticmethod
     def count(f: dict[int, int], state: int) -> int:
         total = 0
@@ -244,21 +297,33 @@ class _WalkSearch:
     from the first such step. Where a recounted vector comes out as it was,
     the steps up to the next one that can take the edge keep theirs too. The
     stack is rolled back to a snapshot if the recount prunes.
+
+    ``images[t]`` holds the counter's ``image`` of ``stack[t]``: the counts
+    one step on under the current edges, and the masks of the states a new
+    and a reused edge out of ``seq[t]`` cannot enter. It is computed at the
+    first push from depth t and serves every sibling push, because a failed
+    push and ``pop`` restore the edges and ``stack[1..t]``; ``pop`` drops the
+    image of the depth it leaves. A reused edge pushes the image's counts.
+    A new edge is refused on the image's mask before it is added: counts
+    only grow as edges are added, so a state that holds a second walk or
+    word under the old counts holds it after the recount as well.
     """
 
     __slots__ = (
-        "counts", "advance", "reaches", "labels", "classes", "seq", "stack", "edge_use",
-        "pair_label", "records",
+        "counts", "advance", "reaches", "image", "labels", "classes", "seq", "stack",
+        "images", "edge_use", "pair_label", "records",
     )
 
     def __init__(self, counts, labels: tuple[int, ...], classes: tuple[int, ...]):
         self.counts = counts
         self.advance = counts.advance
         self.reaches = counts.reaches
+        self.image = counts.image
         self.labels = labels
         self.classes = classes
         self.seq: list[int] = [0]
         self.stack: list = [counts.start()]
+        self.images: list = []
         self.edge_use: dict[tuple[int, int, int], int] = {}
         self.pair_label: dict[tuple[int, int, int], int] = {}
         self.records: list = []
@@ -271,16 +336,21 @@ class _WalkSearch:
         cls = self.classes[t]
         edge = (frm, label, nxt)
         stack = self.stack
+        images = self.images
+        if len(images) == t:
+            images.append(self.image(stack[t], cls, frm, label))
+        v, new_fails, reuse_fails = images[t]
         use = self.edge_use.get(edge)
         if use is not None:
-            v = self.advance(stack[t], cls, nxt)
-            if v is None:
+            if reuse_fails >> nxt & 1:
                 return False
             self.edge_use[edge] = use + 1
             seq.append(nxt)
             stack.append(v)
             self.records.append((edge, None, None))
             return True
+        if new_fails >> nxt & 1:
+            return False
         pair_key = (frm, nxt, cls)
         # a second label on a pair within one class would let the walk swap
         # edges, doubling the walk or the word
@@ -323,6 +393,7 @@ class _WalkSearch:
         edge, pair_key, snapshot = self.records.pop()
         self.seq.pop()
         self.stack.pop()
+        del self.images[len(self.seq):]
         if pair_key is None:
             self.edge_use[edge] -= 1
         else:

@@ -589,33 +589,86 @@ def push_runs(draw):
     return ComplexityQuery(kind, x, y), q, moves
 
 
-@given(push_runs())
-@settings(max_examples=300, deadline=None)
-def test_try_push_matches_the_reference_counters(run):
-    """Every push accepts or rejects as under the reference counters and the
-    full recount, and leaves the same sequence and the same counts."""
-    query, q, moves = run
+def reference_pair(query, q):
+    """``_WalkSearch`` on q states for ``query`` and the reference search on
+    the reference counters, both at the empty walk."""
     labels, classes = _walk_words(query.kind, query.target, query.condition)
     spec = KINDS[query.kind]
     if spec.counts == "walks":
         reference = ReferenceWalkCounts(q, classes.alphabet_size)
     else:
         reference = ReferenceWordCounts(classes.alphabet_size, spec.deterministic)
-    ref = ReferenceSearch(reference, labels.symbols, classes.symbols)
     new = _WalkSearch(_counter(query.kind, q, classes.alphabet_size), labels.symbols, classes.symbols)
+    return new, ReferenceSearch(reference, labels.symbols, classes.symbols)
+
+
+def assert_same(new, ref, q):
+    """Both searches hold the same sequence and the same count of every
+    state at every step."""
+    assert new.seq == ref.seq
+    for v, w in zip(new.stack, ref.stack, strict=True):
+        for state in range(q):
+            assert new.counts.count(v, state) == ref.counts.count(w, state)
+
+
+def push_both(new, ref, nxt, q):
+    """Push ``nxt`` on both searches, which must accept or reject alike and
+    then agree; True if they pushed."""
+    pushed = new.try_push(nxt)
+    assert pushed == ref.try_push(nxt), (new.seq, nxt)
+    assert_same(new, ref, q)
+    return pushed
+
+
+@given(push_runs())
+@settings(max_examples=300, deadline=None)
+def test_try_push_matches_the_reference_counters(run):
+    """Every push accepts or rejects as under the reference counters and the
+    full recount, and leaves the same sequence and the same counts. The
+    pushes come in any order, so a node's image serves siblings tried
+    before and after a deeper branch, and after pops to shallower depths."""
+    query, q, moves = run
+    new, ref = reference_pair(query, q)
     n = len(query.target)
     for move in moves:
         if move == 5 or len(new.seq) == n + 1:
             if len(new.seq) > 1:
                 new.pop()
                 ref.pop()
+                assert_same(new, ref, q)
         else:
-            nxt = move % (min(max(new.seq) + 1, q - 1) + 1)
-            assert new.try_push(nxt) == ref.try_push(nxt)
-        assert new.seq == ref.seq
-        for v, w in zip(new.stack, ref.stack, strict=True):
-            for state in range(q):
-                assert new.counts.count(v, state) == reference.count(w, state)
+            push_both(new, ref, move % (min(max(new.seq) + 1, q - 1) + 1), q)
+
+
+def walk_both(query, q):
+    """Take every push of the level search for ``query`` on q states on
+    both searches, in the search's order."""
+    new, ref = reference_pair(query, q)
+    n = len(query.target)
+
+    def rec(top):
+        if len(new.seq) == n + 1:
+            return
+        for nxt in range(min(top + 1, q - 1) + 1):
+            if push_both(new, ref, nxt, q):
+                rec(max(top, nxt))
+                new.pop()
+                ref.pop()
+
+    rec(0)
+
+
+@pytest.mark.parametrize("x, y, q", [
+    ("0120120", "0010201", 3),
+    ("2102012", "0011001", 3),
+    ("0122101", "0001000", 4),
+    ("011020", "012012", 4),
+])
+def test_ternary_conditional_exact_tree_matches_the_reference(x, y, q):
+    """The whole search tree of a ternary conditional-exact pair, where a
+    condition class holds several labels and a word can reach several
+    states, is pushed alike under the images and the reference recount."""
+    walk_both(ComplexityQuery(KIND_COND_EXACT, Word.parse(x, 3), Word.parse(y, 3)), q)
 
 
 # compute(q).explored at the values the kernel had before bit masks and the

@@ -309,3 +309,27 @@ def test_pair_word_sandwich(pair):
     provider.prefetch([("track", x.symbols, y.symbols)])
     a_pair = provider.track_value(x, y)
     assert max(a_x, a_y, a_xy, a_yx) <= a_pair <= min(a_x * a_yx, a_y * a_xy)
+
+
+@given(binary_pairs(6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_lemma(pair, data):
+    """A(x|z) <= A(x|y) A(y|z), the lemma behind the triangle inequality of
+    ``jnum`` (taking logs).
+
+    Proof: take a witness M for y given z and a witness N for x given y, and
+    pair their states. The product has an edge labeled ``(c, a)`` from
+    ``(m, p)`` to ``(m', p')`` when M has ``m --(c, b)--> m'`` and N has
+    ``p --(b, a)--> p'`` for some b. A product walk consistent with z
+    projects onto a walk of M consistent with z, which is M's one walk and
+    reads y; its N side is then consistent with y, so it is N's one walk
+    and spells x. Checked here on the values only, with no cache; building
+    the composed witness is still open.
+    """
+    y, z = pair
+    x = Word(tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(y), max_size=len(y)))), 2)
+
+    def a(u, v):
+        return compute(ComplexityQuery(KIND_COND_UNIQUE, u, v)).value
+
+    assert a(x, z) <= a(x, y) * a(y, z)
