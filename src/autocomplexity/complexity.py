@@ -33,6 +33,17 @@ most steps before the counts are recounted:
   The same steps survive, so the nodes and witnesses are those of the full
   recount.
 
+The three bit tests of a node make one *candidate mask*, computed once per
+node from the edge tables ``used[label][frm]`` and ``paired[cls][frm]`` and the
+image (see ``_iter_witness_sequences``). Only its set bits are pushed, in
+ascending order; the refused steps between them are counted in bulk, so the
+node count, and where a budget runs out, are those of a search that tries
+every step. The pair rule refuses nothing the image does not: the target of
+a second label from the walk's position is already reached in the image by
+the one walk there (for words, by the one word u followed by that label,
+which is not u followed by the step's label). Only the walk search's new
+edges are recounted, inside the loop.
+
 Deterministic-total automata are not walk-generated; they are handled by
 completing walk-generated deterministic witnesses into total transition
 tables.
@@ -119,27 +130,48 @@ def _walk_words(kind: str, target: Word, condition: Word | None) -> tuple[Word, 
     return target, Word((0,) * len(target), 1)
 
 
+class _SetBits(dict):
+    """The positions of the set bits of a mask, in ascending order. A mask
+    below ``2**16`` keeps its entry, so the dict holds at most 65,536."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        if mask >> 16 == 0:
+            self[mask] = bits
+        return bits
+
+
+_SET_BITS = _SetBits()
+
+
 class _WalkCounts:
     """Partial accepting walks per state, saturated at 2, as the pair of bit
     masks ``(one, two)`` of the states reached by at least one and by at
-    least two walks (unique and DFA kinds).
+    least two walks (unique and DFA kinds). ``one`` is the mask of the states
+    reached, the first entry of the counts of either counter.
 
-    A deterministic counter also keeps the set of (state, label) pairs in use
-    and refuses a second successor for one of them. In a DFA the words read
-    from the start and the walks from the start correspond one to one: a walk
-    reads one word, and determinism leaves each word at most one walk. So
-    the number of walks reaching a state is the number of words reaching it,
-    and the prune and the leaf test of the word counts are unchanged.
+    The edge tables are the search's: ``used[label][frm]`` is the mask of
+    the targets of the edges ``frm --label-->`` in use, and
+    ``paired[cls][frm]`` that of the states some edge of class ``cls`` joins
+    to ``frm``. Walk counts read only the classes, so ``paired`` is their
+    successor table. Each bit of it is one edge, because the pair-label
+    prune gives a pair one label per class.
+
+    A deterministic counter takes no second successor for a (state, label)
+    pair. In a DFA the words read from the start and the walks from the
+    start correspond one to one: a walk reads one word, and determinism
+    leaves each word at most one walk. So the number of walks reaching a
+    state is the number of words reaching it, and the prune and the leaf
+    test of the word counts are unchanged.
     """
 
-    __slots__ = ("q", "succ", "det")
+    __slots__ = ("q", "used", "paired", "det")
 
-    def __init__(self, q: int, class_count: int, deterministic: bool):
+    def __init__(self, q: int, label_count: int, class_count: int, deterministic: bool):
         self.q = q
-        # successor mask per (condition class, source); each bit is one edge
-        # because the pair-label prune forbids class-mates on a shared pair
-        self.succ: list[list[int]] = [[0] * q for _ in range(class_count)]
-        self.det: set[tuple[int, int]] | None = set() if deterministic else None
+        self.used = [[0] * q for _ in range(label_count)]
+        self.paired = [[0] * q for _ in range(class_count)]
+        self.det = deterministic
 
     @staticmethod
     def start() -> tuple[int, int]:
@@ -148,15 +180,16 @@ class _WalkCounts:
     def advance(self, v: tuple[int, int], cls: int, state: int) -> tuple[int, int] | None:
         """The counts one step on, or None when 2 walks reach ``state``."""
         one, two = v
-        succ = self.succ[cls]
+        succ = self.paired[cls]
         n1 = n2 = 0
-        while one:
-            low = one & -one
-            s = succ[low.bit_length() - 1]
-            # a state gets 2 walks from a source with 2, or from a second source
-            n2 |= s if low & two else n1 & s
+        # a state gets 2 walks from a second source, or from a source with 2
+        for s in _SET_BITS[one]:
+            s = succ[s]
+            n2 |= n1 & s
             n1 |= s
-            one ^= low
+        if two:
+            for s in _SET_BITS[two]:
+                n2 |= succ[s]
         return None if n2 >> state & 1 else (n1, n2)
 
     def image(
@@ -166,8 +199,7 @@ class _WalkCounts:
         edges, then the states a new edge and a reused edge out of ``frm``
         cannot enter: ``n1`` and ``n2``. One walk is at ``frm``, and a new
         edge carries exactly that walk to its target, so a target already
-        in ``n1`` would hold 2 (or, reached over another edge out of ``frm``
-        in this class, be refused by the pair-label prune)."""
+        in ``n1`` would hold 2."""
         # no walk reaches state q, so the step is never pruned
         nv = self.advance(v, cls, self.q)
         return nv, nv[0], nv[1]
@@ -176,45 +208,39 @@ class _WalkCounts:
     def count(v: tuple[int, int], state: int) -> int:
         return 2 if v[1] >> state & 1 else v[0] >> state & 1
 
-    @staticmethod
-    def reaches(v: tuple[int, int], state: int) -> int:
-        return v[0] >> state & 1
-
-    def add_edge(self, frm: int, label: int, to: int, cls: int) -> bool:
-        """Add the edge, or return False if it breaks determinism."""
-        det = self.det
-        if det is not None:
-            if (frm, label) in det:
-                return False
-            det.add((frm, label))
-        self.succ[cls][frm] |= 1 << to
-        return True
-
-    def remove_edge(self, frm: int, label: int, to: int, cls: int) -> None:
-        self.succ[cls][frm] &= ~(1 << to)
-        if self.det is not None:
-            self.det.remove((frm, label))
-
 
 class _WordCounts:
     """Distinct partial words per reachable state set (a bit mask), saturated
-    at 2 (exact kinds), with one successor mask per (label, source)."""
+    at 2 (exact kinds). The counts are ``(reached, words)``: the mask of the
+    states some word reaches, and a dict from each state set to its number
+    of words. The edge tables are the search's (see ``_WalkCounts``); a
+    class steps along the ``used`` tables of the labels it reads."""
 
-    __slots__ = ("q", "class_labels")
+    __slots__ = ("q", "used", "paired", "class_labels")
+    det = False
 
-    def __init__(self, q: int, class_count: int):
+    def __init__(self, q: int, labels: Word, classes: Word):
         self.q = q
-        # per condition class: label -> successor mask per source state
-        self.class_labels: list[dict[int, list[int]]] = [dict() for _ in range(class_count)]
+        self.used = [[0] * q for _ in range(labels.alphabet_size)]
+        self.paired = [[0] * q for _ in range(classes.alphabet_size)]
+        # per condition class, the successor tables of the labels it reads
+        read: list[dict[int, None]] = [{} for _ in self.paired]
+        for label, cls in zip(labels.symbols, classes.symbols):
+            read[cls][label] = None
+        self.class_labels = [[self.used[label] for label in ls] for ls in read]
 
     @staticmethod
-    def start() -> dict[int, int]:
-        return {1: 1}  # mask of {state 0} -> one word
+    def start() -> tuple[int, dict[int, int]]:
+        return 1, {1: 1}  # the empty word at state 0
 
-    def advance(self, f: dict[int, int], cls: int, state: int) -> dict[int, int] | None:
+    def advance(
+        self, v: tuple[int, dict[int, int]], cls: int, state: int
+    ) -> tuple[int, dict[int, int]] | None:
         """The counts one step on, or None when 2 words reach ``state``."""
+        f = v[1]
         nf: dict[int, int] = {}
-        for succ in self.class_labels[cls].values():
+        reached = at_state = 0
+        for succ in self.class_labels[cls]:
             for mask, cnt in f.items():
                 img = 0
                 while mask:
@@ -222,197 +248,67 @@ class _WordCounts:
                     img |= succ[low.bit_length() - 1]
                     mask ^= low
                 if img:
+                    if img >> state & 1:
+                        at_state += cnt
+                        if at_state >= 2:
+                            return None
+                    reached |= img
                     c = nf.get(img, 0) + cnt
                     nf[img] = c if c < 2 else 2
-        return None if self.count(nf, state) >= 2 else nf
+        return reached, nf
 
     def image(
-        self, f: dict[int, int], cls: int, frm: int, label: int
-    ) -> tuple[dict[int, int], int, int]:
-        """The counts one step on from ``f`` under the current edges, then
+        self, v: tuple[int, dict[int, int]], cls: int, frm: int, label: int
+    ) -> tuple[tuple[int, dict[int, int]], int, int]:
+        """The counts one step on from ``v`` under the current edges, then
         the states a new edge ``frm --label-->`` and a reused edge cannot
         enter. One word u reaches ``frm``, and a new edge adds only
         ``u label`` to its target, so it cannot enter a state that another
         word reaches: one reached by 2 words, or by a word whose states are
         not ``own``, the ``label`` image of u's states."""
         # no word reaches state q, so the step is never pruned
-        nf = self.advance(f, cls, self.q)
+        nv = self.advance(v, cls, self.q)
         any1 = any2 = 0
-        for mask, cnt in nf.items():
+        for mask, cnt in nv[1].items():
             any2 |= mask if cnt > 1 else any1 & mask
             any1 |= mask
         own = 0
-        succ = self.class_labels[cls].get(label)
-        if succ is not None:
-            for mask in f:
-                if mask >> frm & 1:
-                    while mask:
-                        low = mask & -mask
-                        own |= succ[low.bit_length() - 1]
-                        mask ^= low
-                    break
-        return nf, any2 | (any1 & ~own), any2
+        succ = self.used[label]
+        for mask in v[1]:
+            if mask >> frm & 1:
+                while mask:
+                    low = mask & -mask
+                    own |= succ[low.bit_length() - 1]
+                    mask ^= low
+                break
+        return nv, any2 | (any1 & ~own), any2
 
     @staticmethod
-    def count(f: dict[int, int], state: int) -> int:
+    def count(v: tuple[int, dict[int, int]], state: int) -> int:
         total = 0
-        for mask, cnt in f.items():
+        for mask, cnt in v[1].items():
             if mask >> state & 1:
                 total += cnt
                 if total >= 2:
                     return 2
         return total
 
-    @staticmethod
-    def reaches(f: dict[int, int], state: int) -> bool:
-        for mask in f:
-            if mask >> state & 1:
-                return True
-        return False
 
-    def add_edge(self, frm: int, label: int, to: int, cls: int) -> bool:
-        refs = self.class_labels[cls]
-        succ = refs.get(label)
-        if succ is None:
-            succ = refs[label] = [0] * self.q
-        succ[frm] |= 1 << to
-        return True
-
-    def remove_edge(self, frm: int, label: int, to: int, cls: int) -> None:
-        refs = self.class_labels[cls]
-        succ = refs[label]
-        succ[frm] &= ~(1 << to)
-        if not any(succ):
-            del refs[label]
-
-
-class _WalkSearch:
-    """One walk's state sequence, grown and shrunk one step at a time, with
-    the competing walks or words counted incrementally by ``counts``.
-
-    ``stack[t]`` holds the counts after t steps. A step along an edge the
-    walk already uses only extends the stack. A new edge ``(frm, label,
-    nxt)`` of class ``cls`` can change ``stack[i + 1]`` only at a step i of
-    class ``cls`` whose counts reach ``frm``, so the prefix is recounted
-    from the first such step. Where a recounted vector comes out as it was,
-    the steps up to the next one that can take the edge keep theirs too. The
-    stack is rolled back to a snapshot if the recount prunes.
-
-    ``images[t]`` holds the counter's ``image`` of ``stack[t]``: the counts
-    one step on under the current edges, and the masks of the states a new
-    and a reused edge out of ``seq[t]`` cannot enter. It is computed at the
-    first push from depth t and serves every sibling push, because a failed
-    push and ``pop`` restore the edges and ``stack[1..t]``; ``pop`` drops the
-    image of the depth it leaves. A reused edge pushes the image's counts.
-    A new edge is refused on the image's mask before it is added: counts
-    only grow as edges are added, so a state that holds a second walk or
-    word under the old counts holds it after the recount as well.
-    """
-
-    __slots__ = (
-        "counts", "advance", "reaches", "image", "labels", "classes", "seq", "stack",
-        "images", "edge_use", "pair_label", "records",
-    )
-
-    def __init__(self, counts, labels: tuple[int, ...], classes: tuple[int, ...]):
-        self.counts = counts
-        self.advance = counts.advance
-        self.reaches = counts.reaches
-        self.image = counts.image
-        self.labels = labels
-        self.classes = classes
-        self.seq: list[int] = [0]
-        self.stack: list = [counts.start()]
-        self.images: list = []
-        self.edge_use: dict[tuple[int, int, int], int] = {}
-        self.pair_label: dict[tuple[int, int, int], int] = {}
-        self.records: list = []
-
-    def try_push(self, nxt: int) -> bool:
-        seq = self.seq
-        t = len(seq) - 1
-        frm = seq[t]
-        label = self.labels[t]
-        cls = self.classes[t]
-        edge = (frm, label, nxt)
-        stack = self.stack
-        images = self.images
-        if len(images) == t:
-            images.append(self.image(stack[t], cls, frm, label))
-        v, new_fails, reuse_fails = images[t]
-        use = self.edge_use.get(edge)
-        if use is not None:
-            if reuse_fails >> nxt & 1:
-                return False
-            self.edge_use[edge] = use + 1
-            seq.append(nxt)
-            stack.append(v)
-            self.records.append((edge, None, None))
-            return True
-        if new_fails >> nxt & 1:
-            return False
-        pair_key = (frm, nxt, cls)
-        # a second label on a pair within one class would let the walk swap
-        # edges, doubling the walk or the word
-        if pair_key in self.pair_label or not self.counts.add_edge(frm, label, nxt, cls):
-            return False
-        self.edge_use[edge] = 1
-        self.pair_label[pair_key] = label
-        snapshot = stack[1 : t + 1]
-        advance = self.advance
-        reaches = self.reaches
-        classes = self.classes
-        i = 0
-        while i < t:
-            if classes[i] != cls or not reaches(stack[i], frm):
-                i += 1
-                continue
-            # recount until a vector comes out as it was
-            while i < t:
-                v = advance(stack[i], classes[i], seq[i + 1])
-                i += 1
-                if v is None or v == stack[i]:
-                    break
-                stack[i] = v
-            if v is None:
-                break
-        else:
-            v = advance(stack[t], cls, nxt)
-        if v is None:
-            stack[1 : t + 1] = snapshot
-            del self.edge_use[edge]
-            del self.pair_label[pair_key]
-            self.counts.remove_edge(frm, label, nxt, cls)
-            return False
-        seq.append(nxt)
-        stack.append(v)
-        self.records.append((edge, pair_key, snapshot))
-        return True
-
-    def pop(self) -> None:
-        edge, pair_key, snapshot = self.records.pop()
-        self.seq.pop()
-        self.stack.pop()
-        del self.images[len(self.seq):]
-        if pair_key is None:
-            self.edge_use[edge] -= 1
-        else:
-            del self.edge_use[edge]
-            del self.pair_label[pair_key]
-            self.counts.remove_edge(*edge, pair_key[2])
-            self.stack[1 : len(self.seq)] = snapshot
-
-    def leaf_ok(self) -> bool:
-        return self.counts.count(self.stack[-1], self.seq[-1]) == 1
-
-
-def _counter(kind: str, q: int, class_count: int):
-    """The counter a kind's walk search keeps on q states: walks for the
-    unique and DFA kinds (see ``_WalkCounts``), words for the exact kinds."""
+def _counter(kind: str, q: int, labels: Word, classes: Word):
+    """The counter a kind's walk search keeps on q states, reading ``labels``
+    in ``classes``: walks for the unique and DFA kinds (see
+    ``_WalkCounts``), words for the exact kinds."""
     spec = KINDS[kind]
     if spec.counts == "words" and not spec.deterministic:
-        return _WordCounts(q, class_count)
-    return _WalkCounts(q, class_count, spec.deterministic)
+        return _WordCounts(q, labels, classes)
+    return _WalkCounts(q, labels.alphabet_size, classes.alphabet_size, spec.deterministic)
+
+
+def _overrun(counter: dict[str, int], max_nodes: int, proven_lower: int):
+    """Raise ``BudgetExceeded`` at node ``max_nodes + 1``, where a search
+    counting one node at a time stops."""
+    counter["nodes"] = max_nodes + 1
+    raise BudgetExceeded(proven_lower, max_nodes + 1)
 
 
 def _iter_witness_sequences(
@@ -423,9 +319,49 @@ def _iter_witness_sequences(
     counter: dict[str, int],
     max_nodes: int,
     proven_lower: int,
+    targets=None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every slow sequence on exactly q states whose walk NFA, reading
-    ``labels`` with step classes ``classes`` (see ``_walk_words``), witnesses."""
+    ``labels`` with step classes ``classes`` (see ``_walk_words``), witnesses.
+
+    The search grows one walk s_0..s_t a step at a time and keeps, per
+    depth, ``seq[t]`` and the counts ``stack[t]`` after t steps. Its edges
+    are the mask tables ``used`` and ``paired`` of the counter. A node is
+    one prefix, and its steps are the states ``nxt`` up to ``limit`` that
+    keep the sequence slow; each step is one search node of ``counter``.
+
+    At a node the counter's ``image`` of ``stack[t]`` gives the counts one
+    step on under the current edges, ``v``, and the masks ``new_fails`` and
+    ``reuse_fails`` of the states a new and a reused edge out of ``s_t``
+    cannot enter. Counts only grow as edges are added, so a state that holds
+    a second walk or word under the old counts holds it after a recount as
+    well, and such a step would die there too. A step along a second label
+    on a pair within one class would let the walk swap edges, doubling the
+    walk or the word (``new_fails`` holds its target already, see the module
+    docstring), and a DFA kind takes no new edge once ``(s_t, label)`` has
+    one. What survives these bit tests is the candidate mask, computed once
+    per node::
+
+        (used & ~reuse_fails) | ~(paired | new_fails)   up to bit limit
+
+    (only its first half for a DFA kind whose ``(s_t, label)`` has an edge).
+    The loop visits its set bits in ascending order and counts the refused
+    steps between them in bulk, so ``counter["nodes"]`` is at every step what
+    a count of one node per step would be, and an overrun raises
+    ``BudgetExceeded`` with ``max_nodes + 1`` nodes. A reused edge pushes
+    ``v``. A new edge ``(s_t, label, nxt)`` of class ``cls`` can change
+    ``stack[i + 1]`` only at a step i of class ``cls`` whose counts reach
+    ``s_t``, so the prefix is recounted from the first such step; where a
+    recounted vector comes out as it was, the steps up to the next one that
+    can take the edge keep theirs too. The prefix is restored if the recount
+    prunes, and when the step is popped.
+
+    ``targets``, if given, filters the steps: ``targets.admit(t, frm, nxt,
+    new)`` is asked about every step that survives the bit tests, after it
+    is counted, and a step it refuses is not taken; after each step taken,
+    an empty ``targets.active[t]`` ends the node with no further count (see
+    ``_least_witnesses``).
+    """
     if kind == KIND_DET_TOTAL:
         raise ValueError("total DFAs are not walk-generated; no sequence stream")
     n = len(labels)
@@ -433,27 +369,89 @@ def _iter_witness_sequences(
         if q == 1:
             yield (0,)
         return
-    search = _WalkSearch(_counter(kind, q, classes.alphabet_size), labels.symbols, classes.symbols)
-    seq = search.seq
+    counts = _counter(kind, q, labels, classes)
+    advance, image, count = counts.advance, counts.image, counts.count
+    used, paired, det = counts.used, counts.paired, counts.det
+    labels_s, classes_s = labels.symbols, classes.symbols
+    admit = active = None
+    if targets is not None:
+        admit, active = targets.admit, targets.active
+    last = q - 1
+    seq = [0]
+    stack = [counts.start()]
 
-    def rec(top: int) -> Iterator[tuple[int, ...]]:
-        t = len(seq) - 1
+    def node(t: int, top: int) -> Iterator[tuple[int, ...]]:
         if t == n:
-            if top == q - 1 and search.leaf_ok():
+            if top == last and count(stack[n], seq[n]) == 1:
                 yield tuple(seq)
             return
-        if q - 1 - top > n - t:
+        if last - top > n - t:
             return
-        limit = min(top + 1, q - 1)
-        for nxt in range(limit + 1):
-            counter["nodes"] += 1
-            if counter["nodes"] > max_nodes:
-                raise BudgetExceeded(proven_lower, counter["nodes"])
-            if search.try_push(nxt):
-                yield from rec(top if nxt <= top else nxt)
-                search.pop()
+        limit = top + 1 if top < last else last
+        frm, label, cls = seq[t], labels_s[t], classes_s[t]
+        v, new_fails, reuse_fails = image(stack[t], cls, frm, label)
+        used_row, paired_row = used[label], paired[cls]
+        reused = used_row[frm]
+        cand = reused & ~reuse_fails
+        if not (det and reused):
+            cand |= ~(paired_row[frm] | new_fails)
+        cand &= (2 << limit) - 1
+        done = -1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nxt = low.bit_length() - 1
+            nodes = counter["nodes"] + nxt - done
+            if nodes > max_nodes:
+                _overrun(counter, max_nodes, proven_lower)
+            counter["nodes"] = nodes
+            done = nxt
+            new = not (reused & low)
+            if admit is not None and not admit(t, frm, nxt, new):
+                continue
+            snapshot = None
+            if new:
+                used_row[frm] |= low
+                paired_row[frm] |= low
+                i = 0
+                while i < t:
+                    if classes_s[i] != cls or not stack[i][0] >> frm & 1:
+                        i += 1
+                        continue
+                    if snapshot is None:
+                        snapshot = stack[1 : t + 1]
+                    # recount until a vector comes out as it was
+                    while i < t:
+                        w = advance(stack[i], classes_s[i], seq[i + 1])
+                        i += 1
+                        if w is None or w == stack[i]:
+                            break
+                        stack[i] = w
+                    if w is None:
+                        break
+                else:
+                    w = advance(stack[t], cls, nxt)
+            else:
+                w = v
+            if w is not None:
+                seq.append(nxt)
+                stack.append(w)
+                yield from node(t + 1, top if nxt <= top else nxt)
+                seq.pop()
+                stack.pop()
+            if new:
+                if snapshot is not None:
+                    stack[1 : t + 1] = snapshot
+                used_row[frm] ^= low
+                paired_row[frm] ^= low
+            if active is not None and not active[t]:
+                return
+        nodes = counter["nodes"] + limit - done
+        if nodes > max_nodes:
+            _overrun(counter, max_nodes, proven_lower)
+        counter["nodes"] = nodes
 
-    yield from rec(0)
+    yield from node(0, 0)
 
 
 def _empty_word_certificate(
@@ -510,7 +508,13 @@ def _complete_to_total(
     base: Nfa, n: int, counter: dict[str, int], max_nodes: int, proven_lower: int
 ) -> Nfa | None:
     """Try to fill a deterministic exact witness into a total DFA, keeping
-    exactly one accepted word of length n."""
+    exactly one accepted word of length n.
+
+    Each node of the filling counts the accepted words once. In a DFA a word
+    has one walk, so the words are counted as walks, saturated at 2, in the
+    masks ``(one, two)`` of ``_WalkCounts``. Two labels may join one pair of
+    states here, so a source also keeps the mask of the targets that two of
+    its labels reach: those get a second walk from the source's one."""
     q = base.state_count
     sigma = base.alphabet_size
     table: dict[tuple[int, int], int] = {}
@@ -519,36 +523,56 @@ def _complete_to_total(
     slots = [
         (s, a) for s in range(q) for a in range(sigma) if (s, a) not in table
     ]
-    accept = next(iter(base.accepts))
+    accept = 1 << next(iter(base.accepts))
+    # per source: the targets of its edges, and those two of its labels reach
+    targets = [0] * q
+    doubled = [0] * q
+
+    def refresh(s: int) -> None:
+        one = two = 0
+        for a in range(sigma):
+            to = table.get((s, a))
+            if to is not None:
+                two |= one & 1 << to
+                one |= 1 << to
+        targets[s] = one
+        doubled[s] = two
 
     def accepted_count() -> int:
-        v = [0] * q
-        v[base.start] = 1
+        one, two = 1 << base.start, 0
         for _ in range(n):
-            nv = [0] * q
-            for (frm, label), to in table.items():
-                if v[frm]:
-                    c = nv[to] + v[frm]
-                    nv[to] = c if c < 2 else 2
-            v = nv
-        return v[accept]
+            n1 = n2 = 0
+            while one:
+                low = one & -one
+                s = low.bit_length() - 1
+                succ = targets[s]
+                n2 |= succ if low & two else (n1 & succ) | doubled[s]
+                n1 |= succ
+                one ^= low
+            one, two = n1, n2
+        return 2 if two & accept else 1 if one & accept else 0
 
     def rec(i: int) -> bool:
         counter["nodes"] += 1
         if counter["nodes"] > max_nodes:
             raise BudgetExceeded(proven_lower, counter["nodes"])
-        if accepted_count() >= 2:
+        accepted = accepted_count()
+        if accepted >= 2:
             return False
         if i == len(slots):
-            return accepted_count() == 1
+            return accepted == 1
         slot = slots[i]
         for to in range(q):
             table[slot] = to
+            refresh(slot[0])
             if rec(i + 1):
                 return True
             del table[slot]
+            refresh(slot[0])
         return False
 
+    for s in range(q):
+        refresh(s)
     if rec(0):
         edges = frozenset((frm, label, to) for (frm, label), to in table.items())
         return Nfa(q, base.start, base.accepts, edges, sigma)
@@ -657,64 +681,68 @@ def _least_witnesses(
         raise ValueError("condition and targets must have equal length")
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
-    max_nodes = budget.max_nodes
     cap = value_cap(KIND_COND_UNIQUE, n)
     for q in range(1, cap + 1):
         if not pending:
             return found
-        search = _WalkSearch(_WalkCounts(q, condition.alphabet_size, False), y, y)
-        seq = search.seq
-        first: dict[tuple[int, int, int], int] = {}
-        # active[t]: the targets active after t steps; lists are shared
-        # along steps that drop none
-        active = [pending] * (n + 1)
-
-        def resolve(witness: tuple[int, tuple[int, ...]]) -> None:
-            for i in active[n]:
-                found[i] = witness
-            shrunk = None
-            for lst in active:
-                if lst is not shrunk:
-                    lst[:] = [i for i in lst if found[i] is None]
-                    shrunk = lst
-
-        def rec(top: int) -> None:
-            t = len(seq) - 1
-            if t == n:
-                if top == q - 1 and search.leaf_ok():
-                    resolve((q, tuple(seq)))
-                return
-            if q - 1 - top > n - t:
-                return
-            live = active[t]
-            frm, c = seq[t], y[t]
-            for nxt in range(min(top + 1, q - 1) + 1):
-                if not live:
-                    return
-                counter["nodes"] += 1
-                if counter["nodes"] > max_nodes:
-                    raise BudgetExceeded(q, counter["nodes"])
-                edge = (frm, c, nxt)
-                j = first.get(edge)
-                if j is None:
-                    kept = live
-                else:
-                    kept = [i for i in live if xs[i][t] == xs[i][j]]
-                    if not kept:
-                        continue
-                if search.try_push(nxt):
-                    if j is None:
-                        first[edge] = t
-                    active[t + 1] = kept
-                    rec(top if nxt <= top else nxt)
-                    search.pop()
-                    if j is None:
-                        del first[edge]
-
-        rec(0)
+        targets = _ActiveTargets(xs, y, found, pending)
+        for seq in _iter_witness_sequences(
+            KIND_COND_UNIQUE, condition, condition, q, counter, budget.max_nodes, q, targets
+        ):
+            targets.resolve((q, seq))
     if pending:
         raise BudgetExceeded(cap + 1, counter["nodes"])
     return found
+
+
+class _ActiveTargets:
+    """The targets of ``_least_witnesses`` still active on the prefix of one
+    level's search, as the ``targets`` hook of ``_iter_witness_sequences``.
+
+    ``active[t]`` lists the targets active after t steps; the lists are
+    shared along steps that drop none, and ``active[0]`` is the list of
+    pending targets. ``first[edge]`` is the step that put ``edge`` in use.
+    An entry outlives its edge, but it is read only while the edge is in
+    use, and the step that last added the edge wrote it.
+    """
+
+    __slots__ = ("xs", "y", "found", "active", "first")
+
+    def __init__(self, xs: list[tuple[int, ...]], y: tuple[int, ...], found: list, pending: list[int]):
+        self.xs = xs
+        self.y = y
+        self.found = found
+        self.active = [pending] * (len(y) + 1)
+        self.first: dict[tuple[int, int, int], int] = {}
+
+    def admit(self, t: int, frm: int, nxt: int, new: bool) -> bool:
+        """Take the step to ``nxt`` after t steps, keeping the targets it
+        leaves active; False when it leaves none."""
+        edge = (frm, self.y[t], nxt)
+        live = self.active[t]
+        if new:
+            self.first[edge] = t
+            self.active[t + 1] = live
+            return True
+        j = self.first[edge]
+        xs = self.xs
+        kept = [i for i in live if xs[i][t] == xs[i][j]]
+        if not kept:
+            return False
+        self.active[t + 1] = kept
+        return True
+
+    def resolve(self, witness: tuple[int, tuple[int, ...]]) -> None:
+        """Record ``witness`` for the targets active at the leaf, and drop
+        them from every active list."""
+        found = self.found
+        for i in self.active[-1]:
+            found[i] = witness
+        shrunk = None
+        for lst in self.active:
+            if lst is not shrunk:
+                lst[:] = [i for i in lst if found[i] is None]
+                shrunk = lst
 
 
 def _search_det_total(

@@ -26,7 +26,12 @@ from autocomplexity import (
     witness_at,
 )
 from autocomplexity.automata import Nfa, WitnessCertificate, walk_nfa
-from autocomplexity.complexity import _WalkSearch, _counter, _walk_words
+from autocomplexity.complexity import (
+    _iter_witness_sequences,
+    _least_witnesses,
+    _sink_completion,
+    _walk_words,
+)
 from autocomplexity.kinds import KINDS
 from autocomplexity.words import Word, induced_partition, refines, slow_words, track
 
@@ -504,8 +509,9 @@ class ReferenceWordCounts:
 
 
 class ReferenceSearch:
-    """The walk search that recounts the whole prefix on every new edge,
-    kept as the reference for ``_WalkSearch``."""
+    """The walk search that recounts the whole prefix on every new edge and
+    tries every step, kept as the reference for the level search of
+    ``_iter_witness_sequences``."""
 
     def __init__(self, counts, labels, classes):
         self.counts = counts
@@ -570,11 +576,74 @@ class ReferenceSearch:
 WALK_KINDS = (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_COND_UNIQUE, KIND_COND_EXACT)
 
 
+def reference_search(query, q):
+    """The reference search on q states for ``query``, at the empty walk."""
+    labels, classes = _walk_words(query.kind, query.target, query.condition)
+    spec = KINDS[query.kind]
+    if spec.counts == "walks":
+        reference = ReferenceWalkCounts(q, classes.alphabet_size)
+    else:
+        reference = ReferenceWordCounts(classes.alphabet_size, spec.deterministic)
+    return ReferenceSearch(reference, labels.symbols, classes.symbols)
+
+
+def reference_stream(search, n, q, counter, max_nodes):
+    """The level search on q states as a plain depth-first search over the
+    reference search: every step of a node is one node, counted before it
+    is tried, and an overrun raises at node ``max_nodes + 1`` with q as the
+    lower bound."""
+    seq = search.seq
+
+    def rec(top):
+        t = len(seq) - 1
+        if t == n:
+            if top == q - 1 and search.counts.count(search.stack[-1], seq[-1]) == 1:
+                yield tuple(seq)
+            return
+        if q - 1 - top > n - t:
+            return
+        for nxt in range(min(top + 1, q - 1) + 1):
+            counter["nodes"] += 1
+            if counter["nodes"] > max_nodes:
+                raise BudgetExceeded(q, counter["nodes"])
+            if search.try_push(nxt):
+                yield from rec(max(top, nxt))
+                search.pop()
+
+    yield from rec(0)
+
+
+def run_stream(stream):
+    """The witnesses a stream yields, its node count, and the lower bound
+    and node count of its overrun (None if it ran to the end)."""
+    counter = {"nodes": 0}
+    found = []
+    try:
+        for seq in stream(counter):
+            found.append(seq)
+    except BudgetExceeded as e:
+        return found, counter["nodes"], (e.lower_bound, e.explored)
+    return found, counter["nodes"], None
+
+
+def assert_stream_matches_the_reference(query, q, max_nodes=10**9):
+    """The loop yields the witnesses of the reference search in order, with
+    the same node count and, on an overrun, the same exception fields."""
+    labels, classes = _walk_words(query.kind, query.target, query.condition)
+    new = run_stream(lambda counter: _iter_witness_sequences(
+        query.kind, labels, classes, q, counter, max_nodes, q,
+    ))
+    ref = run_stream(lambda counter: reference_stream(
+        reference_search(query, q), len(labels), q, counter, max_nodes,
+    ))
+    assert new == ref, (query, q, max_nodes)
+
+
 @st.composite
-def push_runs(draw):
+def level_runs(draw):
     """A kind, a target (and condition) of length 1-14 on 1-3 letters, a
-    state count, and moves: 0-4 picks the state to push among those that
-    keep the sequence slow, 5 pops."""
+    state count, and a node budget: mostly 500-3000 nodes, which stops the
+    larger trees partway, and sometimes a handful."""
     kind = draw(st.sampled_from(WALK_KINDS))
     n = draw(st.integers(1, 14))
 
@@ -584,78 +653,21 @@ def push_runs(draw):
 
     x = word()
     y = word() if KINDS[kind].conditional else None
-    q = draw(st.integers(1, 5))
-    moves = draw(st.lists(st.integers(0, 5), min_size=n, max_size=60))
-    return ComplexityQuery(kind, x, y), q, moves
+    # drawn evenly: most trees on one state have a single node
+    q = draw(st.sampled_from(range(1, 6)))
+    max_nodes = draw(st.integers(500, 3000) | st.integers(0, 20))
+    return ComplexityQuery(kind, x, y), q, max_nodes
 
 
-def reference_pair(query, q):
-    """``_WalkSearch`` on q states for ``query`` and the reference search on
-    the reference counters, both at the empty walk."""
-    labels, classes = _walk_words(query.kind, query.target, query.condition)
-    spec = KINDS[query.kind]
-    if spec.counts == "walks":
-        reference = ReferenceWalkCounts(q, classes.alphabet_size)
-    else:
-        reference = ReferenceWordCounts(classes.alphabet_size, spec.deterministic)
-    new = _WalkSearch(_counter(query.kind, q, classes.alphabet_size), labels.symbols, classes.symbols)
-    return new, ReferenceSearch(reference, labels.symbols, classes.symbols)
-
-
-def assert_same(new, ref, q):
-    """Both searches hold the same sequence and the same count of every
-    state at every step."""
-    assert new.seq == ref.seq
-    for v, w in zip(new.stack, ref.stack, strict=True):
-        for state in range(q):
-            assert new.counts.count(v, state) == ref.counts.count(w, state)
-
-
-def push_both(new, ref, nxt, q):
-    """Push ``nxt`` on both searches, which must accept or reject alike and
-    then agree; True if they pushed."""
-    pushed = new.try_push(nxt)
-    assert pushed == ref.try_push(nxt), (new.seq, nxt)
-    assert_same(new, ref, q)
-    return pushed
-
-
-@given(push_runs())
+@given(level_runs())
 @settings(max_examples=300, deadline=None)
-def test_try_push_matches_the_reference_counters(run):
-    """Every push accepts or rejects as under the reference counters and the
-    full recount, and leaves the same sequence and the same counts. The
-    pushes come in any order, so a node's image serves siblings tried
-    before and after a deeper branch, and after pops to shallower depths."""
-    query, q, moves = run
-    new, ref = reference_pair(query, q)
-    n = len(query.target)
-    for move in moves:
-        if move == 5 or len(new.seq) == n + 1:
-            if len(new.seq) > 1:
-                new.pop()
-                ref.pop()
-                assert_same(new, ref, q)
-        else:
-            push_both(new, ref, move % (min(max(new.seq) + 1, q - 1) + 1), q)
-
-
-def walk_both(query, q):
-    """Take every push of the level search for ``query`` on q states on
-    both searches, in the search's order."""
-    new, ref = reference_pair(query, q)
-    n = len(query.target)
-
-    def rec(top):
-        if len(new.seq) == n + 1:
-            return
-        for nxt in range(min(top + 1, q - 1) + 1):
-            if push_both(new, ref, nxt, q):
-                rec(max(top, nxt))
-                new.pop()
-                ref.pop()
-
-    rec(0)
+def test_witness_stream_matches_the_reference_search(run):
+    """The level search on the candidate masks yields the same witnesses in
+    the same order as a depth-first search that tries every step through the
+    reference counters and the full recount, and counts the same nodes,
+    refused steps included. An overrun raises at the same node with the same
+    lower bound."""
+    assert_stream_matches_the_reference(*run)
 
 
 @pytest.mark.parametrize("x, y, q", [
@@ -667,8 +679,11 @@ def walk_both(query, q):
 def test_ternary_conditional_exact_tree_matches_the_reference(x, y, q):
     """The whole search tree of a ternary conditional-exact pair, where a
     condition class holds several labels and a word can reach several
-    states, is pushed alike under the images and the reference recount."""
-    walk_both(ComplexityQuery(KIND_COND_EXACT, Word.parse(x, 3), Word.parse(y, 3)), q)
+    states, yields the same witnesses and counts the same nodes as the
+    reference search."""
+    assert_stream_matches_the_reference(
+        ComplexityQuery(KIND_COND_EXACT, Word.parse(x, 3), Word.parse(y, 3)), q
+    )
 
 
 # compute(q).explored at the values the kernel had before bit masks and the
@@ -687,3 +702,167 @@ PINNED_EXPLORED = [
 def test_explored_pinned(kind, x, y, explored):
     query = ComplexityQuery(kind, Word.parse(x, 2), None if y is None else Word.parse(y, 2))
     assert compute(query).explored == explored
+
+
+def reference_completion(base, n):
+    """The filling of ``base`` into a total DFA as it was before it counted
+    with masks: the accepted words recounted from the transition table at
+    every node, twice at a leaf. The DFA, or None, and the nodes spent."""
+    q, sigma = base.state_count, base.alphabet_size
+    table = {(frm, label): to for frm, label, to in base.edges}
+    slots = [(s, a) for s in range(q) for a in range(sigma) if (s, a) not in table]
+    accept = next(iter(base.accepts))
+    nodes = 0
+
+    def accepted_count():
+        v = [0] * q
+        v[base.start] = 1
+        for _ in range(n):
+            nv = [0] * q
+            for (frm, label), to in table.items():
+                if v[frm]:
+                    nv[to] = min(nv[to] + v[frm], 2)
+            v = nv
+        return v[accept]
+
+    def rec(i):
+        nonlocal nodes
+        nodes += 1
+        if accepted_count() >= 2:
+            return False
+        if i == len(slots):
+            return accepted_count() == 1
+        for to in range(q):
+            table[slots[i]] = to
+            if rec(i + 1):
+                return True
+            del table[slots[i]]
+        return False
+
+    if rec(0):
+        edges = frozenset((frm, label, to) for (frm, label), to in table.items())
+        return Nfa(q, base.start, base.accepts, edges, sigma), nodes
+    return None, nodes
+
+
+def reference_levels(query):
+    """The node count at the end of each level of ``compute(query)`` with no
+    cache, as the reference search and the reference completion spend them,
+    and the witness NFA of the last level."""
+    kind, x, y = query.kind, query.target, query.condition
+    stream_query = ComplexityQuery(KIND_DET_PARTIAL, x) if kind == KIND_DET_TOTAL else query
+    labels = _walk_words(stream_query.kind, x, y)[0]
+    counter = {"nodes": 0}
+    ends = []
+    for q in itertools.count(1):
+        search = reference_search(stream_query, q)
+        witness = None
+        for seq in reference_stream(search, len(x), q, counter, 10**9):
+            if kind != KIND_DET_TOTAL:
+                witness = walk_nfa(seq, labels)
+                break
+            total, nodes = reference_completion(walk_nfa(seq, labels), len(x))
+            counter["nodes"] += nodes
+            if total is not None:
+                witness = total
+                break
+            # no total DFA on q states: a dead state completes the first walk
+            witness = witness or _sink_completion(walk_nfa(seq, labels))
+        ends.append(counter["nodes"])
+        if witness is not None:
+            return ends, witness
+
+
+@pytest.mark.parametrize("kind, x, y, explored", PINNED_EXPLORED, ids=[p[0] for p in PINNED_EXPLORED])
+def test_budget_overrun_matches_the_reference(kind, x, y, explored):
+    """A node budget below ``explored`` raises at node ``max_nodes + 1``, with
+    the level being searched there as the lower bound, for budgets at a
+    stride and on both sides of every level's end; a budget of ``explored``
+    finds the reference's witness."""
+    query = ComplexityQuery(kind, Word.parse(x, 2), None if y is None else Word.parse(y, 2))
+    ends, witness = reference_levels(query)
+    assert ends[-1] == explored
+    budgets = set(range(0, explored, max(1, explored // 40)))
+    budgets.update(end + d for end in ends for d in (-1, 0, 1))
+    for max_nodes in sorted(b for b in budgets if 0 <= b < explored):
+        with pytest.raises(BudgetExceeded) as e:
+            compute(query, Budget(max_nodes=max_nodes))
+        level = 1 + sum(end <= max_nodes for end in ends)
+        assert (e.value.explored, e.value.lower_bound) == (max_nodes + 1, level), max_nodes
+    result = compute(query, Budget(max_nodes=explored))
+    assert result.explored == explored and result.certificate.nfa == witness
+
+
+def reference_batch(condition, targets, early_return=True):
+    """``_least_witnesses`` as a plain depth-first search over the reference
+    search: the records and the nodes spent. Without ``early_return`` a node
+    whose targets have all resolved goes on counting its steps."""
+    y = condition.symbols
+    n = len(y)
+    xs = [x.symbols for x in targets]
+    found = [None] * len(xs)
+    pending = list(range(len(xs)))
+    nodes = 0
+    for q in range(1, max_complexity(n) + 1):
+        if not pending:
+            break
+        search = ReferenceSearch(ReferenceWalkCounts(q, condition.alphabet_size), y, y)
+        seq = search.seq
+        first = {}
+        active = [pending] * (n + 1)
+
+        def resolve(witness):
+            for i in active[n]:
+                found[i] = witness
+            for lst in {id(lst): lst for lst in active}.values():
+                lst[:] = [i for i in lst if found[i] is None]
+
+        def rec(top):
+            nonlocal nodes
+            t = len(seq) - 1
+            if t == n:
+                if top == q - 1 and search.counts.count(search.stack[-1], seq[-1]) == 1:
+                    resolve((q, tuple(seq)))
+                return
+            if q - 1 - top > n - t:
+                return
+            live = active[t]
+            for nxt in range(min(top + 1, q - 1) + 1):
+                if early_return and not live:
+                    return
+                nodes += 1
+                edge = (seq[t], y[t], nxt)
+                j = first.get(edge)
+                kept = live if j is None else [i for i in live if xs[i][t] == xs[i][j]]
+                if j is not None and not kept:
+                    continue
+                if search.try_push(nxt):
+                    if j is None:
+                        first[edge] = t
+                    active[t + 1] = kept
+                    rec(max(top, nxt))
+                    search.pop()
+                    if j is None:
+                        del first[edge]
+
+        rec(0)
+    return found, nodes
+
+
+@pytest.mark.parametrize("targets", [["001011"], None], ids=["one-target", "every-slow-word"])
+def test_batch_nodes_match_the_reference(targets):
+    """The batch counts the reference's nodes. Its last target resolves
+    partway through a node, whose remaining steps are not counted: without
+    that early return the reference counts more. A budget one node short
+    raises at the last node with the last level as the lower bound."""
+    condition = Word.parse("010011", 2)
+    targets = list(slow_words(6, 2)) if targets is None else [Word.parse(x, 2) for x in targets]
+    found, nodes = reference_batch(condition, targets)
+    assert nodes < reference_batch(condition, targets, early_return=False)[1]
+    counter = {"nodes": 0}
+    assert _least_witnesses(condition, targets, Budget(), counter) == found
+    assert counter["nodes"] == nodes
+    with pytest.raises(BudgetExceeded) as e:
+        _least_witnesses(condition, targets, Budget(max_nodes=nodes - 1), {"nodes": 0})
+    assert (e.value.lower_bound, e.value.explored) == (max(v for v, _ in found), nodes)
+    assert _least_witnesses(condition, targets, Budget(max_nodes=nodes), {"nodes": 0}) == found
