@@ -1,9 +1,12 @@
-"""On-disk memo for computed complexity values.
+"""On-disk memo for computed complexity values, keyed by canonical keys.
 
-One record per line, tab-separated: kind, canonical target, canonical
-condition (or "-"), value, witnessing state sequence (for det-total the
-deterministic walk its total DFA is built from). Words are written as
-digit strings when the alphabet fits (dot-separated otherwise) with an
+A key is ``complexity.canonical_key`` of a query's ``memo_key``: the kind,
+the slow target symbols and the slow condition symbols (det-total: its
+alphabet size; other unconditional kinds: None). One record per line,
+tab-separated: kind, target, condition (or "-"), value, witnessing state
+sequence (for det-total the deterministic walk its total DFA is built
+from). The words are those of ``complexity.key_query``, written as digit
+strings when the alphabet fits (dot-separated otherwise) with an
 ``@alphabet_size`` suffix; sequences are comma-separated state indices.
 
 The file is append-only; ``compact()`` rewrites it atomically. A corrupt line
@@ -19,7 +22,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .complexity import ComplexityQuery, audit_record, memo_key
+from .complexity import ComplexityQuery, audit_record, key_query, memo_key
 from .words import Word, is_slow
 
 try:
@@ -91,10 +94,12 @@ def _records(path: Path):
 
 
 class ResultCache:
-    """Memo of canonical queries -> (value, sequence), keyed by ``memo_key``.
+    """Memo of canonical keys -> (value, sequence).
 
-    Queries must already be canonical; ``complexity.compute`` normalizes
-    before calling in. With ``directory=None`` the cache is memory-only.
+    Keys must already be canonical (``complexity.canonical_key``);
+    ``complexity.compute`` builds them before calling in. A line read from
+    the file is keyed by the ``memo_key`` of its query. With
+    ``directory=None`` the cache is memory-only and formats no line.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
@@ -122,30 +127,30 @@ class ResultCache:
         for query, value, sequence, _lineno, _line in _records(path):
             self._memo[memo_key(query)] = (value, sequence)
 
-    def get(self, query) -> tuple[int, tuple[int, ...]] | None:
+    def get(self, key: tuple) -> tuple[int, tuple[int, ...]] | None:
         if not self._loaded:
             self._load()
-        return self._memo.get(memo_key(query))
+        return self._memo.get(key)
 
-    def put(self, query, value: int, sequence: tuple[int, ...]) -> None:
-        self.put_many([(query, value, sequence)])
+    def put(self, key: tuple, value: int, sequence: tuple[int, ...]) -> None:
+        self.put_many([(key, value, sequence)])
 
     def put_many(self, records) -> None:
-        """Store ``(query, value, sequence)`` records, skipping those equal to
+        """Store ``(key, value, sequence)`` records, skipping those equal to
         what the memo holds, and append their lines to the file in one write
         under one lock."""
         if not self._loaded:
             self._load()
+        path = self.path
         lines = []
-        for query, value, sequence in records:
-            key = memo_key(query)
+        for key, value, sequence in records:
             sequence = tuple(sequence)
             if self._memo.get(key) == (value, sequence):
                 continue
             self._memo[key] = (value, sequence)
-            lines.append(self._format_line(query, value, sequence))
-        path = self.path
-        if path is None or not lines:
+            if path is not None:
+                lines.append(self._format_line(key, value, sequence))
+        if not lines:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a", encoding="ascii") as fh:
@@ -157,7 +162,8 @@ class ResultCache:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
     @staticmethod
-    def _format_line(query, value: int, sequence) -> str:
+    def _format_line(key: tuple, value: int, sequence) -> str:
+        query = key_query(key)
         condition = "-" if query.condition is None else format_word(query.condition)
         seq = ",".join(str(s) for s in sequence)
         return f"{query.kind}\t{format_word(query.target)}\t{condition}\t{value}\t{seq}\n"

@@ -51,6 +51,7 @@ tables.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -70,7 +71,7 @@ from .kinds import (
     KIND_UNIQUE,
     KINDS,
 )
-from .words import Word, is_slow, slow_words, track
+from .words import Word, slow_symbols, slow_words, track
 
 COMPLEXITY_KINDS = frozenset(KINDS)
 CONDITIONAL_KINDS = frozenset(k.name for k in KINDS.values() if k.conditional)
@@ -633,21 +634,12 @@ def _least_witness(
     raise BudgetExceeded(cap + 1, counter["nodes"])
 
 
-def _search_levels(
-    kind: str, target: Word, condition: Word | None, floor: int, budget: Budget,
-    counter: dict[str, int],
-) -> tuple[int, tuple[int, ...]]:
-    """``_least_witness`` for one query: the labeled search every other route
-    to a value is checked against."""
-    return _least_witness(kind, *_walk_words(kind, target, condition), floor, budget, counter)
-
-
 def _least_witnesses(
     condition: Word, targets: list[Word], budget: Budget, counter: dict[str, int],
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """``_search_levels(KIND_COND_UNIQUE, x, condition, 1, budget, ...)`` for
-    every x of ``targets``, from one search per level over the shapes of the
-    condition word y.
+    """``_least_witness`` from 1 state for the conditional-unique kind of
+    every x of ``targets`` given ``condition``, from one search per level
+    over the shapes of the condition word y.
 
     The shapes of level q are the sequences ``_iter_witness_sequences``
     yields for the conditional-unique kind on q states with labels = classes
@@ -660,7 +652,7 @@ def _least_witnesses(
     given y therefore yields the compatible shapes of each level in this
     order. The unique kind is the one-letter condition,
     ``A(x) = A(x | 0^n)``: with y = ``Word((0,) * n, 1)`` the records are
-    those of ``_search_levels(KIND_UNIQUE, x, None, 1, ...)``.
+    those of the unique kind's ``_least_witness`` for x.
 
     The search carries the list of targets still active on the current
     prefix. A step along an edge ``(p, y_t, q)`` first used at position j
@@ -772,58 +764,12 @@ def _search_det_total(
     raise BudgetExceeded(cap + 1, counter["nodes"])
 
 
-def _slow_symbols(symbols: tuple[int, ...]) -> tuple[int, ...]:
-    """Symbols relabeled in order of first occurrence."""
-    relabel: dict[int, int] = {}
-    return tuple([relabel.setdefault(s, len(relabel)) for s in symbols])
-
-
-def _slow_word(slow: tuple[int, ...]) -> Word:
-    """The word of slow symbols over exactly the symbols used."""
-    return Word(slow, max(slow, default=0) + 1)
-
-
-def _is_slow_word(w: Word) -> bool:
-    """True iff ``w`` is slow and over exactly the symbols it uses."""
-    return is_slow(w) and w.alphabet_size == max(w.symbols, default=0) + 1
-
-
-def _canonical_part(query: ComplexityQuery, part: slice) -> ComplexityQuery:
-    """Canonical key of the query on ``symbols[part]`` of both words."""
-    condition = query.condition
-    if condition is not None:
-        condition = _slow_word(_slow_symbols(condition.symbols[part]))
-    target = _slow_word(_slow_symbols(query.target.symbols[part]))
-    if query.kind == KIND_DET_TOTAL:
-        target = Word(target.symbols, query.target.alphabet_size)
-    return ComplexityQuery(query.kind, target, condition)
-
-
-def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
-    """The cache key form: both words relabeled to their slow representatives.
-
-    Relabeling either alphabet permutes labels pointwise, and symbols that
-    never occur cannot appear on any witness edge, so shrinking to the slow
-    form over the used symbols preserves every counting discipline along with
-    the witness state sequences. det-total keeps its alphabet size: a total
-    DFA has an edge for every letter, used or not. A query already in that
-    form is returned as it is.
-    """
-    target, condition = query.target, query.condition
-    if query.kind == KIND_DET_TOTAL:
-        canonical = is_slow(target)
-    else:
-        canonical = _is_slow_word(target) and (condition is None or _is_slow_word(condition))
-    return query if canonical else _canonical_part(query, slice(None))
-
-
 def memo_key(query: ComplexityQuery) -> tuple:
-    """The flat memo key ``(kind, target symbols, condition symbols or None)``.
-
-    Alphabet sizes are left out, so the words as given and their canonical
-    forms can share one key when their symbols agree; unused letters label
-    no witness edge, so the values agree too. det-total, which takes no
-    condition, holds its alphabet size in the third place instead.
+    """The flat key ``(kind, target symbols, third)``, a query's identity in
+    the cache, the provider's memo and its batches. The third place holds
+    the condition symbols, det-total's alphabet size (a total DFA has an
+    edge for every letter, used or not) or None. Other alphabet sizes are
+    left out: unused letters label no witness edge, so they change no value.
     """
     condition = query.condition
     if condition is not None:
@@ -833,48 +779,86 @@ def memo_key(query: ComplexityQuery) -> tuple:
     return query.kind, query.target.symbols, None
 
 
-def reversal_class_key(query: ComplexityQuery) -> ComplexityQuery:
-    """The canonical key of the query or of its reversal, whichever sorts first.
-
-    Both have the same value for the reversible kinds (see ``compute``);
-    other kinds get the plain canonical key. The key names a
-    value, not a certificate: the witnesses of the two orientations differ.
-    """
-    key = canonical_query(query)
-    if not KINDS[key.kind].reversible:
-        return key
-    back = _canonical_part(key, slice(None, None, -1))
-
-    def order(q: ComplexityQuery) -> tuple:
-        return q.target.symbols, () if q.condition is None else q.condition.symbols
-
-    return min(key, back, key=order)
+# the words of key_query, shared (words are immutable) and bounded
+_used_word = functools.lru_cache(maxsize=4096)(lambda s: Word(s, max(s, default=0) + 1))
 
 
-def class_key(key: tuple) -> tuple:
-    """``memo_key(reversal_class_key(q))`` from ``key = memo_key(q)``.
-
-    The symbol tuples are relabeled to their slow forms and, for the
-    reversible kinds, so are their reversals; the smaller of the two keys
-    wins, the forward one on a tie, by the order ``reversal_class_key`` uses.
-    No ``Word`` and no query is built.
-    """
-    kind, target, third = key
-    if kind == KIND_DET_TOTAL:
-        return kind, _slow_symbols(target), third
-    forward = kind, _slow_symbols(target), None if third is None else _slow_symbols(third)
-    if not KINDS[kind].reversible:
-        return forward
-    back = kind, _slow_symbols(target[::-1]), None if third is None else _slow_symbols(third[::-1])
-    return back if back < forward else forward
-
-
-def class_query(key: tuple) -> ComplexityQuery:
-    """The canonical query whose ``memo_key`` is the class key ``key``."""
+def key_query(key: tuple) -> ComplexityQuery:
+    """The query whose ``memo_key`` is ``key``, its words over exactly the
+    symbols they use (det-total over the alphabet size the key holds)."""
     kind, target, third = key
     if kind == KIND_DET_TOTAL:
         return ComplexityQuery(kind, Word(target, third))
-    return ComplexityQuery(kind, _slow_word(target), None if third is None else _slow_word(third))
+    return ComplexityQuery(kind, _used_word(target), None if third is None else _used_word(third))
+
+
+def canonical_key(key: tuple) -> tuple:
+    """The cache key of the memo key ``key``: its symbol tuples relabeled to
+    their slow forms (``words.slow_symbols``).
+
+    Relabeling either alphabet permutes labels pointwise, and symbols that
+    never occur cannot appear on any witness edge, so the slow form over the
+    used symbols preserves every counting discipline along with the witness
+    state sequences.
+    """
+    kind, target, third = key
+    if kind in CONDITIONAL_KINDS:
+        third = slow_symbols(third)
+    return kind, slow_symbols(target), third
+
+
+def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
+    """The query of ``canonical_key``: both words relabeled to their slow
+    representatives over the symbols they use; det-total keeps its alphabet
+    size."""
+    return key_query(canonical_key(memo_key(query)))
+
+
+def _slow_forms(symbols: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The slow forms of a word's symbols and of their reversal."""
+    return slow_symbols(symbols), slow_symbols(symbols[::-1])
+
+
+# the forms of the words that class keys read, each taken once; bounded,
+# since a sampled study reads most of its words about once
+_word_forms = functools.lru_cache(maxsize=4096)(_slow_forms)
+
+
+def class_key(key: tuple) -> tuple:
+    """The key of the class of queries that share the value of ``key``, a
+    memo key or the provider's ``("track", x, y)`` for the unique kind of
+    ``track(x, y)``: the least memo key over every relabeling of each word,
+    taken separately, and for the reversible kinds over the same for the
+    reversed words.
+
+    Relabeling x alone maps the witnesses for ``C(x|y)``, ``C(y|x)``,
+    ``C(x)`` and ``C(x#y)`` one to one onto witnesses of the same size: it
+    permutes the letters of x on the edge labels, pointwise, and leaves the
+    states and walks as they are. So each distance depends on x and y only
+    up to separate relabelings, and the least relabeling of a word is its
+    slow form. det-total keeps its alphabet size. For the reversible kinds
+    ``A(w) = A(w^R)`` (see ``compute``), and the reversed key wins when it
+    sorts first, the forward one on a tie. A pair word is relabeled from
+    its letter pairs, which name the letters of ``track(x, y)`` one to one;
+    pair words are met once each, so only single words' forms are kept.
+
+    The key names a value, not a certificate: the witnesses of the two
+    orientations differ.
+    """
+    kind, target, third = key
+    forms = _word_forms
+    if kind == "track":
+        kind, target, third = KIND_UNIQUE, tuple(zip(target, third, strict=True)), None
+        forms = _slow_forms
+    fx, bx = forms(target)
+    if kind == KIND_DET_TOTAL:
+        return kind, fx, third
+    fy, by = (None, None) if third is None else forms(third)
+    forward = kind, fx, fy
+    if not KINDS[kind].reversible:
+        return forward
+    back = kind, bx, by
+    return back if back < forward else forward
 
 
 # w[:-1] and w[1:], then the same two factors reversed
@@ -882,15 +866,17 @@ _FACTORS = (slice(None, -1), slice(1, None))
 _FACTORS_BOTH_WAYS = _FACTORS + (slice(-2, None, -1), slice(None, 0, -1))
 
 
-def _factor_floor(key: ComplexityQuery, cache) -> int:
+def _factor_floor(key: tuple, cache) -> int:
     """The largest value ``cache`` holds for the two aligned factors of length
-    n - 1 of the canonical query ``key``, looked up in both orientations for
-    the reversible kinds. A factor the cache lacks, or holds above its
-    ``value_cap``, counts as 1; none is computed here."""
+    n - 1 of the canonical key ``key`` (not det-total's), looked up in both
+    orientations for the reversible kinds. A factor the cache lacks, or holds
+    above its ``value_cap``, counts as 1; none is computed here."""
+    kind, target, condition = key
     floor = 1
-    cap = value_cap(key.kind, len(key.target) - 1)
-    for part in _FACTORS_BOTH_WAYS if KINDS[key.kind].reversible else _FACTORS:
-        hit = cache.get(_canonical_part(key, part))
+    cap = value_cap(kind, len(target) - 1)
+    for part in _FACTORS_BOTH_WAYS if KINDS[kind].reversible else _FACTORS:
+        factor = kind, target[part], None if condition is None else condition[part]
+        hit = cache.get(canonical_key(factor))
         if hit is not None and floor < hit[0] <= cap:
             floor = hit[0]
     return floor
@@ -960,10 +946,10 @@ def compute(
         assert ok, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
 
-    key = canonical_query(query)
     counter = {"nodes": 0}
     floor = 1
     if cache is not None:
+        key = canonical_key(memo_key(query))
         hit = cache.get(key)
         # a value above the cap is wrong whatever its witness: search again
         if hit is not None and hit[0] <= value_cap(kind, n):

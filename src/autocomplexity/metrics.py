@@ -20,7 +20,6 @@ does not load it.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -34,16 +33,13 @@ from .complexity import (
     KIND_DET_PARTIAL,
     KIND_UNIQUE,
     Budget,
-    ComplexityQuery,
     _least_witnesses,
-    _slow_symbols,
-    _slow_word,
     class_key,
-    class_query,
     compute,
+    key_query,
     max_complexity,
 )
-from .words import Word, fractional_power, slow_words, track_symbols
+from .words import Word, fractional_power, slow_words
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,17 +62,14 @@ class MetricKind(Enum):
 class ComplexityProvider:
     """Memoized complexity values, shared across relabeling and reversal classes.
 
-    The memo is keyed on the words as given, so a repeated call costs one
-    dictionary lookup. On a miss the words are normalized to their class key
-    (``complexity.class_key``, the memo key of ``reversal_class_key``): the
-    slow canonical form, or for the unique and conditional-unique kinds the
-    canonical form of the word(s) or of their reversal, whichever sorts
-    first. ``A(w) = A(w^R)`` holds there because reversing every edge of a
-    witness and swapping its start and accept maps its accepting walks one
-    to one onto walks reading the reversed word(s).
-    ``det-partial`` keeps the plain canonical form: reversal does not keep
-    determinism. Only values are shared; ``compute`` still certifies the word
-    it is asked about.
+    The memo is keyed on the memo keys of the words as given, so a repeated
+    call costs one dictionary lookup. On a miss the key is mapped to its
+    class key (``complexity.class_key``): the slow forms of the words, and
+    for the unique and conditional-unique kinds those of the reversed words
+    when they sort first. ``det-partial`` keeps the forward form: reversal
+    does not keep determinism. The value is memoized under both keys, and
+    ``compute`` searches and certifies the class key's query
+    (``complexity.key_query``).
 
     Without a cache argument the provider keeps a memory-only
     ``ResultCache``, so that ``compute`` starts each search at the factor
@@ -99,15 +92,15 @@ class ComplexityProvider:
         self.max_nodes = max_nodes
         self._memo: dict[tuple, int] = {}
 
-    def _miss(self, key: tuple, query_key: tuple) -> int:
-        """Value of the query whose memo key (``memo_key``) is ``query_key``,
-        memoized under ``key`` and under its class key; the class query is
-        built only when the memo lacks the class."""
-        rep_key = class_key(query_key)
+    def _miss(self, key: tuple) -> int:
+        """Value of the memo key ``key``, memoized under it and under its
+        class key; the class query is built only when the memo lacks the
+        class."""
+        rep_key = class_key(key)
         value = self._memo.get(rep_key)
         if value is None:
             budget = Budget(max_nodes=self.max_nodes)
-            value = self._memo[rep_key] = compute(class_query(rep_key), budget, self.cache).value
+            value = self._memo[rep_key] = compute(key_query(rep_key), budget, self.cache).value
         self._memo[key] = value
         return value
 
@@ -117,12 +110,9 @@ class ComplexityProvider:
         ``(KIND_COND_UNIQUE, x.symbols, y.symbols)`` and
         ``("track", x.symbols, y.symbols)``.
 
-        A key's class key (``class_key``) comes from comparing the slow forms
-        of its words and of their reversals, each taken once; a pair word is
-        relabeled from its letter pairs, which name the letters of
-        ``track(x, y)`` one to one. A class the memo or the cache holds is
-        served at once. The others are grouped by condition word, the unique
-        kind's being ``0^n`` since ``A(x) = A(x | 0^n)``, and one
+        A class the memo or the cache holds (``class_key``) is served at
+        once. The others are grouped by condition word, the unique kind's
+        being ``0^n`` since ``A(x) = A(x | 0^n)``, and one
         ``_least_witnesses`` per group finds their records. These go to the
         cache in one ``put_many``, in the order ``keys`` first miss them, as
         one read per key writes them, and every value is then served by
@@ -134,46 +124,26 @@ class ComplexityProvider:
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()
         budget = Budget(max_nodes=self.max_nodes)
-        # (slow form, reversed slow form) and slow Word once per word. A
-        # missing class is kept as its key, and each key that reads it in
+        # A missing class is kept as its key, and each key that reads it in
         # `waiting`, its class key in `classes`: a query per read raised the
         # peak resident set by 8 MB at n = 8, and a (key, class key) pair per
         # read, with the pairs of `_pair_reads` in a list, by 1.5 MB
-        form = functools.cache(lambda symbols: (_slow_symbols(symbols), _slow_symbols(symbols[::-1])))
-        word = functools.cache(_slow_word)
         misses: dict[tuple, tuple] = {}  # class key -> itself, in first-miss order
         waiting: list[tuple] = []
         classes: list[tuple] = []
-
-        def query(rep_key: tuple) -> ComplexityQuery:
-            kind, target, condition = rep_key
-            return ComplexityQuery(kind, word(target), None if condition is None else word(condition))
-
         for key in keys:
             if key in memo:
                 continue
-            kind, x, y = key
-            if kind == "track":
-                # pair words are met once each: their forms are not kept
-                letters = tuple(zip(x, y, strict=True))
-                kind, fx, bx = KIND_UNIQUE, _slow_symbols(letters), _slow_symbols(letters[::-1])
-                fy = by = None
-            elif kind in (KIND_UNIQUE, KIND_COND_UNIQUE):
-                fx, bx = form(x)
-                fy, by = (None, None) if y is None else form(y)
-            else:
-                raise ValueError(f"no batch serves the kind {kind!r}")
-            forward, back = (kind, fx, fy), (kind, bx, by)
-            rep_key = back if back < forward else forward
+            if key[0] not in ("track", KIND_UNIQUE, KIND_COND_UNIQUE):
+                raise ValueError(f"no batch serves the kind {key[0]!r}")
+            rep_key = class_key(key)
             if rep_key in misses:
                 rep_key = misses[rep_key]
             else:
                 value = memo.get(rep_key)
-                if value is None:
-                    rep = query(rep_key)
-                    # compute answers the empty word with no search and no record
-                    if not fx or cache.get(rep) is not None:
-                        value = memo[rep_key] = compute(rep, budget, cache).value
+                # compute answers the empty word with no search and no record
+                if value is None and (not rep_key[1] or cache.get(rep_key) is not None):
+                    value = memo[rep_key] = compute(key_query(rep_key), budget, cache).value
                 if value is not None:
                     memo[key] = value
                     continue
@@ -181,17 +151,18 @@ class ComplexityProvider:
             waiting.append(key)
             classes.append(rep_key)
 
-        groups: dict[tuple[int, ...], list[tuple]] = {}
+        groups: dict[Word, list[tuple]] = {}  # condition -> (class key, target) pairs
         for rep_key in misses:
-            _, target, condition = rep_key
-            groups.setdefault((0,) * len(target) if condition is None else condition, []).append(rep_key)
+            query = key_query(rep_key)
+            y = Word((0,) * len(query.target), 1) if query.condition is None else query.condition
+            groups.setdefault(y, []).append((rep_key, query.target))
         found = {}
         for condition, group in groups.items():
-            targets = [word(k[1]) for k in group]
-            found.update(zip(group, _least_witnesses(word(condition), targets, budget, {"nodes": 0})))
-        cache.put_many((query(k), *found.pop(k)) for k in misses)
+            rep_keys, targets = zip(*group)
+            found.update(zip(rep_keys, _least_witnesses(condition, list(targets), budget, {"nodes": 0})))
+        cache.put_many((k, *found.pop(k)) for k in misses)
         for rep_key in misses:
-            memo[rep_key] = compute(query(rep_key), budget, cache).value
+            memo[rep_key] = compute(key_query(rep_key), budget, cache).value
         for key, rep_key in zip(waiting, classes):
             memo[key] = memo[rep_key]
 
@@ -202,19 +173,19 @@ class ComplexityProvider:
 
     def unconditional(self, x: Word) -> int:
         key = (KIND_UNIQUE, x.symbols, None)
-        return self._memo.get(key) or self._miss(key, key)
+        return self._memo.get(key) or self._miss(key)
 
     def conditional(self, x: Word, y: Word) -> int:
         key = (KIND_COND_UNIQUE, x.symbols, y.symbols)
-        return self._memo.get(key) or self._miss(key, key)
+        return self._memo.get(key) or self._miss(key)
 
     def track_value(self, x: Word, y: Word) -> int:
         key = ("track", x.symbols, y.symbols)
-        return self._memo.get(key) or self._miss(key, (KIND_UNIQUE, track_symbols(x, y), None))
+        return self._memo.get(key) or self._miss(key)
 
     def det_unconditional(self, x: Word) -> int:
         key = (KIND_DET_PARTIAL, x.symbols, None)
-        return self._memo.get(key) or self._miss(key, key)
+        return self._memo.get(key) or self._miss(key)
 
 
 def is_unit_j_distance(x: Word, y: Word, provider: ComplexityProvider) -> bool:

@@ -130,20 +130,13 @@ class Partition:
         raise IndexError(i)
 
 
-def track_symbols(x: Word, y: Word) -> tuple[int, ...]:
-    """The symbols of ``track(x, y)``: ``a * |y's alphabet| + b`` per pair
-    of letters ``(a, b)``, with no ``TrackWord`` built."""
+def track(x: Word, y: Word) -> TrackWord:
+    """Zip two equal-length words into the word of pairs ``(x_i, y_i)``."""
     if len(x) != len(y):
         raise ValueError(f"track requires equal lengths, got {len(x)} and {len(y)}")
     d = y.alphabet_size
-    return tuple([a * d + b for a, b in zip(x.symbols, y.symbols)])
-
-
-def track(x: Word, y: Word) -> TrackWord:
-    """Zip two equal-length words into the word of pairs ``(x_i, y_i)``."""
-    d = y.alphabet_size
     return TrackWord(
-        track_symbols(x, y),
+        tuple([a * d + b for a, b in zip(x.symbols, y.symbols)]),
         x.alphabet_size * d,
         first_factor_size=x.alphabet_size,
         second_factor_size=d,
@@ -159,6 +152,13 @@ def project(w: TrackWord, coordinate: int) -> Word:
     raise ValueError(f"coordinate must be 1 or 2, got {coordinate}")
 
 
+def slow_symbols(symbols: tuple) -> tuple[int, ...]:
+    """Symbols relabeled in order of first occurrence, any hashable ones
+    (a pair word's letter pairs, say) included."""
+    relabel: dict = {}
+    return tuple([relabel.setdefault(s, len(relabel)) for s in symbols])
+
+
 def slow_normalize(w: Word) -> Word:
     """Relabel symbols in order of first occurrence.
 
@@ -166,13 +166,7 @@ def slow_normalize(w: Word) -> Word:
     unique such image of w under a permutation of its alphabet, and induces
     the same position partition as w.
     """
-    relabel: dict[int, int] = {}
-    out = []
-    for s in w.symbols:
-        if s not in relabel:
-            relabel[s] = len(relabel)
-        out.append(relabel[s])
-    return Word(tuple(out), w.alphabet_size)
+    return Word(slow_symbols(w.symbols), w.alphabet_size)
 
 
 def is_slow(w: Word) -> bool:

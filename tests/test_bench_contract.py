@@ -32,7 +32,10 @@ with tracer.installed():
     # write through put_many
     provider.det_unconditional(Word.parse("01101", 2))
 layer = tracer.layer_metrics(1.0, provider.cache)
-print(json.dumps({{"names": sorted(layer), "entries": layer["cache.entries"][0], "calls": tracer.calls}}))
+print(json.dumps({{
+    "names": sorted(layer), "entries": layer["cache.entries"][0], "calls": tracer.calls,
+    "gets": layer["cache.get.calls"][0], "hits": layer["cache.get.hits"][0],
+}}))
 """
 
 LAYER_METRICS = {
@@ -71,3 +74,5 @@ def test_tracer_reaches_every_layer():
     for name in ("complexity.compute", "words.track", "cache.put", "metrics.provider"):
         assert report["calls"].get(name, 0) > 0, name
     assert report["entries"] > 0
+    # the tracer counts hits from what ResultCache.get returns for a key
+    assert report["gets"] > 0 and report["hits"] > 0

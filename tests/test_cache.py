@@ -12,12 +12,17 @@ from autocomplexity import (
 )
 from autocomplexity import cache as cache_module
 from autocomplexity.cache import format_word, parse_word
-from autocomplexity.metrics import ComplexityProvider, MetricKind, verify_metric
+from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
 from autocomplexity.words import Word
 
 
 def q_plain(text):
     return ComplexityQuery(KIND_UNIQUE, Word.parse(text, 2))
+
+
+def key(text):
+    """The cache key of the unique kind on the slow binary word ``text``."""
+    return KIND_UNIQUE, tuple(int(c) for c in text), None
 
 
 def test_word_field_round_trip():
@@ -34,20 +39,20 @@ def test_word_field_round_trip():
 
 def test_put_get_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
-    query = q_plain("0001")
-    assert cache.get(query) is None
-    cache.put(query, 2, (0, 0, 0, 0, 1))
-    assert cache.get(query) == (2, (0, 0, 0, 0, 1))
+    assert cache.get(key("0001")) is None
+    cache.put(key("0001"), 2, (0, 0, 0, 0, 1))
+    assert cache.get(key("0001")) == (2, (0, 0, 0, 0, 1))
+    assert cache.path.read_text(encoding="ascii") == "unique\t0001@2\t-\t2\t0,0,0,0,1\n"
     # a fresh instance reads the same record back from disk
     again = ResultCache(tmp_path)
-    assert again.get(query) == (2, (0, 0, 0, 0, 1))
+    assert again.get(key("0001")) == (2, (0, 0, 0, 0, 1))
 
 
 def test_put_many_opens_the_file_once(tmp_path, monkeypatch):
     records = [
-        (q_plain("0001"), 2, (0, 0, 0, 0, 1)),
-        (q_plain("01"), 2, (0, 0, 1)),
-        (ComplexityQuery(KIND_COND_UNIQUE, Word.parse("01", 2), Word.parse("00", 2)), 2, (0, 0, 1)),
+        (key("0001"), 2, (0, 0, 0, 0, 1)),
+        (key("01"), 2, (0, 0, 1)),
+        ((KIND_COND_UNIQUE, (0, 1), (0, 0)), 2, (0, 0, 1)),
     ]
     one_by_one = ResultCache(tmp_path / "single")
     for record in records:
@@ -72,16 +77,16 @@ def test_put_many_opens_the_file_once(tmp_path, monkeypatch):
 
 def test_conditional_keys_distinct(tmp_path):
     cache = ResultCache(tmp_path)
-    x, y = Word.parse("01", 2), Word.parse("00", 2)
-    cond = ComplexityQuery(KIND_COND_UNIQUE, x, y)
+    cond = KIND_COND_UNIQUE, (0, 1), (0, 0)
     cache.put(cond, 2, (0, 0, 1))
     assert cache.get(cond) == (2, (0, 0, 1))
-    assert cache.get(q_plain("01")) is None
+    assert cache.get(key("01")) is None
+    assert cache.path.read_text(encoding="ascii") == "conditional-unique\t01@2\t00@1\t2\t0,0,1\n"
 
 
 def test_corrupt_lines_skipped(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(q_plain("0001"), 2, (0, 0, 0, 0, 1))
+    cache.put(key("0001"), 2, (0, 0, 0, 0, 1))
     corrupt = [
         "completely broken line",
         "unique\t0@2\t-\tnot_an_int\t0",
@@ -102,7 +107,7 @@ def test_corrupt_lines_skipped(tmp_path):
     fresh = ResultCache(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert fresh.get(q_plain("0001")) == (2, (0, 0, 0, 0, 1))
+        assert fresh.get(key("0001")) == (2, (0, 0, 0, 0, 1))
     assert len(caught) == len(corrupt)
     assert len(fresh) == 1
     result = compute(q_plain("0010"), cache=fresh)
@@ -123,7 +128,7 @@ def test_value_above_the_cap_is_searched_again(tmp_path):
     cache = cache_holding(tmp_path / "compute", bogus)
     result = compute(q_plain("0101"), cache=cache)
     assert result.value == 2 and result.explored > 0
-    assert ResultCache(tmp_path / "compute").get(q_plain("0101"))[0] == 2  # rewritten
+    assert ResultCache(tmp_path / "compute").get(key("0101"))[0] == 2  # rewritten
     provider = ComplexityProvider(cache_holding(tmp_path / "provider", bogus))
     assert provider.unconditional(word) == 2
     metric = ComplexityProvider(cache_holding(tmp_path / "metric", bogus))
@@ -138,28 +143,38 @@ def test_compaction_dedupes(tmp_path):
     cache = ResultCache(tmp_path)
     for _ in range(3):
         fresh = ResultCache(tmp_path)
-        fresh.put(q_plain("0001"), 2, (0, 0, 0, 0, 1))
+        fresh.put(key("0001"), 2, (0, 0, 0, 0, 1))
     cache = ResultCache(tmp_path)
     cache.compact()
     with open(cache.path) as fh:
         lines = [line for line in fh if line.strip()]
     assert len(lines) == 1
-    assert ResultCache(tmp_path).get(q_plain("0001")) == (2, (0, 0, 0, 0, 1))
+    assert ResultCache(tmp_path).get(key("0001")) == (2, (0, 0, 0, 0, 1))
 
 
 def test_clear(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(q_plain("0001"), 2, (0, 0, 0, 0, 1))
+    cache.put(key("0001"), 2, (0, 0, 0, 0, 1))
     cache.clear()
     assert len(cache) == 0
     assert not cache.path.exists()
 
 
-def test_memory_only_cache():
+def test_memory_only_cache(monkeypatch):
+    # a memory-only cache stores records and formats no line
+    def no_line(*args):
+        raise AssertionError("a line was formatted for no file")
+
+    monkeypatch.setattr(ResultCache, "_format_line", staticmethod(no_line))
     cache = ResultCache(None)
-    cache.put(q_plain("0001"), 2, (0, 0, 0, 0, 1))
-    assert cache.get(q_plain("0001")) == (2, (0, 0, 0, 0, 1))
-    assert cache.path is None
+    cache.put(key("0001"), 2, (0, 0, 0, 0, 1))
+    cache.put_many([(key("01"), 2, (0, 0, 1)), ((KIND_COND_UNIQUE, (0, 1), (0, 0)), 2, (0, 0, 1))])
+    assert cache.get(key("0001")) == (2, (0, 0, 0, 0, 1))
+    assert cache.get((KIND_COND_UNIQUE, (0, 1), (0, 0))) == (2, (0, 0, 1))
+    assert len(cache) == 3 and cache.path is None
+    provider = ComplexityProvider()
+    distribution_table(4, provider)
+    assert len(provider.cache) > 0
 
 
 def test_from_environment(tmp_path, monkeypatch):

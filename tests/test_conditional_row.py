@@ -3,12 +3,18 @@ word y carries every target x still active on the current prefix, and the
 unique kind is the one-letter condition ``0^n``.
 
 The labeled search stays the reference: every value and witnessing sequence
-the batch finds must be what ``_search_levels`` from 1 state finds for that
+the batch finds must be what ``_least_witness`` from 1 state finds for that
 pair or word, with a certificate that verifies, and a provider filled by the
 batch must write the cache records, in the order, that one ``compute`` per
-first-missing class key writes. Likewise the tuple-level ``class_key`` that
-the provider and the rows use must be the memo key of ``reversal_class_key``.
+first-missing class key writes. The ``class_key`` that the provider, its
+batches and the rows use is checked against its definition, the least memo
+key over the relabelings (and reversals) of the words, and the cache file of
+a cold study against digests of the bytes it held before the keys became
+symbol tuples.
 """
+
+import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,59 +36,79 @@ from autocomplexity import (
 from autocomplexity.cache import parse_word
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
-    _canonical_part,
     _certificate_for,
+    _least_witness,
     _least_witnesses,
-    _search_levels,
     _walk_words,
+    canonical_key,
     canonical_query,
     class_key,
-    class_query,
+    key_query,
     memo_key,
-    reversal_class_key,
 )
+from autocomplexity.kinds import KINDS
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
-from autocomplexity.words import Word, slow_words, track
+from autocomplexity.words import Word, all_relabelings, slow_words, track
 
 UNCONDITIONAL = (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_DET_TOTAL)
 CONDITIONAL = (KIND_COND_UNIQUE, KIND_COND_EXACT)
 
 
-def words_of(query):
-    """The kind and the symbols and alphabet size of both words: all that a
-    key or a cache record reads (a track word may stay a ``TrackWord``)."""
-    words = (query.target, query.condition)
-    return query.kind, [None if w is None else (w.symbols, w.alphabet_size) for w in words]
+@functools.cache
+def least_relabeling(w):
+    """The relabeling of w, over its alphabet, whose symbols sort first."""
+    return min(all_relabelings(w), key=lambda r: r.symbols)
 
 
-def assert_class_key(query):
-    """``class_key`` is the memo key of ``reversal_class_key`` and names that
-    query, and ``canonical_query`` returns a canonical query as it is."""
-    rep = reversal_class_key(query)
-    key = class_key(memo_key(query))
-    assert key == memo_key(rep), query
-    assert words_of(class_query(key)) == words_of(rep)
-    assert canonical_query(rep) is rep
-    assert words_of(canonical_query(query)) == words_of(_canonical_part(query, slice(None)))
+def reverse(w):
+    return None if w is None else Word(w.symbols[::-1], w.alphabet_size)
 
 
-def queries_of(x, y):
-    """The queries of the provider and the rows on x (given y): every kind,
-    and the unique kind of the track word ``track(x, y)``."""
-    yield from (ComplexityQuery(kind, x) for kind in UNCONDITIONAL)
-    yield from (ComplexityQuery(kind, x, y) for kind in CONDITIONAL)
-    yield ComplexityQuery(KIND_UNIQUE, track(x, y))
+def least_key(kind, x, y):
+    """The least memo key of the query on x (given y) over every relabeling
+    of x and of y, taken separately. The key compares the target first and
+    the condition next, and the two are relabeled independently, so it is
+    the key of each word's least relabeling."""
+    condition = None if y is None else least_relabeling(y)
+    return memo_key(ComplexityQuery(kind, least_relabeling(x), condition))
+
+
+def defined_class_key(kind, x, y):
+    """The class key by its definition: ``least_key``, and for the
+    reversible kinds the least of it and ``least_key`` of the reversed
+    words."""
+    keys = [least_key(kind, x, y)]
+    if KINDS[kind].reversible:
+        keys.append(least_key(kind, reverse(x), reverse(y)))
+    return min(keys)
+
+
+def assert_class_key(x, y):
+    """``class_key`` meets its definition for every kind on x (given y), a
+    class key names its query, and ``canonical_key`` is the least key with
+    no reversal. The pair word's key ``("track", x, y)`` is the class key of
+    the unique kind on ``track(x, y)``."""
+    for kind in UNCONDITIONAL + CONDITIONAL:
+        condition = y if kind in CONDITIONAL else None
+        query = ComplexityQuery(kind, x, condition)
+        key = class_key(memo_key(query))
+        assert key == defined_class_key(kind, x, condition), query
+        assert memo_key(key_query(key)) == key, query
+        assert canonical_key(memo_key(query)) == least_key(kind, x, condition), query
+        assert memo_key(canonical_query(query)) == least_key(kind, x, condition), query
+    pair = class_key(("track", x.symbols, y.symbols))
+    assert pair == class_key((KIND_UNIQUE, track(x, y).symbols, None)), (x, y)
+    assert memo_key(key_query(pair)) == pair
 
 
 @pytest.mark.parametrize("letters, max_len", [(2, 7), (3, 5)])
-def test_class_key_matches_reversal_class_key(letters, max_len):
+def test_class_key_meets_its_definition(letters, max_len):
     """Every slow word and pair over ``letters`` letters up to ``max_len``."""
     for n in range(max_len + 1):
         words = list(slow_words(n, letters))
         for x in words:
             for y in words:
-                for query in queries_of(x, y):
-                    assert_class_key(query)
+                assert_class_key(x, y)
 
 
 @st.composite
@@ -103,16 +129,17 @@ def unslow_pair(draw):
 
 @given(unslow_pair())
 @settings(max_examples=300, deadline=None)
-def test_random_class_key_matches_reversal_class_key(pair):
-    for query in queries_of(*pair):
-        assert_class_key(query)
+def test_random_class_key_meets_its_definition(pair):
+    assert_class_key(*pair)
 
 
 def assert_batch_is_searched(condition, targets):
     found = _least_witnesses(condition, targets, Budget(), {"nodes": 0})
     assert len(found) == len(targets)
     for x, record in zip(targets, found):
-        searched = _search_levels(KIND_COND_UNIQUE, x, condition, 1, Budget(), {"nodes": 0})
+        searched = _least_witness(
+            KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, condition), 1, Budget(), {"nodes": 0}
+        )
         assert record == searched, (x, condition)
 
 
@@ -154,9 +181,9 @@ def test_row_records_match_compute_per_pair(tmp_path):
 
     def value(query):
         # a class the reference holds is a hit, which writes nothing
-        rep = reversal_class_key(query)
-        seen.add(memo_key(rep))
-        return compute(rep, cache=reference).value
+        key = class_key(memo_key(query))
+        seen.add(key)
+        return compute(key_query(key), cache=reference).value
 
     for n in range(7):
         ground = list(slow_words(n, 2))
@@ -173,6 +200,30 @@ def test_row_records_match_compute_per_pair(tmp_path):
     assert written.count(b"\n") == len(seen) - 1  # n = 0 writes no record
     assert written.count(b"\nunique\t") > 0
     assert written == (tmp_path / "reference" / "results.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("n, size, lines, digest", [
+    pytest.param(
+        6, 41_525, 842, "b5271e0408afb0b7d796daa33950a383686cbd14a6dae87b985992a5fca9b158", id="6",
+    ),
+    pytest.param(
+        8, 722_007, 12_586, "f8ef03712a6914ca07ae835b6c72011c05dc48ececd12ff9b8eb155e47835c57", id="8",
+        marks=pytest.mark.extended,
+    ),
+])
+def test_cold_study_cache_bytes_are_pinned(tmp_path, n, size, lines, digest):
+    """The cache file of a cold ``distribution_table(n)`` followed by
+    ``verify_metric(n, k)`` for the four kinds, on a fresh disk cache, is
+    the one written before the cache was keyed by symbol tuples: the same
+    records, in the same order, in the same format. The other cache tests
+    run both of their sides through the same key code, so only a pinned
+    digest catches a drift they share."""
+    provider = ComplexityProvider(ResultCache(tmp_path))
+    distribution_table(n, provider)
+    for kind in MetricKind:
+        verify_metric(n, kind, provider)
+    data = (tmp_path / "results.tsv").read_bytes()
+    assert (len(data), data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (size, lines, digest)
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):
@@ -199,7 +250,7 @@ def assert_record_is_searched(target, record):
     """``record`` is what the labeled unique-kind search from 1 state returns
     for ``target``, and its certificate verifies."""
     query = (KIND_UNIQUE, target, None)
-    assert record == _search_levels(*query, 1, Budget(), {"nodes": 0}), target
+    assert record == _least_witness(KIND_UNIQUE, *_walk_words(*query), 1, Budget(), {"nodes": 0}), target
     value, seq = record
     labels = _walk_words(*query)[0]
     cert = _certificate_for(*query, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
@@ -211,10 +262,10 @@ def assert_provider_records(words):
     provider = ComplexityProvider()
     provider.prefetch((KIND_UNIQUE, w.symbols, None) for w in words)
     for w in words:
-        rep = reversal_class_key(ComplexityQuery(KIND_UNIQUE, w))
-        record = provider.cache.get(rep)
+        key = class_key((KIND_UNIQUE, w.symbols, None))
+        record = provider.cache.get(key)
         assert record is not None and record[0] == provider.unconditional(w)
-        assert_record_is_searched(rep.target, record)
+        assert_record_is_searched(key_query(key).target, record)
 
 
 @st.composite
@@ -254,7 +305,7 @@ def test_budget_overrun_is_unknown_not_a_value():
     # a lone pair word is one compute miss: an overrun raises the lower bound
     # that compute proves with the same budget, and nothing is kept
     x, y = Word.parse("00100100", 2), Word.parse("00100011", 2)
-    rep = reversal_class_key(ComplexityQuery(KIND_UNIQUE, track(x, y)))
+    rep = key_query(class_key(("track", x.symbols, y.symbols)))
     with pytest.raises(BudgetExceeded) as searched:
         compute(rep, Budget(max_nodes=100))
     provider = ComplexityProvider(max_nodes=100)
