@@ -12,37 +12,35 @@ Two prunes keep the enumeration small, both sound because a partial walk's
 competitors extend along the remaining walk edges, and a third rule settles
 most steps before the counts are recounted:
 
-* exact walk/word counting is maintained incrementally; as soon as the count
-  of partial walks (or distinct words) reaching the walk's current position
-  hits 2, the branch dies. The unique kinds count walks and the exact kinds
-  words. The DFA kinds are searched by walk counts with one successor per
-  (state, label): in a DFA a word has at most one walk, so the walk counts
-  are the word counts (see ``_WalkCounts``). Their certificates are still
-  verified as exact-kind witnesses;
+* exact walk/word counting is maintained incrementally; as soon as a second
+  walk (or word) reaches the walk's current position, the branch dies. The
+  counters keep the masks of the states some walk (word) reaches, and of
+  those that one other than the walk's own walk (own word) reaches. The
+  unique kinds count walks and the exact kinds words. The DFA kinds are
+  searched by walk counts with one successor per (state, label): in a DFA a
+  word has at most one walk, so the walk counts are the word counts (see
+  ``_WalkCounts``). Their certificates are still verified as exact-kind
+  witnesses;
 * two distinct labels sharing a (from, to) pair and a condition class would
   let the final walk swap edges, so such a pair is rejected immediately;
-* the *image* of a search node, its counts one step on under the current
-  edges, is computed once and shared by every step out of it. A step along
-  an edge the walk already uses pushes the image, and dies where the image
-  holds 2. A step along a new edge dies where another walk or word already
-  arrives in the image: exactly one walk (one word u) reaches the walk's
-  position, and the new edge adds only that walk (only u followed by the
-  edge's label) to its target. Adding an edge never lowers a count, so the
-  counts that the recount of the prefix would find are at least those the
-  image was taken from, and such a step would die after the recount too.
-  The same steps survive, so the nodes and witnesses are those of the full
-  recount.
+* the *image masks* of a search node are the states that a step along a new
+  and along a reused edge cannot enter, given once by the counter and
+  shared by every step out of the node: those where a walk or word other
+  than the own one arrives under the current edges (plus, for a new edge
+  of walks, the targets of the own walk's edges). Adding an edge never
+  lowers a count, so such a step would die after the recount too, and the
+  nodes and witnesses are those of the full recount.
 
 The three bit tests of a node make one *candidate mask*, computed once per
 node from the edge tables ``used[label][frm]`` and ``paired[cls][frm]`` and the
-image (see ``_iter_witness_sequences``). Only its set bits are pushed, in
-ascending order; the refused steps between them are counted in bulk, so the
-node count, and where a budget runs out, are those of a search that tries
-every step. The pair rule refuses nothing the image does not: the target of
-a second label from the walk's position is already reached in the image by
-the one walk there (for words, by the one word u followed by that label,
-which is not u followed by the step's label). Only the walk search's new
-edges are recounted, inside the loop.
+image masks (see ``_iter_witness_sequences``). Only its set bits are pushed,
+in ascending order; the refused steps between them are counted in bulk, so
+the node count, and where a budget runs out, are those of a search that
+tries every step. The pair rule refuses nothing the image masks do not: the
+target of a second label of the class from the walk's position is reached
+by another walk, the one there followed by that label's edge (for words, by
+the own word followed by that label). Only the walk search's new edges are
+recounted, inside the loop.
 
 Deterministic-total automata are not walk-generated; they are handled by
 completing walk-generated deterministic witnesses into total transition
@@ -146,153 +144,134 @@ _SET_BITS = _SetBits()
 
 
 class _WalkCounts:
-    """Partial accepting walks per state, saturated at 2, as the pair of bit
-    masks ``(one, two)`` of the states reached by at least one and by at
-    least two walks (unique and DFA kinds). ``one`` is the mask of the states
-    reached, the first entry of the counts of either counter.
+    """The partial accepting walks as the bit masks ``(R, O)`` (unique,
+    conditional-unique and both DFA kinds): after t steps, the states some
+    walk reaches and those some walk other than the own walk s_0..s_t
+    reaches. The own position s_t is ``R & ~O``, as a second walk at s_t
+    would have pruned the node.
 
     The edge tables are the search's: ``used[label][frm]`` is the mask of
     the targets of the edges ``frm --label-->`` in use, and
     ``paired[cls][frm]`` that of the states some edge of class ``cls`` joins
     to ``frm``. Walk counts read only the classes, so ``paired`` is their
-    successor table. Each bit of it is one edge, because the pair-label
-    prune gives a pair one label per class.
+    successor table ``succ``, and each bit of it is one edge: the pair-label
+    prune gives a pair one label per class. Step t, of class c, gives::
+
+        R' = succ_c(O) | succ_c(s_t)
+        O' = succ_c(O) | (succ_c(s_t) & ~bit(s_t+1))
+
+    since each other walk extends along every edge out of its state, and the
+    own walk along every edge out of s_t but its own. One walk reaches s_t,
+    so a second walk reaches s_t+1 exactly when it is in ``succ_c(O)``: the
+    prune of a count per state, saturated at 2. The image masks are
+    ``succ_c(O) | succ_c(s_t)`` for a new edge, which brings the own walk to
+    its target on top of those there, and ``succ_c(O)`` for a reused edge,
+    whose target the own walk reaches already.
 
     A deterministic counter takes no second successor for a (state, label)
-    pair. In a DFA the words read from the start and the walks from the
-    start correspond one to one: a walk reads one word, and determinism
-    leaves each word at most one walk. So the number of walks reaching a
-    state is the number of words reaching it, and the prune and the leaf
-    test of the word counts are unchanged.
+    pair. A DFA's walks from the start and the words they read correspond
+    one to one, so its walk counts are its word counts.
     """
 
-    __slots__ = ("q", "used", "paired", "det")
+    __slots__ = ("q", "used", "paired", "steps", "det")
 
-    def __init__(self, q: int, label_count: int, class_count: int, deterministic: bool):
+    def __init__(self, q: int, labels: Word, classes: Word, deterministic: bool):
         self.q = q
-        self.used = [[0] * q for _ in range(label_count)]
-        self.paired = [[0] * q for _ in range(class_count)]
+        self.used = [[0] * q for _ in range(labels.alphabet_size)]
+        self.paired = [[0] * q for _ in range(classes.alphabet_size)]
+        # per step, the successor table of its class
+        self.steps = [self.paired[cls] for cls in classes.symbols]
         self.det = deterministic
 
     @staticmethod
     def start() -> tuple[int, int]:
-        return 1, 0  # one walk at state 0
+        return 1, 0  # the empty walk at state 0
 
-    def advance(self, v: tuple[int, int], cls: int, state: int) -> tuple[int, int] | None:
-        """The counts one step on, or None when 2 walks reach ``state``."""
-        one, two = v
-        succ = self.paired[cls]
-        n1 = n2 = 0
-        # a state gets 2 walks from a second source, or from a source with 2
-        for s in _SET_BITS[one]:
-            s = succ[s]
-            n2 |= n1 & s
-            n1 |= s
-        if two:
-            for s in _SET_BITS[two]:
-                n2 |= succ[s]
-        return None if n2 >> state & 1 else (n1, n2)
+    def advance(self, v: tuple[int, int], i: int, state: int) -> tuple[int, int] | None:
+        """The masks after step i, to ``state``, or None when a second walk
+        reaches ``state``."""
+        reached, others = v
+        succ = self.steps[i]
+        n = 0
+        for s in _SET_BITS[others]:
+            n |= succ[s]
+        if n >> state & 1:
+            return None
+        mine = succ[(reached ^ others).bit_length() - 1]
+        return n | mine, n | (mine & ~(1 << state))
 
-    def image(
-        self, v: tuple[int, int], cls: int, frm: int, label: int
-    ) -> tuple[tuple[int, int], int, int]:
-        """The counts ``(n1, n2)`` one step on from ``v`` under the current
-        edges, then the states a new edge and a reused edge out of ``frm``
-        cannot enter: ``n1`` and ``n2``. One walk is at ``frm``, and a new
-        edge carries exactly that walk to its target, so a target already
-        in ``n1`` would hold 2."""
-        # no walk reaches state q, so the step is never pruned
-        nv = self.advance(v, cls, self.q)
-        return nv, nv[0], nv[1]
-
-    @staticmethod
-    def count(v: tuple[int, int], state: int) -> int:
-        return 2 if v[1] >> state & 1 else v[0] >> state & 1
+    def image(self, v: tuple[int, int], t: int) -> tuple[int, int]:
+        """The image masks of step t, for a new and for a reused edge."""
+        reached, others = v
+        succ = self.steps[t]
+        n = 0
+        for s in _SET_BITS[others]:
+            n |= succ[s]
+        return n | succ[(reached ^ others).bit_length() - 1], n
 
 
 class _WordCounts:
-    """Distinct partial words per reachable state set (a bit mask), saturated
-    at 2 (exact kinds). The counts are ``(reached, words)``: the mask of the
-    states some word reaches, and a dict from each state set to its number
-    of words. The edge tables are the search's (see ``_WalkCounts``); a
-    class steps along the ``used`` tables of the labels it reads."""
+    """The partial words as the bit masks ``(R, W, O)`` (exact kinds): after
+    t steps, the states the own word ``labels[:t]`` reaches (W), those some
+    other word reaches (O), and ``R = W | O``; a word's letter at each step
+    is a label that the step's class reads. With l the own label of step t,
+    L the labels its class reads and d_a the successors along ``used[a]``::
 
-    __slots__ = ("q", "used", "paired", "class_labels")
+        W' = d_l(W)
+        O' = d_l(O) | union of d_a(R) over a in L, a != l
+
+    since the other words one step on are the other words followed by any
+    label of L and the own word followed by any other label, and d_a
+    distributes over union. The own word reaches s_t+1 along the own walk,
+    so a second word reaches it exactly when it is in O'. O' does not depend
+    on s_t+1, and it is both image masks: a reused edge's target the own
+    word reaches already, and a new edge ``s_t --l--> nxt`` brings only the
+    own word to ``nxt``, since no other word reaches s_t.
+    """
+
+    __slots__ = ("q", "used", "paired", "steps")
     det = False
 
     def __init__(self, q: int, labels: Word, classes: Word):
         self.q = q
         self.used = [[0] * q for _ in range(labels.alphabet_size)]
         self.paired = [[0] * q for _ in range(classes.alphabet_size)]
-        # per condition class, the successor tables of the labels it reads
         read: list[dict[int, None]] = [{} for _ in self.paired]
-        for label, cls in zip(labels.symbols, classes.symbols):
+        pairs = list(zip(labels.symbols, classes.symbols))
+        for label, cls in pairs:
             read[cls][label] = None
-        self.class_labels = [[self.used[label] for label in ls] for ls in read]
+        # per step, the successor tables of its label and of the others of its class
+        self.steps = [
+            (self.used[label], [self.used[a] for a in read[cls] if a != label])
+            for label, cls in pairs
+        ]
 
     @staticmethod
-    def start() -> tuple[int, dict[int, int]]:
-        return 1, {1: 1}  # the empty word at state 0
+    def start() -> tuple[int, int, int]:
+        return 1, 1, 0  # the empty word at state 0
 
     def advance(
-        self, v: tuple[int, dict[int, int]], cls: int, state: int
-    ) -> tuple[int, dict[int, int]] | None:
-        """The counts one step on, or None when 2 words reach ``state``."""
-        f = v[1]
-        nf: dict[int, int] = {}
-        reached = at_state = 0
-        for succ in self.class_labels[cls]:
-            for mask, cnt in f.items():
-                img = 0
-                while mask:
-                    low = mask & -mask
-                    img |= succ[low.bit_length() - 1]
-                    mask ^= low
-                if img:
-                    if img >> state & 1:
-                        at_state += cnt
-                        if at_state >= 2:
-                            return None
-                    reached |= img
-                    c = nf.get(img, 0) + cnt
-                    nf[img] = c if c < 2 else 2
-        return reached, nf
+        self, v: tuple[int, int, int], i: int, state: int
+    ) -> tuple[int, int, int] | None:
+        """The masks after step i, to ``state``, or None when a second word
+        reaches ``state``."""
+        reached, mine, others = v
+        own, rest = self.steps[i]
+        nm = no = 0
+        for s in _SET_BITS[mine]:
+            nm |= own[s]
+        for s in _SET_BITS[others]:
+            no |= own[s]
+        for succ in rest:
+            for s in _SET_BITS[reached]:
+                no |= succ[s]
+        return None if no >> state & 1 else (nm | no, nm, no)
 
-    def image(
-        self, v: tuple[int, dict[int, int]], cls: int, frm: int, label: int
-    ) -> tuple[tuple[int, dict[int, int]], int, int]:
-        """The counts one step on from ``v`` under the current edges, then
-        the states a new edge ``frm --label-->`` and a reused edge cannot
-        enter. One word u reaches ``frm``, and a new edge adds only
-        ``u label`` to its target, so it cannot enter a state that another
-        word reaches: one reached by 2 words, or by a word whose states are
-        not ``own``, the ``label`` image of u's states."""
+    def image(self, v: tuple[int, int, int], t: int) -> tuple[int, int]:
+        """The image masks of step t: O' for both."""
         # no word reaches state q, so the step is never pruned
-        nv = self.advance(v, cls, self.q)
-        any1 = any2 = 0
-        for mask, cnt in nv[1].items():
-            any2 |= mask if cnt > 1 else any1 & mask
-            any1 |= mask
-        own = 0
-        succ = self.used[label]
-        for mask in v[1]:
-            if mask >> frm & 1:
-                while mask:
-                    low = mask & -mask
-                    own |= succ[low.bit_length() - 1]
-                    mask ^= low
-                break
-        return nv, any2 | (any1 & ~own), any2
-
-    @staticmethod
-    def count(v: tuple[int, dict[int, int]], state: int) -> int:
-        total = 0
-        for mask, cnt in v[1].items():
-            if mask >> state & 1:
-                total += cnt
-                if total >= 2:
-                    return 2
-        return total
+        others = self.advance(v, t, self.q)[2]
+        return others, others
 
 
 def _counter(kind: str, q: int, labels: Word, classes: Word):
@@ -302,7 +281,7 @@ def _counter(kind: str, q: int, labels: Word, classes: Word):
     spec = KINDS[kind]
     if spec.counts == "words" and not spec.deterministic:
         return _WordCounts(q, labels, classes)
-    return _WalkCounts(q, labels.alphabet_size, classes.alphabet_size, spec.deterministic)
+    return _WalkCounts(q, labels, classes, spec.deterministic)
 
 
 def _overrun(counter: dict[str, int], max_nodes: int, proven_lower: int):
@@ -331,17 +310,17 @@ def _iter_witness_sequences(
     one prefix, and its steps are the states ``nxt`` up to ``limit`` that
     keep the sequence slow; each step is one search node of ``counter``.
 
-    At a node the counter's ``image`` of ``stack[t]`` gives the counts one
-    step on under the current edges, ``v``, and the masks ``new_fails`` and
-    ``reuse_fails`` of the states a new and a reused edge out of ``s_t``
-    cannot enter. Counts only grow as edges are added, so a state that holds
-    a second walk or word under the old counts holds it after a recount as
-    well, and such a step would die there too. A step along a second label
-    on a pair within one class would let the walk swap edges, doubling the
-    walk or the word (``new_fails`` holds its target already, see the module
-    docstring), and a DFA kind takes no new edge once ``(s_t, label)`` has
-    one. What survives these bit tests is the candidate mask, computed once
-    per node::
+    At a node the counter's ``image`` of ``stack[t]`` gives the masks
+    ``new_fails`` and ``reuse_fails`` of the states a new and a reused edge
+    out of ``s_t`` cannot enter under the current edges. Counts only grow
+    as edges are added, so a state that holds a second walk or word under
+    the old counts holds it after a recount as well, and such a step would
+    die there too. A step along a second label on a pair within one class
+    would let the walk swap edges, doubling the walk or the word
+    (``new_fails`` holds its target already, see the module docstring), and
+    a DFA kind takes no new edge once ``(s_t, label)`` has one. What
+    survives these bit tests is the candidate mask, computed once per
+    node::
 
         (used & ~reuse_fails) | ~(paired | new_fails)   up to bit limit
 
@@ -349,13 +328,15 @@ def _iter_witness_sequences(
     The loop visits its set bits in ascending order and counts the refused
     steps between them in bulk, so ``counter["nodes"]`` is at every step what
     a count of one node per step would be, and an overrun raises
-    ``BudgetExceeded`` with ``max_nodes + 1`` nodes. A reused edge pushes
-    ``v``. A new edge ``(s_t, label, nxt)`` of class ``cls`` can change
-    ``stack[i + 1]`` only at a step i of class ``cls`` whose counts reach
-    ``s_t``, so the prefix is recounted from the first such step; where a
-    recounted vector comes out as it was, the steps up to the next one that
-    can take the edge keep theirs too. The prefix is restored if the recount
-    prunes, and when the step is popped.
+    ``BudgetExceeded`` with ``max_nodes + 1`` nodes. A step pushes the
+    counter's ``advance`` of ``stack[t]`` to ``nxt``. A new edge
+    ``(s_t, label, nxt)`` of class ``cls`` can change ``stack[i + 1]`` only
+    at a step i of class ``cls`` whose counts reach ``s_t`` (in
+    ``stack[i][0]``), so the prefix is recounted first, from the first such
+    step; where a recounted vector comes out as it was, the steps up to the
+    next one that can take the edge keep theirs too. The prefix is restored
+    if the recount prunes, and when the step is popped. A leaf on q states
+    is a witness: its last push left one walk or word at the accept.
 
     ``targets``, if given, filters the steps: ``targets.admit(t, frm, nxt,
     new)`` is asked about every step that survives the bit tests, after it
@@ -371,7 +352,7 @@ def _iter_witness_sequences(
             yield (0,)
         return
     counts = _counter(kind, q, labels, classes)
-    advance, image, count = counts.advance, counts.image, counts.count
+    advance, image = counts.advance, counts.image
     used, paired, det = counts.used, counts.paired, counts.det
     labels_s, classes_s = labels.symbols, classes.symbols
     admit = active = None
@@ -383,14 +364,14 @@ def _iter_witness_sequences(
 
     def node(t: int, top: int) -> Iterator[tuple[int, ...]]:
         if t == n:
-            if top == last and count(stack[n], seq[n]) == 1:
+            if top == last:
                 yield tuple(seq)
             return
         if last - top > n - t:
             return
         limit = top + 1 if top < last else last
         frm, label, cls = seq[t], labels_s[t], classes_s[t]
-        v, new_fails, reuse_fails = image(stack[t], cls, frm, label)
+        new_fails, reuse_fails = image(stack[t], t)
         used_row, paired_row = used[label], paired[cls]
         reused = used_row[frm]
         cand = reused & ~reuse_fails
@@ -411,6 +392,7 @@ def _iter_witness_sequences(
             if admit is not None and not admit(t, frm, nxt, new):
                 continue
             snapshot = None
+            w = stack[t]
             if new:
                 used_row[frm] |= low
                 paired_row[frm] |= low
@@ -423,17 +405,15 @@ def _iter_witness_sequences(
                         snapshot = stack[1 : t + 1]
                     # recount until a vector comes out as it was
                     while i < t:
-                        w = advance(stack[i], classes_s[i], seq[i + 1])
+                        w = advance(stack[i], i, seq[i + 1])
                         i += 1
                         if w is None or w == stack[i]:
                             break
                         stack[i] = w
                     if w is None:
                         break
-                else:
-                    w = advance(stack[t], cls, nxt)
-            else:
-                w = v
+            if w is not None:
+                w = advance(stack[t], t, nxt)
             if w is not None:
                 seq.append(nxt)
                 stack.append(w)
@@ -512,10 +492,13 @@ def _complete_to_total(
     exactly one accepted word of length n.
 
     Each node of the filling counts the accepted words once. In a DFA a word
-    has one walk, so the words are counted as walks, saturated at 2, in the
-    masks ``(one, two)`` of ``_WalkCounts``. Two labels may join one pair of
-    states here, so a source also keeps the mask of the targets that two of
-    its labels reach: those get a second walk from the source's one."""
+    has one walk, so the words are counted as walks from the start,
+    saturated at 2, as the masks ``(one, two)`` of the states at least one
+    and at least two walks of each length reach. A state gets a second walk
+    from a second source, or from a source with two. Two labels may join one
+    pair of states here, so a source also keeps the mask of the targets that
+    two of its labels reach: those get a second walk from the source's
+    one."""
     q = base.state_count
     sigma = base.alphabet_size
     table: dict[tuple[int, int], int] = {}

@@ -84,13 +84,21 @@ class ComplexityProvider:
 
     ``prefetch`` memoizes many unique and conditional-unique values with one
     batch search per condition word, which ``max_nodes`` bounds; a single
-    miss goes to ``compute``.
+    miss goes to ``compute``. ``nodes`` is the total of the search nodes
+    that the batches and the ``compute`` calls have spent.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
         self.cache = cache if cache is not None else ResultCache()
         self.max_nodes = max_nodes
+        self.nodes = 0
         self._memo: dict[tuple, int] = {}
+
+    def _compute(self, key: tuple, budget: Budget, cache: ResultCache) -> int:
+        """The value of ``key`` by ``compute``, its nodes added to ``nodes``."""
+        result = compute(key_query(key), budget, cache)
+        self.nodes += result.explored
+        return result.value
 
     def _miss(self, key: tuple) -> int:
         """Value of the memo key ``key``, memoized under it and under its
@@ -100,7 +108,7 @@ class ComplexityProvider:
         value = self._memo.get(rep_key)
         if value is None:
             budget = Budget(max_nodes=self.max_nodes)
-            value = self._memo[rep_key] = compute(key_query(rep_key), budget, self.cache).value
+            value = self._memo[rep_key] = self._compute(rep_key, budget, self.cache)
         self._memo[key] = value
         return value
 
@@ -143,7 +151,7 @@ class ComplexityProvider:
                 value = memo.get(rep_key)
                 # compute answers the empty word with no search and no record
                 if value is None and (not rep_key[1] or cache.get(rep_key) is not None):
-                    value = memo[rep_key] = compute(key_query(rep_key), budget, cache).value
+                    value = memo[rep_key] = self._compute(rep_key, budget, cache)
                 if value is not None:
                     memo[key] = value
                     continue
@@ -157,12 +165,14 @@ class ComplexityProvider:
             y = Word((0,) * len(query.target), 1) if query.condition is None else query.condition
             groups.setdefault(y, []).append((rep_key, query.target))
         found = {}
+        counter = {"nodes": 0}
         for condition, group in groups.items():
             rep_keys, targets = zip(*group)
-            found.update(zip(rep_keys, _least_witnesses(condition, list(targets), budget, {"nodes": 0})))
+            found.update(zip(rep_keys, _least_witnesses(condition, list(targets), budget, counter)))
+        self.nodes += counter["nodes"]
         cache.put_many((k, *found.pop(k)) for k in misses)
         for rep_key in misses:
-            memo[rep_key] = compute(key_query(rep_key), budget, cache).value
+            memo[rep_key] = self._compute(rep_key, budget, cache)
         for key, rep_key in zip(waiting, classes):
             memo[key] = memo[rep_key]
 
@@ -416,6 +426,13 @@ def verify_metric(
     over every ordered triple, comparing reals within the tolerance. The
     distances are those of ``metric_value``, entry for entry
     (``_distance_matrix``).
+
+    Identity holds for every n and alphabet: ``A(x|y) = 1`` exactly when x
+    is a letter-to-letter image of y. A one-state witness reads y along one
+    loop per condition letter, which fixes the target letter of each, and
+    those loops witness every such image. So ``A(x|y) = A(y|x) = 1`` (a
+    ``jnum`` or ``jnum-max`` of 0) holds only when x and y are relabelings
+    of each other, which share one slow word.
     """
     import numpy as np
 

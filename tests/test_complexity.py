@@ -27,6 +27,7 @@ from autocomplexity import (
 )
 from autocomplexity.automata import Nfa, WitnessCertificate, walk_nfa
 from autocomplexity.complexity import (
+    _counter,
     _iter_witness_sequences,
     _least_witnesses,
     _sink_completion,
@@ -585,6 +586,138 @@ def reference_search(query, q):
     else:
         reference = ReferenceWordCounts(classes.alphabet_size, spec.deterministic)
     return ReferenceSearch(reference, labels.symbols, classes.symbols)
+
+
+@st.composite
+def counter_walks(draw):
+    """A walk kind, q states, and a walk s_0..s_n with the labels and
+    classes of its steps, plus a few extra edges labeled with the walk's
+    labels. A label reads one class, and the edges keep the search's rules:
+    one label per (from, to, class) and, for the DFA kinds, one target per
+    (from, label). A walk that finds no step within those rules stops
+    there."""
+    kind = draw(st.sampled_from(WALK_KINDS))
+    spec = KINDS[kind]
+    q = draw(st.integers(1, 5))
+    class_count = draw(st.integers(1, 3)) if spec.conditional else 1
+    letters = draw(st.integers(1, 3))
+    edges = {}  # (from, to, class) -> label
+
+    def fits(frm, label, to):
+        cls = label // letters
+        if edges.get((frm, to, cls), label) != label:
+            return False
+        return not spec.deterministic or all(
+            t == to for (f, t, c), a in edges.items() if (f, a) == (frm, label)
+        )
+
+    seq, labels = [0], []
+    for _ in range(draw(st.integers(1, 10))):
+        label = draw(st.integers(0, class_count * letters - 1))
+        allowed = [to for to in range(q) if fits(seq[-1], label, to)]
+        if not allowed:
+            break
+        to = draw(st.sampled_from(allowed))
+        edges[(seq[-1], to, label // letters)] = label
+        seq.append(to)
+        labels.append(label)
+    for _ in range(draw(st.integers(0, 6)) if labels else 0):
+        frm, to = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+        label = draw(st.sampled_from(labels))
+        if fits(frm, label, to):
+            edges[(frm, to, label // letters)] = label
+    classes = [label // letters for label in labels]
+    edge_list = [(frm, label, to) for (frm, to, _), label in edges.items()]
+    return kind, q, seq, Word(tuple(labels), class_count * letters), Word(tuple(classes), class_count), edge_list
+
+
+def _counters(kind, q, labels, classes, edges):
+    """The search's counter and the reference counter of ``kind`` on the
+    same edges."""
+    spec = KINDS[kind]
+    counts = _counter(kind, q, labels, classes)
+    if spec.counts == "walks":
+        reference = ReferenceWalkCounts(q, classes.alphabet_size)
+    else:
+        reference = ReferenceWordCounts(classes.alphabet_size, spec.deterministic)
+    cls_of = dict(zip(labels.symbols, classes.symbols))
+    for frm, label, to in edges:
+        _toggle(counts, frm, label, to, cls_of[label])
+        assert reference.add_edge(frm, label, to, cls_of[label])
+    return counts, reference
+
+
+def _toggle(counts, frm, label, to, cls):
+    counts.used[label][frm] ^= 1 << to
+    counts.paired[cls][frm] ^= 1 << to
+
+
+def _prefix(counts, seq, t, advance):
+    """The vectors along ``seq[:t + 1]``, or None where a step dies."""
+    stack = [counts.start()]
+    for i in range(t):
+        v = advance(stack[i], i, seq[i + 1])
+        if v is None:
+            return None
+        stack.append(v)
+    return stack
+
+
+@given(counter_walks())
+@settings(max_examples=300, deadline=None)
+def test_counters_decide_as_the_reference_counters(walk):
+    """At every step of a walk, the counter of the level search refuses the
+    steps the reference counter refuses, ``R`` is the set of states the
+    reference reaches (the recount trigger), and the image masks hold
+    exactly the targets the reference refuses among those the loop tests
+    them on: ``reuse_fails`` on the targets of edges in use from s_t with
+    the step's label, ``new_fails`` on the targets of a new edge, with the
+    reference stepping from the prefix counts kept before the edge."""
+    kind, q, seq, labels, classes, edges = walk
+    counts, reference = _counters(kind, q, labels, classes, edges)
+    label_s, class_s = labels.symbols, classes.symbols
+
+    def ref_advance(v, i, state):
+        return reference.advance(v, class_s[i], state)
+
+    def reached(r):
+        if isinstance(r, list):
+            return sum(1 << s for s, x in enumerate(r) if x)
+        return functools.reduce(int.__or__, r, 0)
+
+    ours, theirs = [counts.start()], [reference.start()]
+    for t in range(len(seq) - 1):
+        v, r = ours[t], theirs[t]
+        assert v[0] == reached(r), (walk, t)
+        frm, label, cls = seq[t], label_s[t], class_s[t]
+        new_fails, reuse_fails = counts.image(v, t)
+        reused = counts.used[label][frm]
+        for nxt in range(q):
+            if reused >> nxt & 1:
+                dies = ref_advance(r, t, nxt) is None
+                assert (reuse_fails >> nxt & 1) == dies, (walk, t, nxt)
+                assert (counts.advance(v, t, nxt) is None) == dies, (walk, t, nxt)
+                continue
+            if counts.paired[cls][frm] >> nxt & 1 or (counts.det and reused):
+                continue
+            _toggle(counts, frm, label, nxt, cls)
+            reference.add_edge(frm, label, nxt, cls)
+            assert (new_fails >> nxt & 1) == (ref_advance(r, t, nxt) is None), (walk, t, nxt)
+            # after the recount of the prefix under the new edge
+            stack = _prefix(counts, seq, t, counts.advance)
+            ref_stack = _prefix(reference, seq, t, ref_advance)
+            assert (stack is None) == (ref_stack is None), (walk, t, nxt)
+            if stack is not None:
+                dies = ref_advance(ref_stack[t], t, nxt) is None
+                assert (counts.advance(stack[t], t, nxt) is None) == dies, (walk, t, nxt)
+            _toggle(counts, frm, label, nxt, cls)
+            reference.remove_edge(frm, label, nxt, cls)
+        w, rw = counts.advance(v, t, seq[t + 1]), ref_advance(r, t, seq[t + 1])
+        assert (w is None) == (rw is None), (walk, t)
+        if w is None:
+            break
+        ours.append(w)
+        theirs.append(rw)
 
 
 def reference_stream(search, n, q, counter, max_nodes):

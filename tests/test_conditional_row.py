@@ -246,6 +246,36 @@ def test_row_budget_overrun_writes_nothing(tmp_path):
             assert provider.conditional(x, y) == want
 
 
+def test_provider_counts_the_nodes_of_its_batches_and_misses(monkeypatch):
+    """``provider.nodes`` after ``distribution_table(6)`` is the sum of the
+    nodes each batch spends when searched again alone, and a miss adds the
+    nodes of its ``compute``."""
+    from autocomplexity import metrics
+
+    batches = []
+
+    def recording(condition, targets, budget, counter):
+        batches.append((condition, list(targets)))
+        return _least_witnesses(condition, targets, budget, counter)
+
+    monkeypatch.setattr(metrics, "_least_witnesses", recording)
+    provider = ComplexityProvider()
+    distribution_table(6, provider)
+    assert batches
+    alone = []
+    for condition, targets in batches:
+        counter = {"nodes": 0}
+        _least_witnesses(condition, targets, Budget(), counter)
+        alone.append(counter["nodes"])
+    assert provider.nodes == sum(alone) > 0
+    # no factor of x is cached, so the miss searches its class from 1 state
+    x = Word.parse("1101001100101100", 2)
+    searched = compute(key_query(class_key((KIND_UNIQUE, x.symbols, None)))).explored
+    before = provider.nodes
+    provider.unconditional(x)
+    assert provider.nodes - before == searched > 0
+
+
 def assert_record_is_searched(target, record):
     """``record`` is what the labeled unique-kind search from 1 state returns
     for ``target``, and its certificate verifies."""
