@@ -11,7 +11,9 @@ strings when the alphabet fits (dot-separated otherwise) with an
 
 The file is append-only; ``compact()`` rewrites it atomically. A corrupt line
 is skipped with a warning, never served. A hit is served once its witness
-re-verifies; ``audit()`` also proves every record minimal.
+re-verifies, or, for the unique kinds, once it lies on a walk shape that a
+full check on the same cache object proved; ``audit()`` checks every line
+in full and also proves every record minimal.
 """
 
 from __future__ import annotations
@@ -100,12 +102,21 @@ class ResultCache:
     ``complexity.compute`` builds them before calling in. A line read from
     the file is keyed by the ``memo_key`` of its query. With
     ``directory=None`` the cache is memory-only and formats no line.
+
+    ``shapes`` holds proofs, not values: the ``(kind, condition symbols or
+    None, sequence)`` shapes of the unique kinds whose walk NFA a full
+    certificate check of a hit passed on this object
+    (``complexity._hit_certificate``), so that a later hit on the same
+    shape is checked in O(n). It starts empty, is never written to the file
+    and is not read by ``audit``. A proof rests on no record, so ``clear``
+    keeps it.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = Path(directory) if directory is not None else None
         self._memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._loaded = self.directory is None
+        self.shapes: set[tuple] = set()
 
     @classmethod
     def from_environment(cls, override: str | None = None) -> ResultCache | None:

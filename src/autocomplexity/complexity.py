@@ -485,6 +485,55 @@ def _record_certificate(
     return cert, None
 
 
+def _hit_certificate(
+    cache, key: tuple, value: int, sequence: tuple[int, ...], target: Word, condition: Word | None,
+    labels: Word, classes: Word, counter: dict[str, int], max_nodes: int,
+) -> WitnessCertificate | None:
+    """The certificate of the record ``(value, sequence)`` that ``cache``
+    holds for the canonical key ``key``, when the record may be served;
+    else None. ``target``, ``condition``, ``labels`` and ``classes`` are
+    the words of the query asked (``_walk_words``).
+
+    Each record of a kind that counts walks (unique, conditional-unique) is
+    checked once per *shape*, ``(kind, condition symbols, sequence)``. The
+    shapes whose walk NFA a full ``_record_certificate`` has passed are kept
+    in ``cache.shapes``. A record on a known shape is served once the
+    target is constant on the shape's *step partition*, in which positions
+    i and j share a class when ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``
+    (y is ``classes``, ``0^n`` for the unique kind), and its walk NFA has
+    ``value`` states. That holds exactly when the NFA has one edge per
+    class. Any other record is checked in full and, when it passes, adds
+    its shape.
+
+    Why one proof per shape suffices. Let ``M_x``, the walk NFA of the
+    sequence reading ``track(y, x)`` (x for the unique kind), verify. Then
+    x is constant on the step partition: otherwise two parallel edges would
+    give two walks. Let x' be constant on it too. The map
+    ``(s_i, (y_i, x_i), s_i+1) -> (s_i, (y_i, x'_i), s_i+1)`` is then a
+    bijection of the edges that keeps their endpoints and first
+    coordinates. So the walks that read y (for the unique kind, all walks)
+    correspond one to one, ``M_x'`` has exactly one, and it is the walk
+    that generates ``M_x'`` and spells x'. ``M_x'`` verifies, on the states
+    of the sequence. The exact and DFA kinds are excluded: their checks
+    count words, which depend on labels beyond the step partition.
+    """
+    kind = key[0]
+    shape = (kind, key[2], sequence) if KINDS[kind].counts == "walks" else None
+    if shape is not None and shape in cache.shapes:
+        nfa = walk_nfa(sequence, labels)
+        steps = set(zip(sequence, classes.symbols, sequence[1:]))
+        if nfa.state_count == value and len(nfa.edges) == len(steps):
+            return WitnessCertificate(
+                kind=kind, target=target, condition=condition, nfa=nfa, claimed_states=value
+            )
+    cert, _why = _record_certificate(
+        kind, target, condition, labels, value, sequence, counter, max_nodes
+    )
+    if cert is not None and shape is not None:
+        cache.shapes.add(shape)
+    return cert
+
+
 def _complete_to_total(
     base: Nfa, n: int, counter: dict[str, int], max_nodes: int, proven_lower: int
 ) -> Nfa | None:
@@ -782,11 +831,14 @@ def canonical_key(key: tuple) -> tuple:
     Relabeling either alphabet permutes labels pointwise, and symbols that
     never occur cannot appear on any witness edge, so the slow form over the
     used symbols preserves every counting discipline along with the witness
-    state sequences.
+    state sequences. A condition already in slow form is kept as the same
+    object, so the walk shapes a cache keeps (``_hit_certificate``) share
+    the condition tuples of the queries' words.
     """
     kind, target, third = key
     if kind in CONDITIONAL_KINDS:
-        third = slow_symbols(third)
+        slow = slow_symbols(third)
+        third = third if slow == third else slow
     return kind, slow_symbols(target), third
 
 
@@ -852,16 +904,20 @@ _FACTORS_BOTH_WAYS = _FACTORS + (slice(-2, None, -1), slice(None, 0, -1))
 def _factor_floor(key: tuple, cache) -> int:
     """The largest value ``cache`` holds for the two aligned factors of length
     n - 1 of the canonical key ``key`` (not det-total's), looked up in both
-    orientations for the reversible kinds. A factor the cache lacks, or holds
-    above its ``value_cap``, counts as 1; none is computed here."""
+    orientations for the reversible kinds. A factor the cache lacks, holds
+    above its ``value_cap``, or holds on a record that ``_hit_certificate``
+    refuses counts as 1; none is computed here."""
     kind, target, condition = key
     floor = 1
     cap = value_cap(kind, len(target) - 1)
     for part in _FACTORS_BOTH_WAYS if KINDS[kind].reversible else _FACTORS:
-        factor = kind, target[part], None if condition is None else condition[part]
-        hit = cache.get(canonical_key(factor))
+        factor = canonical_key((kind, target[part], None if condition is None else condition[part]))
+        hit = cache.get(factor)
         if hit is not None and floor < hit[0] <= cap:
-            floor = hit[0]
+            query = key_query(factor)
+            words = query.target, query.condition, *_walk_words(kind, query.target, query.condition)
+            if _hit_certificate(cache, factor, *hit, *words, {"nodes": 0}, DEFAULT_MAX_NODES):
+                floor = hit[0]
     return floor
 
 
@@ -881,9 +937,20 @@ def compute(
     looked up in both orientations for the reversible kinds. A factor the
     cache lacks counts as 1 and is never computed here. Levels below the
     floor hold no witness, so the value and the certificate are the ones a
-    search from 1 finds. The floor trusts cached values exactly as a cache
-    hit already does: the hit re-verifies its witness, but its minimality,
-    like the floor's, rests on the value having been searched for. Only
+    search from 1 finds.
+
+    A hit, and each factor record before it raises the floor, is checked by
+    ``_hit_certificate``: its certificate is rebuilt and verified, or, for
+    the unique and conditional-unique kinds, it lies on a walk shape that a
+    full verification on the same cache object proved and its target is
+    constant on that shape's step partition (the proof is in the
+    ``_hit_certificate`` docstring). A record that fails is neither served
+    nor used as a floor; the query is searched and its record rewritten.
+    Under ``budget.max_states`` a hit is checked first, and only a record
+    that passes answers "above the allowance" with
+    ``BudgetExceeded(max_states + 1, 0)``. The floor thus trusts cached
+    values exactly as a cache hit does: the witness is verified, but its
+    minimality rests on the value having been searched for. Only
     ``autocomplexity cache audit`` (``audit_record``) proves it. A cache file
     holding just the line ``unique 0000@1 - 3 0,1,2,2,2`` (fields separated
     by tabs) is served as ``A(0000) = 3`` with 0 nodes, since that 3-state
@@ -937,13 +1004,13 @@ def compute(
         # a value above the cap is wrong whatever its witness: search again
         if hit is not None and hit[0] <= value_cap(kind, n):
             value, seq = hit
-            if budget.max_states is not None and value > budget.max_states:
-                # the true value is known and provably beyond the allowance
-                raise BudgetExceeded(budget.max_states + 1, 0)
-            cert, _why = _record_certificate(
-                kind, target, condition, labels, value, seq, counter, budget.max_nodes
+            cert = _hit_certificate(
+                cache, key, value, seq, target, condition, labels, classes, counter, budget.max_nodes
             )
             if cert is not None:
+                if budget.max_states is not None and value > budget.max_states:
+                    # the served value is beyond the allowance
+                    raise BudgetExceeded(budget.max_states + 1, 0)
                 return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
         if n >= 2 and kind != KIND_DET_TOTAL:
             floor = _factor_floor(key, cache)

@@ -80,7 +80,10 @@ class ComplexityProvider:
     fresh last state) keeps the search within one level of it; ``compute``
     gives the three proofs in full. The floor trusts cached values exactly
     as a cache hit does. Setting ``cache`` to None later is allowed: the
-    values then come from searches from 1 state.
+    values then come from searches from 1 state. The cache's ``shapes``
+    hold proofs, not values: the walk shapes that a full certificate check
+    of a hit passed, so that the hits of the unique kinds on a proven shape
+    are checked in O(n). They live and end with the cache object.
 
     ``prefetch`` memoizes many unique and conditional-unique values with one
     batch search per condition word, which ``max_nodes`` bounds; a single
@@ -124,7 +127,8 @@ class ComplexityProvider:
         ``_least_witnesses`` per group finds their records. These go to the
         cache in one ``put_many``, in the order ``keys`` first miss them, as
         one read per key writes them, and every value is then served by
-        ``compute`` as a re-verified hit. No factor floor is used: its cache
+        ``compute`` as a checked hit: re-verified, or on a walk shape that
+        a full verification on the same cache proved. No factor floor is used: its cache
         lookups cost more time than the nodes it saved. A node-budget overrun
         raises ``BudgetExceeded`` before any record is written. Without a
         cache a throwaway memory cache is used.

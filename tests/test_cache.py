@@ -5,12 +5,16 @@ import pytest
 from autocomplexity import (
     KIND_COND_UNIQUE,
     KIND_UNIQUE,
+    Budget,
+    BudgetExceeded,
     ComplexityQuery,
     ResultCache,
     compute,
+    value_at_most,
     verify_certificate,
 )
 from autocomplexity import cache as cache_module
+from autocomplexity import complexity as complexity_module
 from autocomplexity.cache import format_word, parse_word
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
 from autocomplexity.words import Word
@@ -137,6 +141,97 @@ def test_value_above_the_cap_is_searched_again(tmp_path):
     # nor is it a floor for the words that hold 0101 as a factor
     floor = cache_holding(tmp_path / "floor", bogus)
     assert compute(q_plain("01010"), cache=floor).value == compute(q_plain("01010")).value
+
+
+# a 1-state walk is no witness for 0101, and the value is 2, not 3
+FAILING_0101 = "unique\t0101@2\t-\t3\t0,0,0,0,0\n"
+
+
+def test_max_states_hit_is_verified_before_it_is_answered(tmp_path):
+    cache = cache_holding(tmp_path / "forged", [FAILING_0101])
+    assert value_at_most(q_plain("0101"), 2, cache) == 2
+    # a record that verifies still answers "above the allowance" unsearched
+    valid = ResultCache(tmp_path / "valid")
+    value = compute(q_plain("0010"), cache=valid).value
+    assert value == 3
+    with pytest.raises(BudgetExceeded) as e:
+        compute(q_plain("0010"), Budget(max_states=2), ResultCache(tmp_path / "valid"))
+    assert (e.value.lower_bound, e.value.explored) == (3, 0)
+
+
+def test_factor_floor_reads_only_verified_records(tmp_path):
+    cache = cache_holding(tmp_path / "cache", [FAILING_0101])
+    result = compute(q_plain("01010"), cache=cache)
+    assert result.value == 2 and verify_certificate(result.certificate)[0]
+    lines = cache.path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == FAILING_0101.strip()
+    assert [line.split("\t")[:4] for line in lines[1:]] == [["unique", "01010@2", "-", "2"]]
+
+
+def line_query(kind, target, condition):
+    """The query of a cache line's kind and word fields."""
+    return ComplexityQuery(kind, parse_word(target), None if condition == "-" else parse_word(condition))
+
+
+# a first line on a walk, then a line on the same walk that must not be
+# served from the shape the first one proved, if it proved one
+@pytest.mark.parametrize("first, forged, first_holds", [
+    pytest.param(
+        # the one-state loop spells only constant words
+        ("unique", "0000@1", "-", "1", "0,0,0,0,0"),
+        ("unique", "0101@2", "-", "1", "0,0,0,0,0"),
+        True,
+        id="target-not-constant-on-the-partition",
+    ),
+    pytest.param(
+        # a walk that enters state 1 at any of 3 steps witnesses no word
+        ("unique", "000@1", "-", "2", "0,0,1,1"),
+        ("unique", "001@2", "-", "2", "0,0,1,1"),
+        False,
+        id="shape-whose-check-failed",
+    ),
+    pytest.param(
+        # the walk reads 012 once, but 000 three times
+        ("conditional-unique", "000@1", "012@3", "2", "0,0,1,1"),
+        ("conditional-unique", "001@2", "000@1", "2", "0,0,1,1"),
+        True,
+        id="same-walk-other-condition",
+    ),
+    pytest.param(
+        # the walk is a witness on 1 state, not 2
+        ("conditional-unique", "00@1", "01@2", "1", "0,0,0"),
+        ("conditional-unique", "01@2", "01@2", "2", "0,0,0"),
+        True,
+        id="value-not-the-state-count",
+    ),
+])
+def test_forged_lines_on_a_known_shape_are_searched_again(tmp_path, first, forged, first_holds):
+    cache = cache_holding(tmp_path / "cache", ["\t".join(first) + "\n", "\t".join(forged) + "\n"])
+    served = compute(line_query(*first[:3]), cache=cache)
+    assert (served.explored == 0 and str(served.value) == first[3]) == first_holds
+    query = line_query(*forged[:3])
+    result = compute(query, cache=cache)
+    searched = compute(query)
+    assert result.explored > 0 and verify_certificate(result.certificate)[0]
+    assert (result.value, result.certificate) == (searched.value, searched.certificate)
+
+
+def test_audit_checks_every_line_in_full(tmp_path, monkeypatch):
+    """``cache audit`` checks each line as a hit with no shape known, even
+    on a cache object whose hits have proven every shape of the file."""
+    cache = ResultCache(tmp_path)
+    distribution_table(5, ComplexityProvider(cache))
+    served = ComplexityProvider(cache)
+    distribution_table(5, served)
+    assert 0 < len(cache.shapes) < len(cache)
+    checked = []
+    real = complexity_module.verify_certificate
+    monkeypatch.setattr(
+        complexity_module, "verify_certificate", lambda cert: checked.append(cert) or real(cert)
+    )
+    reasons = [reason for _lineno, _line, reason in cache.audit()]
+    assert reasons == [None] * len(cache)
+    assert len(checked) == len(cache)
 
 
 def test_compaction_dedupes(tmp_path):

@@ -34,11 +34,13 @@ from autocomplexity import (
     verify_certificate,
 )
 from autocomplexity.cache import parse_word
+from autocomplexity import complexity as complexity_module
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
     _certificate_for,
     _least_witness,
     _least_witnesses,
+    _record_certificate,
     _walk_words,
     canonical_key,
     canonical_query,
@@ -224,6 +226,40 @@ def test_cold_study_cache_bytes_are_pinned(tmp_path, n, size, lines, digest):
         verify_metric(n, kind, provider)
     data = (tmp_path / "results.tsv").read_bytes()
     assert (len(data), data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (size, lines, digest)
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 8), (3, 5)])
+def test_shape_hits_serve_the_full_check_certificates(letters, max_len, monkeypatch):
+    """Once the rows' hits have proven their walk shapes, every record of
+    the rows n <= ``max_len`` (unique and conditional-unique kinds) is
+    served again with no certificate check, and the value and certificate
+    served are those of the full check of its record."""
+    provider = ComplexityProvider()
+    keys = set()
+    for n in range(1, max_len + 1):
+        ground = list(slow_words(n, letters))
+        provider.prefetch((KIND_UNIQUE, x.symbols, None) for x in ground)
+        provider.conditional_row(ground)
+        keys.update(class_key((KIND_UNIQUE, x.symbols, None)) for x in ground)
+        keys.update(class_key((KIND_COND_UNIQUE, x.symbols, y.symbols)) for y in ground for x in ground)
+    cache = provider.cache
+    assert len(cache.shapes) < len(keys) == len(cache)
+    checked = []
+    real = complexity_module.verify_certificate
+    monkeypatch.setattr(
+        complexity_module, "verify_certificate", lambda cert: checked.append(cert) or real(cert)
+    )
+    served = {key: compute(key_query(key), cache=cache) for key in sorted(keys)}
+    assert not checked
+    for key, result in served.items():
+        query = key_query(key)
+        value, seq = cache.get(key)
+        labels = _walk_words(query.kind, query.target, query.condition)[0]
+        cert, why = _record_certificate(
+            query.kind, query.target, query.condition, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES
+        )
+        assert why is None, key
+        assert (result.value, result.certificate, result.explored) == (value, cert, 0), key
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):

@@ -365,24 +365,42 @@ def test_triangle_sweep_builds_no_cube():
     assert peak < 4 * 2**20
 
 
+def axiom_violation_counts(n: int, provider: ComplexityProvider) -> dict:
+    """(identity, symmetry, triangle) violation counts of each metric kind
+    over the binary slow words of length n."""
+    counts = {}
+    for kind in MetricKind:
+        report = verify_metric(n, kind, provider)
+        counts[kind] = tuple(
+            len(v)
+            for v in (report.identity_violations, report.symmetry_violations, report.triangle_violations)
+        )
+    return counts
+
+
 @pytest.mark.extended
 def test_metric_axioms_at_length_nine():
     # jnum, jnum-max and j pass every axiom at n = 9; jmax breaks the
     # triangle inequality 64 times (28 at n = 8)
     provider = ComplexityProvider()
     distribution_table(9, provider)
-    counts = {}
-    for kind in MetricKind:
-        report = verify_metric(9, kind, provider)
-        counts[kind] = tuple(
-            len(v)
-            for v in (report.identity_violations, report.symmetry_violations, report.triangle_violations)
-        )
-    assert counts == {
+    assert axiom_violation_counts(9, provider) == {
         MetricKind.J_NUM: (0, 0, 0),
         MetricKind.J_NUM_MAX: (0, 0, 0),
         MetricKind.J: (0, 0, 0),
         MetricKind.J_MAX: (0, 0, 64),
+    }
+
+
+@pytest.mark.extended
+def test_metric_axioms_at_length_ten():
+    # the 512 slow words of length 10: jnum, jnum-max and j still pass every
+    # axiom, and jmax breaks the triangle inequality 884 times
+    assert axiom_violation_counts(10, ComplexityProvider()) == {
+        MetricKind.J_NUM: (0, 0, 0),
+        MetricKind.J_NUM_MAX: (0, 0, 0),
+        MetricKind.J: (0, 0, 0),
+        MetricKind.J_MAX: (0, 0, 884),
     }
 
 
