@@ -7,7 +7,8 @@ this package only distinguishes 0, 1, and "2 or more".
 Conditional counting treats the NFA's alphabet as a product alphabet whose
 first factor is a condition alphabet: a label encodes the pair
 ``(condition_symbol, target_symbol)`` as ``condition_symbol * target_size +
-target_symbol``.
+target_symbol``. The unconditional counts are the conditional ones given
+the one-letter word ``0^n``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kinds import KINDS
+from .kinds import KIND_DET_TOTAL, KINDS
 from .words import ParseError, Word
 
 SUBSET_STATE_LIMIT = 24
@@ -90,25 +91,14 @@ def _saturating(a: int, b: int, cap: int) -> int:
 
 
 def count_accepting_walks(m: Nfa, n: int, cap: int = 2) -> CountResult:
-    """Count length-n walks from the start to an accept state.
+    """Count length-n walks from the start to an accept state: the walks
+    given the one-letter condition ``0^n``, over which the NFA's alphabet is
+    the pair alphabet.
 
     Parallel edges (same endpoints, different labels) count separately; the
     labels themselves are otherwise ignored.
     """
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    v = [0] * m.state_count
-    v[m.start] = 1
-    for _ in range(n):
-        nv = [0] * m.state_count
-        for frm, _label, to in m.edges:
-            if v[frm]:
-                nv[to] = _saturating(nv[to], v[frm], cap)
-        v = nv
-    total = 0
-    for q in m.accepts:
-        total = _saturating(total, v[q], cap)
-    return CountResult(total, cap)
+    return count_walks_given_projection(m, Word((0,) * n, 1), cap)
 
 
 def accepts_word(m: Nfa, w: Word) -> bool:
@@ -121,12 +111,13 @@ def accepts_word(m: Nfa, w: Word) -> bool:
     return bool(current & m.accepts)
 
 
-def _count_distinct_words(m: Nfa, steps: list[list[int]], cap: int) -> CountResult:
-    """Count distinct accepted words whose label at step i lies in steps[i].
+def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
+    """Count distinct accepted words whose first coordinate spells y.
 
     Runs the subset construction forward to find reachable state sets, then
     counts distinct accepted suffixes backward, which also yields the unique
-    word when the count is exactly 1.
+    word when the count is exactly 1. The reconstruction is that word's
+    second projection.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
@@ -135,7 +126,9 @@ def _count_distinct_words(m: Nfa, steps: list[list[int]], cap: int) -> CountResu
             f"subset construction limited to {SUBSET_STATE_LIMIT} states, "
             f"got {m.state_count}"
         )
-    n = len(steps)
+    second = _split_product_alphabet(m, y.alphabet_size)
+    n = len(y)
+    steps = [range(c * second, (c + 1) * second) for c in y.symbols]
     by_label: dict[int, list[tuple[int, int]]] = {}
     for frm, label, to in m.edges:
         by_label.setdefault(label, []).append((frm, to))
@@ -192,16 +185,16 @@ def _count_distinct_words(m: Nfa, steps: list[list[int]], cap: int) -> CountResu
                     chosen = (label, img)
                     break
             assert chosen is not None
-            syms.append(chosen[0])
+            syms.append(chosen[0] % second)
             mask = chosen[1]
-        reconstruction = Word(tuple(syms), m.alphabet_size)
+        reconstruction = Word(tuple(syms), second)
     return CountResult(total, cap, reconstruction)
 
 
 def count_accepted_words(m: Nfa, n: int, cap: int = 2) -> CountResult:
-    """Count distinct words of length n in L(M)."""
-    all_labels = list(range(m.alphabet_size))
-    return _count_distinct_words(m, [all_labels] * n, cap)
+    """Count distinct words of length n in L(M): the words given the
+    one-letter condition ``0^n``."""
+    return count_words_given_projection(m, Word((0,) * n, 1), cap)
 
 
 def _split_product_alphabet(m: Nfa, condition_alphabet: int) -> int:
@@ -257,50 +250,22 @@ def count_walks_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     return CountResult(total, cap, reconstruction)
 
 
-def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
-    """Count distinct accepted words whose first coordinate spells y.
-
-    The reconstruction, when the count is 1, is the second projection of the
-    unique accepted word.
-    """
-    second = _split_product_alphabet(m, y.alphabet_size)
-    steps = [[c * second + d for d in range(second)] for c in y.symbols]
-    result = _count_distinct_words(m, steps, cap)
-    if result.reconstruction is not None:
-        projected = Word(tuple(s % second for s in result.reconstruction.symbols), second)
-        result = CountResult(result.count, result.cap, projected)
-    return result
-
-
 def product_project(m1: Nfa, m2: Nfa) -> Nfa:
-    """The label-erasing product: pair states, keep the second coordinate only.
-
-    m1 runs over pair labels (b, a) and m2 over the b's; the product has an
-    edge ((q,q'), a, (r,r')) whenever m1 has (q, (b,a), r) and m2 has (q', b, r')
-    for some b.
-    """
-    second = _split_product_alphabet(m1, m2.alphabet_size)
-
-    def idx(q1: int, q2: int) -> int:
-        return q1 * m2.state_count + q2
-
-    edges = set()
-    for frm1, label, to1 in m1.edges:
-        b, a = divmod(label, second)
-        for frm2, label2, to2 in m2.edges:
-            if label2 == b:
-                edges.add((idx(frm1, frm2), a, idx(to1, to2)))
-    return Nfa(
-        m1.state_count * m2.state_count,
-        idx(m1.start, m2.start),
-        frozenset(idx(f1, f2) for f1 in m1.accepts for f2 in m2.accepts),
-        frozenset(edges),
-        second,
-    )
+    """The label-erasing product: ``product_track`` with each pair label
+    (b, a) cut to its second coordinate a."""
+    pairs = product_track(m1, m2)
+    second = m1.alphabet_size // m2.alphabet_size
+    edges = frozenset((frm, label % second, to) for frm, label, to in pairs.edges)
+    return Nfa(pairs.state_count, pairs.start, pairs.accepts, edges, second)
 
 
 def product_track(m1: Nfa, m2: Nfa) -> Nfa:
-    """The pair-keeping product: like product_project but labels stay (b, a)."""
+    """The pair-keeping product: pair states, keep the pair labels.
+
+    m1 runs over pair labels (b, a) and m2 over the b's; the product has an
+    edge ((q,q'), (b,a), (r,r')) whenever m1 has (q, (b,a), r) and m2 has
+    (q', b, r').
+    """
     second = _split_product_alphabet(m1, m2.alphabet_size)
 
     def idx(q1: int, q2: int) -> int:
@@ -407,53 +372,35 @@ class WitnessCertificate:
 
 
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, str]:
-    """Check that the certificate's NFA proves its claim; returns (ok, why)."""
+    """Check that the certificate's NFA proves its claim; returns (ok, why).
+
+    Every kind is checked in its conditional form: a certificate of an
+    unconditional kind for x is one for x given the one-letter word ``0^n``,
+    over which its alphabet is the pair alphabet, since ``A(x) = A(x | 0^n)``.
+    The kind's ``counts`` says what must be single: the accepting walks
+    whose first coordinate spells the condition, or the accepted words that
+    do. That one walk or word must spell the target. The deterministic kinds
+    also allow one successor per (state, label), and det-total needs one.
+    """
+    kind = KINDS[cert.kind]
     m = cert.nfa
-    n = len(cert.target)
-    kind = cert.kind
-
-    def exact_check() -> tuple[bool, str]:
-        r = count_accepted_words(m, n)
-        if r.count != 1:
-            return False, f"distinct accepted word count is {r.count}, want 1"
-        if r.reconstruction != cert.target:
-            return False, "the single accepted word is not the target"
-        return True, "ok"
-
-    if kind == "unique":
-        if not accepts_word(m, cert.target):
-            return False, "target is not accepted"
-        r = count_accepting_walks(m, n)
-        if r.count != 1:
-            return False, f"accepting walk count is {r.count}, want 1"
-        return True, "ok"
-    if kind == "exact":
-        return exact_check()
-    if kind == "conditional-unique":
-        r = count_walks_given_projection(m, cert.condition)
-        if r.count != 1:
-            return False, f"condition-consistent walk count is {r.count}, want 1"
-        if r.reconstruction != cert.target:
-            return False, "the unique walk does not spell the target"
-        return True, "ok"
-    if kind == "conditional-exact":
-        r = count_words_given_projection(m, cert.condition)
-        if r.count != 1:
-            return False, f"condition-consistent word count is {r.count}, want 1"
-        if r.reconstruction != cert.target:
-            return False, "the unique accepted word does not spell the target"
-        return True, "ok"
-    if kind == "det-partial":
+    if kind.deterministic:
         if not is_deterministic(m):
             return False, "automaton is not deterministic"
-        return exact_check()
-    if kind == "det-total":
-        if not is_deterministic(m):
-            return False, "automaton is not deterministic"
-        if not is_total(m):
+        if kind.name == KIND_DET_TOTAL and not is_total(m):
             return False, "automaton is not total"
-        return exact_check()
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    condition = cert.condition
+    if condition is None:
+        condition = Word((0,) * len(cert.target), 1)
+    if kind.counts == "walks":
+        r, what = count_walks_given_projection(m, condition), "walk"
+    else:
+        r, what = count_words_given_projection(m, condition), "word"
+    if r.count != 1:
+        return False, f"condition-consistent {what} count is {r.count}, want 1"
+    if r.reconstruction != cert.target:
+        return False, f"the single condition-consistent {what} does not spell the target"
+    return True, "ok"
 
 
 def to_dot(m: Nfa, second_factor_size: int | None = None) -> str:

@@ -435,48 +435,29 @@ def _iter_witness_sequences(
     yield from node(0, 0)
 
 
-def _empty_word_certificate(
-    kind: str, target: Word, condition: Word | None, labels: Word
-) -> WitnessCertificate:
-    if kind == KIND_DET_TOTAL:
-        edges = frozenset((0, a, 0) for a in range(labels.alphabet_size))
-        nfa = Nfa(1, 0, frozenset({0}), edges, labels.alphabet_size)
-    else:
-        nfa = walk_nfa([0], Word((), labels.alphabet_size))
-    return WitnessCertificate(kind=kind, target=target, condition=condition, nfa=nfa, claimed_states=1)
-
-
-def _certificate_for(
-    kind: str, target: Word, condition: Word | None, labels: Word, value: int,
-    sequence: tuple[int, ...], counter: dict[str, int], max_nodes: int,
-) -> WitnessCertificate | None:
-    """The certificate of a (value, sequence) record: the walk NFA of the
-    sequence reading ``labels``, or for det-total the total DFA
-    ``_total_dfa`` builds from it (None if there is none)."""
-    nfa = walk_nfa(sequence, labels)
-    if kind == KIND_DET_TOTAL:
-        nfa = _total_dfa(nfa, value, len(target), counter, max_nodes)
-        if nfa is None:
-            return None
-    return WitnessCertificate(
-        kind=kind,
-        target=target,
-        condition=condition,
-        nfa=nfa,
-        claimed_states=nfa.state_count,
-    )
-
-
 def _record_certificate(
     kind: str, target: Word, condition: Word | None, labels: Word, value: int,
-    sequence: tuple[int, ...], counter: dict[str, int], max_nodes: int,
+    sequence: tuple[int, ...], counter: dict[str, int], max_nodes: int, nfa: Nfa | None = None,
 ) -> tuple[WitnessCertificate | None, str | None]:
-    """``(certificate, None)`` for a cached ``(value, sequence)`` record whose
-    certificate (``_certificate_for``) is built, verifies and has ``value``
-    states, else ``(None, reason)``."""
-    cert = _certificate_for(kind, target, condition, labels, value, sequence, counter, max_nodes)
-    if cert is None:
-        return None, f"no total DFA on {value} states is built from the walk"
+    """``(certificate, None)`` for the record ``(value, sequence)`` of a query
+    reading ``labels`` (``_walk_words``) when its certificate is built,
+    verifies and has ``value`` states, else ``(None, reason)``.
+
+    The certificate is the walk NFA of the sequence. For det-total it is
+    ``nfa``, the total DFA the search completed, or else the one
+    ``_total_dfa`` builds from the walk NFA, counting its nodes in
+    ``counter``. The empty word's record is ``(1, (0,))``: one state, no
+    edges, and for det-total a loop per letter.
+    """
+    if nfa is None:
+        nfa = walk_nfa(sequence, labels)
+        if kind == KIND_DET_TOTAL:
+            nfa = _total_dfa(nfa, value, len(target), counter, max_nodes)
+            if nfa is None:
+                return None, f"no total DFA on {value} states is built from the walk"
+    cert = WitnessCertificate(
+        kind=kind, target=target, condition=condition, nfa=nfa, claimed_states=nfa.state_count
+    )
     ok, why = verify_certificate(cert)
     if not ok:
         return None, f"the certificate fails: {why}"
@@ -631,11 +612,12 @@ def _total_dfa(
     """A total DFA on ``value`` states from the deterministic witness ``base``:
     ``base`` filled in when ``value`` is its state count, ``base`` plus one
     dead state when ``value`` is one more; None otherwise or if no filling
-    keeps a single accepted word."""
+    keeps a single accepted word. A record proves no lower bound, so a
+    filling that runs out of nodes raises ``BudgetExceeded(1)``."""
     if value == base.state_count + 1:
         return _sink_completion(base)
     if value == base.state_count:
-        return _complete_to_total(base, n, counter, max_nodes, value)
+        return _complete_to_total(base, n, counter, max_nodes, 1)
     return None
 
 
@@ -785,7 +767,7 @@ def _search_det_total(
         ):
             if first is None:
                 first = seq
-            total = _total_dfa(walk_nfa(seq, target), q, n, counter, budget.max_nodes)
+            total = _complete_to_total(walk_nfa(seq, target), n, counter, budget.max_nodes, q)
             if total is not None:
                 return q, seq, total
         if first is not None:
@@ -959,7 +941,9 @@ def compute(
     value above ``value_cap`` is never served nor used as a floor; the query
     is searched again and its record rewritten. det-total
     always starts at 1; its cache record keeps the deterministic walk its
-    total DFA was built from, and a hit builds that DFA again.
+    total DFA was built from, and a hit builds that DFA again. A hit's
+    check proves no lower bound, so a node-budget overrun there raises
+    ``BudgetExceeded(1)`` (``_record_certificate``).
 
     The bounds behind the floor, for walk-generated witnesses (one start, one
     accept, the edges of one accepting walk):
@@ -990,13 +974,13 @@ def compute(
     n = len(target)
     labels, classes = _walk_words(kind, target, condition)
 
+    counter = {"nodes": 0}
     if n == 0:
-        cert = _empty_word_certificate(kind, target, condition, labels)
-        ok, why = verify_certificate(cert)
-        assert ok, why
+        # the empty word's record; det-total's loops are filled in, not searched
+        cert, why = _record_certificate(kind, target, condition, labels, 1, (0,), counter, DEFAULT_MAX_NODES)
+        assert why is None, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
 
-    counter = {"nodes": 0}
     floor = 1
     if cache is not None:
         key = canonical_key(memo_key(query))
@@ -1017,16 +1001,13 @@ def compute(
             if budget.max_states is not None and floor > budget.max_states:
                 raise BudgetExceeded(floor, 0)
 
+    nfa = None
     if kind == KIND_DET_TOTAL:
         value, seq, nfa = _search_det_total(target, classes, budget, counter)
-        cert = WitnessCertificate(kind=kind, target=target, nfa=nfa, claimed_states=value)
     else:
         value, seq = _least_witness(kind, labels, classes, floor, budget, counter)
-        cert = _certificate_for(
-            kind, target, condition, labels, value, seq, counter, budget.max_nodes
-        )
-    ok, why = verify_certificate(cert)
-    assert ok, why
+    cert, why = _record_certificate(kind, target, condition, labels, value, seq, counter, budget.max_nodes, nfa)
+    assert why is None, why
     if cache is not None:
         cache.put(key, value, seq)
     return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
@@ -1083,9 +1064,9 @@ def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX
     for seq in _iter_witness_sequences(
         query.kind, labels, classes, states, counter, max_nodes, states
     ):
-        return _certificate_for(
+        return _record_certificate(
             query.kind, query.target, query.condition, labels, states, seq, counter, max_nodes
-        )
+        )[0]
     return None
 
 

@@ -23,6 +23,7 @@ from autocomplexity.automata import (
     verify_certificate,
     walk_nfa,
 )
+from autocomplexity.kinds import KINDS
 from autocomplexity.words import ParseError, Word, track
 
 
@@ -284,6 +285,115 @@ def test_verify_certificate_kinds():
         kind="conditional-unique", target=y, condition=y, nfa=diag, claimed_states=1
     )
     assert verify_certificate(self_cond)[0]
+
+
+def reference_verify(cert: WitnessCertificate) -> tuple[bool, str]:
+    """The six-branch check that ``verify_certificate`` replaced, kept as the
+    reference it is compared against: one branch per kind name, with the
+    unconditional kinds counted apart from the conditional ones."""
+    m = cert.nfa
+    n = len(cert.target)
+    kind = cert.kind
+
+    def exact_check() -> tuple[bool, str]:
+        r = count_accepted_words(m, n)
+        if r.count != 1:
+            return False, f"distinct accepted word count is {r.count}, want 1"
+        if r.reconstruction != cert.target:
+            return False, "the single accepted word is not the target"
+        return True, "ok"
+
+    if kind == "unique":
+        if not accepts_word(m, cert.target):
+            return False, "target is not accepted"
+        r = count_accepting_walks(m, n)
+        if r.count != 1:
+            return False, f"accepting walk count is {r.count}, want 1"
+        return True, "ok"
+    if kind == "exact":
+        return exact_check()
+    if kind == "conditional-unique":
+        r = count_walks_given_projection(m, cert.condition)
+        if r.count != 1:
+            return False, f"condition-consistent walk count is {r.count}, want 1"
+        if r.reconstruction != cert.target:
+            return False, "the unique walk does not spell the target"
+        return True, "ok"
+    if kind == "conditional-exact":
+        r = count_words_given_projection(m, cert.condition)
+        if r.count != 1:
+            return False, f"condition-consistent word count is {r.count}, want 1"
+        if r.reconstruction != cert.target:
+            return False, "the unique accepted word does not spell the target"
+        return True, "ok"
+    if kind == "det-partial":
+        if not is_deterministic(m):
+            return False, "automaton is not deterministic"
+        return exact_check()
+    if kind == "det-total":
+        if not is_deterministic(m):
+            return False, "automaton is not deterministic"
+        if not is_total(m):
+            return False, "automaton is not total"
+        return exact_check()
+    raise ValueError(f"unknown certificate kind {kind!r}")
+
+
+def enumerated_runs(m: Nfa, condition: Word) -> list[tuple[int, ...]]:
+    """The second coordinates read by each accepting walk whose first
+    coordinate spells ``condition``, one entry per walk, by enumeration."""
+    second = m.alphabet_size // condition.alphabet_size
+    walks = [(m.start, ())]
+    for c in condition.symbols:
+        walks = [
+            (to, read + (label % second,))
+            for at, read in walks
+            for frm, label, to in m.edges
+            if frm == at and label // second == c
+        ]
+    return [read for at, read in walks if at in m.accepts]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_verify_certificate_matches_the_reference(data):
+    """On random NFAs (1-4 states, 1-3 letters per factor, n <= 6) every
+    kind's check agrees with ``reference_verify``, and the projection
+    counts with an enumeration of the walks."""
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    conditional = KINDS[kind].conditional
+    a = data.draw(st.integers(1, 3))
+    b = data.draw(st.integers(1, 3)) if conditional else 1
+    n = data.draw(st.integers(0, 6))
+    q = data.draw(st.integers(1, 4))
+    state, letter = st.integers(0, q - 1), st.integers(0, a - 1)
+    condition = Word(tuple(data.draw(st.integers(0, b - 1)) for _ in range(n)), b)
+    target = Word(tuple(data.draw(letter) for _ in range(n)), a)
+    edges = set(data.draw(st.frozensets(st.tuples(state, st.integers(0, a * b - 1), state), max_size=8)))
+    accepts = set(data.draw(st.frozensets(state, max_size=q)))
+    if data.draw(st.booleans()):
+        # the target is read along a random walk, whose edges join the NFA
+        walk = [0] + [data.draw(state) for _ in range(n)]
+        edges |= {(walk[i], condition[i] * a + target[i], walk[i + 1]) for i in range(n)}
+        accepts.add(walk[-1])
+    if KINDS[kind].deterministic and data.draw(st.booleans()):
+        # one successor per (state, label), and for det-total every one
+        table = {(frm, label): to for frm, label, to in sorted(edges)}
+        if kind == "det-total":
+            for s in range(q):
+                for label in range(a * b):
+                    table.setdefault((s, label), data.draw(state))
+        edges = {(frm, label, to) for (frm, label), to in table.items()}
+    m = Nfa(q, 0, frozenset(accepts), frozenset(edges), a * b)
+    cert = WitnessCertificate(kind, target, m, q, condition if conditional else None)
+    assert verify_certificate(cert)[0] == reference_verify(cert)[0]
+    runs = enumerated_runs(m, condition)
+    walks = count_walks_given_projection(m, condition)
+    assert walks.count == min(len(runs), 2)
+    assert walks.reconstruction == (Word(runs[0], a) if len(runs) == 1 else None)
+    words = count_words_given_projection(m, condition)
+    assert words.count == min(len(set(runs)), 2)
+    assert words.reconstruction == (Word(runs[0], a) if len(set(runs)) == 1 else None)
 
 
 def test_verify_certificate_det_kinds():

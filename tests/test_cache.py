@@ -4,6 +4,7 @@ import pytest
 
 from autocomplexity import (
     KIND_COND_UNIQUE,
+    KIND_DET_TOTAL,
     KIND_UNIQUE,
     Budget,
     BudgetExceeded,
@@ -157,6 +158,20 @@ def test_max_states_hit_is_verified_before_it_is_answered(tmp_path):
     with pytest.raises(BudgetExceeded) as e:
         compute(q_plain("0010"), Budget(max_states=2), ResultCache(tmp_path / "valid"))
     assert (e.value.lower_bound, e.value.explored) == (3, 0)
+
+
+def test_det_total_hit_check_proves_no_lower_bound(tmp_path):
+    # the 3-state walk completes to a total DFA on 3 states, but det-total
+    # 01 has value 2: a hit check that runs out of nodes while completing
+    # the record has proven only the bound 1, not the record's value
+    forged = ["det-total\t01@2\t-\t3\t0,1,2\n"]
+    query = ComplexityQuery(KIND_DET_TOTAL, Word.parse("01", 2))
+    with pytest.raises(BudgetExceeded) as e:
+        value_at_most(query, 2, cache_holding(tmp_path / "at-most", forged), max_nodes=1)
+    assert e.value.lower_bound == 1
+    with pytest.raises(BudgetExceeded) as e:
+        compute(query, Budget(max_nodes=1), cache_holding(tmp_path / "compute", forged))
+    assert (e.value.lower_bound, e.value.explored) == (1, 2)
 
 
 def test_factor_floor_reads_only_verified_records(tmp_path):

@@ -102,11 +102,18 @@ def test_canonical_tie_break_is_lexicographic():
 
 
 def test_empty_word_all_kinds():
-    for kind in (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_DET_TOTAL):
-        r = compute(ComplexityQuery(kind, Word.parse("", 2)))
-        assert r.value == 1 and verify_certificate(r.certificate)[0]
-    r = compute(ComplexityQuery(KIND_COND_UNIQUE, Word.parse("", 2), Word.parse("", 2)))
-    assert r.value == 1
+    """The empty word has value 1 with no search under every kind, target
+    alphabet and condition alphabet: one state, the start and accept, with
+    no edges, except that det-total's state loops on every letter."""
+    for kind, spec in KINDS.items():
+        for a in (1, 2, 3):
+            for condition in [Word((), b) for b in (1, 2, 3)] if spec.conditional else [None]:
+                r = compute(ComplexityQuery(kind, Word((), a), condition))
+                letters = a * (1 if condition is None else condition.alphabet_size)
+                loops = {(0, c, 0) for c in range(letters)} if kind == KIND_DET_TOTAL else set()
+                assert (r.value, r.explored) == (1, 0)
+                assert r.certificate.nfa == Nfa(1, 0, frozenset({0}), frozenset(loops), letters)
+                assert verify_certificate(r.certificate)[0]
 
 
 def test_exact_never_exceeds_unique_small():

@@ -37,7 +37,6 @@ from autocomplexity.cache import parse_word
 from autocomplexity import complexity as complexity_module
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
-    _certificate_for,
     _least_witness,
     _least_witnesses,
     _record_certificate,
@@ -319,8 +318,8 @@ def assert_record_is_searched(target, record):
     assert record == _least_witness(KIND_UNIQUE, *_walk_words(*query), 1, Budget(), {"nodes": 0}), target
     value, seq = record
     labels = _walk_words(*query)[0]
-    cert = _certificate_for(*query, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
-    assert verify_certificate(cert)[0] and cert.claimed_states == value, target
+    cert, why = _record_certificate(*query, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
+    assert why is None and verify_certificate(cert)[0] and cert.claimed_states == value, target
 
 
 def assert_provider_records(words):
