@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .automata import (
     Nfa,
@@ -113,10 +113,26 @@ class Budget:
 
 @dataclass(frozen=True)
 class ComplexityResult:
+    """A query's value, its certificate, the search nodes spent and the
+    seconds taken.
+
+    ``certificate`` is built once, when first read, and then kept. A search
+    or a full check hands over the certificate it has just verified; a hit
+    on a known walk shape hands over the function that builds it (see
+    ``_hit_certificate``), since a study reads values only."""
+
     value: int
-    certificate: WitnessCertificate
+    _certificate: WitnessCertificate | Callable[[], WitnessCertificate] = field(repr=False, compare=False)
     explored: int
     elapsed: float
+
+    @property
+    def certificate(self) -> WitnessCertificate:
+        cert = self._certificate
+        if not isinstance(cert, WitnessCertificate):
+            cert = cert()
+            object.__setattr__(self, "_certificate", cert)
+        return cert
 
 
 def _walk_words(kind: str, target: Word, condition: Word | None) -> tuple[Word, Word]:
@@ -467,13 +483,12 @@ def _record_certificate(
 
 
 def _hit_certificate(
-    cache, key: tuple, value: int, sequence: tuple[int, ...], target: Word, condition: Word | None,
-    labels: Word, classes: Word, counter: dict[str, int], max_nodes: int,
-) -> WitnessCertificate | None:
+    cache, key: tuple, value: int, sequence: tuple[int, ...], query: ComplexityQuery,
+    counter: dict[str, int], max_nodes: int,
+) -> WitnessCertificate | Callable[[], WitnessCertificate] | None:
     """The certificate of the record ``(value, sequence)`` that ``cache``
-    holds for the canonical key ``key``, when the record may be served;
-    else None. ``target``, ``condition``, ``labels`` and ``classes`` are
-    the words of the query asked (``_walk_words``).
+    holds for the canonical key ``key`` of ``query``, or the function that
+    builds it, when the record may be served; else None.
 
     Each record of a kind that counts walks (unique, conditional-unique) is
     checked once per *shape*, ``(kind, condition symbols, sequence)``. The
@@ -481,10 +496,15 @@ def _hit_certificate(
     in ``cache.shapes``. A record on a known shape is served once the
     target is constant on the shape's *step partition*, in which positions
     i and j share a class when ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``
-    (y is ``classes``, ``0^n`` for the unique kind), and its walk NFA has
-    ``value`` states. That holds exactly when the NFA has one edge per
-    class. Any other record is checked in full and, when it passes, adds
-    its shape.
+    (y is the condition, ``0^n`` for the unique kind), and its walk NFA has
+    ``value`` states. These are read off the symbols in O(n), with no NFA
+    built: the NFA has ``max(sequence) + 1`` states, as a known shape's
+    sequence is slow, and one edge per class exactly when the steps
+    ``(s_i, y_i, x_i, s_i+1)`` are as many as the steps ``(s_i, y_i,
+    s_i+1)``. Such a hit returns the builder of its certificate, the walk
+    NFA over the query's labels (``_walk_words``), run only if the
+    certificate is read. Any other record is checked in full and, when it
+    passes, adds its shape.
 
     Why one proof per shape suffices. Let ``M_x``, the walk NFA of the
     sequence reading ``track(y, x)`` (x for the unique kind), verify. Then
@@ -498,21 +518,34 @@ def _hit_certificate(
     of the sequence. The exact and DFA kinds are excluded: their checks
     count words, which depend on labels beyond the step partition.
     """
-    kind = key[0]
+    kind, target, condition = query.kind, query.target, query.condition
     shape = (kind, key[2], sequence) if KINDS[kind].counts == "walks" else None
     if shape is not None and shape in cache.shapes:
-        nfa = walk_nfa(sequence, labels)
-        steps = set(zip(sequence, classes.symbols, sequence[1:]))
-        if nfa.state_count == value and len(nfa.edges) == len(steps):
-            return WitnessCertificate(
-                kind=kind, target=target, condition=condition, nfa=nfa, claimed_states=value
-            )
+        x = target.symbols
+        y = (0,) * len(x) if condition is None else condition.symbols
+        frm, to = sequence[:-1], sequence[1:]
+        edges = set(zip(frm, y, x, to, strict=True))
+        classes = set(zip(frm, y, to, strict=True))
+        if max(sequence) + 1 == value and len(edges) == len(classes):
+            return functools.partial(_walk_certificate, query, value, sequence)
+    labels = _walk_words(kind, target, condition)[0]
     cert, _why = _record_certificate(
         kind, target, condition, labels, value, sequence, counter, max_nodes
     )
     if cert is not None and shape is not None:
         cache.shapes.add(shape)
     return cert
+
+
+def _walk_certificate(query: ComplexityQuery, value: int, sequence: tuple[int, ...]) -> WitnessCertificate:
+    """The certificate of a hit on a known walk shape: the walk NFA of
+    ``sequence`` over the labels of ``query``, which the shape's proof
+    (``_hit_certificate``) shows verifies on ``value`` states."""
+    labels = _walk_words(query.kind, query.target, query.condition)[0]
+    return WitnessCertificate(
+        kind=query.kind, target=query.target, condition=query.condition,
+        nfa=walk_nfa(sequence, labels), claimed_states=value,
+    )
 
 
 def _complete_to_total(
@@ -896,9 +929,7 @@ def _factor_floor(key: tuple, cache) -> int:
         factor = canonical_key((kind, target[part], None if condition is None else condition[part]))
         hit = cache.get(factor)
         if hit is not None and floor < hit[0] <= cap:
-            query = key_query(factor)
-            words = query.target, query.condition, *_walk_words(kind, query.target, query.condition)
-            if _hit_certificate(cache, factor, *hit, *words, {"nodes": 0}, DEFAULT_MAX_NODES):
+            if _hit_certificate(cache, factor, *hit, key_query(factor), {"nodes": 0}, DEFAULT_MAX_NODES):
                 floor = hit[0]
     return floor
 
@@ -926,7 +957,10 @@ def compute(
     the unique and conditional-unique kinds, it lies on a walk shape that a
     full verification on the same cache object proved and its target is
     constant on that shape's step partition (the proof is in the
-    ``_hit_certificate`` docstring). A record that fails is neither served
+    ``_hit_certificate`` docstring). That check reads the record's symbols
+    and builds nothing: the result's certificate is built when it is first
+    read. ``track(condition, target)`` is built only for a search or a full
+    check. A record that fails is neither served
     nor used as a floor; the query is searched and its record rewritten.
     Under ``budget.max_states`` a hit is checked first, and only a record
     that passes answers "above the allowance" with
@@ -972,11 +1006,10 @@ def compute(
     started = time.perf_counter()
     target, condition, kind = query.target, query.condition, query.kind
     n = len(target)
-    labels, classes = _walk_words(kind, target, condition)
-
     counter = {"nodes": 0}
     if n == 0:
         # the empty word's record; det-total's loops are filled in, not searched
+        labels = _walk_words(kind, target, condition)[0]
         cert, why = _record_certificate(kind, target, condition, labels, 1, (0,), counter, DEFAULT_MAX_NODES)
         assert why is None, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
@@ -988,9 +1021,7 @@ def compute(
         # a value above the cap is wrong whatever its witness: search again
         if hit is not None and hit[0] <= value_cap(kind, n):
             value, seq = hit
-            cert = _hit_certificate(
-                cache, key, value, seq, target, condition, labels, classes, counter, budget.max_nodes
-            )
+            cert = _hit_certificate(cache, key, value, seq, query, counter, budget.max_nodes)
             if cert is not None:
                 if budget.max_states is not None and value > budget.max_states:
                     # the served value is beyond the allowance
@@ -1001,6 +1032,7 @@ def compute(
             if budget.max_states is not None and floor > budget.max_states:
                 raise BudgetExceeded(floor, 0)
 
+    labels, classes = _walk_words(kind, target, condition)
     nfa = None
     if kind == KIND_DET_TOTAL:
         value, seq, nfa = _search_det_total(target, classes, budget, counter)
@@ -1058,22 +1090,37 @@ def audit_record(query: ComplexityQuery, value: int, sequence: tuple[int, ...]) 
 
 
 def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX_NODES) -> WitnessCertificate | None:
-    """First witness using exactly ``states`` states, without proving minimality."""
+    """First witness using exactly ``states`` states, without proving
+    minimality, or None when there is none.
+
+    For det-total it is a total DFA: the first det-partial witness on
+    ``states - 1`` states plus a dead state, else the first det-partial
+    witness on ``states`` states that fills in to a total DFA. At the value
+    this is the certificate ``compute`` finds (``_search_det_total``)."""
+    if states < 1:
+        return None
     counter = {"nodes": 0}
-    labels, classes = _walk_words(query.kind, query.target, query.condition)
-    for seq in _iter_witness_sequences(
-        query.kind, labels, classes, states, counter, max_nodes, states
-    ):
-        return _record_certificate(
-            query.kind, query.target, query.condition, labels, states, seq, counter, max_nodes
-        )[0]
+    kind = query.kind
+    labels, classes = _walk_words(kind, query.target, query.condition)
+    walks, levels = kind, (states,)
+    if kind == KIND_DET_TOTAL:
+        walks, levels = KIND_DET_PARTIAL, range(max(states - 1, 1), states + 1)
+    for q in levels:
+        for seq in _iter_witness_sequences(walks, labels, classes, q, counter, max_nodes, q):
+            cert, _why = _record_certificate(
+                kind, query.target, query.condition, labels, states, seq, counter, max_nodes
+            )
+            if cert is not None:
+                return cert
     return None
 
 
 def all_witness_sequences(
     query: ComplexityQuery, at_states: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> Iterator[tuple[int, ...]]:
-    """Every witnessing slow state sequence using exactly at_states states."""
+    """Every witnessing slow state sequence using exactly at_states states.
+    det-total has no sequence stream (its witnesses are not walk-generated):
+    iterating it raises ``ValueError``."""
     counter = {"nodes": 0}
     yield from _iter_witness_sequences(
         query.kind, *_walk_words(query.kind, query.target, query.condition), at_states,

@@ -197,6 +197,21 @@ def test_witness_at_exact_state_count():
     cert = witness_at(ComplexityQuery(KIND_UNIQUE, Word.parse("0101", 2)), 3)
     assert cert is not None and cert.claimed_states == 3
     assert verify_certificate(cert)[0]
+    assert witness_at(ComplexityQuery(KIND_UNIQUE, Word.parse("0101", 2)), 0) is None
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 8), (3, 5)])
+def test_det_total_witness_at_the_value_is_the_computed_one(letters, max_len):
+    """det-total's ``witness_at`` builds total DFAs as the search does: at
+    the value it is ``compute``'s certificate, and one state below there is
+    none."""
+    for n in range(1, max_len + 1):
+        for symbols in itertools.product(range(letters), repeat=n):
+            query = ComplexityQuery(KIND_DET_TOTAL, Word(symbols, letters))
+            result = compute(query)
+            witness = witness_at(query, result.value)
+            assert witness is not None and witness.nfa == result.certificate.nfa, symbols
+            assert witness_at(query, result.value - 1) is None, symbols
 
 
 def test_witness_sequences_contain_known_ones():

@@ -261,6 +261,47 @@ def test_shape_hits_serve_the_full_check_certificates(letters, max_len, monkeypa
         assert (result.value, result.certificate, result.explored) == (value, cert, 0), key
 
 
+def test_known_shape_hits_build_nothing(monkeypatch):
+    """A hit on a proven walk shape is checked on the record's symbols: it
+    builds no track word and no walk NFA and verifies nothing. Its
+    certificate is built when first read, is the full check's, and is kept."""
+    provider = ComplexityProvider()
+    keys = set()
+    for letters, n in ((2, 6), (3, 4)):
+        ground = list(slow_words(n, letters))
+        provider.prefetch((KIND_UNIQUE, x.symbols, None) for x in ground)
+        provider.conditional_row(ground)
+        keys.update(class_key((KIND_UNIQUE, x.symbols, None)) for x in ground)
+        keys.update(class_key((KIND_COND_UNIQUE, x.symbols, y.symbols)) for y in ground for x in ground)
+    cache = provider.cache
+    assert len(keys) == len(cache)
+    for key in sorted(keys):
+        compute(key_query(key), cache=cache)
+    calls = {"walk_nfa": 0, "verify_certificate": 0, "track": 0}
+    for name in calls:
+        real = getattr(complexity_module, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(complexity_module, name, counting)
+    served = {key: compute(key_query(key), cache=cache) for key in sorted(keys)}
+    assert calls == {"walk_nfa": 0, "verify_certificate": 0, "track": 0}
+    monkeypatch.undo()
+    for key, result in served.items():
+        query = key_query(key)
+        value, seq = cache.get(key)
+        labels = _walk_words(query.kind, query.target, query.condition)[0]
+        cert, why = _record_certificate(
+            query.kind, query.target, query.condition, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES
+        )
+        assert why is None, key
+        assert (result.value, result.explored) == (value, 0), key
+        assert result.certificate == cert and result.certificate is result.certificate, key
+        assert verify_certificate(result.certificate)[0], key
+
+
 def test_row_budget_overrun_writes_nothing(tmp_path):
     # row n = 6 spends its first 200 nodes before level 4 of some condition
     # word is searched whole, and a full budget finishes it
