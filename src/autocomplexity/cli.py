@@ -58,10 +58,6 @@ def _parse_word(text: str, alphabet: int | None) -> Word:
     return Word.parse(text, alphabet)
 
 
-def _budget(args) -> Budget:
-    return Budget(max_states=getattr(args, "max_states", None), max_nodes=args.budget)
-
-
 def _cache(args) -> ResultCache | None:
     return ResultCache.from_environment(args.cache_dir)
 
@@ -70,44 +66,39 @@ def _provider(args) -> ComplexityProvider:
     return ComplexityProvider(_cache(args), args.budget)
 
 
-def _emit_certificate(args, cert) -> None:
-    if getattr(args, "certificate", None):
-        text = certificate_to_json(cert, indent=2)
-        if args.certificate == "-":
-            print(text)
-        else:
-            with open(args.certificate, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
-    if getattr(args, "dot", None):
-        text = certificate_to_dot(cert)
-        if args.dot == "-":
-            print(text, end="")
-        else:
-            with open(args.dot, "w", encoding="ascii") as fh:
-                fh.write(text)
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout for "-"."""
+    if path == "-":
+        print(text, end="")
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+
+def _report(args, query: ComplexityQuery, label: str) -> int:
+    """Compute ``query`` and print its value as ``symbol(label)``, then the
+    ``--stats`` line and the ``--certificate`` and ``--dot`` outputs."""
+    result = compute(query, Budget(max_states=args.max_states, max_nodes=args.budget), _cache(args))
+    print(f"{KINDS[query.kind].symbol}({label}) = {result.value}")
+    if args.stats:
+        print(f"explored {result.explored} nodes in {result.elapsed:.3f}s")
+    if args.certificate:
+        _write(args.certificate, certificate_to_json(result.certificate, indent=2) + "\n")
+    if args.dot:
+        _write(args.dot, certificate_to_dot(result.certificate))
+    return EXIT_OK
 
 
 def cmd_complexity(args) -> int:
     word = _parse_word(args.word, args.alphabet)
-    kind = KINDS[KIND_ALIASES[args.kind]]
-    result = compute(ComplexityQuery(kind.name, word), _budget(args), _cache(args))
-    print(f"{kind.symbol}({args.word or 'ε'}) = {result.value}")
-    if args.stats:
-        print(f"explored {result.explored} nodes in {result.elapsed:.3f}s")
-    _emit_certificate(args, result.certificate)
-    return EXIT_OK
+    return _report(args, ComplexityQuery(KIND_ALIASES[args.kind], word), args.word or "ε")
 
 
 def cmd_conditional(args) -> int:
     x = _parse_word(args.x, args.alphabet_x)
     y = _parse_word(args.y, args.alphabet_y)
     kind = next(k for k in KINDS.values() if k.conditional and k.alias == args.kind)
-    result = compute(ComplexityQuery(kind.name, x, y), _budget(args), _cache(args))
-    print(f"{kind.symbol}({args.x} | {args.y}) = {result.value}")
-    if args.stats:
-        print(f"explored {result.explored} nodes in {result.elapsed:.3f}s")
-    _emit_certificate(args, result.certificate)
-    return EXIT_OK
+    return _report(args, ComplexityQuery(kind.name, x, y), f"{args.x} | {args.y}")
 
 
 def cmd_metric(args) -> int:
@@ -229,12 +220,7 @@ def cmd_check(args) -> int:
 def cmd_export_dot(args) -> int:
     with open(args.certificate, "r", encoding="ascii") as fh:
         cert = certificate_from_json(fh.read())
-    text = certificate_to_dot(cert)
-    if args.output == "-":
-        print(text, end="")
-    else:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write(args.output, certificate_to_dot(cert))
     return EXIT_OK
 
 
@@ -266,12 +252,18 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, max_states: bool = True) -> None:
+def _add_common(p, one_query: bool = True) -> None:
+    """The options of every searching command, and for those that compute
+    one query (``_report``) their outputs and state allowance."""
+    if one_query:
+        p.add_argument("--certificate", metavar="PATH", help="write certificate JSON ('-' for stdout)")
+        p.add_argument("--dot", metavar="PATH", help="write witness DOT ('-' for stdout)")
+        p.add_argument("--stats", action="store_true")
     p.add_argument("--budget", type=int, default=10**9,
                    help="search node budget per query")
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (defaults to $AUTOCOMPLEXITY_CACHE_DIR)")
-    if max_states:
+    if one_query:
         p.add_argument("--max-states", type=int, default=None,
                        help="give up beyond this many states")
 
@@ -287,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="anu")
     p.add_argument("--alphabet", type=int, default=None)
-    p.add_argument("--certificate", metavar="PATH", help="write certificate JSON ('-' for stdout)")
-    p.add_argument("--dot", metavar="PATH", help="write witness DOT ('-' for stdout)")
-    p.add_argument("--stats", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_complexity)
 
@@ -300,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="anu")
     p.add_argument("--alphabet-x", type=int, default=None)
     p.add_argument("--alphabet-y", type=int, default=None)
-    p.add_argument("--certificate", metavar="PATH")
-    p.add_argument("--dot", metavar="PATH")
-    p.add_argument("--stats", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_conditional)
 
@@ -312,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("--det-baseline", action="store_true",
                    help="use deterministic unconditional values inside jmax")
-    _add_common(p, max_states=False)
+    _add_common(p, one_query=False)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("verify-metric", help="exhaustively check the metric axioms")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=[k.value for k in MetricKind], required=True)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    _add_common(p, max_states=False)
+    _add_common(p, one_query=False)
     p.set_defaults(func=cmd_verify_metric)
 
     p = sub.add_parser("table", help="conditional complexity distribution table")
@@ -329,25 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    _add_common(p, max_states=False)
+    _add_common(p, one_query=False)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("classify", help="pairs at J distance exactly 1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--audit", action="store_true", help="use the exhaustive path")
-    _add_common(p, max_states=False)
+    _add_common(p, one_query=False)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("search-emergent", help="words whose squares get simpler")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--alphabet", type=int, default=2)
-    _add_common(p, max_states=False)
+    _add_common(p, one_query=False)
     p.set_defaults(func=cmd_search_emergent)
 
     p = sub.add_parser("sparse", help="sparse exact-acceptance witness report")
     p.add_argument("x")
     p.add_argument("y", nargs="?", default=None)
-    _add_common(p, max_states=False)
+    _add_common(p, one_query=False)
     p.set_defaults(func=cmd_sparse)
 
     p = sub.add_parser("check", help="verify a certificate file")
@@ -367,6 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error, the first class that matches wins: a
+# ParseError is a ValueError
+_ERROR_EXITS = (
+    (ParseError, EXIT_PARSE),
+    (BudgetExceeded, EXIT_BUDGET),
+    (CapacityError, EXIT_CAPACITY),
+    (FileNotFoundError, EXIT_PARSE),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -378,21 +375,9 @@ def main(argv=None) -> int:
         # the reader is gone; give the interpreter's final flush a sink
         sys.stdout = open(os.devnull, "w")
         return EXIT_OK
-    except ParseError as e:
+    except tuple(error for error, _ in _ERROR_EXITS) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for error, code in _ERROR_EXITS if isinstance(e, error))
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 from .automata import (
     Nfa,
@@ -78,7 +78,11 @@ DEFAULT_MAX_NODES = 10**9
 
 
 class BudgetExceeded(RuntimeError):
-    """Search budget ran out; ``lower_bound`` is proven, the value is unknown."""
+    """Search budget ran out; the value is unknown. ``lower_bound`` is
+    proven: the search ruled out every state count below it. Only a search
+    from its floor (``compute``, ``value_at_most``) rules out any, so an
+    overrun of a record check, ``witness_at`` or a sequence stream reports
+    1 (see ``_Nodes``)."""
 
     def __init__(self, lower_bound: int, explored: int):
         super().__init__(
@@ -300,22 +304,34 @@ def _counter(kind: str, q: int, labels: Word, classes: Word):
     return _WalkCounts(q, labels, classes, spec.deterministic)
 
 
-def _overrun(counter: dict[str, int], max_nodes: int, proven_lower: int):
-    """Raise ``BudgetExceeded`` at node ``max_nodes + 1``, where a search
-    counting one node at a time stops."""
-    counter["nodes"] = max_nodes + 1
-    raise BudgetExceeded(proven_lower, max_nodes + 1)
+class _Nodes:
+    """The node meter of one search: ``count`` of its ``limit`` nodes spent,
+    and ``level``, the least state count it has not ruled out.
+
+    ``level`` starts at 1, and only the level loops (``_least_witness``,
+    ``_search_det_total`` and ``_least_witnesses``) set it, to each state
+    count q as they enter it: they searched every level below q in full.
+    A sequence stream or a record check sets no level, as it rules nothing
+    out. Every overrun goes through ``overrun``, so its lower bound is the
+    level and never one a caller chose.
+    """
+
+    __slots__ = ("count", "limit", "level")
+
+    def __init__(self, limit: int = DEFAULT_MAX_NODES):
+        self.count = 0
+        self.limit = limit
+        self.level = 1
+
+    def overrun(self) -> NoReturn:
+        """Raise ``BudgetExceeded`` at node ``limit + 1``, where a search
+        counting one node at a time stops, with the level as its bound."""
+        self.count = self.limit + 1
+        raise BudgetExceeded(self.level, self.count)
 
 
 def _iter_witness_sequences(
-    kind: str,
-    labels: Word,
-    classes: Word,
-    q: int,
-    counter: dict[str, int],
-    max_nodes: int,
-    proven_lower: int,
-    targets=None,
+    kind: str, labels: Word, classes: Word, q: int, nodes: _Nodes, targets=None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every slow sequence on exactly q states whose walk NFA, reading
     ``labels`` with step classes ``classes`` (see ``_walk_words``), witnesses.
@@ -324,7 +340,7 @@ def _iter_witness_sequences(
     depth, ``seq[t]`` and the counts ``stack[t]`` after t steps. Its edges
     are the mask tables ``used`` and ``paired`` of the counter. A node is
     one prefix, and its steps are the states ``nxt`` up to ``limit`` that
-    keep the sequence slow; each step is one search node of ``counter``.
+    keep the sequence slow; each step is one node of the meter ``nodes``.
 
     At a node the counter's ``image`` of ``stack[t]`` gives the masks
     ``new_fails`` and ``reuse_fails`` of the states a new and a reused edge
@@ -342,10 +358,10 @@ def _iter_witness_sequences(
 
     (only its first half for a DFA kind whose ``(s_t, label)`` has an edge).
     The loop visits its set bits in ascending order and counts the refused
-    steps between them in bulk, so ``counter["nodes"]`` is at every step what
-    a count of one node per step would be, and an overrun raises
-    ``BudgetExceeded`` with ``max_nodes + 1`` nodes. A step pushes the
-    counter's ``advance`` of ``stack[t]`` to ``nxt``. A new edge
+    steps between them in bulk, so ``nodes.count`` is at every step what a
+    count of one node per step would be, and an overrun raises at the same
+    node (``_Nodes.overrun``). A step pushes the counter's ``advance`` of
+    ``stack[t]`` to ``nxt``. A new edge
     ``(s_t, label, nxt)`` of class ``cls`` can change ``stack[i + 1]`` only
     at a step i of class ``cls`` whose counts reach ``s_t`` (in
     ``stack[i][0]``), so the prefix is recounted first, from the first such
@@ -362,6 +378,8 @@ def _iter_witness_sequences(
     """
     if kind == KIND_DET_TOTAL:
         raise ValueError("total DFAs are not walk-generated; no sequence stream")
+    if q < 1:
+        return
     n = len(labels)
     if n == 0:
         if q == 1:
@@ -374,6 +392,7 @@ def _iter_witness_sequences(
     admit = active = None
     if targets is not None:
         admit, active = targets.admit, targets.active
+    limit_nodes = nodes.limit
     last = q - 1
     seq = [0]
     stack = [counts.start()]
@@ -399,10 +418,10 @@ def _iter_witness_sequences(
             low = cand & -cand
             cand ^= low
             nxt = low.bit_length() - 1
-            nodes = counter["nodes"] + nxt - done
-            if nodes > max_nodes:
-                _overrun(counter, max_nodes, proven_lower)
-            counter["nodes"] = nodes
+            count = nodes.count + nxt - done
+            if count > limit_nodes:
+                nodes.overrun()
+            nodes.count = count
             done = nxt
             new = not (reused & low)
             if admit is not None and not admit(t, frm, nxt, new):
@@ -443,37 +462,36 @@ def _iter_witness_sequences(
                 paired_row[frm] ^= low
             if active is not None and not active[t]:
                 return
-        nodes = counter["nodes"] + limit - done
-        if nodes > max_nodes:
-            _overrun(counter, max_nodes, proven_lower)
-        counter["nodes"] = nodes
+        count = nodes.count + limit - done
+        if count > limit_nodes:
+            nodes.overrun()
+        nodes.count = count
 
     yield from node(0, 0)
 
 
 def _record_certificate(
-    kind: str, target: Word, condition: Word | None, labels: Word, value: int,
-    sequence: tuple[int, ...], counter: dict[str, int], max_nodes: int, nfa: Nfa | None = None,
+    query: ComplexityQuery, value: int, sequence: tuple[int, ...], nodes: _Nodes, nfa: Nfa | None = None,
 ) -> tuple[WitnessCertificate | None, str | None]:
-    """``(certificate, None)`` for the record ``(value, sequence)`` of a query
-    reading ``labels`` (``_walk_words``) when its certificate is built,
-    verifies and has ``value`` states, else ``(None, reason)``.
+    """``(certificate, None)`` for the record ``(value, sequence)`` of
+    ``query`` when its certificate is built, verifies and has ``value``
+    states, else ``(None, reason)``.
 
-    The certificate is the walk NFA of the sequence. For det-total it is
-    ``nfa``, the total DFA the search completed, or else the one
-    ``_total_dfa`` builds from the walk NFA, counting its nodes in
-    ``counter``. The empty word's record is ``(1, (0,))``: one state, no
-    edges, and for det-total a loop per letter.
+    The certificate is ``nfa``, the witness a search has just built, or
+    else the walk NFA of the sequence over the query's labels
+    (``_walk_words``); for det-total, the total DFA ``_total_dfa`` builds
+    from that walk NFA, spending the nodes of the meter ``nodes``. A check sets no level, so
+    before a search an overrun raises ``BudgetExceeded(1)``. The empty
+    word's record is ``(1, (0,))``: one state, no edges, and for det-total a
+    loop per letter.
     """
     if nfa is None:
-        nfa = walk_nfa(sequence, labels)
-        if kind == KIND_DET_TOTAL:
-            nfa = _total_dfa(nfa, value, len(target), counter, max_nodes)
+        nfa = walk_nfa(sequence, _walk_words(query.kind, query.target, query.condition)[0])
+        if query.kind == KIND_DET_TOTAL:
+            nfa = _total_dfa(nfa, value, len(query.target), nodes)
             if nfa is None:
                 return None, f"no total DFA on {value} states is built from the walk"
-    cert = WitnessCertificate(
-        kind=kind, target=target, condition=condition, nfa=nfa, claimed_states=nfa.state_count
-    )
+    cert = _certificate(query, nfa)
     ok, why = verify_certificate(cert)
     if not ok:
         return None, f"the certificate fails: {why}"
@@ -483,8 +501,7 @@ def _record_certificate(
 
 
 def _hit_certificate(
-    cache, key: tuple, value: int, sequence: tuple[int, ...], query: ComplexityQuery,
-    counter: dict[str, int], max_nodes: int,
+    cache, key: tuple, value: int, sequence: tuple[int, ...], query: ComplexityQuery, nodes: _Nodes,
 ) -> WitnessCertificate | Callable[[], WitnessCertificate] | None:
     """The certificate of the record ``(value, sequence)`` that ``cache``
     holds for the canonical key ``key`` of ``query``, or the function that
@@ -527,30 +544,28 @@ def _hit_certificate(
         edges = set(zip(frm, y, x, to, strict=True))
         classes = set(zip(frm, y, to, strict=True))
         if max(sequence) + 1 == value and len(edges) == len(classes):
-            return functools.partial(_walk_certificate, query, value, sequence)
-    labels = _walk_words(kind, target, condition)[0]
-    cert, _why = _record_certificate(
-        kind, target, condition, labels, value, sequence, counter, max_nodes
-    )
+            return functools.partial(_walk_certificate, query, sequence)
+    cert, _why = _record_certificate(query, value, sequence, nodes)
     if cert is not None and shape is not None:
         cache.shapes.add(shape)
     return cert
 
 
-def _walk_certificate(query: ComplexityQuery, value: int, sequence: tuple[int, ...]) -> WitnessCertificate:
+def _walk_certificate(query: ComplexityQuery, sequence: tuple[int, ...]) -> WitnessCertificate:
     """The certificate of a hit on a known walk shape: the walk NFA of
     ``sequence`` over the labels of ``query``, which the shape's proof
-    (``_hit_certificate``) shows verifies on ``value`` states."""
-    labels = _walk_words(query.kind, query.target, query.condition)[0]
+    (``_hit_certificate``) shows verifies on the record's value of states."""
+    return _certificate(query, walk_nfa(sequence, _walk_words(query.kind, query.target, query.condition)[0]))
+
+
+def _certificate(query: ComplexityQuery, nfa: Nfa) -> WitnessCertificate:
+    """The claim that ``nfa`` witnesses ``query`` on its own states."""
     return WitnessCertificate(
-        kind=query.kind, target=query.target, condition=query.condition,
-        nfa=walk_nfa(sequence, labels), claimed_states=value,
+        kind=query.kind, target=query.target, condition=query.condition, nfa=nfa, claimed_states=nfa.state_count
     )
 
 
-def _complete_to_total(
-    base: Nfa, n: int, counter: dict[str, int], max_nodes: int, proven_lower: int
-) -> Nfa | None:
+def _complete_to_total(base: Nfa, n: int, nodes: _Nodes) -> Nfa | None:
     """Try to fill a deterministic exact witness into a total DFA, keeping
     exactly one accepted word of length n.
 
@@ -600,9 +615,9 @@ def _complete_to_total(
         return 2 if two & accept else 1 if one & accept else 0
 
     def rec(i: int) -> bool:
-        counter["nodes"] += 1
-        if counter["nodes"] > max_nodes:
-            raise BudgetExceeded(proven_lower, counter["nodes"])
+        nodes.count += 1
+        if nodes.count > nodes.limit:
+            nodes.overrun()
         accepted = accepted_count()
         if accepted >= 2:
             return False
@@ -639,18 +654,15 @@ def _sink_completion(base: Nfa) -> Nfa:
     return Nfa(q + 1, base.start, base.accepts, frozenset(edges), sigma)
 
 
-def _total_dfa(
-    base: Nfa, value: int, n: int, counter: dict[str, int], max_nodes: int
-) -> Nfa | None:
+def _total_dfa(base: Nfa, value: int, n: int, nodes: _Nodes) -> Nfa | None:
     """A total DFA on ``value`` states from the deterministic witness ``base``:
     ``base`` filled in when ``value`` is its state count, ``base`` plus one
     dead state when ``value`` is one more; None otherwise or if no filling
-    keeps a single accepted word. A record proves no lower bound, so a
-    filling that runs out of nodes raises ``BudgetExceeded(1)``."""
+    keeps a single accepted word."""
     if value == base.state_count + 1:
         return _sink_completion(base)
     if value == base.state_count:
-        return _complete_to_total(base, n, counter, max_nodes, 1)
+        return _complete_to_total(base, n, nodes)
     return None
 
 
@@ -670,23 +682,23 @@ def value_cap(kind: str, n: int) -> int:
 
 
 def _least_witness(
-    kind: str, labels: Word, classes: Word, floor: int, budget: Budget, counter: dict[str, int],
+    kind: str, labels: Word, classes: Word, floor: int, cap: int, nodes: _Nodes,
 ) -> tuple[int, tuple[int, ...]]:
-    """The least state count from ``floor`` on with a witness reading
+    """The least state count from ``floor`` to ``cap`` with a witness reading
     ``labels`` in ``classes``, and the least witnessing sequence there."""
-    cap = budget.max_states if budget.max_states is not None else value_cap(kind, len(labels))
     for q in range(floor, cap + 1):
-        for seq in _iter_witness_sequences(kind, labels, classes, q, counter, budget.max_nodes, q):
+        nodes.level = q
+        for seq in _iter_witness_sequences(kind, labels, classes, q, nodes):
             return q, seq
-    raise BudgetExceeded(cap + 1, counter["nodes"])
+    raise BudgetExceeded(cap + 1, nodes.count)
 
 
 def _least_witnesses(
-    condition: Word, targets: list[Word], budget: Budget, counter: dict[str, int],
+    y: tuple[int, ...], xs: list[tuple[int, ...]], nodes: _Nodes,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """``_least_witness`` from 1 state for the conditional-unique kind of
-    every x of ``targets`` given ``condition``, from one search per level
-    over the shapes of the condition word y.
+    every target x of ``xs`` given the condition y, all symbol tuples, from
+    one search per level over the shapes of y.
 
     The shapes of level q are the sequences ``_iter_witness_sequences``
     yields for the conditional-unique kind on q states with labels = classes
@@ -708,29 +720,27 @@ def _least_witnesses(
     the prefix is incompatible with it, so the first shape at which it is
     active at a leaf is its first compatible shape: the value and least
     witnessing sequence of its labeled search. Each target resolves there
-    and leaves every active list. Only ``budget.max_nodes`` applies: an
-    overrun raises ``BudgetExceeded`` with the level being searched as its
-    lower bound, since the targets still pending failed every level below
-    it.
+    and leaves every active list. The meter ``nodes`` may be shared by
+    several batches: each sets its level from 1, and an overrun raises
+    ``BudgetExceeded`` with the level being searched as its lower bound,
+    since the targets still pending failed every level below it.
     """
-    y = condition.symbols
     n = len(y)
-    xs = [x.symbols for x in targets]
     if any(len(x) != n for x in xs):
         raise ValueError("condition and targets must have equal length")
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
+    condition = _used_word(y)
     cap = value_cap(KIND_COND_UNIQUE, n)
     for q in range(1, cap + 1):
         if not pending:
             return found
+        nodes.level = q
         targets = _ActiveTargets(xs, y, found, pending)
-        for seq in _iter_witness_sequences(
-            KIND_COND_UNIQUE, condition, condition, q, counter, budget.max_nodes, q, targets
-        ):
+        for seq in _iter_witness_sequences(KIND_COND_UNIQUE, condition, condition, q, nodes, targets):
             targets.resolve((q, seq))
     if pending:
-        raise BudgetExceeded(cap + 1, counter["nodes"])
+        raise BudgetExceeded(cap + 1, nodes.count)
     return found
 
 
@@ -785,30 +795,28 @@ class _ActiveTargets:
 
 
 def _search_det_total(
-    target: Word, classes: Word, budget: Budget, counter: dict[str, int]
+    target: Word, classes: Word, cap: int, nodes: _Nodes
 ) -> tuple[int, tuple[int, ...], Nfa]:
-    """The det-total value, the det-partial sequence its witness is built
-    from, and the witness: the first deterministic witness on the fewest
-    states that fills in to a total DFA, else the first one plus a dead state.
-    ``classes`` is the one-class word of ``_walk_words``."""
+    """The det-total value up to ``cap``, the det-partial sequence its
+    witness is built from, and the witness: the first deterministic witness
+    on the fewest states that fills in to a total DFA, else the first one
+    plus a dead state. ``classes`` is the one-class word of ``_walk_words``."""
     n = len(target)
-    cap = budget.max_states if budget.max_states is not None else value_cap(KIND_DET_TOTAL, n)
     for q in range(1, cap + 1):
+        nodes.level = q
         first = None
-        for seq in _iter_witness_sequences(
-            KIND_DET_PARTIAL, target, classes, q, counter, budget.max_nodes, q
-        ):
+        for seq in _iter_witness_sequences(KIND_DET_PARTIAL, target, classes, q, nodes):
             if first is None:
                 first = seq
-            total = _complete_to_total(walk_nfa(seq, target), n, counter, budget.max_nodes, q)
+            total = _complete_to_total(walk_nfa(seq, target), n, nodes)
             if total is not None:
                 return q, seq, total
         if first is not None:
             # no total DFA at the minimum: one extra dead state always suffices
             if q + 1 > cap:
-                raise BudgetExceeded(q + 1, counter["nodes"])
+                raise BudgetExceeded(q + 1, nodes.count)
             return q + 1, first, _sink_completion(walk_nfa(first, target))
-    raise BudgetExceeded(cap + 1, counter["nodes"])
+    raise BudgetExceeded(cap + 1, nodes.count)
 
 
 def memo_key(query: ComplexityQuery) -> tuple:
@@ -929,7 +937,7 @@ def _factor_floor(key: tuple, cache) -> int:
         factor = canonical_key((kind, target[part], None if condition is None else condition[part]))
         hit = cache.get(factor)
         if hit is not None and floor < hit[0] <= cap:
-            if _hit_certificate(cache, factor, *hit, key_query(factor), {"nodes": 0}, DEFAULT_MAX_NODES):
+            if _hit_certificate(cache, factor, *hit, key_query(factor), _Nodes()):
                 floor = hit[0]
     return floor
 
@@ -976,8 +984,8 @@ def compute(
     is searched again and its record rewritten. det-total
     always starts at 1; its cache record keeps the deterministic walk its
     total DFA was built from, and a hit builds that DFA again. A hit's
-    check proves no lower bound, so a node-budget overrun there raises
-    ``BudgetExceeded(1)`` (``_record_certificate``).
+    check sets no level, so a node-budget overrun there raises
+    ``BudgetExceeded(1)`` (``_Nodes``).
 
     The bounds behind the floor, for walk-generated witnesses (one start, one
     accept, the edges of one accepting walk):
@@ -1006,14 +1014,13 @@ def compute(
     started = time.perf_counter()
     target, condition, kind = query.target, query.condition, query.kind
     n = len(target)
-    counter = {"nodes": 0}
     if n == 0:
         # the empty word's record; det-total's loops are filled in, not searched
-        labels = _walk_words(kind, target, condition)[0]
-        cert, why = _record_certificate(kind, target, condition, labels, 1, (0,), counter, DEFAULT_MAX_NODES)
+        cert, why = _record_certificate(query, 1, (0,), _Nodes())
         assert why is None, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
 
+    nodes = _Nodes(budget.max_nodes)
     floor = 1
     if cache is not None:
         key = canonical_key(memo_key(query))
@@ -1021,28 +1028,29 @@ def compute(
         # a value above the cap is wrong whatever its witness: search again
         if hit is not None and hit[0] <= value_cap(kind, n):
             value, seq = hit
-            cert = _hit_certificate(cache, key, value, seq, query, counter, budget.max_nodes)
+            cert = _hit_certificate(cache, key, value, seq, query, nodes)
             if cert is not None:
                 if budget.max_states is not None and value > budget.max_states:
                     # the served value is beyond the allowance
                     raise BudgetExceeded(budget.max_states + 1, 0)
-                return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
+                return ComplexityResult(value, cert, nodes.count, time.perf_counter() - started)
         if n >= 2 and kind != KIND_DET_TOTAL:
             floor = _factor_floor(key, cache)
             if budget.max_states is not None and floor > budget.max_states:
                 raise BudgetExceeded(floor, 0)
 
     labels, classes = _walk_words(kind, target, condition)
-    nfa = None
+    cap = budget.max_states if budget.max_states is not None else value_cap(kind, n)
     if kind == KIND_DET_TOTAL:
-        value, seq, nfa = _search_det_total(target, classes, budget, counter)
+        value, seq, nfa = _search_det_total(target, classes, cap, nodes)
     else:
-        value, seq = _least_witness(kind, labels, classes, floor, budget, counter)
-    cert, why = _record_certificate(kind, target, condition, labels, value, seq, counter, budget.max_nodes, nfa)
+        value, seq = _least_witness(kind, labels, classes, floor, cap, nodes)
+        nfa = walk_nfa(seq, labels)
+    cert, why = _record_certificate(query, value, seq, nodes, nfa)
     assert why is None, why
     if cache is not None:
         cache.put(key, value, seq)
-    return ComplexityResult(value, cert, counter["nodes"], time.perf_counter() - started)
+    return ComplexityResult(value, cert, nodes.count, time.perf_counter() - started)
 
 
 def value_at_most(
@@ -1072,14 +1080,10 @@ def audit_record(query: ComplexityQuery, value: int, sequence: tuple[int, ...]) 
     which is why a hit is never checked this way. A node-budget overrun
     raises ``BudgetExceeded``.
     """
-    kind, target, condition = query.kind, query.target, query.condition
-    cap = value_cap(kind, len(target))
+    cap = value_cap(query.kind, len(query.target))
     if value > cap:
         return f"the value is above the cap of {cap}"
-    labels = _walk_words(kind, target, condition)[0]
-    _cert, why = _record_certificate(
-        kind, target, condition, labels, value, sequence, {"nodes": 0}, DEFAULT_MAX_NODES
-    )
+    _cert, why = _record_certificate(query, value, sequence, _Nodes())
     if why is not None:
         return why
     if value > 1:
@@ -1096,20 +1100,18 @@ def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX
     For det-total it is a total DFA: the first det-partial witness on
     ``states - 1`` states plus a dead state, else the first det-partial
     witness on ``states`` states that fills in to a total DFA. At the value
-    this is the certificate ``compute`` finds (``_search_det_total``)."""
-    if states < 1:
-        return None
-    counter = {"nodes": 0}
+    this is the certificate ``compute`` finds (``_search_det_total``). No
+    level below ``states`` is ruled out, so a node-budget overrun raises
+    ``BudgetExceeded(1)``."""
+    nodes = _Nodes(max_nodes)
     kind = query.kind
     labels, classes = _walk_words(kind, query.target, query.condition)
     walks, levels = kind, (states,)
     if kind == KIND_DET_TOTAL:
         walks, levels = KIND_DET_PARTIAL, range(max(states - 1, 1), states + 1)
     for q in levels:
-        for seq in _iter_witness_sequences(walks, labels, classes, q, counter, max_nodes, q):
-            cert, _why = _record_certificate(
-                kind, query.target, query.condition, labels, states, seq, counter, max_nodes
-            )
+        for seq in _iter_witness_sequences(walks, labels, classes, q, nodes):
+            cert, _why = _record_certificate(query, states, seq, nodes)
             if cert is not None:
                 return cert
     return None
@@ -1118,13 +1120,12 @@ def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX
 def all_witness_sequences(
     query: ComplexityQuery, at_states: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> Iterator[tuple[int, ...]]:
-    """Every witnessing slow state sequence using exactly at_states states.
-    det-total has no sequence stream (its witnesses are not walk-generated):
-    iterating it raises ``ValueError``."""
-    counter = {"nodes": 0}
+    """Every witnessing slow state sequence using exactly at_states states,
+    none for fewer than 1. det-total has no sequence stream (its witnesses
+    are not walk-generated): iterating it raises ``ValueError``. No level
+    is ruled out, so a node-budget overrun raises ``BudgetExceeded(1)``."""
     yield from _iter_witness_sequences(
-        query.kind, *_walk_words(query.kind, query.target, query.condition), at_states,
-        counter, max_nodes, at_states,
+        query.kind, *_walk_words(query.kind, query.target, query.condition), at_states, _Nodes(max_nodes)
     )
 
 
@@ -1184,25 +1185,16 @@ def sparse_witness_report(
     for nfa, seqs in sorted(by_nfa.items(), key=lambda kv: sorted(kv[1])[0]):
         minimal = True
         for edge in nfa.edges:
-            reduced = nfa.without_edge(edge)
-            cert = WitnessCertificate(
-                kind=exact_kind, target=x, condition=y, nfa=reduced,
-                claimed_states=reduced.state_count,
-            )
-            if verify_certificate(cert)[0]:
+            if verify_certificate(_certificate(exact_query, nfa.without_edge(edge)))[0]:
                 minimal = False
                 break
-        unique_cert = WitnessCertificate(
-            kind=unique_kind, target=x, condition=y, nfa=nfa,
-            claimed_states=nfa.state_count,
-        )
         entries.append(
             SparseWitnessEntry(
                 nfa=nfa,
                 edge_count=nfa.edge_count(),
                 edge_minimal=minimal,
                 sequences=tuple(sorted(seqs)),
-                is_unique_witness=verify_certificate(unique_cert)[0],
+                is_unique_witness=verify_certificate(_certificate(unique_query, nfa))[0],
             )
         )
 

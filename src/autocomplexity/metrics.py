@@ -34,6 +34,7 @@ from .complexity import (
     KIND_UNIQUE,
     Budget,
     _least_witnesses,
+    _Nodes,
     class_key,
     compute,
     key_query,
@@ -97,9 +98,10 @@ class ComplexityProvider:
         self.nodes = 0
         self._memo: dict[tuple, int] = {}
 
-    def _compute(self, key: tuple, budget: Budget, cache: ResultCache) -> int:
-        """The value of ``key`` by ``compute``, its nodes added to ``nodes``."""
-        result = compute(key_query(key), budget, cache)
+    def _compute(self, key: tuple, cache: ResultCache) -> int:
+        """The value of ``key`` by ``compute`` under ``max_nodes``, its nodes
+        added to ``nodes``."""
+        result = compute(key_query(key), Budget(max_nodes=self.max_nodes), cache)
         self.nodes += result.explored
         return result.value
 
@@ -110,8 +112,7 @@ class ComplexityProvider:
         rep_key = class_key(key)
         value = self._memo.get(rep_key)
         if value is None:
-            budget = Budget(max_nodes=self.max_nodes)
-            value = self._memo[rep_key] = self._compute(rep_key, budget, self.cache)
+            value = self._memo[rep_key] = self._compute(rep_key, self.cache)
         self._memo[key] = value
         return value
 
@@ -135,7 +136,6 @@ class ComplexityProvider:
         """
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()
-        budget = Budget(max_nodes=self.max_nodes)
         # A missing class is kept as its key, and each key that reads it in
         # `waiting`, its class key in `classes`: a query per read raised the
         # peak resident set by 8 MB at n = 8, and a (key, class key) pair per
@@ -155,7 +155,7 @@ class ComplexityProvider:
                 value = memo.get(rep_key)
                 # compute answers the empty word with no search and no record
                 if value is None and (not rep_key[1] or cache.get(rep_key) is not None):
-                    value = memo[rep_key] = self._compute(rep_key, budget, cache)
+                    value = memo[rep_key] = self._compute(rep_key, cache)
                 if value is not None:
                     memo[key] = value
                     continue
@@ -163,20 +163,18 @@ class ComplexityProvider:
             waiting.append(key)
             classes.append(rep_key)
 
-        groups: dict[Word, list[tuple]] = {}  # condition -> (class key, target) pairs
+        groups: dict[tuple, list[tuple]] = {}  # condition symbols -> class keys
         for rep_key in misses:
-            query = key_query(rep_key)
-            y = Word((0,) * len(query.target), 1) if query.condition is None else query.condition
-            groups.setdefault(y, []).append((rep_key, query.target))
+            _kind, x, y = rep_key
+            groups.setdefault((0,) * len(x) if y is None else y, []).append(rep_key)
         found = {}
-        counter = {"nodes": 0}
-        for condition, group in groups.items():
-            rep_keys, targets = zip(*group)
-            found.update(zip(rep_keys, _least_witnesses(condition, list(targets), budget, counter)))
-        self.nodes += counter["nodes"]
+        nodes = _Nodes(self.max_nodes)
+        for y, rep_keys in groups.items():
+            found.update(zip(rep_keys, _least_witnesses(y, [k[1] for k in rep_keys], nodes)))
+        self.nodes += nodes.count
         cache.put_many((k, *found.pop(k)) for k in misses)
         for rep_key in misses:
-            memo[rep_key] = self._compute(rep_key, budget, cache)
+            memo[rep_key] = self._compute(rep_key, cache)
         for key, rep_key in zip(waiting, classes):
             memo[key] = memo[rep_key]
 

@@ -30,6 +30,7 @@ from autocomplexity.complexity import (
     _counter,
     _iter_witness_sequences,
     _least_witnesses,
+    _Nodes,
     _sink_completion,
     _walk_words,
 )
@@ -191,6 +192,14 @@ def test_max_states_bound():
     with pytest.raises(BudgetExceeded) as e:
         value_at_most(ComplexityQuery(KIND_UNIQUE, w), 10, max_nodes=5)
     assert e.value.lower_bound <= 4
+    # enumerating one level rules out none below it: A(0000) = 1
+    q = ComplexityQuery(KIND_UNIQUE, Word.parse("0000", 2))
+    with pytest.raises(BudgetExceeded) as e:
+        witness_at(q, 3, max_nodes=1)
+    assert e.value.lower_bound == 1
+    with pytest.raises(BudgetExceeded) as e:
+        list(all_witness_sequences(q, 3, max_nodes=1))
+    assert e.value.lower_bound == 1
 
 
 def test_witness_at_exact_state_count():
@@ -198,6 +207,10 @@ def test_witness_at_exact_state_count():
     assert cert is not None and cert.claimed_states == 3
     assert verify_certificate(cert)[0]
     assert witness_at(ComplexityQuery(KIND_UNIQUE, Word.parse("0101", 2)), 0) is None
+    x, y = Word.parse("0110", 2), Word.parse("0010", 2)
+    for kind in (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_COND_UNIQUE, KIND_COND_EXACT):
+        query = ComplexityQuery(kind, x, y if KINDS[kind].conditional else None)
+        assert list(all_witness_sequences(query, 0)) == [], kind
 
 
 @pytest.mark.parametrize("letters, max_len", [(2, 8), (3, 5)])
@@ -742,11 +755,11 @@ def test_counters_decide_as_the_reference_counters(walk):
         theirs.append(rw)
 
 
-def reference_stream(search, n, q, counter, max_nodes):
+def reference_stream(search, n, q, nodes):
     """The level search on q states as a plain depth-first search over the
-    reference search: every step of a node is one node, counted before it
-    is tried, and an overrun raises at node ``max_nodes + 1`` with q as the
-    lower bound."""
+    reference search: every step of a node is one node of the meter
+    ``nodes``, counted before it is tried, and an overrun raises at node
+    ``nodes.limit + 1`` with q as the lower bound."""
     seq = search.seq
 
     def rec(top):
@@ -758,9 +771,9 @@ def reference_stream(search, n, q, counter, max_nodes):
         if q - 1 - top > n - t:
             return
         for nxt in range(min(top + 1, q - 1) + 1):
-            counter["nodes"] += 1
-            if counter["nodes"] > max_nodes:
-                raise BudgetExceeded(q, counter["nodes"])
+            nodes.count += 1
+            if nodes.count > nodes.limit:
+                raise BudgetExceeded(q, nodes.count)
             if search.try_push(nxt):
                 yield from rec(max(top, nxt))
                 search.pop()
@@ -768,29 +781,32 @@ def reference_stream(search, n, q, counter, max_nodes):
     yield from rec(0)
 
 
-def run_stream(stream):
-    """The witnesses a stream yields, its node count, and the lower bound
-    and node count of its overrun (None if it ran to the end)."""
-    counter = {"nodes": 0}
+def run_stream(stream, nodes):
+    """The witnesses a stream yields, the node count of its meter ``nodes``,
+    and the lower bound and node count of its overrun (None if it ran to the
+    end)."""
     found = []
     try:
-        for seq in stream(counter):
+        for seq in stream(nodes):
             found.append(seq)
     except BudgetExceeded as e:
-        return found, counter["nodes"], (e.lower_bound, e.explored)
-    return found, counter["nodes"], None
+        return found, nodes.count, (e.lower_bound, e.explored)
+    return found, nodes.count, None
 
 
 def assert_stream_matches_the_reference(query, q, max_nodes=10**9):
     """The loop yields the witnesses of the reference search in order, with
-    the same node count and, on an overrun, the same exception fields."""
+    the same node count and, on an overrun, the same exception fields. The
+    loop's meter is at level q, as a level search sets it."""
     labels, classes = _walk_words(query.kind, query.target, query.condition)
-    new = run_stream(lambda counter: _iter_witness_sequences(
-        query.kind, labels, classes, q, counter, max_nodes, q,
-    ))
-    ref = run_stream(lambda counter: reference_stream(
-        reference_search(query, q), len(labels), q, counter, max_nodes,
-    ))
+    at_level = _Nodes(max_nodes)
+    at_level.level = q
+    new = run_stream(lambda nodes: _iter_witness_sequences(
+        query.kind, labels, classes, q, nodes,
+    ), at_level)
+    ref = run_stream(lambda nodes: reference_stream(
+        reference_search(query, q), len(labels), q, nodes,
+    ), _Nodes(max_nodes))
     assert new == ref, (query, q, max_nodes)
 
 
@@ -907,23 +923,23 @@ def reference_levels(query):
     kind, x, y = query.kind, query.target, query.condition
     stream_query = ComplexityQuery(KIND_DET_PARTIAL, x) if kind == KIND_DET_TOTAL else query
     labels = _walk_words(stream_query.kind, x, y)[0]
-    counter = {"nodes": 0}
+    meter = _Nodes(10**9)
     ends = []
     for q in itertools.count(1):
         search = reference_search(stream_query, q)
         witness = None
-        for seq in reference_stream(search, len(x), q, counter, 10**9):
+        for seq in reference_stream(search, len(x), q, meter):
             if kind != KIND_DET_TOTAL:
                 witness = walk_nfa(seq, labels)
                 break
             total, nodes = reference_completion(walk_nfa(seq, labels), len(x))
-            counter["nodes"] += nodes
+            meter.count += nodes
             if total is not None:
                 witness = total
                 break
             # no total DFA on q states: a dead state completes the first walk
             witness = witness or _sink_completion(walk_nfa(seq, labels))
-        ends.append(counter["nodes"])
+        ends.append(meter.count)
         if witness is not None:
             return ends, witness
 
@@ -1014,10 +1030,11 @@ def test_batch_nodes_match_the_reference(targets):
     targets = list(slow_words(6, 2)) if targets is None else [Word.parse(x, 2) for x in targets]
     found, nodes = reference_batch(condition, targets)
     assert nodes < reference_batch(condition, targets, early_return=False)[1]
-    counter = {"nodes": 0}
-    assert _least_witnesses(condition, targets, Budget(), counter) == found
-    assert counter["nodes"] == nodes
+    y, xs = condition.symbols, [x.symbols for x in targets]
+    meter = _Nodes()
+    assert _least_witnesses(y, xs, meter) == found
+    assert meter.count == nodes
     with pytest.raises(BudgetExceeded) as e:
-        _least_witnesses(condition, targets, Budget(max_nodes=nodes - 1), {"nodes": 0})
+        _least_witnesses(y, xs, _Nodes(nodes - 1))
     assert (e.value.lower_bound, e.value.explored) == (max(v for v, _ in found), nodes)
-    assert _least_witnesses(condition, targets, Budget(max_nodes=nodes), {"nodes": 0}) == found
+    assert _least_witnesses(y, xs, _Nodes(nodes)) == found

@@ -39,6 +39,7 @@ from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
     _least_witness,
     _least_witnesses,
+    _Nodes,
     _record_certificate,
     _walk_words,
     canonical_key,
@@ -46,6 +47,7 @@ from autocomplexity.complexity import (
     class_key,
     key_query,
     memo_key,
+    value_cap,
 )
 from autocomplexity.kinds import KINDS
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
@@ -135,11 +137,12 @@ def test_random_class_key_meets_its_definition(pair):
 
 
 def assert_batch_is_searched(condition, targets):
-    found = _least_witnesses(condition, targets, Budget(), {"nodes": 0})
+    found = _least_witnesses(condition.symbols, [x.symbols for x in targets], _Nodes())
     assert len(found) == len(targets)
     for x, record in zip(targets, found):
         searched = _least_witness(
-            KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, condition), 1, Budget(), {"nodes": 0}
+            KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, condition), 1,
+            value_cap(KIND_COND_UNIQUE, len(x)), _Nodes(),
         )
         assert record == searched, (x, condition)
 
@@ -253,10 +256,7 @@ def test_shape_hits_serve_the_full_check_certificates(letters, max_len, monkeypa
     for key, result in served.items():
         query = key_query(key)
         value, seq = cache.get(key)
-        labels = _walk_words(query.kind, query.target, query.condition)[0]
-        cert, why = _record_certificate(
-            query.kind, query.target, query.condition, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES
-        )
+        cert, why = _record_certificate(query, value, seq, _Nodes())
         assert why is None, key
         assert (result.value, result.certificate, result.explored) == (value, cert, 0), key
 
@@ -292,10 +292,7 @@ def test_known_shape_hits_build_nothing(monkeypatch):
     for key, result in served.items():
         query = key_query(key)
         value, seq = cache.get(key)
-        labels = _walk_words(query.kind, query.target, query.condition)[0]
-        cert, why = _record_certificate(
-            query.kind, query.target, query.condition, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES
-        )
+        cert, why = _record_certificate(query, value, seq, _Nodes())
         assert why is None, key
         assert (result.value, result.explored) == (value, 0), key
         assert result.certificate == cert and result.certificate is result.certificate, key
@@ -330,19 +327,19 @@ def test_provider_counts_the_nodes_of_its_batches_and_misses(monkeypatch):
 
     batches = []
 
-    def recording(condition, targets, budget, counter):
-        batches.append((condition, list(targets)))
-        return _least_witnesses(condition, targets, budget, counter)
+    def recording(y, xs, nodes):
+        batches.append((y, list(xs)))
+        return _least_witnesses(y, xs, nodes)
 
     monkeypatch.setattr(metrics, "_least_witnesses", recording)
     provider = ComplexityProvider()
     distribution_table(6, provider)
     assert batches
     alone = []
-    for condition, targets in batches:
-        counter = {"nodes": 0}
-        _least_witnesses(condition, targets, Budget(), counter)
-        alone.append(counter["nodes"])
+    for y, xs in batches:
+        nodes = _Nodes()
+        _least_witnesses(y, xs, nodes)
+        alone.append(nodes.count)
     assert provider.nodes == sum(alone) > 0
     # no factor of x is cached, so the miss searches its class from 1 state
     x = Word.parse("1101001100101100", 2)
@@ -356,10 +353,10 @@ def assert_record_is_searched(target, record):
     """``record`` is what the labeled unique-kind search from 1 state returns
     for ``target``, and its certificate verifies."""
     query = (KIND_UNIQUE, target, None)
-    assert record == _least_witness(KIND_UNIQUE, *_walk_words(*query), 1, Budget(), {"nodes": 0}), target
+    cap = value_cap(KIND_UNIQUE, len(target))
+    assert record == _least_witness(KIND_UNIQUE, *_walk_words(*query), 1, cap, _Nodes()), target
     value, seq = record
-    labels = _walk_words(*query)[0]
-    cert, why = _record_certificate(*query, labels, value, seq, {"nodes": 0}, DEFAULT_MAX_NODES)
+    cert, why = _record_certificate(ComplexityQuery(*query), value, seq, _Nodes())
     assert why is None and verify_certificate(cert)[0] and cert.claimed_states == value, target
 
 
