@@ -80,9 +80,9 @@ DEFAULT_MAX_NODES = 10**9
 class BudgetExceeded(RuntimeError):
     """Search budget ran out; the value is unknown. ``lower_bound`` is
     proven: the search ruled out every state count below it. Only a search
-    from its floor (``compute``, ``value_at_most``) rules out any, so an
+    from one state (``compute``, ``value_at_most``) rules out any, so an
     overrun of a record check, ``witness_at`` or a sequence stream reports
-    1 (see ``_Nodes``)."""
+    1 (see ``_Nodes``). No cache record ever sets it."""
 
     def __init__(self, lower_bound: int, explored: int):
         super().__init__(
@@ -682,11 +682,11 @@ def value_cap(kind: str, n: int) -> int:
 
 
 def _least_witness(
-    kind: str, labels: Word, classes: Word, floor: int, cap: int, nodes: _Nodes,
+    kind: str, labels: Word, classes: Word, cap: int, nodes: _Nodes,
 ) -> tuple[int, tuple[int, ...]]:
-    """The least state count from ``floor`` to ``cap`` with a witness reading
+    """The least state count from 1 to ``cap`` with a witness reading
     ``labels`` in ``classes``, and the least witnessing sequence there."""
-    for q in range(floor, cap + 1):
+    for q in range(1, cap + 1):
         nodes.level = q
         for seq in _iter_witness_sequences(kind, labels, classes, q, nodes):
             return q, seq
@@ -895,8 +895,12 @@ def class_key(key: tuple) -> tuple:
     states and walks as they are. So each distance depends on x and y only
     up to separate relabelings, and the least relabeling of a word is its
     slow form. det-total keeps its alphabet size. For the reversible kinds
-    ``A(w) = A(w^R)`` (see ``compute``), and the reversed key wins when it
-    sorts first, the forward one on a tie. A pair word is relabeled from
+    (unique, exact and both conditional kinds) ``A(w) = A(w^R)``: reversing
+    every edge of a walk-generated witness and swapping its start and accept
+    maps the walks of length n from start to accept one to one onto walks
+    reading the reversed word(s). Reversal does not keep determinism, so the
+    DFA kinds are excluded. The reversed key wins when it sorts first, the
+    forward one on a tie. A pair word is relabeled from
     its letter pairs, which name the letters of ``track(x, y)`` one to one;
     pair words are met once each, so only single words' forms are kept.
 
@@ -919,29 +923,6 @@ def class_key(key: tuple) -> tuple:
     return back if back < forward else forward
 
 
-# w[:-1] and w[1:], then the same two factors reversed
-_FACTORS = (slice(None, -1), slice(1, None))
-_FACTORS_BOTH_WAYS = _FACTORS + (slice(-2, None, -1), slice(None, 0, -1))
-
-
-def _factor_floor(key: tuple, cache) -> int:
-    """The largest value ``cache`` holds for the two aligned factors of length
-    n - 1 of the canonical key ``key`` (not det-total's), looked up in both
-    orientations for the reversible kinds. A factor the cache lacks, holds
-    above its ``value_cap``, or holds on a record that ``_hit_certificate``
-    refuses counts as 1; none is computed here."""
-    kind, target, condition = key
-    floor = 1
-    cap = value_cap(kind, len(target) - 1)
-    for part in _FACTORS_BOTH_WAYS if KINDS[kind].reversible else _FACTORS:
-        factor = canonical_key((kind, target[part], None if condition is None else condition[part]))
-        hit = cache.get(factor)
-        if hit is not None and floor < hit[0] <= cap:
-            if _hit_certificate(cache, factor, *hit, key_query(factor), _Nodes()):
-                floor = hit[0]
-    return floor
-
-
 def compute(
     query: ComplexityQuery,
     budget: Budget | None = None,
@@ -949,102 +930,71 @@ def compute(
 ) -> ComplexityResult:
     """Smallest witness state count for the query, with a verified certificate.
 
-    Searches walk-generated witnesses on increasing state counts, so the first
-    hit is minimal and the lexicographically least witnessing sequence is
-    returned. Without a cache the search starts at 1 state. With a cache and
-    n >= 2 letters it starts at the *factor floor*: the largest value the
-    cache already holds for ``w[:-1]`` and ``w[1:]`` (for the conditional
-    kinds the aligned pairs ``x[:-1] | y[:-1]`` and ``x[1:] | y[1:]``), each
-    looked up in both orientations for the reversible kinds. A factor the
-    cache lacks counts as 1 and is never computed here. Levels below the
-    floor hold no witness, so the value and the certificate are the ones a
-    search from 1 finds.
+    Searches walk-generated witnesses on increasing state counts from 1, so
+    the first hit is minimal and the lexicographically least witnessing
+    sequence is returned. The search stops at the *cap*:
+    ``budget.max_states`` when given (0 if negative), but never above
+    ``value_cap``. When no level up to the cap holds a witness,
+    ``BudgetExceeded(cap + 1)`` says the value is above it. The empty word
+    is the record ``(1, (0,))`` with no search, and under a cap of 0 it
+    raises ``BudgetExceeded(1, 0)``: no automaton has 0 states.
 
-    A hit, and each factor record before it raises the floor, is checked by
-    ``_hit_certificate``: its certificate is rebuilt and verified, or, for
-    the unique and conditional-unique kinds, it lies on a walk shape that a
-    full verification on the same cache object proved and its target is
-    constant on that shape's step partition (the proof is in the
-    ``_hit_certificate`` docstring). That check reads the record's symbols
-    and builds nothing: the result's certificate is built when it is first
-    read. ``track(condition, target)`` is built only for a search or a full
-    check. A record that fails is neither served
-    nor used as a floor; the query is searched and its record rewritten.
-    Under ``budget.max_states`` a hit is checked first, and only a record
-    that passes answers "above the allowance" with
-    ``BudgetExceeded(max_states + 1, 0)``. The floor thus trusts cached
-    values exactly as a cache hit does: the witness is verified, but its
-    minimality rests on the value having been searched for. Only
-    ``autocomplexity cache audit`` (``audit_record``) proves it. A cache file
-    holding just the line ``unique 0000@1 - 3 0,1,2,2,2`` (fields separated
-    by tabs) is served as ``A(0000) = 3`` with 0 nodes, since that 3-state
-    walk is a valid witness within the cap, though the value is 1; through
-    the floor, ``00000`` then gets 3 as well. A cached
-    value above ``value_cap`` is never served nor used as a floor; the query
-    is searched again and its record rewritten. det-total
-    always starts at 1; its cache record keeps the deterministic walk its
-    total DFA was built from, and a hit builds that DFA again. A hit's
+    A cache serves one record only, the query's own, and only when its value
+    is within the cap; any other query is searched, and the search writes
+    its record. The hit is checked by ``_hit_certificate``: its certificate
+    is rebuilt and verified, or, for the unique and conditional-unique
+    kinds, it lies on a walk shape that a full verification on the same
+    cache object proved and its target is constant on that shape's step
+    partition (the proof is in the ``_hit_certificate`` docstring). That
+    check reads the record's symbols and builds nothing: the result's
+    certificate is built when it is first read. ``track(condition,
+    target)`` is built only for a search or a full check. A record that
+    fails is not served; the query is searched and its record rewritten.
+    det-total's record keeps the deterministic walk its total DFA was built
+    from, and a hit builds that DFA again.
+
+    A hit's witness is verified, but its minimality rests on the value
+    having been searched for. Only ``autocomplexity cache audit``
+    (``audit_record``) proves it. A cache file holding just the line
+    ``unique 0000@1 - 3 0,1,2,2,2`` (fields separated by tabs) is served as
+    ``A(0000) = 3`` with 0 nodes, since that 3-state walk is a valid witness
+    within the cap, though the value is 1. Under ``max_states=2`` the record
+    is above the cap, so ``0000`` is searched, gets 1 and rewrites it. No
+    record bounds a value from below: every lower bound ``compute`` and
+    ``value_at_most`` report rests on a search of the same call. A hit's
     check sets no level, so a node-budget overrun there raises
     ``BudgetExceeded(1)`` (``_Nodes``).
-
-    The bounds behind the floor, for walk-generated witnesses (one start, one
-    accept, the edges of one accepting walk):
-
-    * Factors (every walk kind, conditional ones included): take a witness
-      for ``w = u v z`` whose accepting walk is at state p after ``u`` and at
-      state r after ``uv``, and make p the start and r the only accept. The
-      middle of the walk accepts ``v``. A second walk (unique kinds) or a
-      second word (exact kinds) of length ``|v|`` from p to r would splice
-      between the walk's first ``|u|`` and last ``|z|`` steps into a second
-      one of length n for ``w``, and determinism is kept. So
-      ``A(v) <= A(w)`` for every factor ``v``.
-    * One more letter (unique and exact): give a witness for ``w[:-1]`` one
-      fresh state f, the only accept, entered only by an edge labeled
-      ``w[-1]`` from the old accept. Its accepting walks and words of length
-      n are those of the old witness extended by that edge, so
-      ``A(w) <= A(w[:-1]) + 1``: once the cache holds ``w[:-1]``, the
-      value is the floor or one more.
-    * Reversal (unique, exact and both conditional kinds): reversing every
-      edge and swapping start and accept maps the walks of length n from
-      start to accept one to one onto walks reading the reversed word(s), so
-      ``A(w) = A(w^R)``. Reversal does not keep determinism, so the DFA kinds
-      are excluded.
     """
     budget = budget or Budget()
     started = time.perf_counter()
     target, condition, kind = query.target, query.condition, query.kind
     n = len(target)
+    cap = value_cap(kind, n)
+    if budget.max_states is not None:
+        cap = min(cap, max(budget.max_states, 0))
     if n == 0:
+        if cap == 0:
+            raise BudgetExceeded(1, 0)
         # the empty word's record; det-total's loops are filled in, not searched
         cert, why = _record_certificate(query, 1, (0,), _Nodes())
         assert why is None, why
         return ComplexityResult(1, cert, 0, time.perf_counter() - started)
 
     nodes = _Nodes(budget.max_nodes)
-    floor = 1
     if cache is not None:
         key = canonical_key(memo_key(query))
         hit = cache.get(key)
-        # a value above the cap is wrong whatever its witness: search again
-        if hit is not None and hit[0] <= value_cap(kind, n):
-            value, seq = hit
-            cert = _hit_certificate(cache, key, value, seq, query, nodes)
+        # a value above the cap is not the value the search would return
+        if hit is not None and hit[0] <= cap:
+            cert = _hit_certificate(cache, key, *hit, query, nodes)
             if cert is not None:
-                if budget.max_states is not None and value > budget.max_states:
-                    # the served value is beyond the allowance
-                    raise BudgetExceeded(budget.max_states + 1, 0)
-                return ComplexityResult(value, cert, nodes.count, time.perf_counter() - started)
-        if n >= 2 and kind != KIND_DET_TOTAL:
-            floor = _factor_floor(key, cache)
-            if budget.max_states is not None and floor > budget.max_states:
-                raise BudgetExceeded(floor, 0)
+                return ComplexityResult(hit[0], cert, nodes.count, time.perf_counter() - started)
 
     labels, classes = _walk_words(kind, target, condition)
-    cap = budget.max_states if budget.max_states is not None else value_cap(kind, n)
     if kind == KIND_DET_TOTAL:
         value, seq, nfa = _search_det_total(target, classes, cap, nodes)
     else:
-        value, seq = _least_witness(kind, labels, classes, floor, cap, nodes)
+        value, seq = _least_witness(kind, labels, classes, cap, nodes)
         nfa = walk_nfa(seq, labels)
     cert, why = _record_certificate(query, value, seq, nodes, nfa)
     assert why is None, why
@@ -1074,11 +1024,10 @@ def audit_record(query: ComplexityQuery, value: int, sequence: tuple[int, ...]) 
     The record is first checked as ``compute`` checks a hit: the value is at
     most ``value_cap`` and the certificate rebuilt from the sequence verifies
     with ``value`` states. Its minimality is then proven by
-    ``value_at_most(query, value - 1)`` with no cache, so that neither the
-    record nor a factor floor read from the same file vouches for itself; a
-    value of 1 is minimal by definition. That is a full search per record,
-    which is why a hit is never checked this way. A node-budget overrun
-    raises ``BudgetExceeded``.
+    ``value_at_most(query, value - 1)``, a search from one state with no
+    cache; a value of 1 is minimal by definition. That is a full search per
+    record, which is why a hit is never checked this way. A node-budget
+    overrun raises ``BudgetExceeded``.
     """
     cap = value_cap(query.kind, len(query.target))
     if value > cap:

@@ -22,7 +22,7 @@ class Kind:
     it counts walks for the ``deterministic`` kinds, whose witnesses allow
     one successor per (state, label): there each word has at most one walk,
     so the two counts agree. ``reversible`` kinds have ``A(w) = A(w^R)`` (see
-    ``complexity.compute``). ``alias`` is the command-line ``--kind`` name,
+    ``complexity.class_key``). ``alias`` is the command-line ``--kind`` name,
     shared by a kind and its conditional form, and ``symbol`` its display name.
     """
 

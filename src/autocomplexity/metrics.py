@@ -73,18 +73,12 @@ class ComplexityProvider:
     (``complexity.key_query``).
 
     Without a cache argument the provider keeps a memory-only
-    ``ResultCache``, so that ``compute`` starts each search at the factor
-    floor: ``A(v) <= A(w)`` for every factor ``v`` of ``w`` (a witness for
-    ``w``, started and stopped where its walk enters and leaves ``v``,
-    singles out ``v``), so the values of ``w[:-1]`` and ``w[1:]`` already in
-    the cache bound ``A(w)`` from below, and ``A(w) <= A(w[:-1]) + 1`` (a
-    fresh last state) keeps the search within one level of it; ``compute``
-    gives the three proofs in full. The floor trusts cached values exactly
-    as a cache hit does. Setting ``cache`` to None later is allowed: the
-    values then come from searches from 1 state. The cache's ``shapes``
-    hold proofs, not values: the walk shapes that a full certificate check
-    of a hit passed, so that the hits of the unique kinds on a proven shape
-    are checked in O(n). They live and end with the cache object.
+    ``ResultCache``, so that the records of ``prefetch``'s batches and the
+    proven walk shapes persist across calls. The cache's ``shapes`` hold
+    proofs, not values: the walk shapes that a full certificate check of a
+    hit passed, so that the hits of the unique kinds on a proven shape are
+    checked in O(n). They live and end with the cache object. Setting
+    ``cache`` to None later is allowed: the values then come from searches.
 
     ``prefetch`` memoizes many unique and conditional-unique values with one
     batch search per condition word, which ``max_nodes`` bounds; a single
@@ -129,8 +123,7 @@ class ComplexityProvider:
         cache in one ``put_many``, in the order ``keys`` first miss them, as
         one read per key writes them, and every value is then served by
         ``compute`` as a checked hit: re-verified, or on a walk shape that
-        a full verification on the same cache proved. No factor floor is used: its cache
-        lookups cost more time than the nodes it saved. A node-budget overrun
+        a full verification on the same cache proved. A node-budget overrun
         raises ``BudgetExceeded`` before any record is written. Without a
         cache a throwaway memory cache is used.
         """
@@ -518,6 +511,8 @@ def distribution_table(
     """
     if n_max > 10:
         raise ValueError("exhaustive rows stop at length 10; sample longer lengths")
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, not {n_max}")
     provider = provider or ComplexityProvider()
     return [_distribution_row(n, provider) for n in range(n_max + 1)]
 
@@ -525,7 +520,12 @@ def distribution_table(
 def sample_distribution(
     n: int, samples: int, seed: int, provider: ComplexityProvider | None = None
 ) -> DistributionRow:
-    """Empirical conditional-complexity distribution over random slow pairs."""
+    """Empirical conditional-complexity distribution over ``samples`` random
+    slow pairs of length ``n``; both must be at least 1."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     provider = provider or ComplexityProvider()
     rng = random.Random(seed)
 

@@ -234,6 +234,8 @@ def slow_words(n: int, alphabet_size: int):
     These are the canonical representatives of words up to alphabet permutation;
     for a binary alphabet and n >= 1 they are exactly the words starting with 0.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, not {n}")
     if n == 0:
         yield Word((), alphabet_size)
         return

@@ -134,30 +134,56 @@ def test_value_above_the_cap_is_searched_again(tmp_path):
     result = compute(q_plain("0101"), cache=cache)
     assert result.value == 2 and result.explored > 0
     assert ResultCache(tmp_path / "compute").get(key("0101"))[0] == 2  # rewritten
+    # an allowance above the cap does not lift it
+    assert value_at_most(q_plain("0101"), 5, cache_holding(tmp_path / "at-most", bogus)) == 2
     provider = ComplexityProvider(cache_holding(tmp_path / "provider", bogus))
     assert provider.unconditional(word) == 2
     metric = ComplexityProvider(cache_holding(tmp_path / "metric", bogus))
     assert verify_metric(4, MetricKind.J, metric) == verify_metric(4, MetricKind.J)
     assert metric.unconditional(word) == 2
-    # nor is it a floor for the words that hold 0101 as a factor
-    floor = cache_holding(tmp_path / "floor", bogus)
-    assert compute(q_plain("01010"), cache=floor).value == compute(q_plain("01010")).value
+    # nor does it change the search of a word that holds 0101 as a factor
+    factor = cache_holding(tmp_path / "factor", bogus)
+    result, plain = compute(q_plain("01010"), cache=factor), compute(q_plain("01010"))
+    assert (result.value, result.explored) == (plain.value, plain.explored)
 
 
 # a 1-state walk is no witness for 0101, and the value is 2, not 3
 FAILING_0101 = "unique\t0101@2\t-\t3\t0,0,0,0,0\n"
 
 
+# a valid 3-state witness within the cap, though A(0000) = 1
+OVERVALUED_0000 = "unique\t0000@1\t-\t3\t0,1,2,2,2\n"
+
+
 def test_max_states_hit_is_verified_before_it_is_answered(tmp_path):
     cache = cache_holding(tmp_path / "forged", [FAILING_0101])
     assert value_at_most(q_plain("0101"), 2, cache) == 2
-    # a record that verifies still answers "above the allowance" unsearched
     valid = ResultCache(tmp_path / "valid")
     value = compute(q_plain("0010"), cache=valid).value
     assert value == 3
+    assert compute(q_plain("0010"), Budget(max_states=3), ResultCache(tmp_path / "valid")).explored == 0
+    # a record above the allowance answers nothing: a search proves the bound
     with pytest.raises(BudgetExceeded) as e:
         compute(q_plain("0010"), Budget(max_states=2), ResultCache(tmp_path / "valid"))
-    assert (e.value.lower_bound, e.value.explored) == (3, 0)
+    with pytest.raises(BudgetExceeded) as plain:
+        compute(q_plain("0010"), Budget(max_states=2))
+    assert (e.value.lower_bound, e.value.explored) == (3, plain.value.explored)
+    assert plain.value.explored > 0
+
+
+def test_record_above_the_allowance_is_searched_again(tmp_path):
+    cache = cache_holding(tmp_path / "cache", [OVERVALUED_0000])
+    assert value_at_most(q_plain("0000"), 2, cache) == 1
+    assert ResultCache(tmp_path / "cache").get(key("0000")) == (1, (0, 0, 0, 0, 0))
+
+
+def test_record_of_a_factor_bounds_no_search(tmp_path):
+    cache = cache_holding(tmp_path / "at-most", [OVERVALUED_0000])
+    assert value_at_most(q_plain("00000"), 2, cache) == 1
+    cache = cache_holding(tmp_path / "compute", [OVERVALUED_0000])
+    result, plain = compute(q_plain("00000"), cache=cache), compute(q_plain("00000"))
+    assert result.value == plain.value == 1 and result.explored == plain.explored
+    assert ResultCache(tmp_path / "compute").get(key("00000"))[0] == 1
 
 
 def test_det_total_hit_check_proves_no_lower_bound(tmp_path):
@@ -174,10 +200,11 @@ def test_det_total_hit_check_proves_no_lower_bound(tmp_path):
     assert (e.value.lower_bound, e.value.explored) == (1, 2)
 
 
-def test_factor_floor_reads_only_verified_records(tmp_path):
+def test_failing_factor_record_changes_no_search(tmp_path):
     cache = cache_holding(tmp_path / "cache", [FAILING_0101])
     result = compute(q_plain("01010"), cache=cache)
     assert result.value == 2 and verify_certificate(result.certificate)[0]
+    assert result.explored == compute(q_plain("01010")).explored
     lines = cache.path.read_text(encoding="ascii").splitlines()
     assert lines[0] == FAILING_0101.strip()
     assert [line.split("\t")[:4] for line in lines[1:]] == [["unique", "01010@2", "-", "2"]]

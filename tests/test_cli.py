@@ -150,7 +150,7 @@ def test_cache_audit_names_unproven_records(tmp_path, capsys):
     (tmp_path / "results.tsv").write_text(
         # a valid 3-state witness within the cap, served by a hit, though A(0000) = 1
         "unique\t0000@1\t-\t3\t0,1,2,2,2\n"
-        # what a search of 00000 from that record's factor floor writes
+        # a forged record: also a valid 3-state witness, though A(00000) = 1
         "unique\t00000@1\t-\t3\t0,0,0,0,1,2\n"
         "unique\t0101@2\t-\t2\t0,1,0,1,0\n"
         "unique\t0101@2\t-\t5\t0,1,2,3,4\n"
@@ -166,6 +166,24 @@ def test_cache_audit_names_unproven_records(tmp_path, capsys):
     assert lines[4].startswith("4 of 5 cached record(s) failed")
     # the audit writes nothing
     assert len((tmp_path / "results.tsv").read_text().splitlines()) == 5
+
+
+def test_record_of_a_factor_is_no_lower_bound(tmp_path, capsys):
+    (tmp_path / "results.tsv").write_text("unique\t0000@1\t-\t3\t0,1,2,2,2\n")
+    code, out, _ = run(capsys, "complexity", "00000", "--max-states", "2", "--cache-dir", str(tmp_path))
+    assert code == 0 and "A_Nu(00000) = 1" in out
+
+
+def test_rows_that_cannot_be_served_are_refused(capsys):
+    for argv, name in (
+        (("table", "--sample", "-2", "--samples", "3"), "n"),
+        (("table", "--sample", "5", "--samples", "0"), "samples"),
+        (("table", "--n", "-1"), "n_max"),
+        (("classify", "--n", "-1"), "n"),
+        (("verify-metric", "--n", "-1", "--kind", "j"), "n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"{name} must be at least" in err, argv
 
 
 def test_cache_audit_passes_a_filled_cache(tmp_path, capsys):

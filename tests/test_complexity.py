@@ -188,6 +188,10 @@ def test_max_states_bound():
     assert e.value.lower_bound == 4
     assert value_at_most(ComplexityQuery(KIND_UNIQUE, w), 3) is None
     assert value_at_most(ComplexityQuery(KIND_UNIQUE, w), 4) == 4
+    # a negative allowance proves only the bound 1, which needs no search
+    with pytest.raises(BudgetExceeded) as e:
+        compute(ComplexityQuery(KIND_UNIQUE, w), Budget(max_states=-3))
+    assert (e.value.lower_bound, e.value.explored) == (1, 0)
     # running out of nodes proves nothing about the bound: "unknown" raises
     with pytest.raises(BudgetExceeded) as e:
         value_at_most(ComplexityQuery(KIND_UNIQUE, w), 10, max_nodes=5)
@@ -200,6 +204,18 @@ def test_max_states_bound():
     with pytest.raises(BudgetExceeded) as e:
         list(all_witness_sequences(q, 3, max_nodes=1))
     assert e.value.lower_bound == 1
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_empty_word_honours_the_allowance(kind):
+    # no automaton has 0 states, so the bound 1 needs no search
+    empty = Word((), 2)
+    query = ComplexityQuery(kind, empty, empty if KINDS[kind].conditional else None)
+    with pytest.raises(BudgetExceeded) as e:
+        compute(query, Budget(max_states=0))
+    assert (e.value.lower_bound, e.value.explored) == (1, 0)
+    assert value_at_most(query, 0) is None
+    assert value_at_most(query, 1) == 1
 
 
 def test_witness_at_exact_state_count():

@@ -141,7 +141,7 @@ def assert_batch_is_searched(condition, targets):
     assert len(found) == len(targets)
     for x, record in zip(targets, found):
         searched = _least_witness(
-            KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, condition), 1,
+            KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, condition),
             value_cap(KIND_COND_UNIQUE, len(x)), _Nodes(),
         )
         assert record == searched, (x, condition)
@@ -354,7 +354,7 @@ def assert_record_is_searched(target, record):
     for ``target``, and its certificate verifies."""
     query = (KIND_UNIQUE, target, None)
     cap = value_cap(KIND_UNIQUE, len(target))
-    assert record == _least_witness(KIND_UNIQUE, *_walk_words(*query), 1, cap, _Nodes()), target
+    assert record == _least_witness(KIND_UNIQUE, *_walk_words(*query), cap, _Nodes()), target
     value, seq = record
     cert, why = _record_certificate(ComplexityQuery(*query), value, seq, _Nodes())
     assert why is None and verify_certificate(cert)[0] and cert.claimed_states == value, target

@@ -1,8 +1,26 @@
-"""The factor floor in ``compute`` and the reversal classes of the provider.
+"""Bounds between a word's value and those of its factors, cached records of
+other words, and the reversal classes of the provider.
 
-Every value used as a reference here is computed with no cache, so these
-tests do not lean on the floor they check. The properties restate the three
-bounds the floor rests on (see the ``compute`` docstring).
+Every value used as a reference here is computed with no cache. The
+properties check two bounds for walk-generated witnesses (one start, one
+accept, the edges of one accepting walk):
+
+* Factors (every walk kind, conditional ones included): take a witness for
+  ``w = u v z`` whose accepting walk is at state p after ``u`` and at state
+  r after ``uv``, and make p the start and r the only accept. The middle of
+  the walk accepts ``v``. A second walk (unique kinds) or a second word
+  (exact kinds) of length ``|v|`` from p to r would splice between the
+  walk's first ``|u|`` and last ``|z|`` steps into a second one of length n
+  for ``w``, and determinism is kept. So ``A(v) <= A(w)`` for every factor
+  ``v``.
+* One more letter (unique and exact): give a witness for ``w[:-1]`` one
+  fresh state f, the only accept, entered only by an edge labeled ``w[-1]``
+  from the old accept. Its accepting walks and words of length n are those
+  of the old witness extended by that edge, so ``A(w) <= A(w[:-1]) + 1``.
+
+The reversal property checks ``A(w) = A(w^R)``, proven in the docstring of
+``complexity.class_key``. ``compute`` reads none of these bounds from a
+cache: the records of other words never change a search.
 """
 
 import pytest
@@ -38,59 +56,57 @@ def reverse(w):
 
 
 def assert_guided_matches_plain(queries, cache):
-    guided_nodes = plain_nodes = 0
+    """Each query is searched as with no cache, though ``cache`` holds the
+    records of the queries before it."""
     for query in queries:
         guided = compute(query, cache=cache)
         plain = compute(query)
         assert guided.value == plain.value, query
         assert guided.certificate == plain.certificate, query
-        guided_nodes += guided.explored
-        plain_nodes += plain.explored
-    return guided_nodes, plain_nodes
+        assert guided.explored == plain.explored, query
 
 
 def test_guided_conditional_matches_plain_up_to_six():
     cache = ResultCache()
-    guided = plain = 0
     for n in range(7):
         words = list(slow_words(n, 2))
-        queries = [ComplexityQuery(KIND_COND_UNIQUE, x, y) for y in words for x in words]
-        g, p = assert_guided_matches_plain(queries, cache)
-        guided, plain = guided + g, plain + p
-    assert guided < plain
+        assert_guided_matches_plain([ComplexityQuery(KIND_COND_UNIQUE, x, y) for y in words for x in words], cache)
 
 
 @pytest.mark.parametrize("kind", [KIND_UNIQUE, KIND_EXACT])
 def test_guided_unconditional_matches_plain_up_to_ten(kind):
     cache = ResultCache()
-    guided = plain = 0
     for n in range(11):
-        queries = [ComplexityQuery(kind, w) for w in slow_words(n, 2)]
-        g, p = assert_guided_matches_plain(queries, cache)
-        guided, plain = guided + g, plain + p
-    assert guided < plain
+        assert_guided_matches_plain([ComplexityQuery(kind, w) for w in slow_words(n, 2)], cache)
 
 
-def test_floor_above_max_states_is_refused_without_search():
+def assert_bound_is_searched(query, max_states, cache):
+    """``compute`` under ``max_states`` raises with the lower bound and the
+    node count of a search with no cache, and returns that bound."""
+    with pytest.raises(BudgetExceeded) as cached:
+        compute(query, Budget(max_states=max_states), cache)
+    with pytest.raises(BudgetExceeded) as plain:
+        compute(query, Budget(max_states=max_states))
+    assert cached.value.explored == plain.value.explored > 0
+    assert cached.value.lower_bound == plain.value.lower_bound
+    return cached.value.lower_bound
+
+
+def test_bound_above_max_states_is_proven_by_a_search():
     cache = ResultCache()
     assert compute(ComplexityQuery(KIND_UNIQUE, Word.parse("0001000", 2)), cache=cache).value == 4
     query = ComplexityQuery(KIND_UNIQUE, Word.parse("00010001", 2))
-    with pytest.raises(BudgetExceeded) as e:
-        compute(query, Budget(max_states=3), cache)
-    assert e.value.lower_bound >= 4
-    assert e.value.explored == 0
+    assert assert_bound_is_searched(query, 3, cache) >= 4
     assert value_at_most(query, 3, cache) is None
     assert value_at_most(query, 4, cache) == value(KIND_UNIQUE, query.target) == 4
 
 
-def test_floor_reads_factors_in_both_orientations():
+def test_reversed_factor_record_changes_no_search():
     # the cache holds 0010001 only: the reversal of the suffix 1000100 of w
     cache = ResultCache()
     assert compute(ComplexityQuery(KIND_UNIQUE, Word.parse("0010001", 2)), cache=cache).value == 4
     query = ComplexityQuery(KIND_UNIQUE, Word.parse("01000100", 2))
-    with pytest.raises(BudgetExceeded) as e:
-        compute(query, Budget(max_states=3), cache)
-    assert e.value.lower_bound >= 4 and e.value.explored == 0
+    assert assert_bound_is_searched(query, 3, cache) >= 4
     assert value_at_most(query, 4, cache) == value(KIND_UNIQUE, query.target) == 4
 
 

@@ -430,6 +430,14 @@ def test_distribution_small_rows(provider):
 def test_distribution_table_guards_length(provider):
     with pytest.raises(ValueError):
         distribution_table(11, provider)
+    with pytest.raises(ValueError, match="^n_max must be at least 0"):
+        distribution_table(-1, provider)
+
+
+def test_sampling_refuses_rows_it_cannot_draw(provider):
+    for n, samples, name in ((0, 3, "n"), (-2, 3, "n"), (5, 0, "samples")):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            sample_distribution(n, samples, seed=1, provider=provider)
 
 
 def test_format_table_brackets_mode(provider):

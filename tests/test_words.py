@@ -189,6 +189,8 @@ def test_slow_words_enumeration():
     assert [str(w) for w in slow_words(2, 2)] == ["00", "01"]
     assert len(list(slow_words(6, 2))) == 32
     assert list(slow_words(0, 2)) == [Word((), 2)]
+    with pytest.raises(ValueError, match="^n must be at least 0"):
+        list(slow_words(-1, 2))
     for w in slow_words(4, 3):
         assert is_slow(w)
 
