@@ -9,6 +9,11 @@ first factor is a condition alphabet: a label encodes the pair
 ``(condition_symbol, target_symbol)`` as ``condition_symbol * target_size +
 target_symbol``. The unconditional counts are the conditional ones given
 the one-letter word ``0^n``.
+
+Walks and words are both counted as runs, in one forward pass
+(``_count_runs``). A walk's run moves over the states. A word's run moves
+over the state sets of the subset construction, since each word read so
+far reaches exactly one set.
 """
 
 from __future__ import annotations
@@ -72,8 +77,8 @@ class Nfa:
 class CountResult:
     """A saturating count; ``count == cap`` means "at least cap".
 
-    When the count is exactly 1 and the operation supports it, the second
-    projection of the unique walk's label word is reconstructed.
+    When the count is exactly 1, ``reconstruction`` is the second
+    projection of the one walk's or word's label word; otherwise it is None.
     """
 
     count: int
@@ -111,13 +116,49 @@ def accepts_word(m: Nfa, w: Word) -> bool:
     return bool(current & m.accepts)
 
 
+def _count_runs(start, steps, y: Word, accepting, second: int, cap: int) -> CountResult:
+    """Count the runs from ``start`` that read y and end where ``accepting``
+    holds, saturating at cap, in one forward pass.
+
+    ``steps(end, c)`` gives the ``(target, letter)`` steps out of a run's end
+    on the condition letter c, letter being the step's second coordinate.
+    Each reached end keeps its run count and the second-coordinate word of
+    one run that reaches it. A total of 1 leaves one accepting end with one
+    run, whose word is the reconstruction.
+    """
+    # a word is kept reversed as nested pairs (last letter, the word before)
+    layer = {start: (1, None)}
+    for c in y.symbols:
+        nxt: dict = {}
+        for end, (count, word) in layer.items():
+            for target, letter in steps(end, c):
+                seen = nxt.get(target)
+                if seen is None:
+                    nxt[target] = (count, (letter, word))
+                else:
+                    nxt[target] = (_saturating(seen[0], count, cap), seen[1])
+        layer = nxt
+    total = 0
+    for end, (count, word) in layer.items():
+        if accepting(end):
+            total = _saturating(total, count, cap)
+            last = word
+    if total != 1:
+        return CountResult(total, cap)
+    letters = []
+    while last is not None:
+        letter, last = last
+        letters.append(letter)
+    return CountResult(1, cap, Word(tuple(reversed(letters)), second))
+
+
 def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     """Count distinct accepted words whose first coordinate spells y.
 
-    Runs the subset construction forward to find reachable state sets, then
-    counts distinct accepted suffixes backward, which also yields the unique
-    word when the count is exactly 1. The reconstruction is that word's
-    second projection.
+    The runs are those of the subset construction: each word read so far
+    reaches one set of states, and a label with a nonempty image of that
+    set is one step. The reconstruction is the single word's second
+    projection.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
@@ -127,68 +168,21 @@ def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
             f"got {m.state_count}"
         )
     second = _split_product_alphabet(m, y.alphabet_size)
-    n = len(y)
-    steps = [range(c * second, (c + 1) * second) for c in y.symbols]
     by_label: dict[int, list[tuple[int, int]]] = {}
     for frm, label, to in m.edges:
         by_label.setdefault(label, []).append((frm, to))
+    accept_mask = sum(1 << q for q in m.accepts)
 
-    def image(mask: int, label: int) -> int:
-        out = 0
-        for frm, to in by_label.get(label, ()):
-            if mask >> frm & 1:
-                out |= 1 << to
-        return out
+    def steps(mask: int, c: int):
+        for d in range(second):
+            img = 0
+            for frm, to in by_label.get(c * second + d, ()):
+                if mask >> frm & 1:
+                    img |= 1 << to
+            if img:
+                yield img, d
 
-    accept_mask = 0
-    for q in m.accepts:
-        accept_mask |= 1 << q
-
-    start_mask = 1 << m.start
-    reached: list[set[int]] = [{start_mask}]
-    for t in range(n):
-        nxt: set[int] = set()
-        for mask in reached[t]:
-            for label in steps[t]:
-                img = image(mask, label)
-                if img:
-                    nxt.add(img)
-        reached.append(nxt)
-
-    # suffix counts: number of distinct accepted label words from each subset
-    layers: list[dict[int, int]] = [
-        {mask: (1 if mask & accept_mask else 0) for mask in reached[n]}
-    ]
-    for t in range(n - 1, -1, -1):
-        g = layers[-1]
-        ng: dict[int, int] = {}
-        for mask in reached[t]:
-            total = 0
-            for label in steps[t]:
-                img = image(mask, label)
-                if img:
-                    total = _saturating(total, g.get(img, 0), cap)
-            ng[mask] = total
-        layers.append(ng)
-    layers.reverse()
-
-    total = layers[0].get(start_mask, 0)
-    reconstruction: Word | None = None
-    if total == 1:
-        syms = []
-        mask = start_mask
-        for t in range(n):
-            chosen = None
-            for label in steps[t]:
-                img = image(mask, label)
-                if img and layers[t + 1].get(img, 0):
-                    chosen = (label, img)
-                    break
-            assert chosen is not None
-            syms.append(chosen[0] % second)
-            mask = chosen[1]
-        reconstruction = Word(tuple(syms), second)
-    return CountResult(total, cap, reconstruction)
+    return _count_runs(1 << m.start, steps, y, lambda mask: mask & accept_mask, second, cap)
 
 
 def count_accepted_words(m: Nfa, n: int, cap: int = 2) -> CountResult:
@@ -209,45 +203,19 @@ def _split_product_alphabet(m: Nfa, condition_alphabet: int) -> int:
 def count_walks_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     """Count accepting walks of length |y| whose label's first coordinate spells y.
 
-    When exactly one such walk exists, its second-coordinate word is
-    reconstructed.
+    A step is an edge out of the walk's end whose label's first coordinate
+    is the condition letter. When exactly one such walk exists, its
+    second-coordinate word is reconstructed.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
     second = _split_product_alphabet(m, y.alphabet_size)
-    n = len(y)
-    by_cond: dict[int, list[tuple[int, int, int]]] = {}
+    # rows[c][q]: the (target, second letter) edges out of q on condition letter c
+    rows = [[[] for _ in range(m.state_count)] for _ in range(y.alphabet_size)]
     for frm, label, to in m.edges:
-        by_cond.setdefault(label // second, []).append((frm, label % second, to))
-
-    # backward: number of accepting condition-consistent suffix walks per state
-    g = [1 if q in m.accepts else 0 for q in range(m.state_count)]
-    layers = [g]
-    for t in range(n - 1, -1, -1):
-        ng = [0] * m.state_count
-        for frm, _d, to in by_cond.get(y[t], ()):
-            if g[to]:
-                ng[frm] = _saturating(ng[frm], g[to], cap)
-        g = ng
-        layers.append(g)
-    layers.reverse()
-
-    total = layers[0][m.start]
-    reconstruction: Word | None = None
-    if total == 1:
-        syms = []
-        state = m.start
-        for t in range(n):
-            nxt = None
-            for frm, d, to in by_cond.get(y[t], ()):
-                if frm == state and layers[t + 1][to]:
-                    nxt = (d, to)
-                    break
-            assert nxt is not None
-            syms.append(nxt[0])
-            state = nxt[1]
-        reconstruction = Word(tuple(syms), second)
-    return CountResult(total, cap, reconstruction)
+        c, d = divmod(label, second)
+        rows[c][frm].append((to, d))
+    return _count_runs(m.start, lambda q, c: rows[c][q], y, m.accepts.__contains__, second, cap)
 
 
 def product_project(m1: Nfa, m2: Nfa) -> Nfa:

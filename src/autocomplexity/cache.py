@@ -51,7 +51,7 @@ def parse_word(text: str) -> Word:
     alphabet_size = int(alpha)
     if not body:
         symbols: tuple[int, ...] = ()
-    elif "." in body:
+    elif alphabet_size > 10 or "." in body:
         symbols = tuple(int(p) for p in body.split("."))
     else:
         symbols = tuple(int(c) for c in body)

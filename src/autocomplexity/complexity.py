@@ -305,8 +305,9 @@ def _counter(kind: str, q: int, labels: Word, classes: Word):
 
 
 class _Nodes:
-    """The node meter of one search: ``count`` of its ``limit`` nodes spent,
-    and ``level``, the least state count it has not ruled out.
+    """The node meter of one search: ``count`` of its ``limit`` nodes spent
+    (a negative limit is 0), and ``level``, the least state count it has not
+    ruled out.
 
     ``level`` starts at 1, and only the level loops (``_least_witness``,
     ``_search_det_total`` and ``_least_witnesses``) set it, to each state
@@ -320,7 +321,7 @@ class _Nodes:
 
     def __init__(self, limit: int = DEFAULT_MAX_NODES):
         self.count = 0
-        self.limit = limit
+        self.limit = max(limit, 0)
         self.level = 1
 
     def overrun(self) -> NoReturn:

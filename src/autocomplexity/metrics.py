@@ -33,6 +33,7 @@ from .complexity import (
     KIND_DET_PARTIAL,
     KIND_UNIQUE,
     Budget,
+    BudgetExceeded,
     _least_witnesses,
     _Nodes,
     class_key,
@@ -83,7 +84,8 @@ class ComplexityProvider:
     ``prefetch`` memoizes many unique and conditional-unique values with one
     batch search per condition word, which ``max_nodes`` bounds; a single
     miss goes to ``compute``. ``nodes`` is the total of the search nodes
-    that the batches and the ``compute`` calls have spent.
+    that the batches and the ``compute`` calls have spent, overruns
+    included.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
@@ -93,9 +95,13 @@ class ComplexityProvider:
         self._memo: dict[tuple, int] = {}
 
     def _compute(self, key: tuple, cache: ResultCache) -> int:
-        """The value of ``key`` by ``compute`` under ``max_nodes``, its nodes
-        added to ``nodes``."""
-        result = compute(key_query(key), Budget(max_nodes=self.max_nodes), cache)
+        """The value of ``key`` by ``compute`` under ``max_nodes``, its nodes,
+        those of an overrun too, added to ``nodes``."""
+        try:
+            result = compute(key_query(key), Budget(max_nodes=self.max_nodes), cache)
+        except BudgetExceeded as e:
+            self.nodes += e.explored
+            raise
         self.nodes += result.explored
         return result.value
 
@@ -162,9 +168,11 @@ class ComplexityProvider:
             groups.setdefault((0,) * len(x) if y is None else y, []).append(rep_key)
         found = {}
         nodes = _Nodes(self.max_nodes)
-        for y, rep_keys in groups.items():
-            found.update(zip(rep_keys, _least_witnesses(y, [k[1] for k in rep_keys], nodes)))
-        self.nodes += nodes.count
+        try:
+            for y, rep_keys in groups.items():
+                found.update(zip(rep_keys, _least_witnesses(y, [k[1] for k in rep_keys], nodes)))
+        finally:
+            self.nodes += nodes.count
         cache.put_many((k, *found.pop(k)) for k in misses)
         for rep_key in misses:
             memo[rep_key] = self._compute(rep_key, cache)

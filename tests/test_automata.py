@@ -359,7 +359,7 @@ def enumerated_runs(m: Nfa, condition: Word) -> list[tuple[int, ...]]:
 def test_verify_certificate_matches_the_reference(data):
     """On random NFAs (1-4 states, 1-3 letters per factor, n <= 6) every
     kind's check agrees with ``reference_verify``, and the projection
-    counts with an enumeration of the walks."""
+    counts, at caps 2 to 4, with an enumeration of the walks."""
     kind = data.draw(st.sampled_from(sorted(KINDS)))
     conditional = KINDS[kind].conditional
     a = data.draw(st.integers(1, 3))
@@ -388,11 +388,12 @@ def test_verify_certificate_matches_the_reference(data):
     cert = WitnessCertificate(kind, target, m, q, condition if conditional else None)
     assert verify_certificate(cert)[0] == reference_verify(cert)[0]
     runs = enumerated_runs(m, condition)
-    walks = count_walks_given_projection(m, condition)
-    assert walks.count == min(len(runs), 2)
+    cap = data.draw(st.integers(2, 4))
+    walks = count_walks_given_projection(m, condition, cap)
+    assert walks.count == min(len(runs), cap)
     assert walks.reconstruction == (Word(runs[0], a) if len(runs) == 1 else None)
-    words = count_words_given_projection(m, condition)
-    assert words.count == min(len(set(runs)), 2)
+    words = count_words_given_projection(m, condition, cap)
+    assert words.count == min(len(set(runs)), cap)
     assert words.reconstruction == (Word(runs[0], a) if len(set(runs)) == 1 else None)
 
 

@@ -35,6 +35,7 @@ def test_word_field_round_trip():
         Word.parse("0001", 2),
         Word((), 2),
         Word((0, 11, 3), 24),
+        Word((12,), 13),
         Word.parse("0123456789"),
     ]:
         assert parse_word(format_word(w)) == w

@@ -207,6 +207,8 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "error" in err
     code, _, err = run(capsys, "complexity", "00110100101101", "--budget", "50")
     assert code == 4
+    code, _, err = run(capsys, "complexity", "0110", "--budget", "-5")
+    assert code == 4
     code, _, err = run(capsys, "complexity", "0001000", "--max-states", "3")
     assert code == 4
     code, _, err = run(capsys, "check", str(tmp_path / "missing.json"))

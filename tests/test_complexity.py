@@ -206,6 +206,18 @@ def test_max_states_bound():
     assert e.value.lower_bound == 1
 
 
+def test_negative_node_budget_is_zero():
+    # no node is allowed, so the first one overruns, as under max_nodes=0
+    q = ComplexityQuery(KIND_UNIQUE, Word.parse("0110", 2))
+    for max_nodes in (0, -5):
+        with pytest.raises(BudgetExceeded) as e:
+            compute(q, Budget(max_nodes=max_nodes))
+        assert (e.value.lower_bound, e.value.explored) == (1, 1)
+    with pytest.raises(BudgetExceeded) as e:
+        value_at_most(q, 3, max_nodes=-3)
+    assert (e.value.lower_bound, e.value.explored) == (1, 1)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_empty_word_honours_the_allowance(kind):
     # no automaton has 0 states, so the bound 1 needs no search

@@ -349,6 +349,22 @@ def test_provider_counts_the_nodes_of_its_batches_and_misses(monkeypatch):
     assert provider.nodes - before == searched > 0
 
 
+def test_provider_counts_the_nodes_of_an_overrun():
+    """A ``compute`` or a batch that runs out of nodes adds the nodes it
+    spent to ``provider.nodes`` before the overrun reaches the caller."""
+    x, y = Word.parse("0110100110", 2), Word.parse("0101010011", 2)
+    key = (KIND_COND_UNIQUE, x.symbols, y.symbols)
+    for serve in (lambda p: p.conditional(x, y), lambda p: p.prefetch([key])):
+        provider = ComplexityProvider(max_nodes=10)
+        with pytest.raises(BudgetExceeded) as e:
+            serve(provider)
+        assert provider.nodes == e.value.explored == 11
+    provider = ComplexityProvider(max_nodes=-5)
+    with pytest.raises(BudgetExceeded) as e:
+        provider.conditional(x, y)
+    assert provider.nodes == e.value.explored == 1
+
+
 def assert_record_is_searched(target, record):
     """``record`` is what the labeled unique-kind search from 1 state returns
     for ``target``, and its certificate verifies."""
