@@ -103,20 +103,27 @@ class ResultCache:
     the file is keyed by the ``memo_key`` of its query. With
     ``directory=None`` the cache is memory-only and formats no line.
 
-    ``shapes`` holds proofs, not values: the ``(kind, condition symbols or
-    None, sequence)`` shapes of the unique kinds whose walk NFA a full
-    certificate check of a hit passed on this object
-    (``complexity._hit_certificate``), so that a later hit on the same
-    shape is checked in O(n). It starts empty, is never written to the file
-    and is not read by ``audit``. A proof rests on no record, so ``clear``
-    keeps it.
+    ``shapes`` holds proofs, not values. It maps each ``(kind, condition
+    symbols or None, sequence)`` shape of the unique kinds whose walk NFA a
+    full certificate check of a hit passed on this object to the index of
+    its step partition (``complexity._hit_certificate``), so that a later
+    hit on the same shape is checked with one comparison. Equal indexes are
+    one tuple (``add_shape``). ``shapes`` starts empty, is never written to
+    the file and is not read by ``audit``. A proof rests on no record, so
+    ``clear`` keeps it.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = Path(directory) if directory is not None else None
         self._memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._loaded = self.directory is None
-        self.shapes: set[tuple] = set()
+        self.shapes: dict[tuple, tuple[int, ...]] = {}
+        self._indexes: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def add_shape(self, shape: tuple, first: tuple[int, ...]) -> None:
+        """Keep the proven ``shape`` with its step-partition index ``first``,
+        shared with the shapes of the same partition."""
+        self.shapes[shape] = self._indexes.setdefault(first, first)
 
     @classmethod
     def from_environment(cls, override: str | None = None) -> ResultCache | None:

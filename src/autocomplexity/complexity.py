@@ -509,20 +509,23 @@ def _hit_certificate(
     builds it, when the record may be served; else None.
 
     Each record of a kind that counts walks (unique, conditional-unique) is
-    checked once per *shape*, ``(kind, condition symbols, sequence)``. The
-    shapes whose walk NFA a full ``_record_certificate`` has passed are kept
-    in ``cache.shapes``. A record on a known shape is served once the
-    target is constant on the shape's *step partition*, in which positions
-    i and j share a class when ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``
-    (y is the condition, ``0^n`` for the unique kind), and its walk NFA has
-    ``value`` states. These are read off the symbols in O(n), with no NFA
-    built: the NFA has ``max(sequence) + 1`` states, as a known shape's
-    sequence is slow, and one edge per class exactly when the steps
-    ``(s_i, y_i, x_i, s_i+1)`` are as many as the steps ``(s_i, y_i,
-    s_i+1)``. Such a hit returns the builder of its certificate, the walk
-    NFA over the query's labels (``_walk_words``), run only if the
-    certificate is read. Any other record is checked in full and, when it
-    passes, adds its shape.
+    checked once per *shape*, ``(kind, condition symbols, sequence)``. A
+    shape whose walk NFA a full ``_record_certificate`` has passed is kept
+    in ``cache.shapes`` with the index ``first`` of its *step partition*,
+    in which steps i and j share a class when ``(s_i, y_i, s_i+1) = (s_j,
+    y_j, s_j+1)`` (y is the condition, ``0^n`` for the unique kind):
+    ``first[i]`` is the least j in the class of i (``_step_index``). A
+    record on a known shape is served when ``len(x) == len(first)``, its
+    walk NFA has ``value`` states and ``x == tuple(map(x.__getitem__,
+    first))``: one lookup and one comparison, with no NFA built. The NFA
+    has ``max(sequence) + 1`` states, as a known shape's sequence is slow.
+    The comparison holds exactly when the target x is constant on the step
+    partition, that is, when the NFA has one edge per class: if steps i and
+    k share a class, then ``first[i] = first[k]`` and ``x[i] = x[first[i]]
+    = x[k]``; conversely ``first[i]`` lies in the class of i. Such a hit
+    returns the builder of its certificate, the walk NFA over the query's
+    labels (``_walk_words``), run only if the certificate is read. Any
+    other record is checked in full and, when it passes, adds its shape.
 
     Why one proof per shape suffices. Let ``M_x``, the walk NFA of the
     sequence reading ``track(y, x)`` (x for the unique kind), verify. Then
@@ -536,20 +539,30 @@ def _hit_certificate(
     of the sequence. The exact and DFA kinds are excluded: their checks
     count words, which depend on labels beyond the step partition.
     """
-    kind, target, condition = query.kind, query.target, query.condition
+    kind, x = query.kind, query.target.symbols
     shape = (kind, key[2], sequence) if KINDS[kind].counts == "walks" else None
-    if shape is not None and shape in cache.shapes:
-        x = target.symbols
-        y = (0,) * len(x) if condition is None else condition.symbols
-        frm, to = sequence[:-1], sequence[1:]
-        edges = set(zip(frm, y, x, to, strict=True))
-        classes = set(zip(frm, y, to, strict=True))
-        if max(sequence) + 1 == value and len(edges) == len(classes):
+    if shape is not None:
+        first = cache.shapes.get(shape)
+        if (
+            first is not None
+            and len(x) == len(first)
+            and max(sequence) + 1 == value
+            and x == tuple(map(x.__getitem__, first))
+        ):
             return functools.partial(_walk_certificate, query, sequence)
     cert, _why = _record_certificate(query, value, sequence, nodes)
     if cert is not None and shape is not None:
-        cache.shapes.add(shape)
+        y = (0,) * len(x) if query.condition is None else query.condition.symbols
+        cache.add_shape(shape, _step_index(sequence, y))
     return cert
+
+
+def _step_index(sequence: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The index of the step partition of the walk ``sequence`` reading the
+    condition ``y``: at position i, the least j with ``(s_j, y_j, s_j+1) =
+    (s_i, y_i, s_i+1)``."""
+    first: dict = {}
+    return tuple([first.setdefault(step, i) for i, step in enumerate(zip(sequence, y, sequence[1:]))])
 
 
 def _walk_certificate(query: ComplexityQuery, sequence: tuple[int, ...]) -> WitnessCertificate:
@@ -848,9 +861,15 @@ def key_query(key: tuple) -> ComplexityQuery:
     return ComplexityQuery(kind, _used_word(target), None if third is None else _used_word(third))
 
 
+# the slow forms canonical_key reads, each word's taken once; bounded, since
+# a study reads each pair word about once
+_slow_form = functools.lru_cache(maxsize=4096)(slow_symbols)
+
+
 def canonical_key(key: tuple) -> tuple:
     """The cache key of the memo key ``key``: its symbol tuples relabeled to
-    their slow forms (``words.slow_symbols``).
+    their slow forms (``words.slow_symbols``), read from a bounded per-word
+    memo: a study asks for the keys of the same few words again and again.
 
     Relabeling either alphabet permutes labels pointwise, and symbols that
     never occur cannot appear on any witness edge, so the slow form over the
@@ -861,9 +880,9 @@ def canonical_key(key: tuple) -> tuple:
     """
     kind, target, third = key
     if kind in CONDITIONAL_KINDS:
-        slow = slow_symbols(third)
+        slow = _slow_form(third)
         third = third if slow == third else slow
-    return kind, slow_symbols(target), third
+    return kind, _slow_form(target), third
 
 
 def canonical_query(query: ComplexityQuery) -> ComplexityQuery:
@@ -1193,6 +1212,10 @@ def search_emergent(
 ) -> list[Word]:
     """All slow words of length <= max_len showing emergent simplicity;
     ``max_nodes`` bounds each search, and an overrun raises ``BudgetExceeded``."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, not {max_len}")
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be at least 1, not {alphabet_size}")
     found = []
     for n in range(1, max_len + 1):
         for w in slow_words(n, alphabet_size):

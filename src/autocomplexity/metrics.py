@@ -77,8 +77,10 @@ class ComplexityProvider:
     ``ResultCache``, so that the records of ``prefetch``'s batches and the
     proven walk shapes persist across calls. The cache's ``shapes`` hold
     proofs, not values: the walk shapes that a full certificate check of a
-    hit passed, so that the hits of the unique kinds on a proven shape are
-    checked in O(n). They live and end with the cache object. Setting
+    hit passed, each with its step-partition index, so that a hit of the
+    unique kinds on a proven shape is served on lookups and one comparison
+    of its target with the index, with no NFA built. They live and end with
+    the cache object. Setting
     ``cache`` to None later is allowed: the values then come from searches.
 
     ``prefetch`` memoizes many unique and conditional-unique values with one

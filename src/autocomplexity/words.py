@@ -35,12 +35,15 @@ class Word:
 
     @classmethod
     def parse(cls, text: str, alphabet_size: int | None = None) -> Word:
-        """Parse a digit string like ``"0010"``; empty string gives the empty word."""
+        """Parse a digit string like ``"0010"``; empty string gives the empty
+        word. A digit outside the given alphabet is a parse error."""
         if not all(c.isdigit() for c in text):
             raise ParseError(f"word must be a string of digits 0-9, got {text!r}")
         syms = tuple(int(c) for c in text)
         if alphabet_size is None:
             alphabet_size = max(syms, default=0) + 1
+        elif max(syms, default=0) >= alphabet_size:
+            raise ParseError(f"symbol {max(syms)} out of range for alphabet of size {alphabet_size}")
         return cls(syms, alphabet_size)
 
     def __len__(self) -> int:
@@ -236,6 +239,8 @@ def slow_words(n: int, alphabet_size: int):
     """
     if n < 0:
         raise ValueError(f"n must be at least 0, not {n}")
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be at least 1, not {alphabet_size}")
     if n == 0:
         yield Word((), alphabet_size)
         return

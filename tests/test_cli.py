@@ -181,6 +181,8 @@ def test_rows_that_cannot_be_served_are_refused(capsys):
         (("table", "--n", "-1"), "n_max"),
         (("classify", "--n", "-1"), "n"),
         (("verify-metric", "--n", "-1", "--kind", "j"), "n"),
+        (("search-emergent", "--max-len", "-1"), "max_len"),
+        (("search-emergent", "--max-len", "3", "--alphabet", "0"), "alphabet_size"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"{name} must be at least" in err, argv
@@ -205,6 +207,10 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "complexity", "01a1")
     assert code == 3 and "error" in err
+    code, _, err = run(capsys, "complexity", "012", "--alphabet", "2")
+    assert code == 3 and "symbol 2 out of range" in err
+    code, _, err = run(capsys, "conditional", "01", "02", "--alphabet-y", "2")
+    assert code == 3 and "symbol 2 out of range" in err
     code, _, err = run(capsys, "complexity", "00110100101101", "--budget", "50")
     assert code == 4
     code, _, err = run(capsys, "complexity", "0110", "--budget", "-5")

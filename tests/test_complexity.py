@@ -1,9 +1,12 @@
 import functools
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import autocomplexity
 from autocomplexity import (
     KIND_COND_EXACT,
     KIND_COND_UNIQUE,
@@ -311,6 +314,13 @@ def test_emergent_simplicity_values():
 
 def test_search_emergent_small_lengths_empty():
     assert search_emergent(6) == []
+    assert search_emergent(0) == []
+
+
+@pytest.mark.parametrize("max_len, alphabet_size", [(-1, 2), (0, 0), (3, 0)])
+def test_search_emergent_refuses_what_it_cannot_search(max_len, alphabet_size):
+    with pytest.raises(ValueError, match="must be at least"):
+        search_emergent(max_len, alphabet_size)
 
 
 def test_compute_uses_cache(tmp_path):
@@ -1066,3 +1076,16 @@ def test_batch_nodes_match_the_reference(targets):
         _least_witnesses(y, xs, _Nodes(nodes - 1))
     assert (e.value.lower_bound, e.value.explored) == (max(v for v, _ in found), nodes)
     assert _least_witnesses(y, xs, _Nodes(nodes)) == found
+
+
+def test_every_module_memo_is_bounded():
+    """A module-level ``functools.lru_cache`` lives as long as the process,
+    so each one in the package has a finite ``maxsize``."""
+    memos = []
+    for info in pkgutil.iter_modules(autocomplexity.__path__):
+        module = importlib.import_module(f"autocomplexity.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                memos.append(name)
+                assert value.cache_parameters()["maxsize"] is not None, f"{info.name}.{name}"
+    assert {"_slow_form", "_word_forms", "_used_word"} <= set(memos)

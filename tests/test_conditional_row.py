@@ -15,6 +15,7 @@ symbol tuples.
 
 import functools
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from autocomplexity import (
     ResultCache,
     compute,
     verify_certificate,
+    walk_nfa,
 )
 from autocomplexity.cache import parse_word
 from autocomplexity import complexity as complexity_module
@@ -297,6 +299,61 @@ def test_known_shape_hits_build_nothing(monkeypatch):
         assert (result.value, result.explored) == (value, 0), key
         assert result.certificate == cert and result.certificate is result.certificate, key
         assert verify_certificate(result.certificate)[0], key
+
+
+def two_set_check(x, y, sequence, value):
+    """The known-shape check as two sets of steps: the walk NFA has
+    ``value`` states and as many steps ``(s_i, y_i, x_i, s_i+1)`` as steps
+    ``(s_i, y_i, s_i+1)``."""
+    frm, to = sequence[:-1], sequence[1:]
+    edges = set(zip(frm, y, x, to, strict=True))
+    classes = set(zip(frm, y, to, strict=True))
+    return max(sequence) + 1 == value and len(edges) == len(classes)
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
+def test_step_index_check_is_the_two_set_check_and_the_full_check(letters, max_len):
+    """Every walk shape the rows n <= ``max_len`` prove, and the empty word's
+    of both kinds, against every target of its length over the alphabet, on
+    the walk's state count and one off it: a known-shape hit is served on
+    the step-partition index exactly when the two-set check holds and
+    exactly when the walk NFA over the target verifies on ``value``
+    states."""
+    provider = ComplexityProvider()
+    for n in range(1, max_len + 1):
+        ground = list(slow_words(n, letters))
+        provider.prefetch((KIND_UNIQUE, x.symbols, None) for x in ground)
+        provider.conditional_row(ground)
+    cache = provider.cache
+    for kind, condition in ((KIND_UNIQUE, None), (KIND_COND_UNIQUE, Word((), 1))):
+        query = ComplexityQuery(kind, Word((), 1), condition)
+        assert complexity_module._hit_certificate(cache, memo_key(query), 1, (0,), query, _Nodes()) is not None
+    shapes = dict(cache.shapes)
+    lengths = {len(sequence) - 1 for _kind, _y, sequence in shapes}
+    assert {kind for kind, _y, _sequence in shapes} == {KIND_UNIQUE, KIND_COND_UNIQUE}
+    assert lengths == set(range(max_len + 1)) and shapes[(KIND_UNIQUE, None, (0,))] == ()
+    served_and_not = set()
+    for (kind, y, sequence), first in shapes.items():
+        n = len(sequence) - 1
+        steps_y = (0,) * n if y is None else y
+        assert first == complexity_module._step_index(sequence, steps_y)
+        condition = None if y is None else Word(y, max(y, default=0) + 1)
+        states = max(sequence) + 1
+        for x in itertools.product(range(letters), repeat=n):
+            target = Word(x, letters)
+            query = ComplexityQuery(kind, target, condition)
+            key = canonical_key(memo_key(query))
+            nfa = walk_nfa(sequence, _walk_words(kind, target, condition)[0])
+            verifies = verify_certificate(complexity_module._certificate(query, nfa))[0]
+            for value in (states - 1, states, states + 1):
+                hit = complexity_module._hit_certificate(cache, key, value, sequence, query, _Nodes())
+                fast = isinstance(hit, functools.partial)
+                old = two_set_check(x, steps_y, sequence, value)
+                full = verifies and nfa.state_count == value
+                assert fast == old == full, (kind, y, sequence, x, value)
+                served_and_not.add(fast)
+    assert served_and_not == {True, False}
+    assert cache.shapes == shapes
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):

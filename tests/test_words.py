@@ -39,6 +39,9 @@ def test_parse_and_str():
     assert Word.parse("000").alphabet_size == 1
     with pytest.raises(ParseError):
         Word.parse("01a")
+    # a digit outside the given alphabet is a parse error too
+    with pytest.raises(ParseError, match="symbol 2 out of range"):
+        Word.parse("012", 2)
 
 
 def test_word_validation():
@@ -191,6 +194,9 @@ def test_slow_words_enumeration():
     assert list(slow_words(0, 2)) == [Word((), 2)]
     with pytest.raises(ValueError, match="^n must be at least 0"):
         list(slow_words(-1, 2))
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="^alphabet_size must be at least 1"):
+            list(slow_words(n, 0))
     for w in slow_words(4, 3):
         assert is_slow(w)
 
