@@ -51,13 +51,14 @@ class Nfa:
             object.__setattr__(self, "accepts", frozenset(self.accepts))
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
+        states, alphabet = self.state_count, self.alphabet_size
         for q in self.accepts:
-            if not 0 <= q < self.state_count:
+            if not 0 <= q < states:
                 raise ValueError("accept state out of range")
         for frm, label, to in self.edges:
-            if not (0 <= frm < self.state_count and 0 <= to < self.state_count):
+            if not (0 <= frm < states and 0 <= to < states):
                 raise ValueError("edge endpoint out of range")
-            if not 0 <= label < self.alphabet_size:
+            if not 0 <= label < alphabet:
                 raise ValueError("edge label out of range")
 
     def edge_count(self) -> int:
@@ -90,11 +91,6 @@ class CountResult:
         return self.count < self.cap
 
 
-def _saturating(a: int, b: int, cap: int) -> int:
-    s = a + b
-    return s if s < cap else cap
-
-
 def count_accepting_walks(m: Nfa, n: int, cap: int = 2) -> CountResult:
     """Count length-n walks from the start to an accept state: the walks
     given the one-letter condition ``0^n``, over which the NFA's alphabet is
@@ -120,36 +116,38 @@ def _count_runs(start, steps, y: Word, accepting, second: int, cap: int) -> Coun
     """Count the runs from ``start`` that read y and end where ``accepting``
     holds, saturating at cap, in one forward pass.
 
-    ``steps(end, c)`` gives the ``(target, letter)`` steps out of a run's end
-    on the condition letter c, letter being the step's second coordinate.
-    Each reached end keeps its run count and the second-coordinate word of
-    one run that reaches it. A total of 1 leaves one accepting end with one
-    run, whose word is the reconstruction.
+    ``steps[c][end]`` holds the ``(target, letter)`` steps out of a run's
+    end on the condition letter c, letter being the step's second
+    coordinate. Each reached end keeps its run count and the
+    second-coordinate word of one run that reaches it. A total of 1 leaves
+    one accepting end with one run, whose word is the reconstruction.
     """
     # a word is kept reversed as nested pairs (last letter, the word before)
     layer = {start: (1, None)}
     for c in y.symbols:
+        out = steps[c]
         nxt: dict = {}
         for end, (count, word) in layer.items():
-            for target, letter in steps(end, c):
-                seen = nxt.get(target)
-                if seen is None:
-                    nxt[target] = (count, (letter, word))
+            for target, letter in out[end]:
+                if target in nxt:
+                    seen = nxt[target]
+                    total = seen[0] + count
+                    nxt[target] = (total if total < cap else cap, seen[1])
                 else:
-                    nxt[target] = (_saturating(seen[0], count, cap), seen[1])
+                    nxt[target] = (count, (letter, word))
         layer = nxt
     total = 0
     for end, (count, word) in layer.items():
         if accepting(end):
-            total = _saturating(total, count, cap)
+            total += count
+            total = total if total < cap else cap
             last = word
     if total != 1:
         return CountResult(total, cap)
-    letters = []
-    while last is not None:
-        letter, last = last
-        letters.append(letter)
-    return CountResult(1, cap, Word(tuple(reversed(letters)), second))
+    letters = [0] * len(y.symbols)
+    for i in range(len(letters) - 1, -1, -1):
+        letters[i], last = last
+    return CountResult(1, cap, Word(tuple(letters), second))
 
 
 def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
@@ -172,17 +170,34 @@ def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     for frm, label, to in m.edges:
         by_label.setdefault(label, []).append((frm, to))
     accept_mask = sum(1 << q for q in m.accepts)
+    steps = [
+        _ImageSteps([by_label.get(c * second + d, ()) for d in range(second)])
+        for c in range(y.alphabet_size)
+    ]
+    return _count_runs(1 << m.start, steps, y, lambda mask: mask & accept_mask, second, cap)
 
-    def steps(mask: int, c: int):
-        for d in range(second):
+
+class _ImageSteps(dict):
+    """The subset construction's steps on one condition letter: for a state
+    set (a bit mask), the ``(image, letter)`` pair of each second letter
+    whose edges give it a nonempty image, each set's taken once.
+    ``edges[d]`` holds the ``(from, to)`` edges of second letter d."""
+
+    def __init__(self, edges: list):
+        super().__init__()
+        self.edges = edges
+
+    def __missing__(self, mask: int) -> list[tuple[int, int]]:
+        out = []
+        for d, pairs in enumerate(self.edges):
             img = 0
-            for frm, to in by_label.get(c * second + d, ()):
+            for frm, to in pairs:
                 if mask >> frm & 1:
                     img |= 1 << to
             if img:
-                yield img, d
-
-    return _count_runs(1 << m.start, steps, y, lambda mask: mask & accept_mask, second, cap)
+                out.append((img, d))
+        self[mask] = out
+        return out
 
 
 def count_accepted_words(m: Nfa, n: int, cap: int = 2) -> CountResult:
@@ -211,11 +226,11 @@ def count_walks_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
         raise ValueError("cap must be at least 2")
     second = _split_product_alphabet(m, y.alphabet_size)
     # rows[c][q]: the (target, second letter) edges out of q on condition letter c
-    rows = [[[] for _ in range(m.state_count)] for _ in range(y.alphabet_size)]
+    no_steps = [()] * m.state_count
+    rows = [list(no_steps) for _ in range(y.alphabet_size)]
     for frm, label, to in m.edges:
-        c, d = divmod(label, second)
-        rows[c][frm].append((to, d))
-    return _count_runs(m.start, lambda q, c: rows[c][q], y, m.accepts.__contains__, second, cap)
+        rows[label // second][frm] += ((to, label % second),)
+    return _count_runs(m.start, rows, y, m.accepts.__contains__, second, cap)
 
 
 def product_project(m1: Nfa, m2: Nfa) -> Nfa:
@@ -259,20 +274,24 @@ def walk_nfa(states: Sequence[int], labels: Word) -> Nfa:
 
     The state sequence must be slow (start at 0, never skip a fresh index), so
     each NFA is produced by a canonical sequence rather than by every relabeling.
+    Step i is the edge ``(states[i], labels[i], states[i+1])``; the edges are
+    those triples, zipped from the states and the label symbols, so equal
+    steps make one edge. An empty, mislengthed or non-slow sequence raises
+    ``ValueError``.
     """
     states = list(states)
+    symbols = labels.symbols
     if not states:
         raise ValueError("state sequence must be nonempty")
-    if len(states) != len(labels) + 1:
+    if len(states) != len(symbols) + 1:
         raise ValueError("state sequence must be one longer than the label word")
     top = -1
     for s in states:
-        if s > top + 1:
-            raise ValueError(f"state sequence {states} is not slow")
-        top = max(top, s)
-    edges = frozenset(
-        (states[i], labels[i], states[i + 1]) for i in range(len(labels))
-    )
+        if s > top:
+            if s > top + 1:
+                raise ValueError(f"state sequence {states} is not slow")
+            top = s
+    edges = frozenset(zip(states, symbols, states[1:]))
     return Nfa(top + 1, states[0], frozenset({states[-1]}), edges, labels.alphabet_size)
 
 
@@ -311,30 +330,27 @@ class WitnessCertificate:
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.claimed_states != self.nfa.state_count:
+        nfa, target, condition = self.nfa, self.target, self.condition
+        if self.claimed_states != nfa.state_count:
             raise ValueError("claimed_states must equal the NFA state count")
-        if (self.condition is not None) != kind.conditional:
+        if (condition is not None) != kind.conditional:
             raise ValueError("condition must be present exactly for conditional kinds")
         # normalize Word subclasses so that round-trips compare equal
-        if type(self.target) is not Word:
-            object.__setattr__(
-                self, "target", Word(self.target.symbols, self.target.alphabet_size)
-            )
-        if self.condition is not None:
-            if len(self.condition) != len(self.target):
+        if type(target) is not Word:
+            target = Word(target.symbols, target.alphabet_size)
+            object.__setattr__(self, "target", target)
+        if condition is not None:
+            if len(condition.symbols) != len(target.symbols):
                 raise ValueError("condition and target must have equal length")
-            if type(self.condition) is not Word:
-                object.__setattr__(
-                    self,
-                    "condition",
-                    Word(self.condition.symbols, self.condition.alphabet_size),
-                )
-            expected = self.condition.alphabet_size * self.target.alphabet_size
+            if type(condition) is not Word:
+                condition = Word(condition.symbols, condition.alphabet_size)
+                object.__setattr__(self, "condition", condition)
+            expected = condition.alphabet_size * target.alphabet_size
         else:
-            expected = self.target.alphabet_size
-        if self.nfa.alphabet_size != expected:
+            expected = target.alphabet_size
+        if nfa.alphabet_size != expected:
             raise ValueError(
-                f"NFA alphabet size {self.nfa.alphabet_size} does not match "
+                f"NFA alphabet size {nfa.alphabet_size} does not match "
                 f"the certified words (expected {expected})"
             )
 
@@ -359,7 +375,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, str]:
             return False, "automaton is not total"
     condition = cert.condition
     if condition is None:
-        condition = Word((0,) * len(cert.target), 1)
+        condition = Word((0,) * len(cert.target.symbols), 1)
     if kind.counts == "walks":
         r, what = count_walks_given_projection(m, condition), "walk"
     else:

@@ -24,7 +24,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .complexity import ComplexityQuery, audit_record, key_query, memo_key
+from .complexity import ComplexityQuery, audit_record, memo_key
+from .kinds import KIND_DET_TOTAL
 from .words import Word, is_slow
 
 try:
@@ -36,12 +37,14 @@ ENV_CACHE_DIR = "AUTOCOMPLEXITY_CACHE_DIR"
 CACHE_FILENAME = "results.tsv"
 
 
+def format_symbols(symbols: tuple[int, ...], alphabet_size: int) -> str:
+    """The word field of ``symbols`` over ``alphabet_size`` letters."""
+    sep = "" if alphabet_size <= 10 else "."
+    return f"{sep.join(map(str, symbols))}@{alphabet_size}"
+
+
 def format_word(w: Word) -> str:
-    if w.alphabet_size <= 10:
-        body = "".join(str(s) for s in w.symbols)
-    else:
-        body = ".".join(str(s) for s in w.symbols)
-    return f"{body}@{w.alphabet_size}"
+    return format_symbols(w.symbols, w.alphabet_size)
 
 
 def parse_word(text: str) -> Word:
@@ -181,10 +184,16 @@ class ResultCache:
 
     @staticmethod
     def _format_line(key: tuple, value: int, sequence) -> str:
-        query = key_query(key)
-        condition = "-" if query.condition is None else format_word(query.condition)
-        seq = ",".join(str(s) for s in sequence)
-        return f"{query.kind}\t{format_word(query.target)}\t{condition}\t{value}\t{seq}\n"
+        """The line of the record: the words of ``complexity.key_query``,
+        each over the symbols it uses (det-total's target over the alphabet
+        size its key holds), written from the key's symbols."""
+        kind, target, third = key
+        if kind == KIND_DET_TOTAL:
+            target_field, condition = format_symbols(target, third), "-"
+        else:
+            target_field = format_symbols(target, max(target, default=0) + 1)
+            condition = "-" if third is None else format_symbols(third, max(third, default=0) + 1)
+        return f"{kind}\t{target_field}\t{condition}\t{value}\t{','.join(map(str, sequence))}\n"
 
     def __len__(self) -> int:
         if not self._loaded:

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Words on the command line are digit strings over alphabets of size at most 10
-(alphabet size defaults to max digit + 1). Exit codes: 2 usage, 3 parse
-errors, 4 budget exhausted, 5 capacity limits, 6 failed verification. A
-reader that closes stdout early (``| head``) ends the command quietly with 0.
+(alphabet size defaults to max digit + 1); an alphabet option outside 1..10
+is a usage error. Exit codes: 2 usage, 3 parse errors, 4 budget exhausted, 5
+capacity limits, 6 failed verification. A reader that closes stdout early
+(``| head``) ends the command quietly with 0. ``python -m autocomplexity``
+runs the same commands.
 """
 
 from __future__ import annotations
@@ -52,10 +54,17 @@ EXIT_CAPACITY = 5
 EXIT_VERIFICATION = 6
 
 
+def _alphabet(size: int | None) -> int | None:
+    """The value of an alphabet option (``--alphabet``, ``--alphabet-x``,
+    ``--alphabet-y``); outside 1..10 a usage error, as command-line words
+    are digit strings."""
+    if size is not None and not 1 <= size <= 10:
+        raise ValueError(f"alphabet_size must be at least 1 and at most 10, not {size}")
+    return size
+
+
 def _parse_word(text: str, alphabet: int | None) -> Word:
-    if alphabet is not None and not 1 <= alphabet <= 10:
-        raise ParseError("alphabet size must be between 1 and 10")
-    return Word.parse(text, alphabet)
+    return Word.parse(text, _alphabet(alphabet))
 
 
 def _cache(args) -> ResultCache | None:
@@ -171,7 +180,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search_emergent(args) -> int:
-    words = search_emergent(args.max_len, args.alphabet, _cache(args), args.budget)
+    words = search_emergent(args.max_len, _alphabet(args.alphabet), _cache(args), args.budget)
     for w in words:
         print(w)
     print(f"{len(words)} word(s) with emergent simplicity up to length {args.max_len}")

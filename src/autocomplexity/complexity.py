@@ -142,7 +142,8 @@ class ComplexityResult:
 def _walk_words(kind: str, target: Word, condition: Word | None) -> tuple[Word, Word]:
     """The word a query's walks read and the word of their step classes,
     built once per query: ``track(condition, target)`` and ``condition`` for
-    the conditional kinds, else ``target`` and the one-class word ``0^n``."""
+    the conditional kinds, else ``target`` and the one-class word ``0^n``.
+    ``words.track`` is the one pair encoder."""
     if KINDS[kind].conditional:
         assert condition is not None
         return track(condition, target), condition
@@ -481,10 +482,12 @@ def _record_certificate(
     The certificate is ``nfa``, the witness a search has just built, or
     else the walk NFA of the sequence over the query's labels
     (``_walk_words``); for det-total, the total DFA ``_total_dfa`` builds
-    from that walk NFA, spending the nodes of the meter ``nodes``. A check sets no level, so
-    before a search an overrun raises ``BudgetExceeded(1)``. The empty
-    word's record is ``(1, (0,))``: one state, no edges, and for det-total a
-    loop per letter.
+    from that walk NFA, spending the nodes of the meter ``nodes``. Either
+    way ``verify_certificate`` judges it; this is the full check of a hit's
+    first sight (``_hit_certificate``), which builds one track word, one walk
+    NFA and one certificate. A check sets no level, so before a search an
+    overrun raises ``BudgetExceeded(1)``. The empty word's record is ``(1,
+    (0,))``: one state, no edges, and for det-total a loop per letter.
     """
     if nfa is None:
         nfa = walk_nfa(sequence, _walk_words(query.kind, query.target, query.condition)[0])
@@ -525,7 +528,9 @@ def _hit_certificate(
     = x[k]``; conversely ``first[i]`` lies in the class of i. Such a hit
     returns the builder of its certificate, the walk NFA over the query's
     labels (``_walk_words``), run only if the certificate is read. Any
-    other record is checked in full and, when it passes, adds its shape.
+    other record, a *first sight*, is checked in full by
+    ``_record_certificate`` and, only when it passes, adds its shape with
+    the ``_step_index`` index: one ``verify_certificate`` per shape.
 
     Why one proof per shape suffices. Let ``M_x``, the walk NFA of the
     sequence reading ``track(y, x)`` (x for the unique kind), verify. Then
@@ -574,9 +579,7 @@ def _walk_certificate(query: ComplexityQuery, sequence: tuple[int, ...]) -> Witn
 
 def _certificate(query: ComplexityQuery, nfa: Nfa) -> WitnessCertificate:
     """The claim that ``nfa`` witnesses ``query`` on its own states."""
-    return WitnessCertificate(
-        kind=query.kind, target=query.target, condition=query.condition, nfa=nfa, claimed_states=nfa.state_count
-    )
+    return WitnessCertificate(query.kind, query.target, nfa, nfa.state_count, query.condition)
 
 
 def _complete_to_total(base: Nfa, n: int, nodes: _Nodes) -> Nfa | None:

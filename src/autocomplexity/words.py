@@ -72,11 +72,12 @@ class TrackWord(Word):
     second_factor_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.first_factor_size < 1 or self.second_factor_size < 1:
+        first, second = self.first_factor_size, self.second_factor_size
+        if first < 1 or second < 1:
             raise ValueError("factor sizes must be at least 1")
-        if self.alphabet_size != self.first_factor_size * self.second_factor_size:
+        if self.alphabet_size != first * second:
             raise ValueError("alphabet_size must be the product of the factor sizes")
-        super().__post_init__()
+        Word.__post_init__(self)
 
     def decode(self, symbol: int) -> tuple[int, int]:
         return divmod(symbol, self.second_factor_size)
@@ -135,15 +136,11 @@ class Partition:
 
 def track(x: Word, y: Word) -> TrackWord:
     """Zip two equal-length words into the word of pairs ``(x_i, y_i)``."""
-    if len(x) != len(y):
-        raise ValueError(f"track requires equal lengths, got {len(x)} and {len(y)}")
+    xs, ys = x.symbols, y.symbols
+    if len(xs) != len(ys):
+        raise ValueError(f"track requires equal lengths, got {len(xs)} and {len(ys)}")
     d = y.alphabet_size
-    return TrackWord(
-        tuple([a * d + b for a, b in zip(x.symbols, y.symbols)]),
-        x.alphabet_size * d,
-        first_factor_size=x.alphabet_size,
-        second_factor_size=d,
-    )
+    return TrackWord(tuple([a * d + b for a, b in zip(xs, ys)]), x.alphabet_size * d, x.alphabet_size, d)
 
 
 def project(w: TrackWord, coordinate: int) -> Word:

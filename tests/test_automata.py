@@ -205,6 +205,62 @@ def test_walk_nfa_accepts_its_word(data):
     assert accepts_word(m, word)
 
 
+def reference_walk_nfa(states, labels: Word) -> Nfa:
+    """``walk_nfa`` as first written, its edges indexed through
+    ``labels[i]``: the reference its zipped edges are compared against."""
+    states = list(states)
+    if not states:
+        raise ValueError("state sequence must be nonempty")
+    if len(states) != len(labels) + 1:
+        raise ValueError("state sequence must be one longer than the label word")
+    top = -1
+    for s in states:
+        if s > top + 1:
+            raise ValueError(f"state sequence {states} is not slow")
+        top = max(top, s)
+    edges = frozenset((states[i], labels[i], states[i + 1]) for i in range(len(labels)))
+    return Nfa(top + 1, states[0], frozenset({states[-1]}), edges, labels.alphabet_size)
+
+
+def built_or_refused(build, states, labels):
+    try:
+        return build(states, labels)
+    except ValueError as e:
+        return str(e)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_walk_nfa_matches_the_indexed_construction(data):
+    """On random slow sequences over plain and pair label words, and on
+    empty, mislengthed and non-slow ones, ``walk_nfa`` builds the NFA of the
+    indexed construction or raises its ``ValueError``, message included."""
+    n = data.draw(st.integers(0, 8))
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        y = Word(tuple(data.draw(st.integers(0, a - 1)) for _ in range(n)), a)
+        x = Word(tuple(data.draw(st.integers(0, b - 1)) for _ in range(n)), b)
+        labels = track(y, x)
+    else:
+        a = data.draw(st.integers(1, 4))
+        labels = Word(tuple(data.draw(st.integers(0, a - 1)) for _ in range(n)), a)
+    states, top = [0], 0
+    for _ in range(n):
+        states.append(data.draw(st.integers(0, top + 1)))
+        top = max(top, states[-1])
+    flaw = data.draw(st.sampled_from(["none", "none", "empty", "length", "skip"]))
+    if flaw == "empty":
+        states = []
+    elif flaw == "length":
+        states.append(0)
+    elif flaw == "skip":
+        at = data.draw(st.integers(0, n))
+        states[at] = max(states[:at], default=-1) + 2
+    built = built_or_refused(walk_nfa, tuple(states), labels)
+    assert built == built_or_refused(reference_walk_nfa, tuple(states), labels)
+    assert isinstance(built, Nfa) == (flaw == "none")
+
+
 def random_nfa(data, max_states=3):
     q = data.draw(st.integers(1, max_states))
     edges = data.draw(

@@ -43,6 +43,30 @@ def test_word_field_round_trip():
         parse_word("0101")
 
 
+def test_lines_are_written_from_the_key_symbols():
+    """A record's line, written from the key's symbol tuples, holds the
+    words of ``key_query(key)``: the target and condition over the symbols
+    they use, det-total's target over its key's alphabet size, and dots
+    between the symbols of an alphabet above 10."""
+    keys = [
+        (KIND_UNIQUE, (), None),
+        (KIND_UNIQUE, (0, 1, 1, 2), None),
+        (KIND_UNIQUE, tuple(range(11)), None),
+        ("exact", (0, 0), None),
+        ("det-partial", (0, 1, 0), None),
+        (KIND_DET_TOTAL, (0, 0), 3),
+        (KIND_DET_TOTAL, (), 1),
+        (KIND_COND_UNIQUE, (0, 1), (0, 0)),
+        (KIND_COND_UNIQUE, (), ()),
+        ("conditional-exact", tuple(range(12)), (0, 1) * 6),
+    ]
+    for key in keys:
+        query = complexity_module.key_query(key)
+        condition = "-" if query.condition is None else format_word(query.condition)
+        want = f"{query.kind}\t{format_word(query.target)}\t{condition}\t2\t0,1,1\n"
+        assert ResultCache._format_line(key, 2, (0, 1, 1)) == want, key
+
+
 def test_put_get_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get(key("0001")) is None

@@ -188,6 +188,43 @@ def test_rows_that_cannot_be_served_are_refused(capsys):
         assert code == 2 and out == "" and f"{name} must be at least" in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("complexity", "01", "--alphabet", "0"),
+    ("complexity", "01", "--alphabet", "11"),
+    ("conditional", "01", "01", "--alphabet-x", "0"),
+    ("conditional", "01", "01", "--alphabet-x", "11"),
+    ("conditional", "01", "01", "--alphabet-y", "-1"),
+    ("conditional", "01", "01", "--alphabet-y", "11"),
+    ("search-emergent", "--max-len", "2", "--alphabet", "0"),
+    ("search-emergent", "--max-len", "2", "--alphabet", "11"),
+])
+def test_alphabet_options_outside_one_to_ten_are_usage_errors(capsys, argv):
+    """Command-line words are digit strings, so every alphabet option takes
+    1..10 only, and a value outside is refused the same way on every
+    command: exit 2 and no output."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert f"alphabet_size must be at least 1 and at most 10, not {argv[-1]}" in err, argv
+
+
+def test_python_dash_m_runs_the_command_line():
+    """``python -m autocomplexity`` runs the CLI from a checkout with the
+    sources on ``PYTHONPATH``, exit code and output included."""
+    src = str(Path(autocomplexity.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "AUTOCOMPLEXITY_CACHE_DIR"}
+    env["PYTHONPATH"] = src
+    done = subprocess.run(
+        [sys.executable, "-m", "autocomplexity", "complexity", "0110"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stdout) == (0, "A_Nu(0110) = 3\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "autocomplexity", "complexity", "01", "--alphabet", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+
+
 def test_cache_audit_passes_a_filled_cache(tmp_path, capsys):
     distribution_table(4, ComplexityProvider(ResultCache(tmp_path)))
     code, out, _ = run(capsys, "cache", "audit", "--cache-dir", str(tmp_path))

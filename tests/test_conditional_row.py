@@ -30,7 +30,9 @@ from autocomplexity import (
     Budget,
     BudgetExceeded,
     ComplexityQuery,
+    Nfa,
     ResultCache,
+    WitnessCertificate,
     compute,
     verify_certificate,
     walk_nfa,
@@ -354,6 +356,81 @@ def test_step_index_check_is_the_two_set_check_and_the_full_check(letters, max_l
                 served_and_not.add(fast)
     assert served_and_not == {True, False}
     assert cache.shapes == shapes
+
+
+def row_records(letters, max_len):
+    """The records ``(key, value, sequence)`` of the rows n <= ``max_len``
+    over ``letters`` letters, unique and conditional-unique kinds."""
+    provider = ComplexityProvider()
+    for n in range(1, max_len + 1):
+        ground = list(slow_words(n, letters))
+        provider.prefetch((KIND_UNIQUE, x.symbols, None) for x in ground)
+        provider.conditional_row(ground)
+    return sorted((key, value, sequence) for key, (value, sequence) in provider.cache._memo.items())
+
+
+def reference_record_check(query, value, sequence):
+    """The full check of the record ``(value, sequence)`` of ``query`` built
+    as it was before the first sight was made lean: the labels are the
+    ``TrackWord`` of ``track(condition, target)`` (the target for the
+    unique kind), the walk NFA's edges are indexed, and its certificate
+    must verify and have ``value`` states. The certificate, else None."""
+    labels = query.target if query.condition is None else track(query.condition, query.target)
+    edges = frozenset((sequence[i], labels[i], sequence[i + 1]) for i in range(len(labels)))
+    nfa = Nfa(max(sequence) + 1, 0, frozenset({sequence[-1]}), edges, labels.alphabet_size)
+    cert = WitnessCertificate(query.kind, query.target, nfa, nfa.state_count, query.condition)
+    return cert if verify_certificate(cert)[0] and nfa.state_count == value else None
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
+def test_first_sight_check_is_the_record_check(letters, max_len):
+    """With no shape known, a hit is served exactly when the reference
+    record check passes, with its certificate, and only then adds its shape,
+    carrying the ``_step_index`` index. Checked on every record of the rows
+    n <= ``max_len``, on the record's states, one fewer and one more, for
+    the record's target and a forged one (its last letter changed), and for
+    the record's sequence and two that are not its witness (all loops on
+    one state, and the walk one step late)."""
+    served_and_not = set()
+    for key, record_value, record_sequence in row_records(letters, max_len):
+        kind, x, y = key
+        n = len(x)
+        steps_y = (0,) * n if y is None else y
+        forged = x[:-1] + ((x[-1] + 1) % letters,)
+        for target in (x, forged):
+            query = ComplexityQuery(kind, Word(target, letters), None if y is None else Word(y, letters))
+            target_key = canonical_key(memo_key(query))
+            for sequence in (record_sequence, (0,) * (n + 1), (0,) + record_sequence[:-1]):
+                states = max(sequence) + 1
+                for value in (states - 1, states, states + 1):
+                    cache = ResultCache()
+                    hit = complexity_module._hit_certificate(cache, target_key, value, sequence, query, _Nodes())
+                    want = reference_record_check(query, value, sequence)
+                    assert hit == want, (key, target, sequence, value)
+                    shapes = {(kind, target_key[2], sequence): complexity_module._step_index(sequence, steps_y)}
+                    assert cache.shapes == (shapes if want is not None else {}), (key, target, sequence, value)
+                    served_and_not.add(want is not None)
+        assert record_value == max(record_sequence) + 1
+    assert served_and_not == {True, False}
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
+def test_first_pass_verifies_once_per_shape(letters, max_len, monkeypatch):
+    """Served from a cache that holds the rows' records and knows no shape,
+    every record is checked in full on its shape's first sight only:
+    ``verify_certificate`` runs once per distinct walk shape, and each
+    value is the record's."""
+    records = row_records(letters, max_len)
+    cache = ResultCache()
+    cache.put_many(records)
+    verified = []
+    real = complexity_module.verify_certificate
+    monkeypatch.setattr(complexity_module, "verify_certificate", lambda cert: verified.append(cert) or real(cert))
+    for key, value, _sequence in records:
+        assert compute(key_query(key), cache=cache).value == value, key
+    shapes = {(kind, y, sequence) for (kind, _x, y), _value, sequence in records}
+    assert len(verified) == len(shapes) == len(cache.shapes) < len(records)
+    assert set(cache.shapes) == shapes
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):
