@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .kinds import KIND_DET_TOTAL, KINDS
-from .words import ParseError, Word
+from .words import ParseError, Word, one_class_word
 
 SUBSET_STATE_LIMIT = 24
 
@@ -99,7 +99,7 @@ def count_accepting_walks(m: Nfa, n: int, cap: int = 2) -> CountResult:
     Parallel edges (same endpoints, different labels) count separately; the
     labels themselves are otherwise ignored.
     """
-    return count_walks_given_projection(m, Word((0,) * n, 1), cap)
+    return count_walks_given_projection(m, one_class_word(n), cap)
 
 
 def accepts_word(m: Nfa, w: Word) -> bool:
@@ -203,7 +203,7 @@ class _ImageSteps(dict):
 def count_accepted_words(m: Nfa, n: int, cap: int = 2) -> CountResult:
     """Count distinct words of length n in L(M): the words given the
     one-letter condition ``0^n``."""
-    return count_words_given_projection(m, Word((0,) * n, 1), cap)
+    return count_words_given_projection(m, one_class_word(n), cap)
 
 
 def _split_product_alphabet(m: Nfa, condition_alphabet: int) -> int:
@@ -375,7 +375,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, str]:
             return False, "automaton is not total"
     condition = cert.condition
     if condition is None:
-        condition = Word((0,) * len(cert.target.symbols), 1)
+        condition = one_class_word(len(cert.target.symbols))
     if kind.counts == "walks":
         r, what = count_walks_given_projection(m, condition), "walk"
     else:

@@ -269,7 +269,8 @@ def _add_common(p, one_query: bool = True) -> None:
         p.add_argument("--dot", metavar="PATH", help="write witness DOT ('-' for stdout)")
         p.add_argument("--stats", action="store_true")
     p.add_argument("--budget", type=int, default=10**9,
-                   help="search node budget per query")
+                   help="search node budget per query; where table, classify, metric and "
+                        "verify-metric search many values at once (a row of table), per batch")
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (defaults to $AUTOCOMPLEXITY_CACHE_DIR)")
     if one_query:

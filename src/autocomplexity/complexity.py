@@ -50,6 +50,7 @@ tables.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NoReturn
@@ -69,7 +70,7 @@ from .kinds import (
     KIND_UNIQUE,
     KINDS,
 )
-from .words import Word, slow_symbols, slow_words, track
+from .words import Word, one_class_word, slow_symbols, slow_words, track
 
 COMPLEXITY_KINDS = frozenset(KINDS)
 CONDITIONAL_KINDS = frozenset(k.name for k in KINDS.values() if k.conditional)
@@ -147,7 +148,7 @@ def _walk_words(kind: str, target: Word, condition: Word | None) -> tuple[Word, 
     if KINDS[kind].conditional:
         assert condition is not None
         return track(condition, target), condition
-    return target, Word((0,) * len(target), 1)
+    return target, one_class_word(len(target))
 
 
 class _SetBits(dict):
@@ -311,7 +312,7 @@ class _Nodes:
     ruled out.
 
     ``level`` starts at 1, and only the level loops (``_least_witness``,
-    ``_search_det_total`` and ``_least_witnesses``) set it, to each state
+    ``_search_det_total`` and ``_group_witnesses``) set it, to each state
     count q as they enter it: they searched every level below q in full.
     A sequence stream or a record check sets no level, as it rules nothing
     out. Every overrun goes through ``overrun``, so its lower bound is the
@@ -333,7 +334,7 @@ class _Nodes:
 
 
 def _iter_witness_sequences(
-    kind: str, labels: Word, classes: Word, q: int, nodes: _Nodes, targets=None,
+    kind: str, labels: Word, classes: Word, q: int, nodes: _Nodes,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every slow sequence on exactly q states whose walk NFA, reading
     ``labels`` with step classes ``classes`` (see ``_walk_words``), witnesses.
@@ -371,12 +372,6 @@ def _iter_witness_sequences(
     next one that can take the edge keep theirs too. The prefix is restored
     if the recount prunes, and when the step is popped. A leaf on q states
     is a witness: its last push left one walk or word at the accept.
-
-    ``targets``, if given, filters the steps: ``targets.admit(t, frm, nxt,
-    new)`` is asked about every step that survives the bit tests, after it
-    is counted, and a step it refuses is not taken; after each step taken,
-    an empty ``targets.active[t]`` ends the node with no further count (see
-    ``_least_witnesses``).
     """
     if kind == KIND_DET_TOTAL:
         raise ValueError("total DFAs are not walk-generated; no sequence stream")
@@ -391,9 +386,6 @@ def _iter_witness_sequences(
     advance, image = counts.advance, counts.image
     used, paired, det = counts.used, counts.paired, counts.det
     labels_s, classes_s = labels.symbols, classes.symbols
-    admit = active = None
-    if targets is not None:
-        admit, active = targets.admit, targets.active
     limit_nodes = nodes.limit
     last = q - 1
     seq = [0]
@@ -426,8 +418,6 @@ def _iter_witness_sequences(
             nodes.count = count
             done = nxt
             new = not (reused & low)
-            if admit is not None and not admit(t, frm, nxt, new):
-                continue
             snapshot = None
             w = stack[t]
             if new:
@@ -462,8 +452,6 @@ def _iter_witness_sequences(
                     stack[1 : t + 1] = snapshot
                 used_row[frm] ^= low
                 paired_row[frm] ^= low
-            if active is not None and not active[t]:
-                return
         count = nodes.count + limit - done
         if count > limit_nodes:
             nodes.overrun()
@@ -713,11 +701,20 @@ def _least_witness(
 def _least_witnesses(
     y: tuple[int, ...], xs: list[tuple[int, ...]], nodes: _Nodes,
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """``_least_witness`` from 1 state for the conditional-unique kind of
-    every target x of ``xs`` given the condition y, all symbol tuples, from
-    one search per level over the shapes of y.
+    """``_group_witnesses`` of the one condition y: the record of every
+    target of ``xs`` given y."""
+    return _group_witnesses([y], [xs], nodes)[0]
 
-    The shapes of level q are the sequences ``_iter_witness_sequences``
+
+def _group_witnesses(
+    ys: list[tuple[int, ...]], xss: list[list[tuple[int, ...]]], nodes: _Nodes,
+) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """``_least_witness`` from 1 state for the conditional-unique kind of
+    every target x of ``xss[c]`` given the condition ``ys[c]``, for distinct
+    conditions of one length, all symbol tuples: one search per level over
+    the shapes of every condition at once.
+
+    The shapes of y on level q are the sequences ``_iter_witness_sequences``
     yields for the conditional-unique kind on q states with labels = classes
     = y, in that order: the slow sequences whose walk graph has exactly one
     walk from start to accept reading y. Walk counts read only the step
@@ -727,88 +724,167 @@ def _least_witnesses(
     ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``). The labeled search for x
     given y therefore yields the compatible shapes of each level in this
     order. The unique kind is the one-letter condition,
-    ``A(x) = A(x | 0^n)``: with y = ``Word((0,) * n, 1)`` the records are
-    those of the unique kind's ``_least_witness`` for x.
+    ``A(x) = A(x | 0^n)``: with y = ``(0,) * n`` the records are those of
+    the unique kind's ``_least_witness`` for x.
 
-    The search carries the list of targets still active on the current
-    prefix. A step along an edge ``(p, y_t, q)`` first used at position j
-    drops the targets with ``x_t != x_j``, and a branch with no active
-    target left is pruned. A target drops out only where every extension of
-    the prefix is incompatible with it, so the first shape at which it is
-    active at a leaf is its first compatible shape: the value and least
-    witnessing sequence of its labeled search. Each target resolves there
-    and leaves every active list. The meter ``nodes`` may be shared by
-    several batches: each sets its level from 1, and an overrun raises
+    A node of the search is a joint prefix: the letters ``y[:t]`` that its
+    *live* conditions share and the states ``s_0..s_t``. Each condition
+    keeps its own targets still active on the prefix, ``active[c][t]``
+    after t steps, shared along steps that drop none; ``active[c][0]`` is
+    the condition's pending list. A node branches first on the letter y_t
+    of its live conditions, in ascending order, and then on the steps
+    ``nxt`` of ``_iter_witness_sequences``, with its bit tests, counts and
+    recount, reading the step class y_t. A step along an edge ``(p, y_t,
+    q)`` first used at step j (``first[edge]``, written by the step that
+    last added the edge and read only while it is in use) keeps, for each
+    condition, the targets with ``x_t == x_j``; it is taken for the
+    conditions with one left, and refused when none has. A target drops out
+    only where every extension of the prefix is incompatible with it, so
+    the first shape at which it is active at a leaf is its first compatible
+    shape: the value and least witnessing sequence of its labeled search.
+    Distinct conditions part before depth n, so a leaf is one condition's,
+    and every target active there resolves and leaves its condition's
+    active lists. A condition with no active target left leaves the node,
+    and a letter branch with no condition left ends with no further count.
+
+    For each condition the search visits the steps of the one-condition
+    search in the same order, so its records are those of a search per
+    condition; shared prefixes are counted once. With one condition the
+    nodes are those of that search. The meter ``nodes`` may be shared by
+    several groups: each sets its level from 1, and an overrun raises
     ``BudgetExceeded`` with the level being searched as its lower bound,
     since the targets still pending failed every level below it.
     """
-    n = len(y)
-    if any(len(x) != n for x in xs):
-        raise ValueError("condition and targets must have equal length")
-    found: list = [None] * len(xs)
-    pending = list(range(len(xs)))
-    condition = _used_word(y)
+    n = len(ys[0]) if ys else 0
+    if any(map(n.__ne__, map(len, itertools.chain(ys, *xss)))):
+        raise ValueError("conditions and targets must have equal length")
+    if len(set(ys)) != len(ys):
+        raise ValueError("the conditions of a group must be distinct")
+    found: list[list] = [[None] * len(xs) for xs in xss]
+    pending = [list(range(len(xs))) for xs in xss]
+    # counter tables for every condition's letters; step t's is set when the search branches on y_t
+    blank = Word((0,) * n, max((max(y, default=0) for y in ys), default=0) + 1)
+    limit_nodes = nodes.limit
     cap = value_cap(KIND_COND_UNIQUE, n)
     for q in range(1, cap + 1):
-        if not pending:
+        # sorted, so the conditions of one letter are consecutive in every node
+        live = sorted((c for c in range(len(ys)) if pending[c]), key=ys.__getitem__)
+        if not live:
             return found
         nodes.level = q
-        targets = _ActiveTargets(xs, y, found, pending)
-        for seq in _iter_witness_sequences(KIND_COND_UNIQUE, condition, condition, q, nodes, targets):
-            targets.resolve((q, seq))
-    if pending:
+        counts = _WalkCounts(q, blank, blank, False)
+        advance, image, succ, steps = counts.advance, counts.image, counts.paired, counts.steps
+        active = [[p] * (n + 1) for p in pending]
+        first: dict[tuple[int, int, int], int] = {}
+        letters = [0] * n
+        last = q - 1
+        seq = [0]
+        stack = [counts.start()]
+
+        def resolve(c: int) -> None:
+            """Record the leaf's witness for the targets of condition c
+            active there, and drop them from its every active list."""
+            done, lists = found[c], active[c]
+            witness = q, tuple(seq)
+            for i in lists[n]:
+                done[i] = witness
+            shrunk = None
+            for lst in lists:
+                if lst is not shrunk:
+                    lst[:] = [i for i in lst if done[i] is None]
+                    shrunk = lst
+
+        def node(t: int, top: int, live: list[int]) -> None:
+            if t == n:
+                if top == last:
+                    (c,) = live
+                    resolve(c)
+                return
+            if last - top > n - t:
+                return
+            limit = top + 1 if top < last else last
+            frm = seq[t]
+            for a, branch in itertools.groupby(live, key=lambda c: ys[c][t]):
+                branch = list(branch)
+                letters[t] = a
+                row = steps[t] = succ[a]
+                new_fails, reuse_fails = image(stack[t], t)
+                reused = row[frm]
+                cand = ((reused & ~reuse_fails) | ~(reused | new_fails)) & ((2 << limit) - 1)
+                done = -1
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    nxt = low.bit_length() - 1
+                    count = nodes.count + nxt - done
+                    if count > limit_nodes:
+                        nodes.overrun()
+                    nodes.count = count
+                    done = nxt
+                    edge = frm, a, nxt
+                    new = not (reused & low)
+                    if new:
+                        first[edge] = t
+                        for c in branch:
+                            lists = active[c]
+                            lists[t + 1] = lists[t]
+                        taken = branch
+                    else:
+                        j = first[edge]
+                        taken = []
+                        for c in branch:
+                            xs, lists = xss[c], active[c]
+                            kept = [i for i in lists[t] if xs[i][t] == xs[i][j]]
+                            if kept:
+                                lists[t + 1] = kept
+                                taken.append(c)
+                        if not taken:
+                            continue
+                    snapshot = None
+                    w = stack[t]
+                    if new:
+                        row[frm] |= low
+                        i = 0
+                        while i < t:
+                            if letters[i] != a or not stack[i][0] >> frm & 1:
+                                i += 1
+                                continue
+                            if snapshot is None:
+                                snapshot = stack[1 : t + 1]
+                            # recount until a vector comes out as it was
+                            while i < t:
+                                w = advance(stack[i], i, seq[i + 1])
+                                i += 1
+                                if w is None or w == stack[i]:
+                                    break
+                                stack[i] = w
+                            if w is None:
+                                break
+                    if w is not None:
+                        w = advance(stack[t], t, nxt)
+                    if w is not None:
+                        seq.append(nxt)
+                        stack.append(w)
+                        node(t + 1, top if nxt <= top else nxt, taken)
+                        seq.pop()
+                        stack.pop()
+                        branch = [c for c in branch if active[c][t]]
+                    if new:
+                        if snapshot is not None:
+                            stack[1 : t + 1] = snapshot
+                        row[frm] ^= low
+                    if not branch:
+                        break
+                else:
+                    count = nodes.count + limit - done
+                    if count > limit_nodes:
+                        nodes.overrun()
+                    nodes.count = count
+
+        node(0, 0, live)
+    if any(pending):
         raise BudgetExceeded(cap + 1, nodes.count)
     return found
-
-
-class _ActiveTargets:
-    """The targets of ``_least_witnesses`` still active on the prefix of one
-    level's search, as the ``targets`` hook of ``_iter_witness_sequences``.
-
-    ``active[t]`` lists the targets active after t steps; the lists are
-    shared along steps that drop none, and ``active[0]`` is the list of
-    pending targets. ``first[edge]`` is the step that put ``edge`` in use.
-    An entry outlives its edge, but it is read only while the edge is in
-    use, and the step that last added the edge wrote it.
-    """
-
-    __slots__ = ("xs", "y", "found", "active", "first")
-
-    def __init__(self, xs: list[tuple[int, ...]], y: tuple[int, ...], found: list, pending: list[int]):
-        self.xs = xs
-        self.y = y
-        self.found = found
-        self.active = [pending] * (len(y) + 1)
-        self.first: dict[tuple[int, int, int], int] = {}
-
-    def admit(self, t: int, frm: int, nxt: int, new: bool) -> bool:
-        """Take the step to ``nxt`` after t steps, keeping the targets it
-        leaves active; False when it leaves none."""
-        edge = (frm, self.y[t], nxt)
-        live = self.active[t]
-        if new:
-            self.first[edge] = t
-            self.active[t + 1] = live
-            return True
-        j = self.first[edge]
-        xs = self.xs
-        kept = [i for i in live if xs[i][t] == xs[i][j]]
-        if not kept:
-            return False
-        self.active[t + 1] = kept
-        return True
-
-    def resolve(self, witness: tuple[int, tuple[int, ...]]) -> None:
-        """Record ``witness`` for the targets active at the leaf, and drop
-        them from every active list."""
-        found = self.found
-        for i in self.active[-1]:
-            found[i] = witness
-        shrunk = None
-        for lst in self.active:
-            if lst is not shrunk:
-                lst[:] = [i for i in lst if found[i] is None]
-                shrunk = lst
 
 
 def _search_det_total(

@@ -34,7 +34,7 @@ from .complexity import (
     KIND_UNIQUE,
     Budget,
     BudgetExceeded,
-    _least_witnesses,
+    _group_witnesses,
     _Nodes,
     class_key,
     compute,
@@ -83,11 +83,14 @@ class ComplexityProvider:
     the cache object. Setting
     ``cache`` to None later is allowed: the values then come from searches.
 
-    ``prefetch`` memoizes many unique and conditional-unique values with one
-    batch search per condition word, which ``max_nodes`` bounds; a single
-    miss goes to ``compute``. ``nodes`` is the total of the search nodes
-    that the batches and the ``compute`` calls have spent, overruns
-    included.
+    ``prefetch`` memoizes many unique and conditional-unique values with
+    one batch: per length, one search per level over all its condition
+    words. ``max_nodes`` bounds each single miss's ``compute``, but in
+    ``prefetch`` the whole batch: one budget for every value it serves. So
+    the binary row n = 6 needs a budget of 1,749 nodes, though no pair of
+    it needs more than 206 searched alone. ``nodes`` is the total of the
+    search nodes that the batches and the ``compute`` calls have spent,
+    overruns included.
     """
 
     def __init__(self, cache: ResultCache | None = None, max_nodes: int = DEFAULT_MAX_NODES):
@@ -126,14 +129,16 @@ class ComplexityProvider:
 
         A class the memo or the cache holds (``class_key``) is served at
         once. The others are grouped by condition word, the unique kind's
-        being ``0^n`` since ``A(x) = A(x | 0^n)``, and one
-        ``_least_witnesses`` per group finds their records. These go to the
+        being ``0^n`` since ``A(x) = A(x | 0^n)``, and the condition words
+        by length; one ``_group_witnesses`` per length finds their records,
+        each condition's as its own search would. These go to the
         cache in one ``put_many``, in the order ``keys`` first miss them, as
         one read per key writes them, and every value is then served by
         ``compute`` as a checked hit: re-verified, or on a walk shape that
         a full verification on the same cache proved. A node-budget overrun
-        raises ``BudgetExceeded`` before any record is written. Without a
-        cache a throwaway memory cache is used.
+        raises ``BudgetExceeded`` before any record is written; one
+        ``max_nodes`` spans every group of the call. Without a cache a
+        throwaway memory cache is used.
         """
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()
@@ -164,15 +169,18 @@ class ComplexityProvider:
             waiting.append(key)
             classes.append(rep_key)
 
-        groups: dict[tuple, list[tuple]] = {}  # condition symbols -> class keys
+        groups: dict[int, dict[tuple, list[tuple]]] = {}  # length -> condition symbols -> class keys
         for rep_key in misses:
             _kind, x, y = rep_key
-            groups.setdefault((0,) * len(x) if y is None else y, []).append(rep_key)
+            groups.setdefault(len(x), {}).setdefault((0,) * len(x) if y is None else y, []).append(rep_key)
         found = {}
         nodes = _Nodes(self.max_nodes)
         try:
-            for y, rep_keys in groups.items():
-                found.update(zip(rep_keys, _least_witnesses(y, [k[1] for k in rep_keys], nodes)))
+            for by_condition in groups.values():
+                keys = list(by_condition.values())
+                records = _group_witnesses(list(by_condition), [[k[1] for k in ks] for ks in keys], nodes)
+                for ks, rs in zip(keys, records):
+                    found.update(zip(ks, rs))
         finally:
             self.nodes += nodes.count
         cache.put_many((k, *found.pop(k)) for k in misses)
@@ -516,8 +524,8 @@ def distribution_table(
 ) -> list[DistributionRow]:
     """Exhaustive conditional-complexity distribution rows for n = 0..n_max.
 
-    Each row's values come from one batch search per condition word
-    (``ComplexityProvider.conditional_row``).
+    Each row's values come from one batch, one search per level over all
+    the row's condition words (``ComplexityProvider.conditional_row``).
     """
     if n_max > 10:
         raise ValueError("exhaustive rows stop at length 10; sample longer lengths")

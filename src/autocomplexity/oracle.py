@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .complexity import ComplexityQuery, canonical_query
 from .kinds import KINDS
-from .words import Word
+from .words import Word, one_class_word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -242,10 +242,7 @@ def oracle_min_states(query: ComplexityQuery, max_states: int = ORACLE_MAX_STATE
     query = canonical_query(query)
     x = query.target
     n = len(x)
-    if query.condition is None:
-        y = Word((0,) * n, 1)
-    else:
-        y = query.condition
+    y = one_class_word(n) if query.condition is None else query.condition
     if y.alphabet_size > 2 and len(set(y.symbols)) > 2:
         raise ValueError("oracle supports condition alphabets of size at most 2")
     variant = "unique" if kind.counts == "walks" else "exact"

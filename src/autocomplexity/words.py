@@ -9,6 +9,7 @@ equality, and the classical power/primitivity predicates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -222,6 +223,14 @@ def is_primitive(w: Word) -> bool:
         if n % d == 0 and w.symbols == w.symbols[:d] * (n // d):
             return False
     return True
+
+
+@functools.lru_cache(maxsize=64)
+def one_class_word(n: int) -> Word:
+    """The one-letter word ``0^n``: the condition of an unconditional kind,
+    whose walks all read it. Words are immutable, so each length's is built
+    once and shared."""
+    return Word((0,) * n, 1)
 
 
 def cyclic_shifts(w: Word) -> set[Word]:

@@ -9,6 +9,7 @@ import pytest
 
 import autocomplexity
 from autocomplexity import (
+    KIND_COND_UNIQUE,
     ComplexityProvider,
     ComplexityQuery,
     ResultCache,
@@ -16,6 +17,8 @@ from autocomplexity import (
     certificate_to_json,
     compute,
     distribution_table,
+    format_table,
+    slow_words,
 )
 from autocomplexity.cli import main
 
@@ -123,6 +126,22 @@ def test_search_emergent_command(capsys):
     code, out, err = run(capsys, "search-emergent", "--max-len", "7", "--budget", "500")
     assert code == 4 and "search budget exhausted" in err
     assert "word(s)" not in out
+
+
+def test_budget_bounds_each_batch_of_a_table(tmp_path, capsys):
+    """On ``table`` one budget spans a batch, the search of a whole row,
+    not each value: a budget above the nodes of every pair of row 6
+    searched alone, but one short of the row's batch, exits 4."""
+    ground = list(slow_words(6, 2))
+    single = max(compute(ComplexityQuery(KIND_COND_UNIQUE, x, y)).explored for y in ground for x in ground)
+    provider = ComplexityProvider()
+    provider.conditional_row(ground)
+    batch = provider.nodes
+    assert single < batch - 1
+    code, out, err = run(capsys, "table", "--n", "6", "--budget", str(batch - 1), "--cache-dir", str(tmp_path / "a"))
+    assert (code, out) == (4, "") and "search budget exhausted" in err
+    code, out, _ = run(capsys, "table", "--n", "6", "--budget", str(batch), "--cache-dir", str(tmp_path / "b"))
+    assert code == 0 and out == format_table(distribution_table(6))
 
 
 def test_sparse_command(capsys):

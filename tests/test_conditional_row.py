@@ -1,10 +1,13 @@
-"""The batch search behind every many-word query: one search per condition
-word y carries every target x still active on the current prefix, and the
-unique kind is the one-letter condition ``0^n``.
+"""The batch search behind every many-word query: per length, one search per
+level runs over the joint prefixes of all the condition words y, and each y
+carries every target x still active on the current prefix. The unique kind
+is the one-letter condition ``0^n``.
 
 The labeled search stays the reference: every value and witnessing sequence
 the batch finds must be what ``_least_witness`` from 1 state finds for that
-pair or word, with a certificate that verifies, and a provider filled by the
+pair or word, and what one search per condition word finds, with a
+certificate that verifies. The batch spends at most the nodes of the
+searches per condition word, and a provider filled by the
 batch must write the cache records, in the order, that one ``compute`` per
 first-missing class key writes. The ``class_key`` that the provider, its
 batches and the rows use is checked against its definition, the least memo
@@ -41,6 +44,7 @@ from autocomplexity.cache import parse_word
 from autocomplexity import complexity as complexity_module
 from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
+    _group_witnesses,
     _least_witness,
     _least_witnesses,
     _Nodes,
@@ -140,25 +144,51 @@ def test_random_class_key_meets_its_definition(pair):
     assert_class_key(*pair)
 
 
+def labeled_record(x, y):
+    """The record of x given y from the labeled search, from 1 state."""
+    return _least_witness(
+        KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, y), value_cap(KIND_COND_UNIQUE, len(x)), _Nodes(),
+    )
+
+
 def assert_batch_is_searched(condition, targets):
     found = _least_witnesses(condition.symbols, [x.symbols for x in targets], _Nodes())
     assert len(found) == len(targets)
     for x, record in zip(targets, found):
-        searched = _least_witness(
-            KIND_COND_UNIQUE, *_walk_words(KIND_COND_UNIQUE, x, condition),
-            value_cap(KIND_COND_UNIQUE, len(x)), _Nodes(),
-        )
-        assert record == searched, (x, condition)
+        assert record == labeled_record(x, condition), (x, condition)
+
+
+def assert_group_is_per_condition(conditions, targets, labeled=False):
+    """One search of the group ``conditions``, each condition c with the
+    targets ``targets[c]``, gives the records of one ``_least_witnesses``
+    per condition word, and ``labeled``, those of the labeled search of
+    every pair. It spends at most the nodes of the searches per condition
+    word, and exactly theirs for one condition."""
+    ys = [y.symbols for y in conditions]
+    xss = [[x.symbols for x in xs] for xs in targets]
+    meter = _Nodes()
+    found = _group_witnesses(ys, xss, meter)
+    alone = 0
+    for y, xs, records in zip(conditions, xss, found):
+        nodes = _Nodes()
+        assert _least_witnesses(y.symbols, xs, nodes) == records, y
+        alone += nodes.count
+    if labeled:
+        for y, xs, records in zip(conditions, targets, found):
+            for x, record in zip(xs, records):
+                assert record == labeled_record(x, y), (x, y)
+    assert meter.count <= alone and (len(ys) > 1 or meter.count == alone)
 
 
 @pytest.mark.parametrize("letters, max_len", [(2, 7), (3, 5)])
 def test_batch_matches_labeled_search(letters, max_len):
-    """Every slow pair over ``letters`` letters up to ``max_len``, one batch
-    per condition word with every slow word as a target."""
+    """Every slow pair over ``letters`` letters up to ``max_len``: one group
+    per length, every slow word a condition and every slow word a target of
+    each, against the labeled search per pair and one search per condition
+    word."""
     for n in range(1, max_len + 1):
         words = list(slow_words(n, letters))
-        for y in words:
-            assert_batch_is_searched(y, words)
+        assert_group_is_per_condition(words, [words] * len(words), labeled=True)
 
 
 @st.composite
@@ -172,6 +202,28 @@ def condition_and_targets(draw, max_len):
 @settings(max_examples=40, deadline=None)
 def test_random_batch_matches_labeled_search(case):
     assert_batch_is_searched(*case)
+
+
+@st.composite
+def condition_group(draw, max_len):
+    """Up to 8 distinct binary conditions of one length, each a random
+    prefix of one word followed by random letters, so that they share
+    prefixes of every length, with 1-6 binary targets each."""
+    n = draw(st.integers(1, max_len))
+    letters = st.integers(0, 1)
+    base = draw(st.lists(letters, min_size=n, max_size=n))
+    ys: dict[tuple, None] = {}
+    for _ in range(draw(st.integers(1, 8))):
+        cut = draw(st.integers(0, n))
+        ys[tuple(base[:cut] + draw(st.lists(letters, min_size=n - cut, max_size=n - cut)))] = None
+    word = st.lists(letters, min_size=n, max_size=n).map(lambda s: Word(tuple(s), 2))
+    return [Word(y, 2) for y in ys], [draw(st.lists(word, min_size=1, max_size=6)) for _ in ys]
+
+
+@given(condition_group(10))
+@settings(max_examples=60, deadline=None)
+def test_random_group_matches_labeled_search(case):
+    assert_group_is_per_condition(*case, labeled=True)
 
 
 def test_row_records_match_compute_per_pair(tmp_path):
@@ -434,14 +486,17 @@ def test_first_pass_verifies_once_per_shape(letters, max_len, monkeypatch):
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):
-    # row n = 6 spends its first 200 nodes before level 4 of some condition
-    # word is searched whole, and a full budget finishes it
+    # row n = 6 searches level 1 of every condition word in its first 75
+    # nodes, and spends its first 200 inside level 2, so every pending pair
+    # failed level 1 (one search per condition word, which took each word to
+    # its last level before the next began, reached 4 here); a full budget
+    # finishes it
     ground = list(slow_words(6, 2))
     provider = ComplexityProvider(ResultCache(tmp_path), max_nodes=200)
     for _ in range(2):
         with pytest.raises(BudgetExceeded) as e:
             provider.conditional_row(ground)
-        assert e.value.lower_bound == 4
+        assert e.value.lower_bound == 2
         assert len(provider.cache) == 0
         assert not (tmp_path / "results.tsv").exists()
         assert not provider._memo
@@ -453,34 +508,75 @@ def test_row_budget_overrun_writes_nothing(tmp_path):
             assert provider.conditional(x, y) == want
 
 
-def test_provider_counts_the_nodes_of_its_batches_and_misses(monkeypatch):
-    """``provider.nodes`` after ``distribution_table(6)`` is the sum of the
-    nodes each batch spends when searched again alone, and a miss adds the
-    nodes of its ``compute``."""
+def record_groups(monkeypatch):
+    """A list that collects the groups ``(ys, xss)`` the provider hands to
+    ``_group_witnesses``, in call order."""
     from autocomplexity import metrics
 
-    batches = []
+    groups = []
+    real = metrics._group_witnesses
 
-    def recording(y, xs, nodes):
-        batches.append((y, list(xs)))
-        return _least_witnesses(y, xs, nodes)
+    def recording(ys, xss, nodes):
+        groups.append((list(ys), [list(xs) for xs in xss]))
+        return real(ys, xss, nodes)
 
-    monkeypatch.setattr(metrics, "_least_witnesses", recording)
+    monkeypatch.setattr(metrics, "_group_witnesses", recording)
+    return groups
+
+
+def per_condition_nodes(groups):
+    """The nodes of the groups searched again alone, and those of one
+    ``_least_witnesses`` per condition word of them."""
+    grouped = alone = 0
+    for ys, xss in groups:
+        nodes = _Nodes()
+        _group_witnesses(ys, xss, nodes)
+        grouped += nodes.count
+        for y, xs in zip(ys, xss):
+            nodes = _Nodes()
+            _least_witnesses(y, xs, nodes)
+            alone += nodes.count
+    return grouped, alone
+
+
+def test_provider_counts_the_nodes_of_its_batches_and_misses(monkeypatch):
+    """``provider.nodes`` after ``distribution_table(6)`` is the sum of the
+    nodes each group of condition words of one length spends when searched
+    again alone, one group per row n = 1..6: 2,285 in all, 1,749 of them
+    row 6's. One search per condition word spent 3,924: the shared prefixes
+    of the words are counted once. A miss adds the nodes of its
+    ``compute``."""
+    groups = record_groups(monkeypatch)
     provider = ComplexityProvider()
     distribution_table(6, provider)
-    assert batches
-    alone = []
-    for y, xs in batches:
-        nodes = _Nodes()
-        _least_witnesses(y, xs, nodes)
-        alone.append(nodes.count)
-    assert provider.nodes == sum(alone) > 0
+    assert [len(ys) for ys, _xss in groups] == [1, 2, 4, 8, 16, 32]
+    grouped, alone = per_condition_nodes(groups)
+    assert (provider.nodes, grouped, alone) == (2_285, 2_285, 3_924)
     # no factor of x is cached, so the miss searches its class from 1 state
     x = Word.parse("1101001100101100", 2)
     searched = compute(key_query(class_key((KIND_UNIQUE, x.symbols, None)))).explored
     before = provider.nodes
     provider.unconditional(x)
     assert provider.nodes - before == searched > 0
+
+
+@pytest.mark.parametrize("n, nodes, alone, share", [
+    pytest.param(6, 2_644, 4_283, 1, id="6"),
+    pytest.param(8, 39_449, 71_869, 0.6, id="8", marks=pytest.mark.extended),
+])
+def test_cold_study_nodes_are_pinned(tmp_path, monkeypatch, n, nodes, alone, share):
+    """The search nodes of a cold ``distribution_table(n)`` followed by
+    ``verify_metric(n, k)`` for the four kinds, every one spent by a batch:
+    one search per level over the condition words of one length. One search
+    per condition word spent ``alone``, which the test counts again; the
+    groups spend at most ``share`` of it."""
+    groups = record_groups(monkeypatch)
+    provider = ComplexityProvider(ResultCache(tmp_path))
+    distribution_table(n, provider)
+    for kind in MetricKind:
+        verify_metric(n, kind, provider)
+    assert (provider.nodes, *per_condition_nodes(groups)) == (nodes, nodes, alone)
+    assert nodes <= share * alone
 
 
 def test_provider_counts_the_nodes_of_an_overrun():
