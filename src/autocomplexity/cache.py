@@ -8,16 +8,22 @@ sequence (for det-total the deterministic walk its total DFA is built
 from). The words are those of ``complexity.key_query``, written as digit
 strings when the alphabet fits (dot-separated otherwise) with an
 ``@alphabet_size`` suffix; sequences are comma-separated state indices.
+A line is written from its key's symbol tuples, and one ``put_many`` batch
+formats each distinct word field (symbols with the alphabet they are
+written over) and each distinct walk once, then builds its lines from
+those strings.
 
-The file is append-only; ``compact()`` rewrites it atomically. A corrupt line
-is skipped with a warning, never served. A hit is served once its witness
-re-verifies, or, for the unique kinds, once it lies on a walk shape that a
-full check on the same cache object proved; ``audit()`` checks every line
-in full and also proves every record minimal.
+The file is append-only; ``compact()`` rewrites it atomically. A corrupt line,
+a line that does not decode as ASCII among them, is skipped with a warning,
+never served. A hit is served once its witness re-verifies, or, for the
+unique kinds, once it lies on a walk shape that a full check on the same
+cache object proved; ``audit()`` checks every line in full and also proves
+every record minimal.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import os
 import tempfile
@@ -65,10 +71,11 @@ def _records(path: Path):
     """(query, value, sequence, line number, line) for each valid line of a
     cache file.
 
-    A line is valid when its kind and words make a ``ComplexityQuery`` and its
-    sequence is a slow walk of one step per letter; other lines are skipped
-    with a warning. Each distinct word field and each distinct slow walk is
-    parsed once per file, and the records share them.
+    A line is valid when it is ASCII, its kind and words make a
+    ``ComplexityQuery`` and its sequence is a slow walk of one step per
+    letter; other lines are skipped with a warning. Each distinct word field
+    and each distinct slow walk is parsed once per file, and the records
+    share them.
     """
     # a field that fails raises again on every line that holds it
     word = functools.cache(parse_word)
@@ -80,12 +87,15 @@ def _records(path: Path):
             raise ValueError("the sequence is not a slow walk")
         return sequence
 
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII decodes to a lone surrogate, which fails its line only
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    raise ValueError("the line is not ASCII")
                 kind, target, condition, value, seq = line.split("\t")
                 query = ComplexityQuery(kind, word(target), None if condition == "-" else word(condition))
                 sequence = walk(seq)
@@ -98,13 +108,25 @@ def _records(path: Path):
             yield record
 
 
+def _word_field(fields: dict, symbols: tuple[int, ...], alphabet_size: int | None) -> str:
+    """The word field of ``symbols`` over ``alphabet_size`` letters, None
+    for the symbols they use, formatted once per ``fields``."""
+    field = fields.get((symbols, alphabet_size))
+    if field is None:
+        size = max(symbols, default=0) + 1 if alphabet_size is None else alphabet_size
+        field = fields[symbols, alphabet_size] = format_symbols(symbols, size)
+    return field
+
+
 class ResultCache:
     """Memo of canonical keys -> (value, sequence).
 
     Keys must already be canonical (``complexity.canonical_key``);
     ``complexity.compute`` builds them before calling in. A line read from
     the file is keyed by the ``memo_key`` of its query. With
-    ``directory=None`` the cache is memory-only and formats no line.
+    ``directory=None`` the cache is memory-only and formats no line. A
+    ``directory`` that exists and is not a directory raises
+    ``NotADirectoryError``.
 
     ``shapes`` holds proofs, not values. It maps each ``(kind, condition
     symbols or None, sequence)`` shape of the unique kinds whose walk NFA a
@@ -118,6 +140,8 @@ class ResultCache:
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = Path(directory) if directory is not None else None
+        if self.directory is not None and self.directory.exists() and not self.directory.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(self.directory))
         self._memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._loaded = self.directory is None
         self.shapes: dict[tuple, tuple[int, ...]] = {}
@@ -164,13 +188,14 @@ class ResultCache:
             self._load()
         path = self.path
         lines = []
+        fields = {}
         for key, value, sequence in records:
             sequence = tuple(sequence)
             if self._memo.get(key) == (value, sequence):
                 continue
             self._memo[key] = (value, sequence)
             if path is not None:
-                lines.append(self._format_line(key, value, sequence))
+                lines.append(self._format_line(key, value, sequence, fields))
         if not lines:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -183,17 +208,25 @@ class ResultCache:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
     @staticmethod
-    def _format_line(key: tuple, value: int, sequence) -> str:
+    def _format_line(key: tuple, value: int, sequence: tuple[int, ...], fields: dict) -> str:
         """The line of the record: the words of ``complexity.key_query``,
         each over the symbols it uses (det-total's target over the alphabet
-        size its key holds), written from the key's symbols."""
+        size its key holds), written from the key's symbols.
+
+        ``fields`` holds the fields already formatted in the batch: a word's
+        under ``(symbols, alphabet size)``, the size None for a word over
+        the symbols it uses, and a walk's under its state sequence (a tuple
+        of ints, never equal to a word's pair)."""
         kind, target, third = key
         if kind == KIND_DET_TOTAL:
-            target_field, condition = format_symbols(target, third), "-"
+            target_field, condition = _word_field(fields, target, third), "-"
         else:
-            target_field = format_symbols(target, max(target, default=0) + 1)
-            condition = "-" if third is None else format_symbols(third, max(third, default=0) + 1)
-        return f"{kind}\t{target_field}\t{condition}\t{value}\t{','.join(map(str, sequence))}\n"
+            target_field = _word_field(fields, target, None)
+            condition = "-" if third is None else _word_field(fields, third, None)
+        walk = fields.get(sequence)
+        if walk is None:
+            walk = fields[sequence] = ",".join(map(str, sequence))
+        return f"{kind}\t{target_field}\t{condition}\t{value}\t{walk}\n"
 
     def __len__(self) -> int:
         if not self._loaded:

@@ -2,10 +2,11 @@
 
 Words on the command line are digit strings over alphabets of size at most 10
 (alphabet size defaults to max digit + 1); an alphabet option outside 1..10
-is a usage error. Exit codes: 2 usage, 3 parse errors, 4 budget exhausted, 5
-capacity limits, 6 failed verification. A reader that closes stdout early
-(``| head``) ends the command quietly with 0. ``python -m autocomplexity``
-runs the same commands.
+is a usage error. Exit codes: 2 usage, 3 parse errors and file errors (a path
+that cannot be read or written, a certificate that is not ASCII, a cache
+directory that is a file), 4 budget exhausted, 5 capacity limits, 6 failed
+verification. A reader that closes stdout early (``| head``) ends the command
+quietly with 0. ``python -m autocomplexity`` runs the same commands.
 """
 
 from __future__ import annotations
@@ -364,12 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the exit code of each error, the first class that matches wins: a
-# ParseError is a ValueError
+# ParseError and a UnicodeDecodeError are ValueErrors; BrokenPipeError, an
+# OSError, is handled before these
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
     (BudgetExceeded, EXIT_BUDGET),
     (CapacityError, EXIT_CAPACITY),
-    (FileNotFoundError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+    (UnicodeDecodeError, EXIT_PARSE),
     (ValueError, EXIT_USAGE),
 )
 

@@ -17,6 +17,7 @@ from autocomplexity import (
 from autocomplexity import cache as cache_module
 from autocomplexity import complexity as complexity_module
 from autocomplexity.cache import format_word, parse_word
+from autocomplexity.cli import main
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
 from autocomplexity.words import Word
 
@@ -43,28 +44,65 @@ def test_word_field_round_trip():
         parse_word("0101")
 
 
+# keys whose lines differ in every way a word field can be written
+LINE_KEYS = [
+    (KIND_UNIQUE, (), None),
+    (KIND_UNIQUE, (0, 1, 1, 2), None),
+    (KIND_UNIQUE, tuple(range(11)), None),
+    ("exact", (0, 0), None),
+    ("det-partial", (0, 1, 0), None),
+    (KIND_DET_TOTAL, (0, 0), 3),
+    (KIND_DET_TOTAL, (), 1),
+    (KIND_COND_UNIQUE, (0, 1), (0, 0)),
+    (KIND_COND_UNIQUE, (), ()),
+    ("conditional-exact", tuple(range(12)), (0, 1) * 6),
+]
+
+
+def reference_line(key, value, sequence):
+    """The line of a record, built from the words of ``key_query(key)``."""
+    query = complexity_module.key_query(key)
+    condition = "-" if query.condition is None else format_word(query.condition)
+    return f"{query.kind}\t{format_word(query.target)}\t{condition}\t{value}\t{','.join(map(str, sequence))}\n"
+
+
 def test_lines_are_written_from_the_key_symbols():
     """A record's line, written from the key's symbol tuples, holds the
     words of ``key_query(key)``: the target and condition over the symbols
     they use, det-total's target over its key's alphabet size, and dots
     between the symbols of an alphabet above 10."""
-    keys = [
-        (KIND_UNIQUE, (), None),
-        (KIND_UNIQUE, (0, 1, 1, 2), None),
-        (KIND_UNIQUE, tuple(range(11)), None),
-        ("exact", (0, 0), None),
-        ("det-partial", (0, 1, 0), None),
-        (KIND_DET_TOTAL, (0, 0), 3),
-        (KIND_DET_TOTAL, (), 1),
-        (KIND_COND_UNIQUE, (0, 1), (0, 0)),
-        (KIND_COND_UNIQUE, (), ()),
-        ("conditional-exact", tuple(range(12)), (0, 1) * 6),
+    for key in LINE_KEYS:
+        want = reference_line(key, 2, (0, 1, 1))
+        assert ResultCache._format_line(key, 2, (0, 1, 1), {}) == want, key
+
+
+def test_a_batch_writes_the_reference_lines(tmp_path):
+    """One ``put_many`` batch, whose records share word fields and walks,
+    writes one reference line per record not equal to the memo."""
+    # walks alike in their length, prefix, last state, sum or set of
+    # states, each under two of the keys: each must be written as itself
+    walks = [(0, 1, 1), (0, 1, 2), (0, 0, 1), (0, 1, 0), (0, 0, 0)]
+    known = (KIND_UNIQUE, (0, 1), None), 2, (0, 0, 1)
+    batch = [(key, 2, walks[i % len(walks)]) for i, key in enumerate(LINE_KEYS)] + [
+        # 00 as a target after 00 as the condition of a key above
+        ((KIND_UNIQUE, (0, 0), None), 1, (0, 0, 1)),
+        # det-total 00 over 3 letters next to 00 over the 1 letter it uses
+        ((KIND_DET_TOTAL, (0, 0), 3), 3, (0, 1, 2)),
+        ((KIND_UNIQUE, (0, 0), None), 1, (0, 0, 0)),
+        ((KIND_DET_TOTAL, (0, 0), 1), 1, (0, 0, 0)),
+        ((KIND_COND_UNIQUE, (0, 0), (0, 1)), 1, (0, 0, 0)),
+        # equal to the memo: the record put before, and one met in the batch
+        known,
+        ((KIND_COND_UNIQUE, (0, 0), (0, 1)), 1, (0, 0, 0)),
     ]
-    for key in keys:
-        query = complexity_module.key_query(key)
-        condition = "-" if query.condition is None else format_word(query.condition)
-        want = f"{query.kind}\t{format_word(query.target)}\t{condition}\t2\t0,1,1\n"
-        assert ResultCache._format_line(key, 2, (0, 1, 1)) == want, key
+    cache = ResultCache(tmp_path)
+    cache.put(*known)
+    before = cache.path.read_text(encoding="ascii")
+    cache.put_many(batch)
+    written = batch[:-2]
+    assert cache.path.read_text(encoding="ascii") == before + "".join(
+        reference_line(*record) for record in written
+    )
 
 
 def test_put_get_round_trip(tmp_path):
@@ -142,6 +180,26 @@ def test_corrupt_lines_skipped(tmp_path):
     assert len(fresh) == 1
     result = compute(q_plain("0010"), cache=fresh)
     assert result.value == 3 and verify_certificate(result.certificate)[0]
+
+
+def test_a_line_that_does_not_decode_is_a_corrupt_line(tmp_path, capsys):
+    """A byte outside ASCII fails its own line only: the lines around it are
+    served, audited and kept by ``compact``."""
+    valid = ["unique\t0000@1\t-\t1\t0,0,0,0,0\n", "unique\t01@2\t-\t2\t0,1,1\n"]
+    path = tmp_path / cache_module.CACHE_FILENAME
+    path.write_bytes(valid[0].encode() + b"unique\t01\xe9@2\t-\t2\t0,1,1,1\n" + valid[1].encode())
+    cache = ResultCache(tmp_path)
+    with pytest.warns(UserWarning) as caught:
+        for text, value in (("0000", 1), ("01", 2)):
+            result = compute(q_plain(text), cache=cache)
+            assert (result.value, result.explored) == (value, 0), text
+    assert [str(w.message) for w in caught] == [f"skipping corrupt cache line 2 in {path}"]
+    with pytest.warns(UserWarning, match="line 2"):
+        assert main(["cache", "audit", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("2 cached record(s) verified and minimal")
+    with pytest.warns(UserWarning, match="line 2"):
+        cache.compact()
+    assert path.read_text(encoding="ascii") == "".join(valid)
 
 
 def cache_holding(directory, lines):

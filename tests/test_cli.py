@@ -280,6 +280,33 @@ def test_exit_codes(tmp_path, capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "{dir}"),
+    ("export-dot", "{dir}"),
+    ("complexity", "01", "--certificate", "{dir}"),
+    ("complexity", "0101", "--cache-dir", "{file}"),
+    ("table", "--n", "3", "--cache-dir", "{file}"),
+    ("cache", "compact", "--cache-dir", "{file}"),
+    ("cache", "stats", "--cache-dir", "{file}"),
+    ("cache", "audit", "--cache-dir", "{file}"),
+    ("cache", "clear", "--cache-dir", "{file}"),
+    ("check", "{not_ascii}"),
+    ("export-dot", "{not_ascii}"),
+], ids=lambda argv: "-".join(arg.strip("{}-") for arg in argv))
+def test_file_errors_exit_3_with_one_error_line(tmp_path, capsys, argv):
+    """A path that cannot be read or written, a cache directory that is a
+    file and a certificate that is not ASCII each end the command with exit
+    3 and one ``error:`` line, as a missing certificate file does."""
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "not_ascii": tmp_path / "cert.json"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    paths["not_ascii"].write_bytes(b'{"kind": "unique\xe9"}')
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 3, argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert paths["file"].read_text() == ""
+
+
 def test_closed_stdout_exits_quietly(capsys, monkeypatch):
     class ClosedPipe(io.StringIO):
         def write(self, text):
