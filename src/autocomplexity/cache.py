@@ -15,10 +15,9 @@ those strings.
 
 The file is append-only; ``compact()`` rewrites it atomically. A corrupt line,
 a line that does not decode as ASCII among them, is skipped with a warning,
-never served. A hit is served once its witness re-verifies, or, for the
-unique kinds, once it lies on a walk shape that a full check on the same
-cache object proved; ``audit()`` checks every line in full and also proves
-every record minimal.
+never served. The cache holds records only: ``complexity.compute`` checks
+each hit before serving it, and ``audit()`` checks every line in full and
+also proves every record minimal.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import errno
 import functools
 import os
+import stat
 import tempfile
 import warnings
 from pathlib import Path
@@ -125,32 +125,23 @@ class ResultCache:
     ``complexity.compute`` builds them before calling in. A line read from
     the file is keyed by the ``memo_key`` of its query. With
     ``directory=None`` the cache is memory-only and formats no line. A
-    ``directory`` that exists and is not a directory raises
-    ``NotADirectoryError``.
-
-    ``shapes`` holds proofs, not values. It maps each ``(kind, condition
-    symbols or None, sequence)`` shape of the unique kinds whose walk NFA a
-    full certificate check of a hit passed on this object to the index of
-    its step partition (``complexity._hit_certificate``), so that a later
-    hit on the same shape is checked with one comparison. Equal indexes are
-    one tuple (``add_shape``). ``shapes`` starts empty, is never written to
-    the file and is not read by ``audit``. A proof rests on no record, so
-    ``clear`` keeps it.
+    ``directory`` that exists and is not a directory, or lies below a file,
+    raises ``NotADirectoryError``.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None and self.directory.exists() and not self.directory.is_dir():
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(self.directory))
+        if self.directory is not None:
+            try:
+                # unlike Path.exists, stat lets ENOTDIR through for a path below a file
+                mode = self.directory.stat().st_mode
+            except FileNotFoundError:
+                pass
+            else:
+                if not stat.S_ISDIR(mode):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(self.directory))
         self._memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         self._loaded = self.directory is None
-        self.shapes: dict[tuple, tuple[int, ...]] = {}
-        self._indexes: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def add_shape(self, shape: tuple, first: tuple[int, ...]) -> None:
-        """Keep the proven ``shape`` with its step-partition index ``first``,
-        shared with the shapes of the same partition."""
-        self.shapes[shape] = self._indexes.setdefault(first, first)
 
     @classmethod
     def from_environment(cls, override: str | None = None) -> ResultCache | None:

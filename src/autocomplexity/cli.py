@@ -4,9 +4,10 @@ Words on the command line are digit strings over alphabets of size at most 10
 (alphabet size defaults to max digit + 1); an alphabet option outside 1..10
 is a usage error. Exit codes: 2 usage, 3 parse errors and file errors (a path
 that cannot be read or written, a certificate that is not ASCII, a cache
-directory that is a file), 4 budget exhausted, 5 capacity limits, 6 failed
-verification. A reader that closes stdout early (``| head``) ends the command
-quietly with 0. ``python -m autocomplexity`` runs the same commands.
+directory that is a file or below one), 4 budget exhausted, 5 capacity
+limits, 6 failed verification. A reader that closes stdout early (``| head``)
+ends the command quietly with 0. ``python -m autocomplexity`` runs the same
+commands.
 """
 
 from __future__ import annotations

@@ -58,6 +58,7 @@ from typing import Callable, Iterator, NoReturn
 from .automata import (
     Nfa,
     WitnessCertificate,
+    count_walks_given_projection,
     verify_certificate,
     walk_nfa,
 )
@@ -123,8 +124,9 @@ class ComplexityResult:
 
     ``certificate`` is built once, when first read, and then kept. A search
     or a full check hands over the certificate it has just verified; a hit
-    on a known walk shape hands over the function that builds it (see
-    ``_hit_certificate``), since a study reads values only."""
+    of the unique kinds, checked on its proven walk shape, hands over the
+    function that builds it (see ``_hit_certificate``), since a study reads
+    values only."""
 
     value: int
     _certificate: WitnessCertificate | Callable[[], WitnessCertificate] = field(repr=False, compare=False)
@@ -470,15 +472,20 @@ def _record_certificate(
     The certificate is ``nfa``, the witness a search has just built, or
     else the walk NFA of the sequence over the query's labels
     (``_walk_words``); for det-total, the total DFA ``_total_dfa`` builds
-    from that walk NFA, spending the nodes of the meter ``nodes``. Either
-    way ``verify_certificate`` judges it; this is the full check of a hit's
-    first sight (``_hit_certificate``), which builds one track word, one walk
-    NFA and one certificate. A check sets no level, so before a search an
-    overrun raises ``BudgetExceeded(1)``. The empty word's record is ``(1,
-    (0,))``: one state, no edges, and for det-total a loop per letter.
+    from that walk NFA, spending the nodes of the meter ``nodes``. A
+    sequence that is not a slow walk of one step per letter builds none.
+    ``verify_certificate`` judges the certificate; this is the hit check of
+    the exact and DFA kinds (``_hit_certificate``) and the first check of
+    ``audit_record``. A check sets no level, so before a search an overrun
+    raises ``BudgetExceeded(1)``. The empty word's record is ``(1, (0,))``:
+    one state, no edges, and for det-total a loop per letter.
     """
     if nfa is None:
-        nfa = walk_nfa(sequence, _walk_words(query.kind, query.target, query.condition)[0])
+        labels = _walk_words(query.kind, query.target, query.condition)[0]
+        try:
+            nfa = walk_nfa(sequence, labels)
+        except ValueError as e:
+            return None, f"no walk NFA: {e}"
         if query.kind == KIND_DET_TOTAL:
             nfa = _total_dfa(nfa, value, len(query.target), nodes)
             if nfa is None:
@@ -493,74 +500,74 @@ def _record_certificate(
 
 
 def _hit_certificate(
-    cache, key: tuple, value: int, sequence: tuple[int, ...], query: ComplexityQuery, nodes: _Nodes,
+    key: tuple, value: int, sequence: tuple[int, ...], query: ComplexityQuery, nodes: _Nodes,
 ) -> WitnessCertificate | Callable[[], WitnessCertificate] | None:
-    """The certificate of the record ``(value, sequence)`` that ``cache``
-    holds for the canonical key ``key`` of ``query``, or the function that
-    builds it, when the record may be served; else None.
+    """The certificate of the record ``(value, sequence)`` held under the
+    canonical key ``key`` of ``query``, or the function that builds it,
+    when the record may be served; else None.
 
-    Each record of a kind that counts walks (unique, conditional-unique) is
-    checked once per *shape*, ``(kind, condition symbols, sequence)``. A
-    shape whose walk NFA a full ``_record_certificate`` has passed is kept
-    in ``cache.shapes`` with the index ``first`` of its *step partition*,
-    in which steps i and j share a class when ``(s_i, y_i, s_i+1) = (s_j,
-    y_j, s_j+1)`` (y is the condition, ``0^n`` for the unique kind):
-    ``first[i]`` is the least j in the class of i (``_step_index``). A
-    record on a known shape is served when ``len(x) == len(first)``, its
-    walk NFA has ``value`` states and ``x == tuple(map(x.__getitem__,
-    first))``: one lookup and one comparison, with no NFA built. The NFA
-    has ``max(sequence) + 1`` states, as a known shape's sequence is slow.
-    The comparison holds exactly when the target x is constant on the step
-    partition, that is, when the NFA has one edge per class: if steps i and
-    k share a class, then ``first[i] = first[k]`` and ``x[i] = x[first[i]]
-    = x[k]``; conversely ``first[i]`` lies in the class of i. Such a hit
-    returns the builder of its certificate, the walk NFA over the query's
-    labels (``_walk_words``), run only if the certificate is read. Any
-    other record, a *first sight*, is checked in full by
-    ``_record_certificate`` and, only when it passes, adds its shape with
-    the ``_step_index`` index: one ``verify_certificate`` per shape.
+    The exact and DFA kinds, whose checks count words, are checked in full
+    by ``_record_certificate``. A record of the unique kinds lies on the
+    *walk shape* ``(y, sequence)``, y the condition ``key[2]`` (``0^n`` for
+    the unique kind's None). Steps i and j share a class of its *step
+    partition* when ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``, and
+    ``_shape_index`` gives the index ``first`` of a proven shape,
+    ``first[i]`` the least j in the class of i. The record is served when
+    ``len(x) == len(first)``, ``value == max(sequence) + 1`` and ``x ==
+    tuple(map(x.__getitem__, first))``, which holds exactly when the target
+    x is constant on the partition: if i and k share a class, ``x[i] =
+    x[first[i]] = x[k]``, and ``first[i]`` lies in the class of i. Such a
+    hit builds nothing and returns the builder of its certificate
+    (``_walk_certificate``), run only if the certificate is read.
 
-    Why one proof per shape suffices. Let ``M_x``, the walk NFA of the
-    sequence reading ``track(y, x)`` (x for the unique kind), verify. Then
-    x is constant on the step partition: otherwise two parallel edges would
-    give two walks. Let x' be constant on it too. The map
-    ``(s_i, (y_i, x_i), s_i+1) -> (s_i, (y_i, x'_i), s_i+1)`` is then a
-    bijection of the edges that keeps their endpoints and first
-    coordinates. So the walks that read y (for the unique kind, all walks)
-    correspond one to one, ``M_x'`` has exactly one, and it is the walk
-    that generates ``M_x'`` and spells x'. ``M_x'`` verifies, on the states
-    of the sequence. The exact and DFA kinds are excluded: their checks
-    count words, which depend on labels beyond the step partition.
+    Why this is the full check. Let ``M_y`` be the walk NFA of the sequence
+    reading y and ``M_x`` the one reading ``track(y, x)`` (x for the unique
+    kind). If x is constant on the partition, ``(s_i, y_i, s_i+1) -> (s_i,
+    (y_i, x_i), s_i+1)`` is a bijection of their edges that keeps the
+    endpoints and maps each label of ``M_x`` to its first coordinate. So
+    the walks that read y correspond one to one, and ``M_x`` has exactly
+    one exactly when the shape is proven: the walk that generates ``M_x``,
+    which spells x. ``M_x`` then verifies, on the states of the sequence.
+    If x is not constant on the partition, two parallel edges of one class
+    give that walk a twin, and ``M_x`` fails. The proof does not read x,
+    so one proof serves every record on the shape.
     """
     kind, x = query.kind, query.target.symbols
-    shape = (kind, key[2], sequence) if KINDS[kind].counts == "walks" else None
-    if shape is not None:
-        first = cache.shapes.get(shape)
-        if (
-            first is not None
-            and len(x) == len(first)
-            and max(sequence) + 1 == value
-            and x == tuple(map(x.__getitem__, first))
-        ):
-            return functools.partial(_walk_certificate, query, sequence)
-    cert, _why = _record_certificate(query, value, sequence, nodes)
-    if cert is not None and shape is not None:
-        y = (0,) * len(x) if query.condition is None else query.condition.symbols
-        cache.add_shape(shape, _step_index(sequence, y))
-    return cert
+    if KINDS[kind].counts != "walks":
+        return _record_certificate(query, value, sequence, nodes)[0]
+    first = _shape_index(key[2], sequence)
+    if (
+        first is not None
+        and len(x) == len(first)
+        and value == max(sequence) + 1
+        and x == tuple(map(x.__getitem__, first))
+    ):
+        return functools.partial(_walk_certificate, query, sequence)
+    return None
 
 
-def _step_index(sequence: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """The index of the step partition of the walk ``sequence`` reading the
-    condition ``y``: at position i, the least j with ``(s_j, y_j, s_j+1) =
-    (s_i, y_i, s_i+1)``."""
+@functools.lru_cache(maxsize=4096)
+def _shape_index(y: tuple[int, ...] | None, sequence: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The step-partition index of the walk shape ``(y, sequence)`` (see
+    ``_hit_certificate``) when the walk NFA of ``sequence`` reading y
+    (``0^n`` for None) has exactly one accepting walk that reads y, else
+    None, also for a sequence that is no slow walk over y. Bounded, like
+    ``_slow_form``; a shape that is not proven is kept as well."""
+    condition = one_class_word(len(sequence) - 1) if y is None else _used_word(y)
+    try:
+        nfa = walk_nfa(sequence, condition)
+    except ValueError:
+        return None
+    if count_walks_given_projection(nfa, condition).count != 1:
+        return None
     first: dict = {}
-    return tuple([first.setdefault(step, i) for i, step in enumerate(zip(sequence, y, sequence[1:]))])
+    steps = zip(sequence, condition.symbols, sequence[1:])
+    return tuple([first.setdefault(step, i) for i, step in enumerate(steps)])
 
 
 def _walk_certificate(query: ComplexityQuery, sequence: tuple[int, ...]) -> WitnessCertificate:
-    """The certificate of a hit on a known walk shape: the walk NFA of
-    ``sequence`` over the labels of ``query``, which the shape's proof
+    """The certificate of a unique-kind hit: the walk NFA of ``sequence``
+    over the labels of ``query``, which the shape's proof
     (``_hit_certificate``) shows verifies on the record's value of states."""
     return _certificate(query, walk_nfa(sequence, _walk_words(query.kind, query.target, query.condition)[0]))
 
@@ -696,14 +703,6 @@ def _least_witness(
         for seq in _iter_witness_sequences(kind, labels, classes, q, nodes):
             return q, seq
     raise BudgetExceeded(cap + 1, nodes.count)
-
-
-def _least_witnesses(
-    y: tuple[int, ...], xs: list[tuple[int, ...]], nodes: _Nodes,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """``_group_witnesses`` of the one condition y: the record of every
-    target of ``xs`` given y."""
-    return _group_witnesses([y], [xs], nodes)[0]
 
 
 def _group_witnesses(
@@ -954,8 +953,8 @@ def canonical_key(key: tuple) -> tuple:
     never occur cannot appear on any witness edge, so the slow form over the
     used symbols preserves every counting discipline along with the witness
     state sequences. A condition already in slow form is kept as the same
-    object, so the walk shapes a cache keeps (``_hit_certificate``) share
-    the condition tuples of the queries' words.
+    object, so the keys of the shape memo (``_shape_index``) share the
+    condition tuples of the queries' words.
     """
     kind, target, third = key
     if kind in CONDITIONAL_KINDS:
@@ -1040,15 +1039,17 @@ def compute(
 
     A cache serves one record only, the query's own, and only when its value
     is within the cap; any other query is searched, and the search writes
-    its record. The hit is checked by ``_hit_certificate``: its certificate
-    is rebuilt and verified, or, for the unique and conditional-unique
-    kinds, it lies on a walk shape that a full verification on the same
-    cache object proved and its target is constant on that shape's step
-    partition (the proof is in the ``_hit_certificate`` docstring). That
-    check reads the record's symbols and builds nothing: the result's
-    certificate is built when it is first read. ``track(condition,
-    target)`` is built only for a search or a full check. A record that
-    fails is not served; the query is searched and its record rewritten.
+    its record. The hit is checked by ``_hit_certificate``. For the unique
+    and conditional-unique kinds the record's walk shape must be proven
+    (``_shape_index``, once per shape, whatever cache holds the record) and
+    its target constant on the shape's step partition; the proof that this
+    is the full check is in the ``_hit_certificate`` docstring. That check
+    reads the record's symbols and builds nothing: the result's certificate
+    is built when it is first read. For the other kinds the certificate is
+    rebuilt and verified. ``track(condition, target)`` is built only for a
+    search or such a full check. A record that fails, a sequence that is no
+    slow walk over the word among them, is not served; the query is
+    searched and its record rewritten.
     det-total's record keeps the deterministic walk its total DFA was built
     from, and a hit builds that DFA again.
 
@@ -1085,7 +1086,7 @@ def compute(
         hit = cache.get(key)
         # a value above the cap is not the value the search would return
         if hit is not None and hit[0] <= cap:
-            cert = _hit_certificate(cache, key, *hit, query, nodes)
+            cert = _hit_certificate(key, *hit, query, nodes)
             if cert is not None:
                 return ComplexityResult(hit[0], cert, nodes.count, time.perf_counter() - started)
 

@@ -74,14 +74,12 @@ class ComplexityProvider:
     (``complexity.key_query``).
 
     Without a cache argument the provider keeps a memory-only
-    ``ResultCache``, so that the records of ``prefetch``'s batches and the
-    proven walk shapes persist across calls. The cache's ``shapes`` hold
-    proofs, not values: the walk shapes that a full certificate check of a
-    hit passed, each with its step-partition index, so that a hit of the
-    unique kinds on a proven shape is served on lookups and one comparison
-    of its target with the index, with no NFA built. They live and end with
-    the cache object. Setting
-    ``cache`` to None later is allowed: the values then come from searches.
+    ``ResultCache``, so that the records of ``prefetch``'s batches persist
+    across calls. The cache holds records, not proofs: a hit of the unique
+    kinds on a proven walk shape (``complexity._shape_index``) is served on
+    lookups and one comparison of its target with the shape's index, with
+    no NFA built. Setting ``cache`` to None later is allowed: the values
+    then come from searches.
 
     ``prefetch`` memoizes many unique and conditional-unique values with
     one batch: per length, one search per level over all its condition
@@ -131,12 +129,11 @@ class ComplexityProvider:
         once. The others are grouped by condition word, the unique kind's
         being ``0^n`` since ``A(x) = A(x | 0^n)``, and the condition words
         by length; one ``_group_witnesses`` per length finds their records,
-        each condition's as its own search would. These go to the
-        cache in one ``put_many``, in the order ``keys`` first miss them, as
-        one read per key writes them, and every value is then served by
-        ``compute`` as a checked hit: re-verified, or on a walk shape that
-        a full verification on the same cache proved. A node-budget overrun
-        raises ``BudgetExceeded`` before any record is written; one
+        each condition's as its own search would. These go to the cache in
+        one ``put_many``, in the order ``keys`` first miss them, as one read
+        per key writes them, and every value is then served by ``compute``
+        as a checked hit (``complexity._hit_certificate``). A node-budget
+        overrun raises ``BudgetExceeded`` before any record is written; one
         ``max_nodes`` spans every group of the call. Without a cache a
         throwaway memory cache is used.
         """

@@ -28,9 +28,11 @@ with tracer.installed():
     distribution_table(5, provider)
     for kind in MetricKind:
         verify_metric(5, kind, provider)
-    # a single compute miss, which writes through put; the batches above
-    # write through put_many
+    # single compute misses, which write through put; the batches above
+    # write through put_many, and the conditional miss outside the rows
+    # builds its track word for a search
     provider.det_unconditional(Word.parse("01101", 2))
+    provider.conditional(Word.parse("0110100", 2), Word.parse("0011010", 2))
 layer = tracer.layer_metrics(1.0, provider.cache)
 print(json.dumps({{
     "names": sorted(layer), "entries": layer["cache.entries"][0], "calls": tracer.calls,

@@ -18,6 +18,7 @@ from autocomplexity import cache as cache_module
 from autocomplexity import complexity as complexity_module
 from autocomplexity.cache import format_word, parse_word
 from autocomplexity.cli import main
+from autocomplexity.kinds import KINDS
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
 from autocomplexity.words import Word
 
@@ -293,6 +294,24 @@ def test_failing_factor_record_changes_no_search(tmp_path):
     assert [line.split("\t")[:4] for line in lines[1:]] == [["unique", "01010@2", "-", "2"]]
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("sequence", [(0, 1), (0, 2, 1, 1, 1)], ids=["short", "not-slow"])
+def test_a_record_that_is_no_walk_over_the_word_is_searched_again(kind, sequence):
+    """A record put through the API whose sequence is too short for the
+    word, or not slow, is refused by the hit check, not raised on: the
+    query is searched and its record rewritten."""
+    condition = Word.parse("0110", 2) if KINDS[kind].conditional else None
+    query = ComplexityQuery(kind, Word.parse("0010", 2), condition)
+    cache = ResultCache()
+    key = complexity_module.canonical_key(complexity_module.memo_key(query))
+    cache.put(key, 2, sequence)
+    result = compute(query, cache=cache)
+    searched = compute(query)
+    assert result.explored > 0 and verify_certificate(result.certificate)[0]
+    assert (result.value, result.certificate) == (searched.value, searched.certificate)
+    assert cache.get(key) != (2, sequence) and cache.get(key)[0] == searched.value
+
+
 def line_query(kind, target, condition):
     """The query of a cache line's kind and word fields."""
     return ComplexityQuery(kind, parse_word(target), None if condition == "-" else parse_word(condition))
@@ -342,13 +361,15 @@ def test_forged_lines_on_a_known_shape_are_searched_again(tmp_path, first, forge
 
 
 def test_audit_checks_every_line_in_full(tmp_path, monkeypatch):
-    """``cache audit`` checks each line as a hit with no shape known, even
-    on a cache object whose hits have proven every shape of the file."""
+    """``cache audit`` checks each line in full, even after hits have proven
+    every walk shape of the file, fewer shapes than lines."""
     cache = ResultCache(tmp_path)
     distribution_table(5, ComplexityProvider(cache))
     served = ComplexityProvider(cache)
     distribution_table(5, served)
-    assert 0 < len(cache.shapes) < len(cache)
+    shapes = {(y, sequence) for (_kind, _x, y), (_value, sequence) in cache._memo.items()}
+    assert 0 < len(shapes) < len(cache)
+    assert all(complexity_module._shape_index(*shape) is not None for shape in shapes)
     checked = []
     real = complexity_module.verify_certificate
     monkeypatch.setattr(

@@ -290,14 +290,21 @@ def test_exit_codes(tmp_path, capsys):
     ("cache", "stats", "--cache-dir", "{file}"),
     ("cache", "audit", "--cache-dir", "{file}"),
     ("cache", "clear", "--cache-dir", "{file}"),
+    ("complexity", "0101", "--cache-dir", "{below_file}"),
+    ("cache", "compact", "--cache-dir", "{below_file}"),
+    ("cache", "stats", "--cache-dir", "{below_file}"),
+    ("cache", "audit", "--cache-dir", "{below_file}"),
+    ("cache", "clear", "--cache-dir", "{below_file}"),
     ("check", "{not_ascii}"),
     ("export-dot", "{not_ascii}"),
 ], ids=lambda argv: "-".join(arg.strip("{}-") for arg in argv))
 def test_file_errors_exit_3_with_one_error_line(tmp_path, capsys, argv):
     """A path that cannot be read or written, a cache directory that is a
-    file and a certificate that is not ASCII each end the command with exit
-    3 and one ``error:`` line, as a missing certificate file does."""
+    file or lies below one and a certificate that is not ASCII each end the
+    command with exit 3 and one ``error:`` line, as a missing certificate
+    file does."""
     paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "not_ascii": tmp_path / "cert.json"}
+    paths["below_file"] = paths["file"] / "sub"
     paths["dir"].mkdir()
     paths["file"].write_text("")
     paths["not_ascii"].write_bytes(b'{"kind": "unique\xe9"}')

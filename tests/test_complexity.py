@@ -31,8 +31,8 @@ from autocomplexity import (
 from autocomplexity.automata import Nfa, WitnessCertificate, walk_nfa
 from autocomplexity.complexity import (
     _counter,
+    _group_witnesses,
     _iter_witness_sequences,
-    _least_witnesses,
     _Nodes,
     _sink_completion,
     _walk_words,
@@ -1003,9 +1003,10 @@ def test_budget_overrun_matches_the_reference(kind, x, y, explored):
 
 
 def reference_batch(condition, targets, early_return=True):
-    """``_least_witnesses`` as a plain depth-first search over the reference
-    search: the records and the nodes spent. Without ``early_return`` a node
-    whose targets have all resolved goes on counting its steps."""
+    """``_group_witnesses`` of the one condition as a plain depth-first
+    search over the reference search: the records and the nodes spent.
+    Without ``early_return`` a node whose targets have all resolved goes on
+    counting its steps."""
     y = condition.symbols
     n = len(y)
     xs = [x.symbols for x in targets]
@@ -1070,12 +1071,12 @@ def test_batch_nodes_match_the_reference(targets):
     assert nodes < reference_batch(condition, targets, early_return=False)[1]
     y, xs = condition.symbols, [x.symbols for x in targets]
     meter = _Nodes()
-    assert _least_witnesses(y, xs, meter) == found
+    assert _group_witnesses([y], [xs], meter)[0] == found
     assert meter.count == nodes
     with pytest.raises(BudgetExceeded) as e:
-        _least_witnesses(y, xs, _Nodes(nodes - 1))
+        _group_witnesses([y], [xs], _Nodes(nodes - 1))
     assert (e.value.lower_bound, e.value.explored) == (max(v for v, _ in found), nodes)
-    assert _least_witnesses(y, xs, _Nodes(nodes)) == found
+    assert _group_witnesses([y], [xs], _Nodes(nodes))[0] == found
 
 
 def test_every_module_memo_is_bounded():
@@ -1088,4 +1089,4 @@ def test_every_module_memo_is_bounded():
             if hasattr(value, "cache_parameters"):
                 memos.append(name)
                 assert value.cache_parameters()["maxsize"] is not None, f"{info.name}.{name}"
-    assert {"_slow_form", "_word_forms", "_used_word", "one_class_word"} <= set(memos)
+    assert {"_slow_form", "_word_forms", "_used_word", "_shape_index", "one_class_word"} <= set(memos)

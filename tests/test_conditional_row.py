@@ -46,7 +46,6 @@ from autocomplexity.complexity import (
     DEFAULT_MAX_NODES,
     _group_witnesses,
     _least_witness,
-    _least_witnesses,
     _Nodes,
     _record_certificate,
     _walk_words,
@@ -152,7 +151,7 @@ def labeled_record(x, y):
 
 
 def assert_batch_is_searched(condition, targets):
-    found = _least_witnesses(condition.symbols, [x.symbols for x in targets], _Nodes())
+    found = _group_witnesses([condition.symbols], [[x.symbols for x in targets]], _Nodes())[0]
     assert len(found) == len(targets)
     for x, record in zip(targets, found):
         assert record == labeled_record(x, condition), (x, condition)
@@ -160,7 +159,7 @@ def assert_batch_is_searched(condition, targets):
 
 def assert_group_is_per_condition(conditions, targets, labeled=False):
     """One search of the group ``conditions``, each condition c with the
-    targets ``targets[c]``, gives the records of one ``_least_witnesses``
+    targets ``targets[c]``, gives the records of one ``_group_witnesses``
     per condition word, and ``labeled``, those of the labeled search of
     every pair. It spends at most the nodes of the searches per condition
     word, and exactly theirs for one condition."""
@@ -171,7 +170,7 @@ def assert_group_is_per_condition(conditions, targets, labeled=False):
     alone = 0
     for y, xs, records in zip(conditions, xss, found):
         nodes = _Nodes()
-        assert _least_witnesses(y.symbols, xs, nodes) == records, y
+        assert _group_witnesses([y.symbols], [xs], nodes)[0] == records, y
         alone += nodes.count
     if labeled:
         for y, xs, records in zip(conditions, targets, found):
@@ -288,10 +287,10 @@ def test_cold_study_cache_bytes_are_pinned(tmp_path, n, size, lines, digest):
 
 @pytest.mark.parametrize("letters, max_len", [(2, 8), (3, 5)])
 def test_shape_hits_serve_the_full_check_certificates(letters, max_len, monkeypatch):
-    """Once the rows' hits have proven their walk shapes, every record of
-    the rows n <= ``max_len`` (unique and conditional-unique kinds) is
-    served again with no certificate check, and the value and certificate
-    served are those of the full check of its record."""
+    """Every record of the rows n <= ``max_len`` (unique and
+    conditional-unique kinds), which lie on fewer walk shapes than there
+    are records, is served again with no certificate check, and the value
+    and certificate served are those of the full check of its record."""
     provider = ComplexityProvider()
     keys = set()
     for n in range(1, max_len + 1):
@@ -301,7 +300,8 @@ def test_shape_hits_serve_the_full_check_certificates(letters, max_len, monkeypa
         keys.update(class_key((KIND_UNIQUE, x.symbols, None)) for x in ground)
         keys.update(class_key((KIND_COND_UNIQUE, x.symbols, y.symbols)) for y in ground for x in ground)
     cache = provider.cache
-    assert len(cache.shapes) < len(keys) == len(cache)
+    shapes = {(key[2], cache.get(key)[1]) for key in keys}
+    assert len(shapes) < len(keys) == len(cache)
     checked = []
     real = complexity_module.verify_certificate
     monkeypatch.setattr(
@@ -365,51 +365,6 @@ def two_set_check(x, y, sequence, value):
     return max(sequence) + 1 == value and len(edges) == len(classes)
 
 
-@pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
-def test_step_index_check_is_the_two_set_check_and_the_full_check(letters, max_len):
-    """Every walk shape the rows n <= ``max_len`` prove, and the empty word's
-    of both kinds, against every target of its length over the alphabet, on
-    the walk's state count and one off it: a known-shape hit is served on
-    the step-partition index exactly when the two-set check holds and
-    exactly when the walk NFA over the target verifies on ``value``
-    states."""
-    provider = ComplexityProvider()
-    for n in range(1, max_len + 1):
-        ground = list(slow_words(n, letters))
-        provider.prefetch((KIND_UNIQUE, x.symbols, None) for x in ground)
-        provider.conditional_row(ground)
-    cache = provider.cache
-    for kind, condition in ((KIND_UNIQUE, None), (KIND_COND_UNIQUE, Word((), 1))):
-        query = ComplexityQuery(kind, Word((), 1), condition)
-        assert complexity_module._hit_certificate(cache, memo_key(query), 1, (0,), query, _Nodes()) is not None
-    shapes = dict(cache.shapes)
-    lengths = {len(sequence) - 1 for _kind, _y, sequence in shapes}
-    assert {kind for kind, _y, _sequence in shapes} == {KIND_UNIQUE, KIND_COND_UNIQUE}
-    assert lengths == set(range(max_len + 1)) and shapes[(KIND_UNIQUE, None, (0,))] == ()
-    served_and_not = set()
-    for (kind, y, sequence), first in shapes.items():
-        n = len(sequence) - 1
-        steps_y = (0,) * n if y is None else y
-        assert first == complexity_module._step_index(sequence, steps_y)
-        condition = None if y is None else Word(y, max(y, default=0) + 1)
-        states = max(sequence) + 1
-        for x in itertools.product(range(letters), repeat=n):
-            target = Word(x, letters)
-            query = ComplexityQuery(kind, target, condition)
-            key = canonical_key(memo_key(query))
-            nfa = walk_nfa(sequence, _walk_words(kind, target, condition)[0])
-            verifies = verify_certificate(complexity_module._certificate(query, nfa))[0]
-            for value in (states - 1, states, states + 1):
-                hit = complexity_module._hit_certificate(cache, key, value, sequence, query, _Nodes())
-                fast = isinstance(hit, functools.partial)
-                old = two_set_check(x, steps_y, sequence, value)
-                full = verifies and nfa.state_count == value
-                assert fast == old == full, (kind, y, sequence, x, value)
-                served_and_not.add(fast)
-    assert served_and_not == {True, False}
-    assert cache.shapes == shapes
-
-
 def row_records(letters, max_len):
     """The records ``(key, value, sequence)`` of the rows n <= ``max_len``
     over ``letters`` letters, unique and conditional-unique kinds."""
@@ -434,15 +389,61 @@ def reference_record_check(query, value, sequence):
     return cert if verify_certificate(cert)[0] and nfa.state_count == value else None
 
 
+def reference_step_index(sequence, y):
+    """The index of the step partition of the walk ``sequence`` reading
+    ``y``: at position i, the least j with ``(s_j, y_j, s_j+1) = (s_i, y_i,
+    s_i+1)``."""
+    first = {}
+    return tuple(first.setdefault(step, i) for i, step in enumerate(zip(sequence, y, sequence[1:])))
+
+
+@pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
+def test_step_index_check_is_the_two_set_check_and_the_full_check(letters, max_len):
+    """Every walk shape of the rows n <= ``max_len``, and the empty word's
+    of both kinds, is proven with its step-partition index. Against every
+    target of its length over the alphabet, on the walk's state count and
+    one off it, a hit is served on that index exactly when the two-set
+    check holds and exactly when the walk NFA over the target verifies on
+    ``value`` states."""
+    shapes = {(kind, y, sequence) for (kind, _x, y), _value, sequence in row_records(letters, max_len)}
+    shapes |= {(KIND_UNIQUE, None, (0,)), (KIND_COND_UNIQUE, (), (0,))}
+    assert {len(sequence) - 1 for _kind, _y, sequence in shapes} == set(range(max_len + 1))
+    assert complexity_module._shape_index(None, (0,)) == ()
+    served_and_not = set()
+    for kind, y, sequence in sorted(shapes, key=repr):
+        n = len(sequence) - 1
+        steps_y = (0,) * n if y is None else y
+        assert complexity_module._shape_index(y, sequence) == reference_step_index(sequence, steps_y)
+        condition = None if y is None else Word(y, max(y, default=0) + 1)
+        states = max(sequence) + 1
+        for x in itertools.product(range(letters), repeat=n):
+            target = Word(x, letters)
+            query = ComplexityQuery(kind, target, condition)
+            key = canonical_key(memo_key(query))
+            nfa = walk_nfa(sequence, _walk_words(kind, target, condition)[0])
+            verifies = verify_certificate(complexity_module._certificate(query, nfa))[0]
+            for value in (states - 1, states, states + 1):
+                hit = complexity_module._hit_certificate(key, value, sequence, query, _Nodes())
+                fast = isinstance(hit, functools.partial)
+                old = two_set_check(x, steps_y, sequence, value)
+                full = verifies and nfa.state_count == value
+                assert fast == old == full, (kind, y, sequence, x, value)
+                served_and_not.add(fast)
+    assert served_and_not == {True, False}
+
+
 @pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
 def test_first_sight_check_is_the_record_check(letters, max_len):
-    """With no shape known, a hit is served exactly when the reference
-    record check passes, with its certificate, and only then adds its shape,
-    carrying the ``_step_index`` index. Checked on every record of the rows
-    n <= ``max_len``, on the record's states, one fewer and one more, for
-    the record's target and a forged one (its last letter changed), and for
-    the record's sequence and two that are not its witness (all loops on
-    one state, and the walk one step late)."""
+    """A hit is served exactly when the reference record check passes, its
+    certificate, once read, is the reference's, and the shape of a served
+    hit is proven with the step-partition index. Checked with the shape
+    memo emptied first, so that each shape's first check proves it and the
+    later ones read the memo, on every record of the rows n <= ``max_len``,
+    on the record's states, one fewer and one more, for the record's target
+    and a forged one (its last letter changed), and for the record's
+    sequence and two that are not its witness (all loops on one state, and
+    the walk one step late)."""
+    complexity_module._shape_index.cache_clear()
     served_and_not = set()
     for key, record_value, record_sequence in row_records(letters, max_len):
         kind, x, y = key
@@ -455,12 +456,13 @@ def test_first_sight_check_is_the_record_check(letters, max_len):
             for sequence in (record_sequence, (0,) * (n + 1), (0,) + record_sequence[:-1]):
                 states = max(sequence) + 1
                 for value in (states - 1, states, states + 1):
-                    cache = ResultCache()
-                    hit = complexity_module._hit_certificate(cache, target_key, value, sequence, query, _Nodes())
+                    hit = complexity_module._hit_certificate(target_key, value, sequence, query, _Nodes())
                     want = reference_record_check(query, value, sequence)
-                    assert hit == want, (key, target, sequence, value)
-                    shapes = {(kind, target_key[2], sequence): complexity_module._step_index(sequence, steps_y)}
-                    assert cache.shapes == (shapes if want is not None else {}), (key, target, sequence, value)
+                    assert (hit is None) == (want is None), (key, target, sequence, value)
+                    if want is not None:
+                        assert hit() == want, (key, target, sequence, value)
+                        index = complexity_module._shape_index(target_key[2], sequence)
+                        assert index == reference_step_index(sequence, steps_y), (key, target, sequence)
                     served_and_not.add(want is not None)
         assert record_value == max(record_sequence) + 1
     assert served_and_not == {True, False}
@@ -468,21 +470,71 @@ def test_first_sight_check_is_the_record_check(letters, max_len):
 
 @pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
 def test_first_pass_verifies_once_per_shape(letters, max_len, monkeypatch):
-    """Served from a cache that holds the rows' records and knows no shape,
-    every record is checked in full on its shape's first sight only:
-    ``verify_certificate`` runs once per distinct walk shape, and each
-    value is the record's."""
+    """Served from a cache that holds the rows' records, with the shape
+    memo emptied first, every record is checked on its walk shape: each
+    distinct shape builds one walk NFA, once, no certificate is verified,
+    and each value is the record's."""
     records = row_records(letters, max_len)
     cache = ResultCache()
     cache.put_many(records)
-    verified = []
-    real = complexity_module.verify_certificate
-    monkeypatch.setattr(complexity_module, "verify_certificate", lambda cert: verified.append(cert) or real(cert))
+    complexity_module._shape_index.cache_clear()
+    built, verified = [], []
+    real_walk, real_verify = complexity_module.walk_nfa, complexity_module.verify_certificate
+    monkeypatch.setattr(complexity_module, "walk_nfa", lambda *args: built.append(args) or real_walk(*args))
+    monkeypatch.setattr(
+        complexity_module, "verify_certificate", lambda cert: verified.append(cert) or real_verify(cert)
+    )
     for key, value, _sequence in records:
         assert compute(key_query(key), cache=cache).value == value, key
-    shapes = {(kind, y, sequence) for (kind, _x, y), _value, sequence in records}
-    assert len(verified) == len(shapes) == len(cache.shapes) < len(records)
-    assert set(cache.shapes) == shapes
+    shapes = {(y, sequence) for (_kind, _x, y), _value, sequence in records}
+    assert len(built) == len(shapes) == complexity_module._shape_index.cache_info().currsize < len(records)
+    assert not verified
+
+
+@st.composite
+def walk_records(draw):
+    """A unique or conditional-unique query over 2 or 3 letters with n <= 10
+    and a record ``(value, sequence)`` for it: the sequence is the least
+    witness of the drawn target or any slow walk, the target is then often
+    redrawn constant on the walk's step partition and then often forged at
+    one position, and the value is the walk's state count or one off it."""
+    letters = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 10))
+    word = st.lists(st.integers(0, letters - 1), min_size=n, max_size=n).map(tuple)
+    kind = draw(st.sampled_from((KIND_UNIQUE, KIND_COND_UNIQUE)))
+    y = draw(word) if kind == KIND_COND_UNIQUE else None
+    condition = None if y is None else Word(y, letters)
+    x = draw(word)
+    if draw(st.booleans()):
+        labels, classes = _walk_words(kind, Word(x, letters), condition)
+        _value, sequence = _least_witness(kind, labels, classes, value_cap(kind, n), _Nodes())
+    else:
+        sequence = (0,)
+        for _ in range(n):
+            sequence += (draw(st.integers(0, max(sequence) + 1)),)
+    if draw(st.booleans()):
+        steps = list(zip(sequence, (0,) * n if y is None else y, sequence[1:]))
+        letter = {step: draw(st.integers(0, letters - 1)) for step in dict.fromkeys(steps)}
+        x = tuple(letter[step] for step in steps)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        x = x[:i] + ((x[i] + draw(st.integers(1, letters - 1))) % letters,) + x[i + 1 :]
+    value = max(sequence) + 1 + draw(st.sampled_from((-1, 0, 0, 1)))
+    return ComplexityQuery(kind, Word(x, letters), condition), value, sequence
+
+
+@given(walk_records())
+@settings(max_examples=300, deadline=None)
+def test_random_walk_hit_is_the_record_check(record):
+    """A unique-kind hit is served exactly when the reference record check
+    passes, and its certificate, once read, is the reference's."""
+    query, value, sequence = record
+    key = canonical_key(memo_key(query))
+    hit = complexity_module._hit_certificate(key, value, sequence, query, _Nodes())
+    want = reference_record_check(query, value, sequence)
+    assert (hit is None) == (want is None)
+    if want is not None:
+        assert hit() == want
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):
@@ -526,7 +578,7 @@ def record_groups(monkeypatch):
 
 def per_condition_nodes(groups):
     """The nodes of the groups searched again alone, and those of one
-    ``_least_witnesses`` per condition word of them."""
+    ``_group_witnesses`` per condition word of them."""
     grouped = alone = 0
     for ys, xss in groups:
         nodes = _Nodes()
@@ -534,7 +586,7 @@ def per_condition_nodes(groups):
         grouped += nodes.count
         for y, xs in zip(ys, xss):
             nodes = _Nodes()
-            _least_witnesses(y, xs, nodes)
+            _group_witnesses([y], [xs], nodes)
             alone += nodes.count
     return grouped, alone
 
