@@ -58,7 +58,6 @@ from typing import Callable, Iterator, NoReturn
 from .automata import (
     Nfa,
     WitnessCertificate,
-    count_walks_given_projection,
     verify_certificate,
     walk_nfa,
 )
@@ -508,8 +507,10 @@ def _hit_certificate(
 
     The exact and DFA kinds, whose checks count words, are checked in full
     by ``_record_certificate``. A record of the unique kinds lies on the
-    *walk shape* ``(y, sequence)``, y the condition ``key[2]`` (``0^n`` for
-    the unique kind's None). Steps i and j share a class of its *step
+    *walk shape* ``(y, sequence)``, y the condition ``key[2]``, or the
+    symbols of ``one_class_word(n)`` for the unique kind's None, so that a
+    unique record and a conditional-unique one given ``0^n`` share one
+    proof. Steps i and j share a class of its *step
     partition* when ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``, and
     ``_shape_index`` gives the index ``first`` of a proven shape,
     ``first[i]`` the least j in the class of i. The record is served when
@@ -535,7 +536,8 @@ def _hit_certificate(
     kind, x = query.kind, query.target.symbols
     if KINDS[kind].counts != "walks":
         return _record_certificate(query, value, sequence, nodes)[0]
-    first = _shape_index(key[2], sequence)
+    y = one_class_word(len(x)).symbols if key[2] is None else key[2]
+    first = _shape_index(y, sequence)
     if (
         first is not None
         and len(x) == len(first)
@@ -547,22 +549,60 @@ def _hit_certificate(
 
 
 @functools.lru_cache(maxsize=4096)
-def _shape_index(y: tuple[int, ...] | None, sequence: tuple[int, ...]) -> tuple[int, ...] | None:
+def _shape_index(y: tuple[int, ...], sequence: tuple[int, ...]) -> tuple[int, ...] | None:
     """The step-partition index of the walk shape ``(y, sequence)`` (see
-    ``_hit_certificate``) when the walk NFA of ``sequence`` reading y
-    (``0^n`` for None) has exactly one accepting walk that reads y, else
-    None, also for a sequence that is no slow walk over y. Bounded, like
-    ``_slow_form``; a shape that is not proven is kept as well."""
-    condition = one_class_word(len(sequence) - 1) if y is None else _used_word(y)
-    try:
-        nfa = walk_nfa(sequence, condition)
-    except ValueError:
-        return None
-    if count_walks_given_projection(nfa, condition).count != 1:
+    ``_hit_certificate``) when the walk NFA of ``sequence`` reading y has
+    exactly one accepting walk that reads y, else None, also for a sequence
+    that ``walk_nfa`` refuses: empty, not one longer than y, not slow, or
+    with a negative state. Bounded, like ``_slow_form``; a shape that is not
+    proven is kept as well.
+
+    The walks are counted with bit masks, with no NFA built:
+
+    1. the sequence is refused where ``walk_nfa`` refuses it;
+    2. in the same pass over the steps ``(s_i, y_i, s_i+1)``, the index,
+       and from each distinct step the successor masks ``succ[c][1 << s]``:
+       the states that an edge of letter c leads to from s;
+    3. reading ``y[:t]``, ``(one, two)`` are the masks of the states that
+       at least one and at least two walks from state 0 reach. A state gets
+       a second walk from a second source, or from a source that already
+       has two. The steps form a set, so one letter joins two states by at
+       most one edge, and no source counts twice (``_complete_to_total``,
+       which counts the words of a DFA, needs that term);
+    4. the last state is in ``one``, reached by the walk of the sequence
+       itself, and the shape is proven when it is not in ``two``.
+    """
+    if len(sequence) != len(y) + 1 or sequence[0] != 0:
         return None
     first: dict = {}
-    steps = zip(sequence, condition.symbols, sequence[1:])
-    return tuple([first.setdefault(step, i) for i, step in enumerate(steps)])
+    succ: dict = {}
+    index = []
+    top = 0
+    for i, step in enumerate(zip(sequence, y, sequence[1:])):
+        to = step[2]
+        if to > top:
+            if to != top + 1:
+                return None
+            top = to
+        elif to < 0:
+            return None
+        j = first.setdefault(step, i)
+        index.append(j)
+        if j == i:
+            row = succ.setdefault(step[1], {})
+            bit = 1 << step[0]
+            row[bit] = row.get(bit, 0) | 1 << to
+    one, two = 1, 0
+    for c in y:
+        one_next = two_next = 0
+        for bit, mask in succ[c].items():
+            if one & bit:
+                two_next |= one_next & mask
+                if two & bit:
+                    two_next |= mask
+                one_next |= mask
+        one, two = one_next, two_next
+    return None if two >> sequence[-1] & 1 else tuple(index)
 
 
 def _walk_certificate(query: ComplexityQuery, sequence: tuple[int, ...]) -> WitnessCertificate:
@@ -1044,12 +1084,13 @@ def compute(
     (``_shape_index``, once per shape, whatever cache holds the record) and
     its target constant on the shape's step partition; the proof that this
     is the full check is in the ``_hit_certificate`` docstring. That check
-    reads the record's symbols and builds nothing: the result's certificate
-    is built when it is first read. For the other kinds the certificate is
-    rebuilt and verified. ``track(condition, target)`` is built only for a
-    search or such a full check. A record that fails, a sequence that is no
-    slow walk over the word among them, is not served; the query is
-    searched and its record rewritten.
+    reads the record's symbols and builds nothing, and neither does the
+    shape's proof, one pass of bit masks over its steps: the result's
+    certificate is built when it is first read. For the other kinds the
+    certificate is rebuilt and verified. ``track(condition, target)`` is
+    built only for a search or such a full check. A record that fails, a
+    sequence that is no slow walk over the word among them, is not served;
+    the query is searched and its record rewritten.
     det-total's record keeps the deterministic walk its total DFA was built
     from, and a hit builds that DFA again.
 

@@ -78,8 +78,9 @@ class ComplexityProvider:
     across calls. The cache holds records, not proofs: a hit of the unique
     kinds on a proven walk shape (``complexity._shape_index``) is served on
     lookups and one comparison of its target with the shape's index, with
-    no NFA built. Setting ``cache`` to None later is allowed: the values
-    then come from searches.
+    no NFA built. A shape is proven once, on its first sight, by one pass of
+    bit masks over its steps, which builds no NFA either. Setting ``cache``
+    to None later is allowed: the values then come from searches.
 
     ``prefetch`` memoizes many unique and conditional-unique values with
     one batch: per length, one search per level over all its condition

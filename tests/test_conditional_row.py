@@ -37,6 +37,7 @@ from autocomplexity import (
     ResultCache,
     WitnessCertificate,
     compute,
+    count_walks_given_projection,
     verify_certificate,
     walk_nfa,
 )
@@ -408,12 +409,12 @@ def test_step_index_check_is_the_two_set_check_and_the_full_check(letters, max_l
     shapes = {(kind, y, sequence) for (kind, _x, y), _value, sequence in row_records(letters, max_len)}
     shapes |= {(KIND_UNIQUE, None, (0,)), (KIND_COND_UNIQUE, (), (0,))}
     assert {len(sequence) - 1 for _kind, _y, sequence in shapes} == set(range(max_len + 1))
-    assert complexity_module._shape_index(None, (0,)) == ()
+    assert complexity_module._shape_index((), (0,)) == ()
     served_and_not = set()
     for kind, y, sequence in sorted(shapes, key=repr):
         n = len(sequence) - 1
         steps_y = (0,) * n if y is None else y
-        assert complexity_module._shape_index(y, sequence) == reference_step_index(sequence, steps_y)
+        assert complexity_module._shape_index(steps_y, sequence) == reference_step_index(sequence, steps_y)
         condition = None if y is None else Word(y, max(y, default=0) + 1)
         states = max(sequence) + 1
         for x in itertools.product(range(letters), repeat=n):
@@ -461,7 +462,7 @@ def test_first_sight_check_is_the_record_check(letters, max_len):
                     assert (hit is None) == (want is None), (key, target, sequence, value)
                     if want is not None:
                         assert hit() == want, (key, target, sequence, value)
-                        index = complexity_module._shape_index(target_key[2], sequence)
+                        index = complexity_module._shape_index(steps_y, sequence)
                         assert index == reference_step_index(sequence, steps_y), (key, target, sequence)
                     served_and_not.add(want is not None)
         assert record_value == max(record_sequence) + 1
@@ -471,9 +472,11 @@ def test_first_sight_check_is_the_record_check(letters, max_len):
 @pytest.mark.parametrize("letters, max_len", [(2, 6), (3, 4)])
 def test_first_pass_verifies_once_per_shape(letters, max_len, monkeypatch):
     """Served from a cache that holds the rows' records, with the shape
-    memo emptied first, every record is checked on its walk shape: each
-    distinct shape builds one walk NFA, once, no certificate is verified,
-    and each value is the record's."""
+    memo emptied first, every record is checked on its walk shape: no walk
+    NFA is built and no certificate verified, each distinct shape ``(y,
+    sequence)`` is proven once (``0^n`` for the unique kind, so a unique
+    record and a conditional-unique one given ``0^n`` share a proof), there
+    are fewer shapes than records, and each value is the record's."""
     records = row_records(letters, max_len)
     cache = ResultCache()
     cache.put_many(records)
@@ -486,9 +489,9 @@ def test_first_pass_verifies_once_per_shape(letters, max_len, monkeypatch):
     )
     for key, value, _sequence in records:
         assert compute(key_query(key), cache=cache).value == value, key
-    shapes = {(y, sequence) for (_kind, _x, y), _value, sequence in records}
-    assert len(built) == len(shapes) == complexity_module._shape_index.cache_info().currsize < len(records)
-    assert not verified
+    shapes = {((0,) * len(x) if y is None else y, sequence) for (_kind, x, y), _value, sequence in records}
+    assert complexity_module._shape_index.cache_info().misses == len(shapes) < len(records)
+    assert not built and not verified
 
 
 @st.composite
@@ -535,6 +538,50 @@ def test_random_walk_hit_is_the_record_check(record):
     assert (hit is None) == (want is None)
     if want is not None:
         assert hit() == want
+
+
+@st.composite
+def shapes_and_malformed(draw):
+    """A word y over 1 to 3 letters with n <= 10, its alphabet size, and a
+    slow walk over y, or a sequence that ``walk_nfa`` refuses: empty, one
+    state short or one too many, not slow at one position, or with a
+    negative state there."""
+    letters = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 10))
+    y = tuple(draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n)))
+    walk = [0]
+    for _ in range(n):
+        walk.append(draw(st.integers(0, max(walk) + 1)))
+    how = draw(st.sampled_from(("walk", "walk", "walk", "empty", "short", "long", "not slow", "negative")))
+    if how == "empty":
+        walk = []
+    elif how == "short":
+        walk.pop()
+    elif how == "long":
+        walk.append(draw(st.integers(0, max(walk) + 1)))
+    elif how != "walk":
+        i = draw(st.integers(0, n))
+        skip = max(walk[:i], default=-1) + draw(st.integers(2, 4))
+        walk[i] = skip if how == "not slow" else draw(st.integers(-3, -1))
+    return y, letters, tuple(walk)
+
+
+@given(shapes_and_malformed())
+@settings(max_examples=500, deadline=None)
+def test_mask_proof_is_the_walk_count(shape):
+    """``_shape_index(y, sequence)`` is the step-partition index exactly
+    when the walk NFA of the sequence over y, built by ``walk_nfa``, has
+    exactly one accepting walk reading y
+    (``count_walks_given_projection``), and None otherwise, also where
+    ``walk_nfa`` raises; it never raises."""
+    y, letters, sequence = shape
+    condition = Word(y, letters)
+    try:
+        proven = count_walks_given_projection(walk_nfa(sequence, condition), condition).count == 1
+    except ValueError:
+        proven = False
+    want = reference_step_index(sequence, y) if proven else None
+    assert complexity_module._shape_index(y, sequence) == want
 
 
 def test_row_budget_overrun_writes_nothing(tmp_path):
