@@ -162,6 +162,9 @@ def cmd_table(args) -> int:
     if args.sample is None and args.n is None:
         print("error: table needs --n or --sample", file=sys.stderr)
         return EXIT_USAGE
+    if args.sample is not None and args.n is not None:
+        print("error: table takes --n or --sample, not both", file=sys.stderr)
+        return EXIT_USAGE
     provider = _provider(args)
     if args.sample is not None:
         row = sample_distribution(args.sample, args.samples, args.seed, provider)

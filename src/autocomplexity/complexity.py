@@ -39,8 +39,22 @@ the node count, and where a budget runs out, are those of a search that
 tries every step. The pair rule refuses nothing the image masks do not: the
 target of a second label of the class from the walk's position is reached
 by another walk, the one there followed by that label's edge (for words, by
-the own word followed by that label). Only the walk search's new edges are
-recounted, inside the loop.
+the own word followed by that label).
+
+Only a step along a new edge recounts the prefix, and the counter does it
+(its ``push``). A new edge ``frm -> nxt`` adds walks, and only the walks
+through it; the own walk is not among them, as its edges are in use. So
+the walk counter recounts by a *delta mask* D, the states those walks
+reach: D steps along each step's class as the other walks do, takes
+``nxt`` at each earlier step of the edge's class whose counts reach
+``frm``, kills the prefix where it holds the walk's next state, and joins
+both masks of the step. Once D lies within the other walks' mask O, it is
+dropped: O's walks already carry it along the old edges, and the new edge
+is taken from ``frm`` at every later step of its class anyway. The step
+itself is the node's reused-edge image mask, the successors of O, together
+with those of D: the edge leaves from the walk's position, which O does
+not hold, so the image mask is still that of the new tables. The word
+counter recounts in full.
 
 Deterministic-total automata are not walk-generated; they are handled by
 completing walk-generated deterministic witnesses into total transition
@@ -191,6 +205,27 @@ class _WalkCounts:
     its target on top of those there, and ``succ_c(O)`` for a reused edge,
     whose target the own walk reaches already.
 
+    A new edge ``frm -> nxt`` of class c changes the prefix only by the
+    walks through it, and ``push`` recounts by their mask D. The own walk
+    is not one of them: its edges are in use and this one is new. So with
+    the new tables, and D_0 empty::
+
+        D_i+1 = succ_c_i(D_i) | (bit(nxt) if c_i = c and frm in R_i)
+        R_i+1 = R_i+1 | D_i+1,  O_i+1 = O_i+1 | D_i+1
+
+    since a walk through the edge extends along every edge, and any walk
+    at ``frm`` before a step of class c takes the edge there (the own walk
+    too, if s_i = ``frm``: it is then another walk). The prefix dies where
+    D_i+1 holds s_i+1. Only ``D & ~O`` is carried: a walk through the edge
+    at a state of O goes on along the old edges as O's walks do, which the
+    old masks hold, and along the new one by the injection, as O is within
+    R. So an absorbed D is dropped, and the steps up to the next injection
+    keep their masks. The step out of s_t = ``frm`` itself needs
+    ``succ_c(O_t | D_t)``: that is ``fails | succ_c(D_t)``, where ``fails``
+    is the node's reused-edge image mask ``succ_c(O_t)`` under the old
+    tables. It is that of the new tables too, as the new edge leaves
+    ``frm``, which O_t does not hold.
+
     A deterministic counter takes no second successor for a (state, label)
     pair. A DFA's walks from the start and the words they read correspond
     one to one, so its walk counts are its word counts.
@@ -212,7 +247,8 @@ class _WalkCounts:
 
     def advance(self, v: tuple[int, int], i: int, state: int) -> tuple[int, int] | None:
         """The masks after step i, to ``state``, or None when a second walk
-        reaches ``state``."""
+        reaches ``state``: the step computed anew, which ``push`` takes
+        without a pass over O."""
         reached, others = v
         succ = self.steps[i]
         n = 0
@@ -231,6 +267,47 @@ class _WalkCounts:
         for s in _SET_BITS[others]:
             n |= succ[s]
         return n | succ[(reached ^ others).bit_length() - 1], n
+
+    def push(
+        self, stack: list, seq: list[int], t: int, state: int, new: bool, fails: int,
+    ) -> tuple[int, int] | None:
+        """The masks after step t, to ``state``, or None when a second walk
+        reaches it; ``fails`` is the reused-edge image mask of ``stack[t]``.
+        A new edge ``seq[t] -> state``, already in the tables, first
+        recounts ``stack[1..t]`` in place by its delta mask D (see the class
+        docstring; the caller restores them)."""
+        steps = self.steps
+        succ = steps[t]
+        frm = seq[t]
+        delta = 0
+        if new:
+            low = 1 << state
+            i = 0
+            while i < t:
+                if delta:
+                    step = steps[i]
+                    d = low if step is succ and stack[i][0] >> frm & 1 else 0
+                    for s in _SET_BITS[delta]:
+                        d |= step[s]
+                elif steps[i] is succ and stack[i][0] >> frm & 1:
+                    d = low
+                else:
+                    i += 1
+                    continue
+                i += 1
+                if d >> seq[i] & 1:
+                    return None
+                reached, others = stack[i]
+                delta = d & ~others
+                if delta:
+                    stack[i] = reached | delta, others | delta
+        n = fails
+        for s in _SET_BITS[delta]:
+            n |= succ[s]
+        if n >> state & 1:
+            return None
+        mine = succ[frm]
+        return n | mine, n | (mine & ~(1 << state))
 
 
 class _WordCounts:
@@ -252,11 +329,12 @@ class _WordCounts:
     own word to ``nxt``, since no other word reaches s_t.
     """
 
-    __slots__ = ("q", "used", "paired", "steps")
+    __slots__ = ("q", "used", "paired", "steps", "classes")
     det = False
 
     def __init__(self, q: int, labels: Word, classes: Word):
         self.q = q
+        self.classes = classes.symbols
         self.used = [[0] * q for _ in range(labels.alphabet_size)]
         self.paired = [[0] * q for _ in range(classes.alphabet_size)]
         read: list[dict[int, None]] = [{} for _ in self.paired]
@@ -295,6 +373,45 @@ class _WordCounts:
         # no word reaches state q, so the step is never pruned
         others = self.advance(v, t, self.q)[2]
         return others, others
+
+    def push(
+        self, stack: list, seq: list[int], t: int, state: int, new: bool, fails: int,
+    ) -> tuple[int, int, int] | None:
+        """The masks after step t, to ``state``, or None when a second word
+        reaches it; ``fails`` is the image mask of ``stack[t]``. A new edge
+        out of ``seq[t]``, already in the tables, first recounts
+        ``stack[1..t]`` in place, from each step of its class whose counts
+        reach ``seq[t]`` until a vector comes out as it was (the caller
+        restores them). Where the recount leaves ``stack[t]`` as it was,
+        O' is ``fails`` under the new tables too: the edge's label leaves
+        ``seq[t]``, which O does not hold, and the other labels' edges are
+        as they were."""
+        if new:
+            advance, classes, frm = self.advance, self.classes, seq[t]
+            cls = classes[t]
+            i = 0
+            while i < t:
+                if classes[i] != cls or not stack[i][0] >> frm & 1:
+                    i += 1
+                    continue
+                while i < t:
+                    w = advance(stack[i], i, seq[i + 1])
+                    i += 1
+                    if w is None:
+                        return None
+                    if w == stack[i]:
+                        break
+                    stack[i] = w
+                else:
+                    # the recount changed stack[t]
+                    return advance(stack[t], t, state)
+        if fails >> state & 1:
+            return None
+        own = self.steps[t][0]
+        mine = 0
+        for s in _SET_BITS[stack[t][1]]:
+            mine |= own[s]
+        return mine | fails, mine, fails
 
 
 def _counter(kind: str, q: int, labels: Word, classes: Word):
@@ -364,15 +481,21 @@ def _iter_witness_sequences(
     The loop visits its set bits in ascending order and counts the refused
     steps between them in bulk, so ``nodes.count`` is at every step what a
     count of one node per step would be, and an overrun raises at the same
-    node (``_Nodes.overrun``). A step pushes the counter's ``advance`` of
-    ``stack[t]`` to ``nxt``. A new edge
-    ``(s_t, label, nxt)`` of class ``cls`` can change ``stack[i + 1]`` only
-    at a step i of class ``cls`` whose counts reach ``s_t`` (in
-    ``stack[i][0]``), so the prefix is recounted first, from the first such
-    step; where a recounted vector comes out as it was, the steps up to the
-    next one that can take the edge keep theirs too. The prefix is restored
-    if the recount prunes, and when the step is popped. A leaf on q states
-    is a witness: its last push left one walk or word at the accept.
+    node (``_Nodes.overrun``). A step is the counter's ``push`` to ``nxt``.
+    A new edge ``(s_t, label, nxt)`` of class ``cls`` can change
+    ``stack[i + 1]`` only at a step i of class ``cls`` whose counts reach
+    ``s_t`` (in ``stack[i][0]``), and only by the walks or words it adds,
+    so the push recounts the prefix in place first. The walk counter
+    carries the delta mask of the walks through the edge, injected at each
+    such step and dropped once the other walks' mask holds it, since those
+    walks carry it on already (``_WalkCounts``); the word counter recounts
+    in full from each such step until a vector comes out as it was. The
+    step is then built from ``reuse_fails`` and what the recount added to
+    ``stack[t]``, not from a second pass over ``stack[t]``: the new edge
+    leaves ``s_t``, where no other walk or word is, so the image mask is
+    that of the new tables as well. The prefix is restored when the step is
+    popped, or at once if it dies. A leaf on q states is a witness: its
+    last push left one walk or word at the accept.
     """
     if kind == KIND_DET_TOTAL:
         raise ValueError("total DFAs are not walk-generated; no sequence stream")
@@ -384,7 +507,7 @@ def _iter_witness_sequences(
             yield (0,)
         return
     counts = _counter(kind, q, labels, classes)
-    advance, image = counts.advance, counts.image
+    push, image = counts.push, counts.image
     used, paired, det = counts.used, counts.paired, counts.det
     labels_s, classes_s = labels.symbols, classes.symbols
     limit_nodes = nodes.limit
@@ -419,29 +542,11 @@ def _iter_witness_sequences(
             nodes.count = count
             done = nxt
             new = not (reused & low)
-            snapshot = None
-            w = stack[t]
             if new:
                 used_row[frm] |= low
                 paired_row[frm] |= low
-                i = 0
-                while i < t:
-                    if classes_s[i] != cls or not stack[i][0] >> frm & 1:
-                        i += 1
-                        continue
-                    if snapshot is None:
-                        snapshot = stack[1 : t + 1]
-                    # recount until a vector comes out as it was
-                    while i < t:
-                        w = advance(stack[i], i, seq[i + 1])
-                        i += 1
-                        if w is None or w == stack[i]:
-                            break
-                        stack[i] = w
-                    if w is None:
-                        break
-            if w is not None:
-                w = advance(stack[t], t, nxt)
+                snapshot = stack[1 : t + 1]
+            w = push(stack, seq, t, nxt, new, reuse_fails)
             if w is not None:
                 seq.append(nxt)
                 stack.append(w)
@@ -449,8 +554,7 @@ def _iter_witness_sequences(
                 seq.pop()
                 stack.pop()
             if new:
-                if snapshot is not None:
-                    stack[1 : t + 1] = snapshot
+                stack[1 : t + 1] = snapshot
                 used_row[frm] ^= low
                 paired_row[frm] ^= low
         count = nodes.count + limit - done
@@ -812,10 +916,9 @@ def _group_witnesses(
             return found
         nodes.level = q
         counts = _WalkCounts(q, blank, blank, False)
-        advance, image, succ, steps = counts.advance, counts.image, counts.paired, counts.steps
+        push, image, succ, steps = counts.push, counts.image, counts.paired, counts.steps
         active = [[p] * (n + 1) for p in pending]
         first: dict[tuple[int, int, int], int] = {}
-        letters = [0] * n
         last = q - 1
         seq = [0]
         stack = [counts.start()]
@@ -845,7 +948,6 @@ def _group_witnesses(
             frm = seq[t]
             for a, branch in itertools.groupby(live, key=lambda c: ys[c][t]):
                 branch = list(branch)
-                letters[t] = a
                 row = steps[t] = succ[a]
                 new_fails, reuse_fails = image(stack[t], t)
                 reused = row[frm]
@@ -879,28 +981,10 @@ def _group_witnesses(
                                 taken.append(c)
                         if not taken:
                             continue
-                    snapshot = None
-                    w = stack[t]
                     if new:
                         row[frm] |= low
-                        i = 0
-                        while i < t:
-                            if letters[i] != a or not stack[i][0] >> frm & 1:
-                                i += 1
-                                continue
-                            if snapshot is None:
-                                snapshot = stack[1 : t + 1]
-                            # recount until a vector comes out as it was
-                            while i < t:
-                                w = advance(stack[i], i, seq[i + 1])
-                                i += 1
-                                if w is None or w == stack[i]:
-                                    break
-                                stack[i] = w
-                            if w is None:
-                                break
-                    if w is not None:
-                        w = advance(stack[t], t, nxt)
+                        snapshot = stack[1 : t + 1]
+                    w = push(stack, seq, t, nxt, new, reuse_fails)
                     if w is not None:
                         seq.append(nxt)
                         stack.append(w)
@@ -909,8 +993,7 @@ def _group_witnesses(
                         stack.pop()
                         branch = [c for c in branch if active[c][t]]
                     if new:
-                        if snapshot is not None:
-                            stack[1 : t + 1] = snapshot
+                        stack[1 : t + 1] = snapshot
                         row[frm] ^= low
                     if not branch:
                         break

@@ -444,9 +444,14 @@ def verify_metric(
     those loops witness every such image. So ``A(x|y) = A(y|x) = 1`` (a
     ``jnum`` or ``jnum-max`` of 0) holds only when x and y are relabelings
     of each other, which share one slow word.
+
+    A tolerance that is negative, NaN or infinite raises ``ValueError``: it
+    would flag every diagonal entry, nothing at all, or every pair.
     """
     import numpy as np
 
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValueError(f"the tolerance must be a finite number >= 0, not {tolerance}")
     provider = provider or ComplexityProvider()
     ground = list(slow_words(n, 2))
     provider.conditional_row(ground)

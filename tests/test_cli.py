@@ -102,6 +102,24 @@ def test_table_requires_mode(capsys):
     assert code == 2 and "needs --n or --sample" in err
 
 
+def test_table_refuses_both_modes(capsys):
+    """``--n`` and ``--sample`` ask for different tables; given both, the
+    command prints neither."""
+    code, out, err = run(capsys, "table", "--n", "3", "--sample", "4", "--samples", "5")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: table takes --n or --sample, not both"]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-0.5"])
+def test_verify_metric_refuses_a_tolerance_that_is_no_finite_bound(capsys, tolerance):
+    """A NaN tolerance would report no violation, an infinite one every
+    pair and a negative one every diagonal entry: each is a usage error."""
+    code, out, err = run(capsys, "verify-metric", "--n", "4", "--kind", "jnum", f"--tolerance={tolerance}")
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "tolerance" in line
+
+
 def test_table_sampling(capsys):
     code, out, _ = run(
         capsys, "table", "--sample", "5", "--samples", "50", "--seed", "3",

@@ -4,7 +4,7 @@ import itertools
 import pkgutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import autocomplexity
 from autocomplexity import (
@@ -791,6 +791,67 @@ def test_counters_decide_as_the_reference_counters(walk):
             break
         ours.append(w)
         theirs.append(rw)
+
+
+def _recounted(counts, seq, t):
+    """The vectors along ``seq[:t + 1]`` stepped anew with ``advance``
+    over the counter's tables, up to the step that dies."""
+    stack = [counts.start()]
+    for i in range(t):
+        v = counts.advance(stack[i], i, seq[i + 1])
+        if v is None:
+            break
+        stack.append(v)
+    return stack
+
+
+@given(counter_walks())
+# a walk that takes the new edge again while the delta is carried, and a
+# delta that the other walks' mask absorbs in part before it is dropped
+@example(("unique", 2, [0, 0, 0, 0], Word((0,) * 3, 1), Word((0,) * 3, 1), [(0, 0, 0)]))
+@example((
+    "unique", 4, [0, 0, 0, 1, 2, 3], Word((0,) * 5, 1), Word((0,) * 5, 1),
+    [(0, 0, 0), (0, 0, 1), (1, 0, 2), (2, 0, 3)],
+))
+@settings(max_examples=500, deadline=None)
+def test_push_recounts_as_the_counts_stepped_anew(walk):
+    """At every step t of a walk, for every edge out of s_t the search may
+    add, ``push`` leaves ``stack[0..t]`` as ``advance`` steps them anew
+    over the new tables, and returns the step to the edge's target that
+    ``advance`` takes from the recounted ``stack[t]``. Where a vector
+    stepped anew dies at step p, the push returns None, ``stack[:p]`` is
+    recounted and ``stack[p..t]`` is as it was: the recount prunes where
+    the counts stepped anew do. A reused edge changes nothing and steps as
+    ``advance`` does. Both counters are covered: the walk counter's delta
+    recount (unique, conditional-unique, det-partial) and the word
+    counter's full one (the exact kinds)."""
+    kind, q, seq, labels, classes, edges = walk
+    counts, _reference = _counters(kind, q, labels, classes, edges)
+    label_s, class_s = labels.symbols, classes.symbols
+    stack = _recounted(counts, seq, len(seq) - 1)
+    for t in range(min(len(stack), len(seq) - 1)):
+        frm, label, cls = seq[t], label_s[t], class_s[t]
+        reuse_fails = counts.image(stack[t], t)[1]
+        reused = counts.used[label][frm]
+        for nxt in range(q):
+            got = stack[: t + 1]
+            if reused >> nxt & 1:
+                w = counts.push(got, seq, t, nxt, False, reuse_fails)
+                assert w == counts.advance(stack[t], t, nxt), (walk, t, nxt)
+                assert got == stack[: t + 1], (walk, t, nxt)
+                continue
+            if counts.paired[cls][frm] >> nxt & 1 or (counts.det and reused):
+                continue
+            _toggle(counts, frm, label, nxt, cls)
+            w = counts.push(got, seq, t, nxt, True, reuse_fails)
+            fresh = _recounted(counts, seq, t)
+            p = len(fresh)
+            assert got[:p] == fresh, (walk, t, nxt)
+            if p <= t:
+                assert w is None and got[p:] == stack[p : t + 1], (walk, t, nxt)
+            else:
+                assert w == counts.advance(fresh[t], t, nxt), (walk, t, nxt)
+            _toggle(counts, frm, label, nxt, cls)
 
 
 def reference_stream(search, n, q, nodes):

@@ -122,6 +122,20 @@ def test_verify_metric_small(provider):
     assert trivial.ok and trivial.ground_set_size == 1
 
 
+@pytest.mark.parametrize("tolerance", [-0.5, -1e-12, math.nan, math.inf, -math.inf])
+def test_verify_metric_refuses_a_tolerance_that_is_no_finite_bound(provider, tolerance):
+    """A negative tolerance flags every diagonal entry, NaN flags nothing
+    (``jmax`` at n = 8 has 28 triangle violations) and an infinite one
+    flags every pair, so each is refused before any distance is read."""
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_metric(4, MetricKind.J_NUM, provider, tolerance=tolerance)
+
+
+def test_verify_metric_takes_a_zero_tolerance(provider):
+    for kind in MetricKind:
+        assert verify_metric(4, kind, provider, tolerance=0.0) == verify_metric(4, kind, provider)
+
+
 def test_verify_metric_one_sided_corruption_reported(provider):
     class Lying(ComplexityProvider):
         def conditional(self, x, y):
