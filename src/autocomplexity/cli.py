@@ -383,6 +383,10 @@ _ERROR_EXITS = (
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--tolerance" in argv[:-1]:  # argparse reads a value such as -inf or -1e-3 as an option
+        i = argv.index("--tolerance")
+        argv[i : i + 2] = ["=".join(argv[i : i + 2])]
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -63,6 +63,7 @@ tables.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import time
@@ -849,6 +850,13 @@ def _least_witness(
     raise BudgetExceeded(cap + 1, nodes.count)
 
 
+# The pairs of a batch whose conditions share ``y[:t]`` (see
+# ``_group_witnesses``): a run of pair bits from bit ``lo``, with ``mask`` a
+# bit per pair, a depth-n run's condition ``cond``, ``(a, shift, mask,
+# child)`` per next letter a, and its slices of ``EQ[t][j]`` by t * n + j
+_PairRange = collections.namedtuple("_PairRange", "lo mask cond children eq")
+
+
 def _group_witnesses(
     ys: list[tuple[int, ...]], xss: list[list[tuple[int, ...]]], nodes: _Nodes,
 ) -> list[list[tuple[int, tuple[int, ...]]]]:
@@ -863,38 +871,36 @@ def _group_witnesses(
     walk from start to accept reading y. Walk counts read only the step
     classes, and the pair-label prune gives each state pair one label per
     class, so a shape witnesses x given y exactly when x is constant on its
-    step partition (positions i and j share a class when
-    ``(s_i, y_i, s_i+1) = (s_j, y_j, s_j+1)``). The labeled search for x
-    given y therefore yields the compatible shapes of each level in this
-    order. The unique kind is the one-letter condition,
-    ``A(x) = A(x | 0^n)``: with y = ``(0,) * n`` the records are those of
-    the unique kind's ``_least_witness`` for x.
+    step partition (positions i and j share a class when ``(s_i, y_i,
+    s_i+1) = (s_j, y_j, s_j+1)``): the labeled search for x given y yields
+    the compatible shapes of each level in this order. With y = ``(0,) *
+    n`` the records are the unique kind's, as ``A(x) = A(x | 0^n)``.
 
-    A node of the search is a joint prefix: the letters ``y[:t]`` that its
-    *live* conditions share and the states ``s_0..s_t``. Each condition
-    keeps its own targets still active on the prefix, ``active[c][t]``
-    after t steps, shared along steps that drop none; ``active[c][0]`` is
-    the condition's pending list. A node branches first on the letter y_t
-    of its live conditions, in ascending order, and then on the steps
-    ``nxt`` of ``_iter_witness_sequences``, with its bit tests, counts and
-    recount, reading the step class y_t. A step along an edge ``(p, y_t,
-    q)`` first used at step j (``first[edge]``, written by the step that
-    last added the edge and read only while it is in use) keeps, for each
-    condition, the targets with ``x_t == x_j``; it is taken for the
-    conditions with one left, and refused when none has. A target drops out
-    only where every extension of the prefix is incompatible with it, so
-    the first shape at which it is active at a leaf is its first compatible
-    shape: the value and least witnessing sequence of its labeled search.
-    Distinct conditions part before depth n, so a leaf is one condition's,
-    and every target active there resolves and leaves its condition's
-    active lists. A condition with no active target left leaves the node,
-    and a letter branch with no condition left ends with no further count.
+    A node is a joint prefix, the letters ``y[:t]`` of its conditions and
+    the states ``s_0..s_t``, with one int, its *pair mask*: the (condition,
+    target) pairs still active there. Pairs are numbered by condition, the
+    conditions sorted on y, so those sharing ``y[:t]`` own one run of bits,
+    a ``_PairRange``, to which the node's mask is relative. A node branches
+    on the letter y_t, in ascending order, shifting its mask into the child
+    run, then on the steps of ``_iter_witness_sequences`` with class y_t.
+    A step along an edge ``(p, y_t, q)`` first used at step j
+    (``first[edge]``, read while the edge is in use) ANDs the child run's
+    slice of ``EQ[t][j]``, the union over b of ``L[t][b] & L[j][b]``, where
+    ``L[t][b]`` holds the pairs whose target reads b at t. ``EQ[t][j]`` is
+    kept as bytes, and a run reads its slice once from the bytes it spans,
+    so no node pays for the group's width; a step keeping no pair is
+    refused. A pair drops only where every extension of the prefix is
+    incompatible with it, so the first leaf where it is active is its first
+    compatible shape, the record of its labeled search. Distinct conditions
+    part before depth n, so a leaf's run is one condition's, whose targets
+    are its set bits. A node returns the bits resolved below it for its
+    parent to clear, so masks hold pending pairs alone; a letter branch
+    with none left ends with no further count.
 
-    For each condition the search visits the steps of the one-condition
-    search in the same order, so its records are those of a search per
-    condition; shared prefixes are counted once. With one condition the
-    nodes are those of that search. The meter ``nodes`` may be shared by
-    several groups: each sets its level from 1, and an overrun raises
+    Each condition's steps are those of its one-condition search, in order,
+    so its records are too; shared prefixes are counted once, and one
+    condition spends that search's nodes. The meter ``nodes`` may be shared
+    by several groups: each sets its level from 1, and an overrun raises
     ``BudgetExceeded`` with the level being searched as its lower bound,
     since the targets still pending failed every level below it.
     """
@@ -904,50 +910,74 @@ def _group_witnesses(
     if len(set(ys)) != len(ys):
         raise ValueError("the conditions of a group must be distinct")
     found: list[list] = [[None] * len(xs) for xs in xss]
-    pending = [list(range(len(xs))) for xs in xss]
+    order = sorted(range(len(ys)), key=ys.__getitem__)
+    offsets = list(itertools.accumulate((len(xss[c]) for c in order), initial=0))
+    pending = (1 << offsets[-1]) - 1
+    if not pending:
+        return found
+    # reads[t]: L[t][b] for each letter b of the targets, from the column flat[t::n], bit 0 the first pair
+    flat = bytes(itertools.chain.from_iterable(x for c in order for x in xss[c]))
+    tables = [bytes(48 + (i == b) for i in range(256)) for b in set(flat)]
+    reads = [[int(flat[t::n][::-1].translate(table), 2) for table in tables] for t in range(n)]
+
+    def split(t: int, lo: int, hi: int) -> _PairRange:
+        """The run of the sorted conditions ``order[lo:hi]``, which share ``y[:t]``."""
+        rng = _PairRange(offsets[lo], (1 << offsets[hi] - offsets[lo]) - 1, order[lo], [], {})
+        for a, run in itertools.groupby(range(lo, hi) if t < n else (), lambda k: ys[order[k]][t]):
+            run = list(run)
+            child = split(t + 1, run[0], run[-1] + 1)
+            rng.children.append((a, child.lo - rng.lo, child.mask, child))
+        return rng
+
+    rows: dict[int, bytes] = {}  # EQ[t][j] by t * n + j, little-endian
+
+    def equal(rng: _PairRange, key: int) -> int:
+        """``rng``'s slice of ``EQ[t][j]``, for ``key = t * n + j``; the
+        letters' pairs are disjoint, so their sum is their union."""
+        if key not in rows:
+            t, j = divmod(key, n)
+            rows[key] = sum(map(int.__and__, reads[t], reads[j])).to_bytes(offsets[-1] // 8 + 1, "little")
+        lo = rng.lo
+        part = rows[key][lo >> 3 : (lo + rng.mask.bit_length() >> 3) + 1]
+        eq = rng.eq[key] = int.from_bytes(part, "little") >> (lo & 7) & rng.mask
+        return eq
+
+    root = split(0, 0, len(ys))
+    del split  # a recursive closure is a reference cycle: free it now, not at a later collection
     # counter tables for every condition's letters; step t's is set when the search branches on y_t
     blank = Word((0,) * n, max((max(y, default=0) for y in ys), default=0) + 1)
     limit_nodes = nodes.limit
     cap = value_cap(KIND_COND_UNIQUE, n)
     for q in range(1, cap + 1):
-        # sorted, so the conditions of one letter are consecutive in every node
-        live = sorted((c for c in range(len(ys)) if pending[c]), key=ys.__getitem__)
-        if not live:
+        if not pending:
             return found
         nodes.level = q
         counts = _WalkCounts(q, blank, blank, False)
         push, image, succ, steps = counts.push, counts.image, counts.paired, counts.steps
-        active = [[p] * (n + 1) for p in pending]
         first: dict[tuple[int, int, int], int] = {}
         last = q - 1
         seq = [0]
         stack = [counts.start()]
 
-        def resolve(c: int) -> None:
-            """Record the leaf's witness for the targets of condition c
-            active there, and drop them from its every active list."""
-            done, lists = found[c], active[c]
-            witness = q, tuple(seq)
-            for i in lists[n]:
-                done[i] = witness
-            shrunk = None
-            for lst in lists:
-                if lst is not shrunk:
-                    lst[:] = [i for i in lst if done[i] is None]
-                    shrunk = lst
-
-        def node(t: int, top: int, live: list[int]) -> None:
+        def node(t: int, top: int, rng: _PairRange, mask: int) -> int:
+            """Search below ``seq`` with the pairs ``mask`` of ``rng``
+            active, and return those that resolve there."""
             if t == n:
                 if top == last:
-                    (c,) = live
-                    resolve(c)
-                return
+                    witness, done, left = (q, tuple(seq)), found[rng.cond], mask
+                    while left:
+                        done[(left & -left).bit_length() - 1] = witness
+                        left &= left - 1
+                return mask if top == last else 0
             if last - top > n - t:
-                return
+                return 0
             limit = top + 1 if top < last else last
             frm = seq[t]
-            for a, branch in itertools.groupby(live, key=lambda c: ys[c][t]):
-                branch = list(branch)
+            resolved = 0
+            for a, shift, width, child in rng.children:
+                live = mask >> shift & width
+                if not live:
+                    continue
                 row = steps[t] = succ[a]
                 new_fails, reuse_fails = image(stack[t], t)
                 reused = row[frm]
@@ -962,49 +992,42 @@ def _group_witnesses(
                         nodes.overrun()
                     nodes.count = count
                     done = nxt
-                    edge = frm, a, nxt
                     new = not (reused & low)
                     if new:
-                        first[edge] = t
-                        for c in branch:
-                            lists = active[c]
-                            lists[t + 1] = lists[t]
-                        taken = branch
-                    else:
-                        j = first[edge]
-                        taken = []
-                        for c in branch:
-                            xs, lists = xss[c], active[c]
-                            kept = [i for i in lists[t] if xs[i][t] == xs[i][j]]
-                            if kept:
-                                lists[t + 1] = kept
-                                taken.append(c)
-                        if not taken:
-                            continue
-                    if new:
+                        first[frm, a, nxt] = t
+                        keep = live
                         row[frm] |= low
                         snapshot = stack[1 : t + 1]
+                    else:
+                        key = t * n + first[frm, a, nxt]
+                        keep = live & (child.eq[key] if key in child.eq else equal(child, key))
+                        if not keep:
+                            continue
                     w = push(stack, seq, t, nxt, new, reuse_fails)
                     if w is not None:
                         seq.append(nxt)
                         stack.append(w)
-                        node(t + 1, top if nxt <= top else nxt, taken)
+                        below = node(t + 1, top if nxt <= top else nxt, child, keep)
                         seq.pop()
                         stack.pop()
-                        branch = [c for c in branch if active[c][t]]
+                        if below:
+                            live ^= below
+                            resolved |= below << shift
                     if new:
                         stack[1 : t + 1] = snapshot
                         row[frm] ^= low
-                    if not branch:
+                    if not live:
                         break
                 else:
                     count = nodes.count + limit - done
                     if count > limit_nodes:
                         nodes.overrun()
                     nodes.count = count
+            return resolved
 
-        node(0, 0, live)
-    if any(pending):
+        pending ^= node(0, 0, root, pending)
+        del node  # likewise, with the level's tables
+    if pending:
         raise BudgetExceeded(cap + 1, nodes.count)
     return found
 

@@ -130,13 +130,14 @@ class ComplexityProvider:
         once. The others are grouped by condition word, the unique kind's
         being ``0^n`` since ``A(x) = A(x | 0^n)``, and the condition words
         by length; one ``_group_witnesses`` per length finds their records,
-        each condition's as its own search would. These go to the cache in
-        one ``put_many``, in the order ``keys`` first miss them, as one read
-        per key writes them, and every value is then served by ``compute``
-        as a checked hit (``complexity._hit_certificate``). A node-budget
-        overrun raises ``BudgetExceeded`` before any record is written; one
-        ``max_nodes`` spans every group of the call. Without a cache a
-        throwaway memory cache is used.
+        each condition's as its own search would, with one pair mask per
+        node. These go to the cache in one ``put_many``, in the order
+        ``keys`` first miss them, as one read per key writes them, and every
+        value is then served by ``compute`` as a checked hit
+        (``complexity._hit_certificate``). A node-budget overrun raises
+        ``BudgetExceeded`` before any record is written; one ``max_nodes``
+        spans every group of the call. Without a cache a throwaway memory
+        cache is used.
         """
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()

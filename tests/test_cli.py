@@ -120,6 +120,22 @@ def test_verify_metric_refuses_a_tolerance_that_is_no_finite_bound(capsys, toler
     assert line.startswith("error: ") and "tolerance" in line
 
 
+@pytest.mark.parametrize("tolerance", ["-inf", "-1e-3", "-0.5", "nan"])
+def test_verify_metric_reads_a_negative_tolerance_after_a_space(capsys, tolerance):
+    """``--tolerance -inf`` is the option's value, not an option: it gets
+    the one-line tolerance error, as ``--tolerance=-inf`` does."""
+    code, out, err = run(capsys, "verify-metric", "--n", "4", "--kind", "jnum", "--tolerance", tolerance)
+    assert (code, out, err) == (
+        2, "", f"error: the tolerance must be a finite number >= 0, not {float(tolerance)}\n",
+    )
+
+
+@pytest.mark.parametrize("tolerance", ["0", "1e-6"])
+def test_verify_metric_takes_a_tolerance_after_a_space(capsys, tolerance):
+    code, out, _ = run(capsys, "verify-metric", "--n", "4", "--kind", "jnum", "--tolerance", tolerance)
+    assert code == 0 and "0 violations" in out
+
+
 def test_table_sampling(capsys):
     code, out, _ = run(
         capsys, "table", "--sample", "5", "--samples", "50", "--seed", "3",

@@ -1,7 +1,7 @@
 """The batch search behind every many-word query: per length, one search per
-level runs over the joint prefixes of all the condition words y, and each y
-carries every target x still active on the current prefix. The unique kind
-is the one-letter condition ``0^n``.
+level runs over the joint prefixes of all the condition words y, and each
+node carries one mask of the pairs (y, x) still active on its prefix. The
+unique kind is the one-letter condition ``0^n``.
 
 The labeled search stays the reference: every value and witnessing sequence
 the batch finds must be what ``_least_witness`` from 1 state finds for that
@@ -206,24 +206,62 @@ def test_random_batch_matches_labeled_search(case):
 
 @st.composite
 def condition_group(draw, max_len):
-    """Up to 8 distinct binary conditions of one length, each a random
-    prefix of one word followed by random letters, so that they share
-    prefixes of every length, with 1-6 binary targets each."""
+    """Up to 8 distinct conditions of one length over 1-3 letters, each a
+    random prefix of one word followed by random letters, so that they
+    share prefixes of every length, handed in a random order, with 1-6
+    targets each over 1-3 letters, drawn apart from the conditions'
+    alphabet (ternary targets given binary conditions and the other way
+    round)."""
     n = draw(st.integers(1, max_len))
-    letters = st.integers(0, 1)
+    condition_letters, target_letters = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    letters = st.integers(0, condition_letters - 1)
     base = draw(st.lists(letters, min_size=n, max_size=n))
     ys: dict[tuple, None] = {}
     for _ in range(draw(st.integers(1, 8))):
         cut = draw(st.integers(0, n))
         ys[tuple(base[:cut] + draw(st.lists(letters, min_size=n - cut, max_size=n - cut)))] = None
-    word = st.lists(letters, min_size=n, max_size=n).map(lambda s: Word(tuple(s), 2))
-    return [Word(y, 2) for y in ys], [draw(st.lists(word, min_size=1, max_size=6)) for _ in ys]
+    word = st.lists(st.integers(0, target_letters - 1), min_size=n, max_size=n).map(
+        lambda s: Word(tuple(s), target_letters)
+    )
+    return (
+        [Word(y, condition_letters) for y in draw(st.permutations(list(ys)))],
+        [draw(st.lists(word, min_size=1, max_size=6)) for _ in ys],
+    )
 
 
 @given(condition_group(10))
 @settings(max_examples=60, deadline=None)
 def test_random_group_matches_labeled_search(case):
     assert_group_is_per_condition(*case, labeled=True)
+
+
+@given(condition_group(8))
+@settings(max_examples=60, deadline=None)
+def test_random_group_does_not_depend_on_the_input_order(case):
+    """The group handed in sorted-y order spends the same nodes and gives
+    each condition the same records."""
+    ys = [y.symbols for y in case[0]]
+    xss = [[x.symbols for x in xs] for xs in case[1]]
+    ranked = sorted(range(len(ys)), key=ys.__getitem__)
+    meter, ranked_meter = _Nodes(), _Nodes()
+    found = _group_witnesses(ys, xss, meter)
+    again = _group_witnesses([ys[c] for c in ranked], [xss[c] for c in ranked], ranked_meter)
+    assert again == [found[c] for c in ranked] and ranked_meter.count == meter.count
+
+
+def test_a_leaf_maps_its_bits_to_the_condition_and_target_handed_in():
+    """Conditions handed against their sorted order, with 3, 1 and 2
+    targets, binary and ternary: the pair bits are numbered in sorted-y
+    order, and each record still lands on its own condition and target."""
+    conditions = [Word.parse(y, 2) for y in ("110100", "010011", "011010")]
+    targets = [
+        [Word.parse(x, 2) for x in ("000000", "010101", "001101")],
+        [Word.parse("011011", 2)],
+        [Word.parse(x, 3) for x in ("012012", "000111")],
+    ]
+    found = _group_witnesses([y.symbols for y in conditions], [[x.symbols for x in xs] for xs in targets], _Nodes())
+    assert found == [[labeled_record(x, y) for x in xs] for y, xs in zip(conditions, targets)]
+    assert [[value for value, _ in records] for records in found] == [[1, 2, 2], [2], [2, 2]]
 
 
 def test_row_records_match_compute_per_pair(tmp_path):
