@@ -474,6 +474,4 @@ def certificate_from_json(text: str) -> WitnessCertificate:
             claimed_states=int(doc["claimed_states"]),
         )
     except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, ParseError):
-            raise
         raise ParseError(f"malformed certificate document: {e}") from e

@@ -497,16 +497,23 @@ def _iter_witness_sequences(
     that of the new tables as well. The prefix is restored when the step is
     popped, or at once if it dies. A leaf on q states is a witness: its
     last push left one walk or word at the accept.
+
+    The depth prune (a prefix that cannot reach q states) and the leaf's
+    state-count test matter only to a stream at a fixed level above the
+    value (``witness_at``, ``all_witness_sequences``). In a search from one
+    state the lemma of ``_group_witnesses`` keeps them from firing for the
+    NFA kinds: a live prefix extends along fresh states to a witness on
+    top + 1 + n - t states, and no level below q had one. A DFA kind's
+    fresh path cannot leave an ``(s_t, label)`` that has an edge, so the
+    lemma does not cover it, though neither test fired in its searches
+    from one state over every binary word up to length 8 and ternary word
+    up to length 5.
     """
     if kind == KIND_DET_TOTAL:
         raise ValueError("total DFAs are not walk-generated; no sequence stream")
     if q < 1:
         return
     n = len(labels)
-    if n == 0:
-        if q == 1:
-            yield (0,)
-        return
     counts = _counter(kind, q, labels, classes)
     push, image = counts.push, counts.image
     used, paired, det = counts.used, counts.paired, counts.det
@@ -733,7 +740,10 @@ def _complete_to_total(base: Nfa, n: int, nodes: _Nodes) -> Nfa | None:
     from a second source, or from a source with two. Two labels may join one
     pair of states here, so a source also keeps the mask of the targets that
     two of its labels reach: those get a second walk from the source's
-    one."""
+    one. Each count builds these per-source masks from the table as it
+    stands. The slots are filled in the order of their source and label,
+    each with the targets in ascending order, and the first filling that
+    keeps one word is the certificate."""
     q = base.state_count
     sigma = base.alphabet_size
     table: dict[tuple[int, int], int] = {}
@@ -743,21 +753,14 @@ def _complete_to_total(base: Nfa, n: int, nodes: _Nodes) -> Nfa | None:
         (s, a) for s in range(q) for a in range(sigma) if (s, a) not in table
     ]
     accept = 1 << next(iter(base.accepts))
-    # per source: the targets of its edges, and those two of its labels reach
-    targets = [0] * q
-    doubled = [0] * q
-
-    def refresh(s: int) -> None:
-        one = two = 0
-        for a in range(sigma):
-            to = table.get((s, a))
-            if to is not None:
-                two |= one & 1 << to
-                one |= 1 << to
-        targets[s] = one
-        doubled[s] = two
 
     def accepted_count() -> int:
+        # per source: the targets of its edges, and those two of its labels reach
+        targets = [0] * q
+        doubled = [0] * q
+        for (s, _), to in table.items():
+            doubled[s] |= targets[s] & 1 << to
+            targets[s] |= 1 << to
         one, two = 1 << base.start, 0
         for _ in range(n):
             n1 = n2 = 0
@@ -783,15 +786,11 @@ def _complete_to_total(base: Nfa, n: int, nodes: _Nodes) -> Nfa | None:
         slot = slots[i]
         for to in range(q):
             table[slot] = to
-            refresh(slot[0])
             if rec(i + 1):
                 return True
             del table[slot]
-            refresh(slot[0])
         return False
 
-    for s in range(q):
-        refresh(s)
     if rec(0):
         edges = frozenset((frm, label, to) for (frm, label), to in table.items())
         return Nfa(q, base.start, base.accepts, edges, sigma)
@@ -897,12 +896,26 @@ def _group_witnesses(
     parent to clear, so masks hold pending pairs alone; a letter branch
     with none left ends with no further count.
 
+    No node tests its level: the depth prune and the leaf test of
+    ``_iter_witness_sequences`` cannot fire here. A pair active at a node
+    of level q failed every level below q. Its prefix s_0..s_t on the
+    states 0..top extends, along a path of n - t fresh states, to a witness
+    on top + 1 + n - t states that is compatible with the pair. Each fresh
+    edge is used once, so no ``EQ`` slice drops the pair. The own walk is
+    alone at s_t after t steps, so another walk enters the path from s_t
+    at another step; it runs along the path out of step with the own walk
+    and is not at the path's end, the accept, after n steps. Hence top + 1
+    + n - t >= q at every node, and every leaf (t = n) is on q states.
+
     Each condition's steps are those of its one-condition search, in order,
     so its records are too; shared prefixes are counted once, and one
     condition spends that search's nodes. The meter ``nodes`` may be shared
     by several groups: each sets its level from 1, and an overrun raises
     ``BudgetExceeded`` with the level being searched as its lower bound,
-    since the targets still pending failed every level below it.
+    since the targets still pending failed every level below it. The target
+    columns are bytes, so every target letter must be below 256, as in a
+    slow form of at most 256 letters (``metrics.prefetch`` sends a longer
+    target to ``compute``).
     """
     n = len(ys[0]) if ys else 0
     if any(map(n.__ne__, map(len, itertools.chain(ys, *xss)))):
@@ -949,8 +962,6 @@ def _group_witnesses(
     limit_nodes = nodes.limit
     cap = value_cap(KIND_COND_UNIQUE, n)
     for q in range(1, cap + 1):
-        if not pending:
-            return found
         nodes.level = q
         counts = _WalkCounts(q, blank, blank, False)
         push, image, succ, steps = counts.push, counts.image, counts.paired, counts.steps
@@ -963,14 +974,11 @@ def _group_witnesses(
             """Search below ``seq`` with the pairs ``mask`` of ``rng``
             active, and return those that resolve there."""
             if t == n:
-                if top == last:
-                    witness, done, left = (q, tuple(seq)), found[rng.cond], mask
-                    while left:
-                        done[(left & -left).bit_length() - 1] = witness
-                        left &= left - 1
-                return mask if top == last else 0
-            if last - top > n - t:
-                return 0
+                witness, done, left = (q, tuple(seq)), found[rng.cond], mask
+                while left:
+                    done[(left & -left).bit_length() - 1] = witness
+                    left &= left - 1
+                return mask
             limit = top + 1 if top < last else last
             frm = seq[t]
             resolved = 0
@@ -1027,9 +1035,9 @@ def _group_witnesses(
 
         pending ^= node(0, 0, root, pending)
         del node  # likewise, with the level's tables
-    if pending:
-        raise BudgetExceeded(cap + 1, nodes.count)
-    return found
+        if not pending:
+            return found
+    raise BudgetExceeded(cap + 1, nodes.count)
 
 
 def _search_det_total(

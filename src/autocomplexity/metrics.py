@@ -158,8 +158,9 @@ class ComplexityProvider:
                 rep_key = misses[rep_key]
             else:
                 value = memo.get(rep_key)
-                # compute answers the empty word with no search and no record
-                if value is None and (not rep_key[1] or cache.get(rep_key) is not None):
+                # compute answers the empty word with no search and no record, and
+                # searches a target too long for the batch's byte columns alone
+                if value is None and (not rep_key[1] or len(rep_key[1]) > 256 or cache.get(rep_key) is not None):
                     value = memo[rep_key] = self._compute(rep_key, cache)
                 if value is not None:
                     memo[key] = value

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,3 +494,22 @@ def test_certificate_json_errors():
     assert "position" in str(e.value)
     with pytest.raises(ParseError):
         certificate_from_json('{"kind": "unique"}')
+
+
+def test_certificate_alphabet_must_be_the_words_product():
+    """A file cannot reach this check: the reader takes the NFA's alphabet
+    from the words."""
+    with pytest.raises(ValueError, match=r"alphabet size 24 .* \(expected 28\)"):
+        WitnessCertificate(
+            kind="conditional-unique", target=X12, condition=Word.parse("012345012345", 7),
+            nfa=pair_witness(), claimed_states=2,
+        )
+
+
+def test_certificate_json_condition_of_another_length():
+    doc = json.loads(certificate_to_json(WitnessCertificate(
+        kind="conditional-unique", target=X12, condition=Y12, nfa=pair_witness(), claimed_states=2,
+    )))
+    doc["condition"] = doc["condition"][:-1]
+    with pytest.raises(ParseError, match="equal length"):
+        certificate_from_json(json.dumps(doc))

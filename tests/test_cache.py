@@ -312,6 +312,22 @@ def test_a_record_that_is_no_walk_over_the_word_is_searched_again(kind, sequence
     assert cache.get(key) != (2, sequence) and cache.get(key)[0] == searched.value
 
 
+@pytest.mark.parametrize("line, value", [
+    # the walk has 2 states: a total DFA on 4 is neither the walk filled in
+    # nor the walk plus a dead state, so none is built
+    (("det-total", "0001@2", "-", "4", "0,0,0,0,1"), 3),
+    # the walk's certificate verifies, on 1 state, not 2
+    (("exact", "0000@1", "-", "2", "0,0,0,0,0"), 1),
+], ids=["det-total-two-above-the-walk", "exact-on-fewer-states"])
+def test_a_record_whose_certificate_has_other_states_is_searched_again(tmp_path, line, value):
+    cache = cache_holding(tmp_path / "cache", ["\t".join(line) + "\n"])
+    query = line_query(*line[:3])
+    result = compute(query, cache=cache)
+    assert result.value == value and result.explored > 0
+    key = complexity_module.canonical_key(complexity_module.memo_key(query))
+    assert ResultCache(tmp_path / "cache").get(key)[0] == value  # rewritten
+
+
 def line_query(kind, target, condition):
     """The query of a cache line's kind and word fields."""
     return ComplexityQuery(kind, parse_word(target), None if condition == "-" else parse_word(condition))

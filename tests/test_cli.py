@@ -72,6 +72,17 @@ def test_certificate_check_round_trip(tmp_path, capsys):
     assert code == 6 and out.startswith("FAILED")
 
 
+def test_check_refuses_a_condition_of_another_length(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "conditional", "0110", "0100", "--certificate", str(cert_path))
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    doc["condition"] = doc["condition"][:-1]
+    cert_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(cert_path))
+    assert code == 3 and "equal length" in err
+
+
 def test_export_dot(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     run(capsys, "complexity", "0101", "--certificate", str(cert_path))

@@ -233,6 +233,23 @@ def test_empty_word_honours_the_allowance(kind):
     assert value_at_most(query, 1) == 1
 
 
+@pytest.mark.parametrize("kind", sorted(set(KINDS) - {KIND_DET_TOTAL}))
+def test_empty_word_streams_one_sequence_on_one_state(kind):
+    """The empty word's walk is the start alone: one sequence on 1 state,
+    none on 0 or 2."""
+    empty = Word((), 2)
+    query = ComplexityQuery(kind, empty, empty if KINDS[kind].conditional else None)
+    assert [list(all_witness_sequences(query, q)) for q in (0, 1, 2)] == [[], [(0,)], []]
+
+
+def test_det_total_dead_state_above_the_allowance():
+    """det-partial 0001 is 2 and no filling of a 2-state witness keeps one
+    word, so det-total needs the dead state: 3, above the allowance 2."""
+    query = ComplexityQuery(KIND_DET_TOTAL, Word.parse("0001", 2))
+    assert value_at_most(query, 2) is None
+    assert value_at_most(query, 3) == 3
+
+
 def test_witness_at_exact_state_count():
     cert = witness_at(ComplexityQuery(KIND_UNIQUE, Word.parse("0101", 2)), 3)
     assert cert is not None and cert.claimed_states == 3
@@ -1138,6 +1155,13 @@ def test_batch_nodes_match_the_reference(targets):
         _group_witnesses([y], [xs], _Nodes(nodes - 1))
     assert (e.value.lower_bound, e.value.explored) == (max(v for v, _ in found), nodes)
     assert _group_witnesses([y], [xs], _Nodes(nodes))[0] == found
+
+
+def test_batch_refuses_other_lengths_and_repeated_conditions():
+    with pytest.raises(ValueError, match="equal length"):
+        _group_witnesses([(0, 1)], [[(0, 1), (0,)]], _Nodes())
+    with pytest.raises(ValueError, match="distinct"):
+        _group_witnesses([(0, 1), (0, 1)], [[(0, 1)], [(1, 1)]], _Nodes())
 
 
 def test_every_module_memo_is_bounded():

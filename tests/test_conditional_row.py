@@ -732,6 +732,16 @@ def test_provider_counts_the_nodes_of_an_overrun():
     assert provider.nodes == e.value.explored == 1
 
 
+def test_a_target_too_long_for_the_batch_is_searched_alone():
+    """A class whose target has more than 256 letters, more than the
+    batch's byte columns hold, is searched by ``compute``: an overrun raises
+    ``BudgetExceeded`` as for any word, and its nodes are counted."""
+    provider = ComplexityProvider(max_nodes=1000)
+    with pytest.raises(BudgetExceeded) as e:
+        provider.prefetch([(KIND_UNIQUE, tuple(range(257)), None)])
+    assert (e.value.lower_bound, e.value.explored) == (6, 1001) and provider.nodes == 1001
+
+
 def assert_record_is_searched(target, record):
     """``record`` is what the labeled unique-kind search from 1 state returns
     for ``target``, and its certificate verifies."""
