@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Words on the command line are digit strings over alphabets of size at most 10
-(alphabet size defaults to max digit + 1); an alphabet option outside 1..10
-is a usage error. Exit codes: 2 usage, 3 parse errors and file errors (a path
+Words on the command line are strings of the ASCII digits 0-9 over alphabets
+of size at most 10 (alphabet size defaults to max digit + 1); an alphabet
+option outside 1..10 is a usage error, and so are two words of unequal
+length where a command reads a pair (``conditional``, ``sparse``,
+``metric``). Exit codes: 2 usage, 3 parse errors and file errors (a path
 that cannot be read or written, a certificate that is not ASCII, a cache
 directory that is a file or below one), 4 budget exhausted, 5 capacity
 limits, 6 failed verification. A reader that closes stdout early (``| head``)
@@ -195,8 +197,6 @@ def cmd_search_emergent(args) -> int:
 def cmd_sparse(args) -> int:
     x = _parse_word(args.x, None)
     y = _parse_word(args.y, None) if args.y is not None else None
-    if y is not None and len(y) != len(x):
-        raise ParseError("the two words must have equal length")
     report = sparse_witness_report(x, y, max_nodes=args.budget, cache=_cache(args))
     label = f"({args.x} | {args.y})" if y is not None else f"({args.x})"
     print(f"A_Ne{label} = {report.exact_value}, A_Nu{label} = {report.unique_value}")

@@ -430,9 +430,9 @@ class _Nodes:
     (a negative limit is 0), and ``level``, the least state count it has not
     ruled out.
 
-    ``level`` starts at 1, and only the level loops (``_least_witness``,
-    ``_search_det_total`` and ``_group_witnesses``) set it, to each state
-    count q as they enter it: they searched every level below q in full.
+    ``level`` starts at 1, and only the level loops (``_least_witness`` and
+    ``_group_witnesses``) set it, to each state count q as they enter it:
+    they searched every level below q in full.
     A sequence stream or a record check sets no level, as it rules nothing
     out. Every overrun goes through ``overrun``, so its lower bound is the
     level and never one a caller chose.
@@ -574,33 +574,32 @@ def _iter_witness_sequences(
 
 
 def _record_certificate(
-    query: ComplexityQuery, value: int, sequence: tuple[int, ...], nodes: _Nodes, nfa: Nfa | None = None,
+    query: ComplexityQuery, value: int, sequence: tuple[int, ...], nodes: _Nodes,
 ) -> tuple[WitnessCertificate | None, str | None]:
     """``(certificate, None)`` for the record ``(value, sequence)`` of
     ``query`` when its certificate is built, verifies and has ``value``
     states, else ``(None, reason)``.
 
-    The certificate is ``nfa``, the witness a search has just built, or
-    else the walk NFA of the sequence over the query's labels
+    The certificate is the walk NFA of the sequence over the query's labels
     (``_walk_words``); for det-total, the total DFA ``_total_dfa`` builds
     from that walk NFA, spending the nodes of the meter ``nodes``. A
     sequence that is not a slow walk of one step per letter builds none.
-    ``verify_certificate`` judges the certificate; this is the hit check of
-    the exact and DFA kinds (``_hit_certificate``) and the first check of
-    ``audit_record``. A check sets no level, so before a search an overrun
-    raises ``BudgetExceeded(1)``. The empty word's record is ``(1, (0,))``:
-    one state, no edges, and for det-total a loop per letter.
+    ``verify_certificate`` judges the certificate; this is the check of a
+    search's result (``compute``), the hit check of the exact and DFA kinds
+    (``_hit_certificate``) and the first check of ``audit_record``. A check
+    sets no level, so before a search an overrun raises
+    ``BudgetExceeded(1)``. The empty word's record is ``(1, (0,))``: one
+    state, no edges, and for det-total a loop per letter.
     """
-    if nfa is None:
-        labels = _walk_words(query.kind, query.target, query.condition)[0]
-        try:
-            nfa = walk_nfa(sequence, labels)
-        except ValueError as e:
-            return None, f"no walk NFA: {e}"
-        if query.kind == KIND_DET_TOTAL:
-            nfa = _total_dfa(nfa, value, len(query.target), nodes)
-            if nfa is None:
-                return None, f"no total DFA on {value} states is built from the walk"
+    labels = _walk_words(query.kind, query.target, query.condition)[0]
+    try:
+        nfa = walk_nfa(sequence, labels)
+    except ValueError as e:
+        return None, f"no walk NFA: {e}"
+    if query.kind == KIND_DET_TOTAL:
+        nfa = _total_dfa(nfa, value, len(query.target), nodes)
+        if nfa is None:
+            return None, f"no total DFA on {value} states is built from the walk"
     cert = _certificate(query, nfa)
     ok, why = verify_certificate(cert)
     if not ok:
@@ -841,11 +840,26 @@ def _least_witness(
     kind: str, labels: Word, classes: Word, cap: int, nodes: _Nodes,
 ) -> tuple[int, tuple[int, ...]]:
     """The least state count from 1 to ``cap`` with a witness reading
-    ``labels`` in ``classes``, and the least witnessing sequence there."""
+    ``labels`` in ``classes``, and the least witnessing sequence there.
+
+    det-total streams the det-partial sequences of each level q and keeps
+    the first whose walk NFA fills in to a total DFA on q states
+    (``_total_dfa``, its nodes spent on ``nodes``). A level with sequences
+    but no filling gives ``(q + 1, first)``, its first sequence plus a dead
+    state, as a total DFA needs at most one state more than a partial one;
+    above the cap that is ``BudgetExceeded(q + 1)``."""
+    walks = KIND_DET_PARTIAL if kind == KIND_DET_TOTAL else kind
     for q in range(1, cap + 1):
         nodes.level = q
-        for seq in _iter_witness_sequences(kind, labels, classes, q, nodes):
-            return q, seq
+        first = None
+        for seq in _iter_witness_sequences(walks, labels, classes, q, nodes):
+            if kind != KIND_DET_TOTAL or _total_dfa(walk_nfa(seq, labels), q, len(labels), nodes) is not None:
+                return q, seq
+            first = first or seq
+        if first is not None:
+            if q + 1 > cap:
+                raise BudgetExceeded(q + 1, nodes.count)
+            return q + 1, first
     raise BudgetExceeded(cap + 1, nodes.count)
 
 
@@ -1040,31 +1054,6 @@ def _group_witnesses(
     raise BudgetExceeded(cap + 1, nodes.count)
 
 
-def _search_det_total(
-    target: Word, classes: Word, cap: int, nodes: _Nodes
-) -> tuple[int, tuple[int, ...], Nfa]:
-    """The det-total value up to ``cap``, the det-partial sequence its
-    witness is built from, and the witness: the first deterministic witness
-    on the fewest states that fills in to a total DFA, else the first one
-    plus a dead state. ``classes`` is the one-class word of ``_walk_words``."""
-    n = len(target)
-    for q in range(1, cap + 1):
-        nodes.level = q
-        first = None
-        for seq in _iter_witness_sequences(KIND_DET_PARTIAL, target, classes, q, nodes):
-            if first is None:
-                first = seq
-            total = _complete_to_total(walk_nfa(seq, target), n, nodes)
-            if total is not None:
-                return q, seq, total
-        if first is not None:
-            # no total DFA at the minimum: one extra dead state always suffices
-            if q + 1 > cap:
-                raise BudgetExceeded(q + 1, nodes.count)
-            return q + 1, first, _sink_completion(walk_nfa(first, target))
-    raise BudgetExceeded(cap + 1, nodes.count)
-
-
 def memo_key(query: ComplexityQuery) -> tuple:
     """The flat key ``(kind, target symbols, third)``, a query's identity in
     the cache, the provider's memo and its batches. The third place holds
@@ -1208,6 +1197,12 @@ def compute(
     det-total's record keeps the deterministic walk its total DFA was built
     from, and a hit builds that DFA again.
 
+    A search's result is certified as a full hit check is: its record goes
+    through ``_record_certificate``, which builds and verifies the
+    certificate. The check runs on a meter of its own with the query's node
+    limit, so det-total's filling, which the search built within that limit,
+    is rebuilt within it and is not counted twice in ``explored``.
+
     A hit's witness is verified, but its minimality rests on the value
     having been searched for. Only ``autocomplexity cache audit``
     (``audit_record``) proves it. A cache file holding just the line
@@ -1245,13 +1240,8 @@ def compute(
             if cert is not None:
                 return ComplexityResult(hit[0], cert, nodes.count, time.perf_counter() - started)
 
-    labels, classes = _walk_words(kind, target, condition)
-    if kind == KIND_DET_TOTAL:
-        value, seq, nfa = _search_det_total(target, classes, cap, nodes)
-    else:
-        value, seq = _least_witness(kind, labels, classes, cap, nodes)
-        nfa = walk_nfa(seq, labels)
-    cert, why = _record_certificate(query, value, seq, nodes, nfa)
+    value, seq = _least_witness(kind, *_walk_words(kind, target, condition), cap, nodes)
+    cert, why = _record_certificate(query, value, seq, _Nodes(nodes.limit))
     assert why is None, why
     if cache is not None:
         cache.put(key, value, seq)
@@ -1304,7 +1294,7 @@ def witness_at(query: ComplexityQuery, states: int, max_nodes: int = DEFAULT_MAX
     For det-total it is a total DFA: the first det-partial witness on
     ``states - 1`` states plus a dead state, else the first det-partial
     witness on ``states`` states that fills in to a total DFA. At the value
-    this is the certificate ``compute`` finds (``_search_det_total``). No
+    this is the certificate ``compute`` finds (``_least_witness``). No
     level below ``states`` is ruled out, so a node-budget overrun raises
     ``BudgetExceeded(1)``."""
     nodes = _Nodes(max_nodes)

@@ -37,8 +37,10 @@ class Word:
     @classmethod
     def parse(cls, text: str, alphabet_size: int | None = None) -> Word:
         """Parse a digit string like ``"0010"``; empty string gives the empty
-        word. A digit outside the given alphabet is a parse error."""
-        if not all(c.isdigit() for c in text):
+        word. A character other than the ASCII digits 0-9 (other Unicode
+        digits included) or a digit outside the given alphabet is a parse
+        error."""
+        if not all("0" <= c <= "9" for c in text):
             raise ParseError(f"word must be a string of digits 0-9, got {text!r}")
         syms = tuple(int(c) for c in text)
         if alphabet_size is None:

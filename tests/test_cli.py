@@ -325,6 +325,24 @@ def test_exit_codes(tmp_path, capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["\u0660\u0661\u0661", "\uff10\uff11", "\u00b2", "\U0001d7ce\U0001d7cf"])
+def test_non_ascii_digits_exit_3_with_one_error_line(capsys, text):
+    code, out, err = run(capsys, "complexity", text)
+    assert code == 3 and out == "", out
+    assert err.startswith("error: ") and "digits 0-9" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("conditional", "01", "011"),
+    ("sparse", "01", "011"),
+    ("metric", "jnum", "01", "011"),
+], ids=lambda argv: argv[0])
+def test_words_of_unequal_length_are_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", out
+    assert err.startswith("error: ") and "equal length" in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "{dir}"),
     ("export-dot", "{dir}"),

@@ -980,6 +980,8 @@ PINNED_EXPLORED = [
     (KIND_EXACT, "0110100001", None, 1540),
     (KIND_DET_PARTIAL, "100000110101", None, 1049),
     (KIND_DET_TOTAL, "00001111100", None, 1982),
+    (KIND_DET_TOTAL, "00001111", None, 630),
+    (KIND_DET_TOTAL, "01101001", None, 590),
     (KIND_COND_UNIQUE, "011111010111", "001100010100", 134),
     (KIND_COND_EXACT, "00010111101", "10111110011", 506),
 ]

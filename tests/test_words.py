@@ -44,6 +44,14 @@ def test_parse_and_str():
         Word.parse("012", 2)
 
 
+@pytest.mark.parametrize("text", ["\u0660\u0661\u0661", "\uff10\uff11", "\u00b2", "\U0001d7ce\U0001d7cf"])
+def test_parse_takes_only_ascii_digits(text):
+    """Arabic-Indic, fullwidth, superscript and mathematical digits pass
+    ``str.isdigit`` but are no word letters."""
+    with pytest.raises(ParseError, match="digits 0-9"):
+        Word.parse(text)
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         Word((2,), 2)
