@@ -438,6 +438,14 @@ def certificate_to_json(cert: WitnessCertificate, indent: int | None = None) -> 
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
+def _json_int(value) -> int:
+    """A certificate's integer field: a JSON integer, not a bool, a float or
+    a string, which ``int()`` would truncate or convert."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def certificate_from_json(text: str) -> WitnessCertificate:
     try:
         doc = json.loads(text)
@@ -446,11 +454,13 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     try:
         kind = doc["kind"]
         alphabet = doc["alphabet"]
-        target = Word(tuple(int(s) for s in doc["target"]), int(alphabet["target_size"]))
+        target = Word(
+            tuple(_json_int(s) for s in doc["target"]), _json_int(alphabet["target_size"])
+        )
         condition = None
         if "condition" in doc and doc["condition"] is not None:
             condition = Word(
-                tuple(int(s) for s in doc["condition"]), int(alphabet["condition_size"])
+                tuple(_json_int(s) for s in doc["condition"]), _json_int(alphabet["condition_size"])
             )
         nfa_doc = doc["nfa"]
         if condition is not None:
@@ -458,11 +468,11 @@ def certificate_from_json(text: str) -> WitnessCertificate:
         else:
             alpha = target.alphabet_size
         nfa = Nfa(
-            int(nfa_doc["states"]),
-            int(nfa_doc["start"]),
-            frozenset(int(q) for q in nfa_doc["accepts"]),
+            _json_int(nfa_doc["states"]),
+            _json_int(nfa_doc["start"]),
+            frozenset(_json_int(q) for q in nfa_doc["accepts"]),
             frozenset(
-                (int(f), int(label), int(t)) for f, label, t in nfa_doc["edges"]
+                (_json_int(f), _json_int(label), _json_int(t)) for f, label, t in nfa_doc["edges"]
             ),
             alpha,
         )
@@ -471,7 +481,7 @@ def certificate_from_json(text: str) -> WitnessCertificate:
             target=target,
             condition=condition,
             nfa=nfa,
-            claimed_states=int(doc["claimed_states"]),
+            claimed_states=_json_int(doc["claimed_states"]),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed certificate document: {e}") from e

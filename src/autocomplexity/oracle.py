@@ -18,12 +18,15 @@ each is justified by the definitions alone:
   between positions, so a structure is scanned once and the set of achievable
   target words is read off as a partition of positions.
 
-Concretely, a structure is one digraph per condition symbol. For each
-structure and accept state the filtered walk counts are computed with a
-saturating DP (vectorized with NumPy across all structures at once; NumPy
-is imported on first use, not with the package); the surviving structures
-are summarized by the partition of word positions that any witnessed target
-must respect.
+Concretely, a structure is one digraph per condition letter, and the
+structures on q states form one grid with an axis of digraphs per letter.
+Forward and backward walk counts, saturated at 2, are broadcast products over
+the whole grid (NumPy, imported on first use, not with the package). For each
+accept state, a structure with one accepting walk (unique) or at least one
+(exact) is summarized by its on-walk cells: the (position, edge) pairs its
+accepting walks use. Positions that share an edge under the same condition
+letter must carry one target letter, which gives the partition of positions
+any witnessed target must respect.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ def _digraph_matrices(q: int) -> np.ndarray:
     return mats
 
 
-def _positions_partition(cells_by_position: list[tuple], n: int) -> tuple[int, ...]:
-    """Union positions that share a cell; return first-occurrence class ids."""
+def _positions_partition(cells: list[tuple[int, tuple]], n: int) -> tuple[int, ...]:
+    """Union positions that share a cell, given as (position, cell) pairs;
+    return first-occurrence class ids."""
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -66,14 +70,10 @@ def _positions_partition(cells_by_position: list[tuple], n: int) -> tuple[int, .
         return i
 
     first_of: dict[tuple, int] = {}
-    for t in range(n):
-        for cell in cells_by_position[t]:
-            if cell in first_of:
-                a, b = find(first_of[cell]), find(t)
-                if a != b:
-                    parent[b] = a
-            else:
-                first_of[cell] = t
+    for t, cell in cells:
+        a, b = find(first_of.setdefault(cell, t)), find(t)
+        if a != b:
+            parent[b] = a
     ids: dict[int, int] = {}
     out = []
     for t in range(n):
@@ -84,135 +84,54 @@ def _positions_partition(cells_by_position: list[tuple], n: int) -> tuple[int, .
 
 @lru_cache(maxsize=256)
 def _scan_partitions(
-    y_symbols: tuple[int, ...], y_alpha: int, q: int, variant: str
+    y_symbols: tuple[int, ...], letters: int, q: int, variant: str
 ) -> frozenset[tuple[int, ...]]:
     """All position partitions achievable by a q-state witness structure.
 
-    ``variant`` is "unique" (exactly one filtered accepting walk) or "exact"
-    (all filtered accepting walks must spell one word). A target x is
-    witnessed at q states iff it is constant on the classes of some returned
-    partition.
+    ``y_symbols`` is a non-empty word over the condition letters
+    0..letters-1 that uses each of them. ``variant`` is "unique" (exactly
+    one filtered accepting walk) or "exact" (all filtered accepting walks
+    must spell one word). A target x is witnessed at q states iff it is
+    constant on the classes of some returned partition.
+
+    The structures form a grid with one axis of digraphs per condition
+    letter: letter c's digraph sits on axis c, so every product below
+    broadcasts over all structures at once. Walk counts are saturated at 2
+    (an entry before saturation is at most 2q, within uint8).
     """
-    n = len(y_symbols)
-    if n == 0:
-        return frozenset({()})
-    if y_alpha == 1:
-        return _scan_one_class(y_symbols, q, variant)
-    if y_alpha == 2:
-        return _scan_two_classes(y_symbols, q, variant)
-    raise ValueError("oracle supports condition alphabets of size at most 2")
-
-
-def _collect(keys: np.ndarray, mask: np.ndarray, y_symbols, q) -> set:
-    """Decode incidence-bit keys of the masked structures into partitions."""
     import numpy as np
 
     n = len(y_symbols)
-    chosen = keys[mask]
-    if chosen.size == 0:
-        return set()
-    rows = np.unique(chosen.reshape(-1, keys.shape[-1]), axis=0)
+    mats = _digraph_matrices(q)
+    axes = [(1,) * c + (len(mats),) + (1,) * (letters - 1 - c) for c in range(letters)]
+    steps = [mats.reshape(axes[c] + (q, q)) for c in y_symbols]
+    fwd = [np.eye(q, dtype=np.uint8)[:1]]  # a row: the walks from start 0
+    for m in steps:
+        fwd.append(np.minimum(fwd[-1] @ m, 2))
+    bwd = [np.eye(q, dtype=np.uint8)]
+    for m in reversed(steps):
+        bwd.insert(0, np.minimum(m @ bwd[0], 2))
+    grid = fwd[n].shape[:-2]
+
     partitions = set()
-    for row in rows:
-        cells_by_position: list[tuple] = []
+    for f in range(q):
+        counts = fwd[n][..., 0, f]
+        chosen = np.nonzero(counts == 1 if variant == "unique" else counts >= 1)
+
+        def pick(a: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(a, grid + a.shape[-2:])[chosen] > 0
+
+        # cells (t, u, v) on an accepting walk: reached, an edge, and on to f
+        cells = np.empty((len(chosen[0]), n, q, q), dtype=bool)
         for t in range(n):
-            cells = []
-            for u in range(q):
-                for v in range(q):
-                    idx = t * q * q + u * q + v
-                    word_i, bit = divmod(idx, 60)
-                    if int(row[word_i]) >> bit & 1:
-                        cells.append((u, v, y_symbols[t]))
-            cells_by_position.append(tuple(cells))
-        partitions.add(_positions_partition(cells_by_position, n))
-    return partitions
-
-
-def _incidence_keys(fwd, bwd, mats_step, n: int, q: int, f: int, words: int):
-    """Pack on-an-accepting-walk bits (t,u,v) into per-structure integer keys."""
-    import numpy as np
-
-    shape = fwd[0].shape[:-1]
-    keys = np.zeros(shape + (words,), dtype=np.uint64)
-    for t in range(n):
-        m = mats_step(t)
-        for u in range(q):
-            fu = fwd[t][..., u] > 0
-            for v in range(q):
-                bit = fu & (m[..., u, v] > 0) & (bwd[t + 1][..., v, f] > 0)
-                idx = t * q * q + u * q + v
-                word_i, off = divmod(idx, 60)
-                keys[..., word_i] |= bit.astype(np.uint64) << np.uint64(off)
-    return keys
-
-
-def _scan_one_class(y_symbols, q, variant):
-    import numpy as np
-
-    n = len(y_symbols)
-    mats = _digraph_matrices(q)
-    fwd = [np.zeros((mats.shape[0], q), dtype=np.uint8)]
-    fwd[0][:, 0] = 1
-    for _t in range(n):
-        step = np.einsum("auv,au->av", mats, fwd[-1])
-        fwd.append(np.minimum(step, 2).astype(np.uint8))
-    bwd = [None] * (n + 1)
-    bwd[n] = np.broadcast_to(np.eye(q, dtype=np.uint8), (mats.shape[0], q, q)).copy()
-    for t in range(n - 1, -1, -1):
-        step = np.einsum("auv,avf->auf", mats, bwd[t + 1])
-        bwd[t] = np.minimum(step, 2).astype(np.uint8)
-
-    words = (n * q * q + 59) // 60
-    partitions = set()
-    for f in range(q):
-        if variant == "unique":
-            mask = fwd[n][:, f] == 1
-        else:
-            mask = fwd[n][:, f] >= 1
-        keys = _incidence_keys(fwd, bwd, lambda t: mats, n, q, f, words)
-        partitions |= _collect(keys, mask, y_symbols, q)
-    return frozenset(partitions)
-
-
-def _scan_two_classes(y_symbols, q, variant):
-    import numpy as np
-
-    n = len(y_symbols)
-    mats = _digraph_matrices(q)
-    nd = mats.shape[0]
-    m_a = mats[:, None, :, :]  # digraph for condition symbol 0, broadcast over b
-    m_b = mats[None, :, :, :]  # digraph for condition symbol 1, broadcast over a
-
-    def step_mat(t):
-        return m_a if y_symbols[t] == 0 else m_b
-
-    fwd = [np.zeros((nd, nd, q), dtype=np.uint8)]
-    fwd[0][:, :, 0] = 1
-    for t in range(n):
-        if y_symbols[t] == 0:
-            step = np.einsum("auv,abu->abv", mats, fwd[-1])
-        else:
-            step = np.einsum("buv,abu->abv", mats, fwd[-1])
-        fwd.append(np.minimum(step, 2).astype(np.uint8))
-    bwd = [None] * (n + 1)
-    eye = np.eye(q, dtype=np.uint8)
-    bwd[n] = np.broadcast_to(eye, (nd, nd, q, q)).copy()
-    for t in range(n - 1, -1, -1):
-        if y_symbols[t] == 0:
-            step = np.einsum("auv,abvf->abuf", mats, bwd[t + 1])
-        else:
-            step = np.einsum("buv,abvf->abuf", mats, bwd[t + 1])
-        bwd[t] = np.minimum(step, 2).astype(np.uint8)
-
-    words = (n * q * q + 59) // 60
-    partitions = set()
-    for f in range(q):
-        if variant == "unique":
-            mask = fwd[n][:, :, f] == 1
-        else:
-            mask = fwd[n][:, :, f] >= 1
-        keys = _incidence_keys(fwd, bwd, step_mat, n, q, f, words)
-        partitions |= _collect(keys, mask, y_symbols, q)
+            reached = pick(fwd[t])[:, 0, :, None] & pick(steps[t])
+            np.logical_and(reached, pick(bwd[t + 1])[:, None, :, f], out=cells[:, t])
+        rows = np.packbits(cells.reshape(len(cells), n * q * q), axis=1)
+        width = rows.shape[1]  # a row as one opaque item: np.unique sorts these far faster
+        for row in np.unique(rows.view(f"V{width}")).view(np.uint8).reshape(-1, width):
+            ts, cs = np.nonzero(np.unpackbits(row, count=n * q * q).reshape(n, q * q))
+            on = [(t, (c, y_symbols[t])) for t, c in zip(ts.tolist(), cs.tolist())]
+            partitions.add(_positions_partition(on, n))
     return frozenset(partitions)
 
 
@@ -243,17 +162,15 @@ def oracle_min_states(query: ComplexityQuery, max_states: int = ORACLE_MAX_STATE
     x = query.target
     n = len(x)
     y = one_class_word(n) if query.condition is None else query.condition
-    if y.alphabet_size > 2 and len(set(y.symbols)) > 2:
+    if y.alphabet_size > 2:
         raise ValueError("oracle supports condition alphabets of size at most 2")
     variant = "unique" if kind.counts == "walks" else "exact"
 
     if n == 0:
         return 1
 
-    # after slow normalization the distinct condition symbols are 0..max
-    effective_alpha = max(y.symbols) + 1
     for q in range(1, max_states + 1):
-        partitions = _scan_partitions(y.symbols, effective_alpha, q, variant)
+        partitions = _scan_partitions(y.symbols, y.alphabet_size, q, variant)
         if any(_compatible(p, x) for p in partitions):
             return q
     return None

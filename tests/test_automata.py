@@ -513,3 +513,44 @@ def test_certificate_json_condition_of_another_length():
     doc["condition"] = doc["condition"][:-1]
     with pytest.raises(ParseError, match="equal length"):
         certificate_from_json(json.dumps(doc))
+
+
+def _tampered(path: tuple, value):
+    """The conditional certificate of ``pair_witness`` as a JSON document with
+    the field at ``path`` replaced by ``value``."""
+    doc = json.loads(certificate_to_json(WitnessCertificate(
+        kind="conditional-unique", target=X12, condition=Y12, nfa=pair_witness(), claimed_states=2,
+    )))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("target",), [0.2, 1.3, 1.9, 0.0] * 3),
+        (("target",), "012301230123"),
+        (("target", 0), True),
+        (("condition", 1), 1.0),
+        (("alphabet", "target_size"), 4.5),
+        (("alphabet", "condition_size"), "6"),
+        (("nfa", "states"), 2.99),
+        (("nfa", "start"), False),
+        (("nfa", "accepts"), [True]),
+        (("nfa", "edges", 0), [0, "0", 0]),
+        (("claimed_states",), 2.99),
+        (("claimed_states",), True),
+    ],
+    ids=[
+        "float-target", "string-target", "bool-letter", "float-condition-letter",
+        "float-target-size", "string-condition-size", "float-states", "bool-start",
+        "bool-accept", "string-label", "float-claim", "bool-claim",
+    ],
+)
+def test_certificate_integer_fields_must_be_json_integers(path, value):
+    """``int()`` would truncate a float and take a bool or a digit string."""
+    with pytest.raises(ParseError, match="is not an integer"):
+        certificate_from_json(_tampered(path, value))

@@ -461,3 +461,27 @@ def test_only_verify_metric_loads_numpy(tmp_path):
     assert report[0] == ["import", 0, False]
     assert report[1:-1] == [[argv[0], 0, False] for argv in commands[:-1]]
     assert report[-1] == ["verify-metric", 0, True]
+
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"target": [0.2, 1.3, 1.9, 0.0], "claimed_states": 3.99},
+        {"target": "0110", "start": False},
+    ],
+    ids=["floats", "string-and-bool"],
+)
+@pytest.mark.parametrize("command", ["check", "export-dot"])
+def test_a_certificate_field_that_is_no_json_integer_exits_3(tmp_path, capsys, command, changes):
+    """Floats that truncate to the ``0110`` certificate's fields, and a digit
+    string and a bool that convert to them, make the document malformed."""
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "complexity", "0110", "--certificate", str(cert_path))
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    for field, value in changes.items():
+        (doc["nfa"] if field == "start" else doc)[field] = value
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(cert_path))
+    assert code == 3 and out == "" and "is not an integer" in err

@@ -1176,4 +1176,7 @@ def test_every_module_memo_is_bounded():
             if hasattr(value, "cache_parameters"):
                 memos.append(name)
                 assert value.cache_parameters()["maxsize"] is not None, f"{info.name}.{name}"
-    assert {"_slow_form", "_word_forms", "_used_word", "_shape_index", "one_class_word"} <= set(memos)
+    assert {
+        "_slow_form", "_word_forms", "_used_word", "_shape_index", "one_class_word",
+        "_scan_partitions",
+    } <= set(memos)
