@@ -31,15 +31,15 @@ most steps before the counts are recounted:
   lowers a count, so such a step would die after the recount too, and the
   nodes and witnesses are those of the full recount.
 
-The three bit tests of a node make one *candidate mask*, computed once per
-node from the edge tables ``used[label][frm]`` and ``paired[cls][frm]`` and the
-image masks (see ``_iter_witness_sequences``). Only its set bits are pushed,
-in ascending order; the refused steps between them are counted in bulk, so
-the node count, and where a budget runs out, are those of a search that
-tries every step. The pair rule refuses nothing the image masks do not: the
-target of a second label of the class from the walk's position is reached
-by another walk, the one there followed by that label's edge (for words, by
-the own word followed by that label).
+The rules of a node make one *candidate mask*, computed once per node from
+the edge table ``used[label][frm]`` and the image masks (see
+``_iter_witness_sequences``). Only its set bits are pushed, in ascending
+order; the refused steps between them are counted in bulk, so the node
+count, and where a budget runs out, are those of a search that tries every
+step. The pair rule refuses nothing the image masks do not, so the mask
+needs no term of its own for it: the target of a second label of the class
+from the walk's position is reached by another walk, the one there followed
+by that label's edge (for words, by the own word followed by that label).
 
 Only a step along a new edge recounts the prefix, and the counter does it
 (its ``push``). A new edge ``frm -> nxt`` adds walks, and only the walks
@@ -476,7 +476,7 @@ def _iter_witness_sequences(
     survives these bit tests is the candidate mask, computed once per
     node::
 
-        (used & ~reuse_fails) | ~(paired | new_fails)   up to bit limit
+        (used & ~reuse_fails) | ~new_fails   up to bit limit
 
     (only its first half for a DFA kind whose ``(s_t, label)`` has an edge).
     The loop visits its set bits in ascending order and counts the refused
@@ -537,7 +537,7 @@ def _iter_witness_sequences(
         reused = used_row[frm]
         cand = reused & ~reuse_fails
         if not (det and reused):
-            cand |= ~(paired_row[frm] | new_fails)
+            cand |= ~new_fails
         cand &= (2 << limit) - 1
         done = -1
         while cand:
@@ -928,8 +928,8 @@ def _group_witnesses(
     ``BudgetExceeded`` with the level being searched as its lower bound,
     since the targets still pending failed every level below it. The target
     columns are bytes, so every target letter must be below 256, as in a
-    slow form of at most 256 letters (``metrics.prefetch`` sends a longer
-    target to ``compute``).
+    slow form of at most 256 letters (``ComplexityProvider.prefetch`` sends
+    a longer target to ``compute``).
     """
     n = len(ys[0]) if ys else 0
     if any(map(n.__ne__, map(len, itertools.chain(ys, *xss)))):
@@ -1003,7 +1003,7 @@ def _group_witnesses(
                 row = steps[t] = succ[a]
                 new_fails, reuse_fails = image(stack[t], t)
                 reused = row[frm]
-                cand = ((reused & ~reuse_fails) | ~(reused | new_fails)) & ((2 << limit) - 1)
+                cand = ((reused & ~reuse_fails) | ~new_fails) & ((2 << limit) - 1)
                 done = -1
                 while cand:
                     low = cand & -cand

@@ -25,8 +25,10 @@ the whole grid (NumPy, imported on first use, not with the package). For each
 accept state, a structure with one accepting walk (unique) or at least one
 (exact) is summarized by its on-walk cells: the (position, edge) pairs its
 accepting walks use. Positions that share an edge under the same condition
-letter must carry one target letter, which gives the partition of positions
-any witnessed target must respect.
+letter must carry one target letter. That relation is one boolean product
+over the distinct on-walk rows, and boolean squarings close it
+transitively; each position's least class member names its class, which
+gives the partition of positions any witnessed target must respect.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .complexity import ComplexityQuery, canonical_query
 from .kinds import KINDS
-from .words import Word, one_class_word
+from .words import Word, one_class_word, slow_symbols
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,30 +58,6 @@ def _digraph_matrices(q: int) -> np.ndarray:
         for v in range(q):
             mats[:, u, v] = (ids >> np.uint64(u * q + v)) & np.uint64(1)
     return mats
-
-
-def _positions_partition(cells: list[tuple[int, tuple]], n: int) -> tuple[int, ...]:
-    """Union positions that share a cell, given as (position, cell) pairs;
-    return first-occurrence class ids."""
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first_of: dict[tuple, int] = {}
-    for t, cell in cells:
-        a, b = find(first_of.setdefault(cell, t)), find(t)
-        if a != b:
-            parent[b] = a
-    ids: dict[int, int] = {}
-    out = []
-    for t in range(n):
-        root = find(t)
-        out.append(ids.setdefault(root, len(ids)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=256)
@@ -112,6 +90,7 @@ def _scan_partitions(
     for m in reversed(steps):
         bwd.insert(0, np.minimum(m @ bwd[0], 2))
     grid = fwd[n].shape[:-2]
+    same = np.equal.outer(y_symbols, y_symbols)
 
     partitions = set()
     for f in range(q):
@@ -128,10 +107,17 @@ def _scan_partitions(
             np.logical_and(reached, pick(bwd[t + 1])[:, None, :, f], out=cells[:, t])
         rows = np.packbits(cells.reshape(len(cells), n * q * q), axis=1)
         width = rows.shape[1]  # a row as one opaque item: np.unique sorts these far faster
-        for row in np.unique(rows.view(f"V{width}")).view(np.uint8).reshape(-1, width):
-            ts, cs = np.nonzero(np.unpackbits(row, count=n * q * q).reshape(n, q * q))
-            on = [(t, (c, y_symbols[t])) for t, c in zip(ts.tolist(), cs.tolist())]
-            partitions.add(_positions_partition(on, n))
+        rows = np.unique(rows.view(f"V{width}")).view(np.uint8).reshape(-1, width)
+        on = np.unpackbits(rows, axis=1, count=n * q * q).reshape(-1, n, q * q).view(bool)
+        # positions t, s join when their walks share an edge under one condition letter;
+        # a path through all n positions has at most n - 1 steps, and squaring k times
+        # closes paths of up to 2^k steps, so n.bit_length() squarings close the relation
+        join = (on @ on.swapaxes(1, 2)) & same
+        for _ in range(n.bit_length()):
+            join = join @ join
+        least = join.argmax(axis=2).astype(np.uint8)  # each position's least class member
+        for row in np.unique(least.view(f"V{n}")).view(np.uint8).reshape(-1, n):
+            partitions.add(slow_symbols(row.tolist()))
     return frozenset(partitions)
 
 

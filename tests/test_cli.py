@@ -90,11 +90,29 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0 and out.startswith("digraph {") and "doublecircle" in out
 
 
+def test_complexity_stats_and_dot_to_stdout(capsys, monkeypatch):
+    monkeypatch.delenv("AUTOCOMPLEXITY_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, "complexity", "0110", "--stats", "--dot", "-")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "A_Nu(0110) = 3"
+    assert lines[1].startswith("explored 40 nodes in ")
+    assert lines[2] == "digraph {" and lines[-1] == "}" and "doublecircle" in out
+
+
 def test_metric_and_verify_metric(capsys):
     code, out, _ = run(capsys, "metric", "j", "00001000", "00001001")
     assert code == 0 and "0.46" in out
     code, out, _ = run(capsys, "verify-metric", "--n", "3", "--kind", "jmax")
     assert code == 0 and "0 violations" in out
+
+
+def test_verify_metric_prints_each_violation(capsys):
+    code, out, _ = run(capsys, "verify-metric", "--n", "8", "--kind", "jmax")
+    lines = out.splitlines()
+    assert code == 6
+    assert lines[0] == "jmax on length-8 representatives (128 words): 28 violations"
+    assert lines[1] == "  triangle: 00100100 00100011 01010100 1.0 0.8613531161467861"
+    assert len(lines) == 29
 
 
 def test_table_formats(capsys):
@@ -173,6 +191,12 @@ def test_search_emergent_command(capsys):
     assert "word(s)" not in out
 
 
+def test_search_emergent_prints_each_word(capsys):
+    code, out, _ = run(capsys, "search-emergent", "--max-len", "7")
+    assert code == 0
+    assert out.splitlines() == ["0001000", "1 word(s) with emergent simplicity up to length 7"]
+
+
 def test_budget_bounds_each_batch_of_a_table(tmp_path, capsys):
     """On ``table`` one budget spans a batch, the search of a whole row,
     not each value: a budget above the nodes of every pair of row 6
@@ -195,6 +219,12 @@ def test_sparse_command(capsys):
     assert "A_Ne(0000110 | 0010100) = 3" in out
     assert "not-unique" in out
     assert "sparse witness that is not a unique-acceptance witness: yes" in out
+
+
+def test_sparse_command_without_a_sparse_non_unique_witness(capsys):
+    code, out, _ = run(capsys, "sparse", "0101")
+    assert code == 0 and out.startswith("A_Ne(0101) = 2, A_Nu(0101) = 2\n")
+    assert out.endswith("sparse witness that is not a unique-acceptance witness: no\n")
 
 
 def test_cache_commands(tmp_path, capsys):

@@ -80,8 +80,9 @@ def _periodic(rng, n):
 
 def test_oracle_matches_search_at_the_bench_lengths():
     """The lengths 7 and 8 the bench's oracle sample reaches: every slow x
-    against two seeded two-letter conditions per length, and the unique kind
-    of seeded slow pair words, which use up to four letters."""
+    against two seeded two-letter conditions per length (conditional-unique)
+    and one (conditional-exact), and the unique kind of seeded slow pair
+    words, which use up to four letters."""
     rng = random.Random(34)
     for n in (7, 8):
         for y in rng.sample([w for w in slow_words(n, 2) if 1 in w.symbols], 2):
@@ -90,6 +91,11 @@ def test_oracle_matches_search_at_the_bench_lengths():
     for _ in range(20):
         pair = slow_normalize(track(_periodic(rng, 8), _periodic(rng, 8)))
         assert agreement(KIND_UNIQUE, pair), str(pair)
+    rng = random.Random(35)
+    for n in (7, 8):
+        y = rng.choice([w for w in slow_words(n, 2) if 1 in w.symbols])
+        for x in slow_words(n, 2):
+            assert agreement(KIND_COND_EXACT, x, y), (str(x), str(y))
 
 
 def raw_min_states(kind, x, y, max_q):
