@@ -13,17 +13,13 @@ from .automata import (
     CountResult,
     Nfa,
     WitnessCertificate,
-    accepts_word,
     certificate_from_json,
     certificate_to_dot,
     certificate_to_json,
-    count_accepted_words,
-    count_accepting_walks,
     count_walks_given_projection,
     count_words_given_projection,
     is_deterministic,
     is_total,
-    product_project,
     product_track,
     to_dot,
     verify_certificate,
@@ -62,7 +58,6 @@ from .metrics import (
     MetricReport,
     classify_unit_distance,
     distribution_table,
-    expected_unit_distance_pairs,
     format_table,
     is_unit_j_distance,
     metric_value,
@@ -72,19 +67,8 @@ from .metrics import (
 from .oracle import oracle_min_states
 from .words import (
     ParseError,
-    Partition,
-    TrackWord,
     Word,
-    contains_kth_power,
-    cyclic_shifts,
-    fractional_power,
-    induced_partition,
-    is_permutation_word,
-    is_primitive,
     is_slow,
-    power,
-    project,
-    refines,
     slow_normalize,
     slow_words,
     track,

@@ -1,4 +1,6 @@
-"""NFA data model, saturating walk/word counting, products, and certificates.
+"""NFA data model, saturating walk and word counts given a condition word,
+the pair-keeping product (``product_track``), and witness certificates with
+their JSON and DOT forms.
 
 All automata here are epsilon-free NFAs over integer label alphabets. Counting
 operations saturate at a caller-supplied cap (default 2) because every check in
@@ -7,8 +9,8 @@ this package only distinguishes 0, 1, and "2 or more".
 Conditional counting treats the NFA's alphabet as a product alphabet whose
 first factor is a condition alphabet: a label encodes the pair
 ``(condition_symbol, target_symbol)`` as ``condition_symbol * target_size +
-target_symbol``. The unconditional counts are the conditional ones given
-the one-letter word ``0^n``.
+target_symbol``, as ``words.track`` does. The unconditional counts are the
+conditional ones given the one-letter word ``0^n``.
 
 Walks and words are both counted as runs, in one forward pass
 (``_count_runs``). A walk's run moves over the states. A word's run moves
@@ -85,31 +87,6 @@ class CountResult:
     count: int
     cap: int
     reconstruction: Word | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.count < self.cap
-
-
-def count_accepting_walks(m: Nfa, n: int, cap: int = 2) -> CountResult:
-    """Count length-n walks from the start to an accept state: the walks
-    given the one-letter condition ``0^n``, over which the NFA's alphabet is
-    the pair alphabet.
-
-    Parallel edges (same endpoints, different labels) count separately; the
-    labels themselves are otherwise ignored.
-    """
-    return count_walks_given_projection(m, one_class_word(n), cap)
-
-
-def accepts_word(m: Nfa, w: Word) -> bool:
-    """True iff some walk from the start spells w and ends in an accept state."""
-    current = {m.start}
-    for a in w.symbols:
-        current = {to for frm, label, to in m.edges if label == a and frm in current}
-        if not current:
-            return False
-    return bool(current & m.accepts)
 
 
 def _count_runs(start, steps, y: Word, accepting, second: int, cap: int) -> CountResult:
@@ -200,12 +177,6 @@ class _ImageSteps(dict):
         return out
 
 
-def count_accepted_words(m: Nfa, n: int, cap: int = 2) -> CountResult:
-    """Count distinct words of length n in L(M): the words given the
-    one-letter condition ``0^n``."""
-    return count_words_given_projection(m, one_class_word(n), cap)
-
-
 def _split_product_alphabet(m: Nfa, condition_alphabet: int) -> int:
     if condition_alphabet < 1 or m.alphabet_size % condition_alphabet != 0:
         raise ValueError(
@@ -225,21 +196,16 @@ def count_walks_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     if cap < 2:
         raise ValueError("cap must be at least 2")
     second = _split_product_alphabet(m, y.alphabet_size)
-    # rows[c][q]: the (target, second letter) edges out of q on condition letter c
-    no_steps = [()] * m.state_count
-    rows = [list(no_steps) for _ in range(y.alphabet_size)]
+    # rows[c][q]: the (target, second letter) edges out of q on condition
+    # letter c, held for the start and the states of the edges only, the
+    # states a run can reach, as the state count may be huge
+    no_steps = {m.start: ()}
+    for frm, _, to in m.edges:
+        no_steps[frm] = no_steps[to] = ()
+    rows = [dict(no_steps) for _ in range(y.alphabet_size)]
     for frm, label, to in m.edges:
         rows[label // second][frm] += ((to, label % second),)
     return _count_runs(m.start, rows, y, m.accepts.__contains__, second, cap)
-
-
-def product_project(m1: Nfa, m2: Nfa) -> Nfa:
-    """The label-erasing product: ``product_track`` with each pair label
-    (b, a) cut to its second coordinate a."""
-    pairs = product_track(m1, m2)
-    second = m1.alphabet_size // m2.alphabet_size
-    edges = frozenset((frm, label % second, to) for frm, label, to in pairs.edges)
-    return Nfa(pairs.state_count, pairs.start, pairs.accepts, edges, second)
 
 
 def product_track(m1: Nfa, m2: Nfa) -> Nfa:
@@ -335,16 +301,9 @@ class WitnessCertificate:
             raise ValueError("claimed_states must equal the NFA state count")
         if (condition is not None) != kind.conditional:
             raise ValueError("condition must be present exactly for conditional kinds")
-        # normalize Word subclasses so that round-trips compare equal
-        if type(target) is not Word:
-            target = Word(target.symbols, target.alphabet_size)
-            object.__setattr__(self, "target", target)
         if condition is not None:
             if len(condition.symbols) != len(target.symbols):
                 raise ValueError("condition and target must have equal length")
-            if type(condition) is not Word:
-                condition = Word(condition.symbols, condition.alphabet_size)
-                object.__setattr__(self, "condition", condition)
             expected = condition.alphabet_size * target.alphabet_size
         else:
             expected = target.alphabet_size

@@ -14,10 +14,11 @@ written over) and each distinct walk once, then builds its lines from
 those strings.
 
 The file is append-only; ``compact()`` rewrites it atomically. A corrupt line,
-a line that does not decode as ASCII among them, is skipped with a warning,
-never served. The cache holds records only: ``complexity.compute`` checks
-each hit before serving it, and ``audit()`` checks every line in full and
-also proves every record minimal.
+a line that does not decode as ASCII or has a field that ``put_many`` would
+write otherwise among them, is skipped with a warning, never served. The
+cache holds records only: ``complexity.compute`` checks each hit before
+serving it, and ``audit()`` checks every line in full and also proves every
+record minimal.
 """
 
 from __future__ import annotations
@@ -49,21 +50,18 @@ def format_symbols(symbols: tuple[int, ...], alphabet_size: int) -> str:
     return f"{sep.join(map(str, symbols))}@{alphabet_size}"
 
 
-def format_word(w: Word) -> str:
-    return format_symbols(w.symbols, w.alphabet_size)
-
-
 def parse_word(text: str) -> Word:
-    body, sep, alpha = text.rpartition("@")
-    if not sep or not alpha:
-        raise ValueError(f"word field {text!r} lacks an alphabet suffix")
+    """The word of a word field, which must be as ``format_symbols`` writes it."""
+    body, _, alpha = text.rpartition("@")
     alphabet_size = int(alpha)
     if not body:
         symbols: tuple[int, ...] = ()
-    elif alphabet_size > 10 or "." in body:
+    elif alphabet_size > 10:
         symbols = tuple(int(p) for p in body.split("."))
     else:
         symbols = tuple(int(c) for c in body)
+    if format_symbols(symbols, alphabet_size) != text:
+        raise ValueError(f"word field {text!r} is not as the writer formats it")
     return Word(symbols, alphabet_size)
 
 
@@ -72,17 +70,25 @@ def _records(path: Path):
     cache file.
 
     A line is valid when it is ASCII, its kind and words make a
-    ``ComplexityQuery`` and its sequence is a slow walk of one step per
-    letter; other lines are skipped with a warning. Each distinct word field
-    and each distinct slow walk is parsed once per file, and the records
-    share them.
+    ``ComplexityQuery``, its sequence is a slow walk of one step per letter,
+    and each word, value and state is written as ``put_many`` writes it;
+    other lines are skipped with a warning. Each distinct word field, value
+    and slow walk is parsed and checked once per file, and the records share
+    them.
     """
     # a field that fails raises again on every line that holds it
     word = functools.cache(parse_word)
 
     @functools.cache
+    def number(text: str) -> int:
+        value = int(text)
+        if str(value) != text:
+            raise ValueError(f"{text!r} is not written as an integer is")
+        return value
+
+    @functools.cache
     def walk(text: str) -> tuple[int, ...]:
-        sequence = tuple(int(s) for s in text.split(","))
+        sequence = tuple(map(number, text.split(",")))
         if not is_slow(Word(sequence, len(sequence))):
             raise ValueError("the sequence is not a slow walk")
         return sequence
@@ -90,7 +96,7 @@ def _records(path: Path):
     # a byte outside ASCII decodes to a lone surrogate, which fails its line only
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.rstrip("\n")
             if not line:
                 continue
             try:
@@ -101,7 +107,7 @@ def _records(path: Path):
                 sequence = walk(seq)
                 if len(sequence) != len(query.target) + 1:
                     raise ValueError("the sequence is not a walk over the word")
-                record = query, int(value), sequence, lineno, line + "\n"
+                record = query, number(value), sequence, lineno, line + "\n"
             except (ValueError, IndexError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {path}")
                 continue

@@ -232,10 +232,9 @@ class _WalkCounts:
     one to one, so its walk counts are its word counts.
     """
 
-    __slots__ = ("q", "used", "paired", "steps", "det")
+    __slots__ = ("used", "paired", "steps", "det")
 
     def __init__(self, q: int, labels: Word, classes: Word, deterministic: bool):
-        self.q = q
         self.used = [[0] * q for _ in range(labels.alphabet_size)]
         self.paired = [[0] * q for _ in range(classes.alphabet_size)]
         # per step, the successor table of its class

@@ -41,7 +41,7 @@ from .complexity import (
     key_query,
     max_complexity,
 )
-from .words import Word, fractional_power, slow_words
+from .words import Word, slow_words
 
 if TYPE_CHECKING:
     import numpy as np
@@ -502,10 +502,6 @@ class DistributionRow:
         best = max(range(len(self.counts)), key=lambda i: self.counts[i])
         return best + 1
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def _tally(values) -> tuple[int, ...]:
     counts: dict[int, int] = {}
@@ -638,18 +634,3 @@ def _unit_pairs(pairs: list[tuple[Word, Word]], provider: ComplexityProvider) ->
         )
     )
     return {frozenset({x, y}) for x, y in pairs if is_unit_j_distance(x, y, provider)}
-
-
-def expected_unit_distance_pairs(n: int) -> set[frozenset[Word]]:
-    """The classification the searches are compared against for n <= 12:
-    every pair containing 0^n and, from length 10 on, the alternating word
-    paired with a period-3 word."""
-    zero = Word((0,) * n, 2)
-    pairs = {
-        frozenset({zero, w}) for w in slow_words(n, 2) if w != zero
-    }
-    if n >= 10:
-        alternating = fractional_power(Word.parse("01"), n)
-        for base in ("001", "010", "011"):
-            pairs.add(frozenset({alternating, fractional_power(Word.parse(base), n)}))
-    return pairs

@@ -19,11 +19,8 @@ from autocomplexity import (
     Nfa,
     WitnessCertificate,
     compute,
-    contains_kth_power,
-    is_primitive,
     max_complexity,
     oracle_min_states,
-    power,
     product_track,
     search_emergent,
     sparse_witness_report,
@@ -34,12 +31,12 @@ from autocomplexity.metrics import (
     MetricKind,
     classify_unit_distance,
     distribution_table,
-    expected_unit_distance_pairs,
     metric_value,
     sample_distribution,
     verify_metric,
 )
 from autocomplexity.words import Word, slow_words, track
+from reference import contains_kth_power, expected_unit_distance_pairs, is_primitive, power
 
 APPENDIX_ROWS = {
     0: (1,),

@@ -8,24 +8,21 @@ from autocomplexity.automata import (
     CapacityError,
     Nfa,
     WitnessCertificate,
-    accepts_word,
     certificate_from_json,
     certificate_to_dot,
     certificate_to_json,
-    count_accepted_words,
-    count_accepting_walks,
     count_walks_given_projection,
     count_words_given_projection,
     is_deterministic,
     is_total,
-    product_project,
     product_track,
     to_dot,
     verify_certificate,
     walk_nfa,
 )
 from autocomplexity.kinds import KINDS
-from autocomplexity.words import ParseError, Word, track
+from autocomplexity.words import ParseError, Word, one_class_word, track
+from reference import accepts_word, product_project
 
 
 def two_state_example():
@@ -62,21 +59,21 @@ def test_nfa_validation():
 
 def test_two_state_example_counts():
     m = two_state_example()
-    assert count_accepting_walks(m, 2).count == 2
-    assert count_accepted_words(m, 2).count == 1
-    assert count_accepted_words(m, 2).reconstruction == Word.parse("00", 1)
+    assert count_walks_given_projection(m, one_class_word(2)).count == 2
+    assert count_words_given_projection(m, one_class_word(2)).count == 1
+    assert count_words_given_projection(m, one_class_word(2)).reconstruction == Word.parse("00", 1)
 
 
 def test_walk_count_trivia():
     lonely = Nfa(1, 0, frozenset({0}), frozenset(), 2)
-    assert count_accepting_walks(lonely, 0).count == 1
+    assert count_walks_given_projection(lonely, one_class_word(0)).count == 1
     # a 2-cycle has no odd closed walks
     cyc = Nfa(2, 0, frozenset({0}), frozenset({(0, 0, 1), (1, 1, 0)}), 2)
-    assert count_accepting_walks(cyc, 3).count == 0
+    assert count_walks_given_projection(cyc, one_class_word(3)).count == 0
     no_accepts = Nfa(2, 0, frozenset(), frozenset({(0, 0, 1)}), 2)
-    assert count_accepted_words(no_accepts, 1).count == 0
+    assert count_words_given_projection(no_accepts, one_class_word(1)).count == 0
     with pytest.raises(ValueError):
-        count_accepting_walks(lonely, 1, cap=1)
+        count_walks_given_projection(lonely, one_class_word(1), cap=1)
 
 
 def test_conditional_walk_counting_on_pair_witness():
@@ -96,7 +93,7 @@ def test_conditional_walk_counting_saturates():
     # loops (0,0) and (0,1): two choices per step once y is constant 0
     m = Nfa(1, 0, frozenset({0}), frozenset({(0, 0, 0), (0, 1, 0)}), 2)
     r = count_walks_given_projection(m, Word.parse("00", 1))
-    assert r.count == 2 and not r.exact and r.reconstruction is None
+    assert r.count == r.cap == 2 and r.reconstruction is None
 
 
 def test_conditional_word_counting():
@@ -133,7 +130,7 @@ def test_product_project_recovers_target_automaton():
     assert prod.state_count == 12
     assert prod.alphabet_size == 4
     assert accepts_word(prod, X12)
-    assert count_accepting_walks(prod, 12).count == 1
+    assert count_walks_given_projection(prod, one_class_word(12)).count == 1
 
 
 def test_product_track_builds_pair_certificate():
@@ -279,7 +276,11 @@ def random_nfa(data, max_states=3):
 def test_words_never_outnumber_walks(data):
     m = random_nfa(data)
     n = data.draw(st.integers(0, 6))
-    assert count_accepted_words(m, n, cap=64).count <= count_accepting_walks(m, n, cap=64).count
+    condition = one_class_word(n)
+    assert (
+        count_words_given_projection(m, condition, cap=64).count
+        <= count_walks_given_projection(m, condition, cap=64).count
+    )
 
 
 def test_words_never_outnumber_walks_exhaustive_tiny():
@@ -289,8 +290,8 @@ def test_words_never_outnumber_walks_exhaustive_tiny():
         m = Nfa(1, 0, frozenset({0}), edges, 2)
         for n in range(5):
             assert (
-                count_accepted_words(m, n, cap=64).count
-                <= count_accepting_walks(m, n, cap=64).count
+                count_words_given_projection(m, one_class_word(n), cap=64).count
+                <= count_walks_given_projection(m, one_class_word(n), cap=64).count
             )
 
 
@@ -306,7 +307,7 @@ def test_diagonal_conditional_identity():
 def test_subset_capacity_limit():
     big = Nfa(25, 0, frozenset({0}), frozenset(), 2)
     with pytest.raises(CapacityError):
-        count_accepted_words(big, 3)
+        count_words_given_projection(big, one_class_word(3))
 
 
 def test_certificate_validation():
@@ -353,7 +354,7 @@ def reference_verify(cert: WitnessCertificate) -> tuple[bool, str]:
     kind = cert.kind
 
     def exact_check() -> tuple[bool, str]:
-        r = count_accepted_words(m, n)
+        r = count_words_given_projection(m, one_class_word(n))
         if r.count != 1:
             return False, f"distinct accepted word count is {r.count}, want 1"
         if r.reconstruction != cert.target:
@@ -363,7 +364,7 @@ def reference_verify(cert: WitnessCertificate) -> tuple[bool, str]:
     if kind == "unique":
         if not accepts_word(m, cert.target):
             return False, "target is not accepted"
-        r = count_accepting_walks(m, n)
+        r = count_walks_given_projection(m, one_class_word(n))
         if r.count != 1:
             return False, f"accepting walk count is {r.count}, want 1"
         return True, "ok"

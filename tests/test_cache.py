@@ -16,7 +16,7 @@ from autocomplexity import (
 )
 from autocomplexity import cache as cache_module
 from autocomplexity import complexity as complexity_module
-from autocomplexity.cache import format_word, parse_word
+from autocomplexity.cache import format_symbols, parse_word
 from autocomplexity.cli import main
 from autocomplexity.kinds import KINDS
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
@@ -40,7 +40,7 @@ def test_word_field_round_trip():
         Word((12,), 13),
         Word.parse("0123456789"),
     ]:
-        assert parse_word(format_word(w)) == w
+        assert parse_word(format_symbols(w.symbols, w.alphabet_size)) == w
     with pytest.raises(ValueError):
         parse_word("0101")
 
@@ -63,8 +63,9 @@ LINE_KEYS = [
 def reference_line(key, value, sequence):
     """The line of a record, built from the words of ``key_query(key)``."""
     query = complexity_module.key_query(key)
-    condition = "-" if query.condition is None else format_word(query.condition)
-    return f"{query.kind}\t{format_word(query.target)}\t{condition}\t{value}\t{','.join(map(str, sequence))}\n"
+    target, condition = query.target, query.condition
+    condition = "-" if condition is None else format_symbols(condition.symbols, condition.alphabet_size)
+    return f"{query.kind}\t{format_symbols(target.symbols, target.alphabet_size)}\t{condition}\t{value}\t{','.join(map(str, sequence))}\n"
 
 
 def test_lines_are_written_from_the_key_symbols():
@@ -181,6 +182,31 @@ def test_corrupt_lines_skipped(tmp_path):
     assert len(fresh) == 1
     result = compute(q_plain("0010"), cache=fresh)
     assert result.value == 3 and verify_certificate(result.certificate)[0]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "unique\t0100@2\t-\t0_3\t0,1,0,1,2",
+        "unique\t0100@2\t-\t+3\t0,1,0,1,2",
+        "unique\t0100@2\t-\t 3\t0,1,0,1,2",
+        "unique\t0100@2\t-\t3\t0, 1,0,1,2",
+        "unique\t0.1.0.0@2\t-\t3\t0,1,0,1,2",
+        " unique\t0100@2\t-\t3\t0,1,0,1,2 ",
+    ],
+    ids=[
+        "underscore-value", "signed-value", "spaced-value", "spaced-walk", "dotted-binary-word",
+        "spaced-line",
+    ],
+)
+def test_a_line_the_writer_would_not_write_is_a_corrupt_line(tmp_path, line):
+    """``int()`` takes these fields, but ``put_many`` writes each word with
+    ``format_symbols`` and each value and state as ``str`` of an int: the
+    line ``unique 0100@2 - 3 0,1,0,1,2`` with one field written otherwise,
+    or with spaces around it, is not served."""
+    cache = cache_holding(tmp_path / "cache", ["unique\t0100@2\t-\t3\t0,1,0,1,2\n", line + "\n"])
+    with pytest.warns(UserWarning, match="skipping corrupt cache line 2"):
+        assert len(cache) == 1
 
 
 def test_a_line_that_does_not_decode_is_a_corrupt_line(tmp_path, capsys):

@@ -439,6 +439,21 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert code == 5
 
 
+def test_check_of_a_huge_state_count_keeps_no_slot_per_state(tmp_path, capsys):
+    """The walk count steps only from the states that have edges, so a
+    unique certificate for ``01`` that claims 10^30 states is checked, not
+    refused with a traceback or a list of 10^30 slots."""
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "complexity", "01", "--certificate", str(cert_path))
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    assert doc["kind"] == "unique"
+    doc["nfa"]["states"] = doc["claimed_states"] = 10**30
+    cert_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", str(cert_path))
+    assert code == 0 and out.startswith(f"OK: unique witness with {10**30} state(s) for 01")
+
+
 def test_determinism_same_invocation(capsys):
     one = run(capsys, "table", "--n", "3", "--format", "csv")
     two = run(capsys, "table", "--n", "3", "--format", "csv")

@@ -59,7 +59,8 @@ from autocomplexity.complexity import (
 )
 from autocomplexity.kinds import KINDS
 from autocomplexity.metrics import ComplexityProvider, MetricKind, distribution_table, verify_metric
-from autocomplexity.words import Word, all_relabelings, slow_words, track
+from autocomplexity.words import Word, slow_words, track
+from reference import all_relabelings
 
 UNCONDITIONAL = (KIND_UNIQUE, KIND_EXACT, KIND_DET_PARTIAL, KIND_DET_TOTAL)
 CONDITIONAL = (KIND_COND_UNIQUE, KIND_COND_EXACT)
@@ -418,8 +419,8 @@ def row_records(letters, max_len):
 def reference_record_check(query, value, sequence):
     """The full check of the record ``(value, sequence)`` of ``query`` built
     as it was before the first sight was made lean: the labels are the
-    ``TrackWord`` of ``track(condition, target)`` (the target for the
-    unique kind), the walk NFA's edges are indexed, and its certificate
+    pair word ``track(condition, target)`` (the target for the unique
+    kind), the walk NFA's edges are indexed, and its certificate
     must verify and have ``value`` states. The certificate, else None."""
     labels = query.target if query.condition is None else track(query.condition, query.target)
     edges = frozenset((sequence[i], labels[i], sequence[i + 1]) for i in range(len(labels)))

@@ -4,24 +4,14 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from autocomplexity.words import (
-    ParseError,
-    Partition,
-    Word,
+from autocomplexity.words import ParseError, Word, is_slow, slow_normalize, slow_words, track
+from reference import (
     all_relabelings,
     contains_kth_power,
     cyclic_shifts,
     fractional_power,
-    induced_partition,
-    is_permutation_word,
     is_primitive,
-    is_slow,
     power,
-    project,
-    refines,
-    slow_normalize,
-    slow_words,
-    track,
 )
 
 words = st.builds(
@@ -59,13 +49,21 @@ def test_word_validation():
         Word((), 0)
 
 
+@pytest.mark.parametrize("text, alphabet_size", [("", 0), ("0", 0), ("01", -1)])
+def test_parse_refuses_an_empty_alphabet_as_word_does(text, alphabet_size):
+    """An alphabet size below 1 is ``Word``'s error, not one about the
+    symbols, and not a ``max`` of no symbols."""
+    with pytest.raises(ValueError, match="^alphabet_size must be at least 1$"):
+        Word.parse(text, alphabet_size)
+
+
 def test_track_pairs_and_errors():
     t = track(Word.parse("01"), Word.parse("01"))
-    assert t.pairs() == ((0, 0), (1, 1))
+    assert [divmod(s, 2) for s in t.symbols] == [(0, 0), (1, 1)]
     assert t.alphabet_size == 4
-    assert str(t) == "(0,0)(1,1)"
-    for g, d in t.pairs():
-        assert t.decode(t.encode(g, d)) == (g, d)
+    assert str(t) == "03"
+    for g, d in itertools.product(range(2), repeat=2):
+        assert divmod(track(Word((g,), 2), Word((d,), 2)).symbols[0], 2) == (g, d)
     with pytest.raises(ValueError):
         track(Word.parse("01"), Word.parse("0"))
     assert track(Word.parse("", 2), Word.parse("", 2)).symbols == ()
@@ -75,25 +73,28 @@ def test_track_matches_componentwise_pairs():
     x = Word.parse("010010010010", 2)
     y = Word.parse("010101010101", 2)
     t = track(x, y)
-    assert t.pairs() == tuple(zip(x.symbols, y.symbols))
+    assert tuple(divmod(s, 2) for s in t.symbols) == tuple(zip(x.symbols, y.symbols))
+
+
+def pairs(t: Word, second: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first and second coordinate symbols of the pair word t."""
+    return tuple(zip(*(divmod(s, second) for s in t.symbols))) or ((), ())
 
 
 def test_projections_round_trip():
     x, y = Word.parse("0011"), Word.parse("0101")
-    assert project(track(x, y), 1) == x
-    assert project(track(x, y), 2) == y
+    assert pairs(track(x, y), 2) == (x.symbols, y.symbols)
     empty = track(Word.parse("", 2), Word.parse("", 2))
-    assert project(empty, 1) == Word((), 2)
-    with pytest.raises(ValueError):
-        project(empty, 3)
+    assert empty == Word((), 4)
+    assert pairs(empty, 2) == ((), ())
 
 
 @given(words, st.lists(st.integers(0, 3), max_size=10))
 def test_track_project_round_trip_random(x, other_syms):
     y = Word(tuple(s % 3 for s in other_syms[: len(x)]) + (0,) * max(0, len(x) - len(other_syms)), 3)
     t = track(x, y)
-    assert project(t, 1) == x
-    assert project(t, 2) == y
+    assert t.alphabet_size == x.alphabet_size * 3
+    assert pairs(t, 3) == (x.symbols, y.symbols)
 
 
 def test_slow_normalize_examples():
@@ -114,7 +115,12 @@ def test_slow_normalize_idempotent_and_partition_preserving(w):
     s = slow_normalize(w)
     assert is_slow(s)
     assert slow_normalize(s) == s
-    assert induced_partition(s) == induced_partition(w)
+    assert positions_by_letter(s) == positions_by_letter(w)
+
+
+def positions_by_letter(w: Word) -> set[tuple[int, ...]]:
+    """The partition of w's positions that w's letters induce."""
+    return {tuple(i for i, s in enumerate(w.symbols) if s == a) for a in set(w.symbols)}
 
 
 def test_is_slow():
@@ -122,29 +128,6 @@ def test_is_slow():
     assert not is_slow(Word.parse("10"))
     assert is_slow(Word.parse("012012"))
     assert is_slow(Word.parse("", 1))
-
-
-def test_induced_partition_and_refines():
-    p = induced_partition(Word.parse("0101"))
-    assert set(p.classes) == {frozenset({0, 2}), frozenset({1, 3})}
-    singletons = induced_partition(Word.parse("0123"))
-    assert refines(singletons, induced_partition(Word.parse("0101")))
-    assert not refines(induced_partition(Word.parse("0101")), induced_partition(Word.parse("0011")))
-    with pytest.raises(ValueError):
-        refines(induced_partition(Word.parse("01")), induced_partition(Word.parse("010")))
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(2, (frozenset({0}),))
-    with pytest.raises(ValueError):
-        Partition(2, (frozenset({0, 1}), frozenset({1})))
-
-
-def test_permutation_words():
-    assert is_permutation_word(Word.parse("0123"))
-    assert not is_permutation_word(Word.parse("010"))
-    assert is_permutation_word(Word.parse("", 1))
 
 
 def test_power_and_kth_power_detection():
@@ -173,7 +156,7 @@ def test_track_of_permutation_powers_is_permutation_word():
             beta = Word(tuple(range(b)), b)
             m = lcm(a, b)
             t = track(power(alpha, m // a), power(beta, m // b))
-            assert is_permutation_word(t)
+            assert len(set(t.symbols)) == len(t.symbols)
 
 
 def test_primitivity_and_cyclic_shifts():
