@@ -27,7 +27,6 @@ from .automata import (
 )
 from .cache import ResultCache
 from .complexity import (
-    Budget,
     BudgetExceeded,
     ComplexityQuery,
     ComplexityResult,

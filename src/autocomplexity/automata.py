@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .kinds import KIND_DET_TOTAL, KINDS
-from .words import ParseError, Word, one_class_word
+from .words import ParseError, Word, is_slow, one_class_word
 
 SUBSET_STATE_LIMIT = 24
 
@@ -99,6 +99,8 @@ def _count_runs(start, steps, y: Word, accepting, second: int, cap: int) -> Coun
     second-coordinate word of one run that reaches it. A total of 1 leaves
     one accepting end with one run, whose word is the reconstruction.
     """
+    if cap < 2:
+        raise ValueError("cap must be at least 2")
     # a word is kept reversed as nested pairs (last letter, the word before)
     layer = {start: (1, None)}
     for c in y.symbols:
@@ -135,8 +137,6 @@ def count_words_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     set is one step. The reconstruction is the single word's second
     projection.
     """
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
     if m.state_count > SUBSET_STATE_LIMIT:
         raise CapacityError(
             f"subset construction limited to {SUBSET_STATE_LIMIT} states, "
@@ -193,8 +193,6 @@ def count_walks_given_projection(m: Nfa, y: Word, cap: int = 2) -> CountResult:
     is the condition letter. When exactly one such walk exists, its
     second-coordinate word is reconstructed.
     """
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
     second = _split_product_alphabet(m, y.alphabet_size)
     # rows[c][q]: the (target, second letter) edges out of q on condition
     # letter c, held for the start and the states of the edges only, the
@@ -251,30 +249,23 @@ def walk_nfa(states: Sequence[int], labels: Word) -> Nfa:
         raise ValueError("state sequence must be nonempty")
     if len(states) != len(symbols) + 1:
         raise ValueError("state sequence must be one longer than the label word")
-    top = -1
-    for s in states:
-        if s > top:
-            if s > top + 1:
-                raise ValueError(f"state sequence {states} is not slow")
-            top = s
+    if not is_slow(states):
+        raise ValueError(f"state sequence {states} is not slow")
     edges = frozenset(zip(states, symbols, states[1:]))
-    return Nfa(top + 1, states[0], frozenset({states[-1]}), edges, labels.alphabet_size)
+    return Nfa(max(states) + 1, states[0], frozenset({states[-1]}), edges, labels.alphabet_size)
+
+
+def _defined(m: Nfa) -> int:
+    """The number of (state, label) pairs with an edge out of them."""
+    return len({(frm, label) for frm, label, _to in m.edges})
 
 
 def is_deterministic(m: Nfa) -> bool:
-    seen: set[tuple[int, int]] = set()
-    for frm, label, _to in m.edges:
-        if (frm, label) in seen:
-            return False
-        seen.add((frm, label))
-    return True
+    return _defined(m) == len(m.edges)
 
 
 def is_total(m: Nfa) -> bool:
-    seen = {(frm, label) for frm, label, _to in m.edges}
-    return all(
-        (q, a) in seen for q in range(m.state_count) for a in range(m.alphabet_size)
-    )
+    return _defined(m) == m.state_count * m.alphabet_size
 
 
 @dataclass(frozen=True)
@@ -349,7 +340,10 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, str]:
 def to_dot(m: Nfa, second_factor_size: int | None = None) -> str:
     """Render the NFA as a DOT digraph with a start marker and doubled accepts.
 
-    Pass second_factor_size to render pair labels as (first,second) tuples.
+    A state gets a line of its own when it is the start, an accept or an
+    edge's endpoint, in ascending order; the others, which no walk reaches,
+    are left out, so a huge claimed state count costs nothing. Pass
+    second_factor_size to render pair labels as (first,second) tuples.
     """
 
     def fmt(label: int) -> str:
@@ -359,7 +353,10 @@ def to_dot(m: Nfa, second_factor_size: int | None = None) -> str:
         return str(label)
 
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=none, label=""];']
-    for q in range(m.state_count):
+    named = {m.start, *m.accepts}
+    for frm, _, to in m.edges:
+        named.update((frm, to))
+    for q in sorted(named):
         shape = "doublecircle" if q in m.accepts else "circle"
         lines.append(f"  q{q} [shape={shape}];")
     lines.append(f"  __start -> q{m.start};")

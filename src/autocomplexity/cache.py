@@ -71,13 +71,21 @@ def _records(path: Path):
 
     A line is valid when it is ASCII, its kind and words make a
     ``ComplexityQuery``, its sequence is a slow walk of one step per letter,
-    and each word, value and state is written as ``put_many`` writes it;
-    other lines are skipped with a warning. Each distinct word field, value
-    and slow walk is parsed and checked once per file, and the records share
-    them.
+    and each word, value and state is written as ``put_many`` writes it:
+    every word over the letters it uses, but det-total's target, whose
+    alphabet size is part of its key. Other lines are skipped with a
+    warning. Each distinct word field, value and slow walk is parsed and
+    checked once per file, and the records share them.
     """
     # a field that fails raises again on every line that holds it
     word = functools.cache(parse_word)
+
+    @functools.cache
+    def used(text: str) -> Word:
+        w = word(text)
+        if w.alphabet_size != max(w.symbols, default=0) + 1:
+            raise ValueError(f"word field {text!r} is not over the letters it uses")
+        return w
 
     @functools.cache
     def number(text: str) -> int:
@@ -89,7 +97,7 @@ def _records(path: Path):
     @functools.cache
     def walk(text: str) -> tuple[int, ...]:
         sequence = tuple(map(number, text.split(",")))
-        if not is_slow(Word(sequence, len(sequence))):
+        if not is_slow(sequence):
             raise ValueError("the sequence is not a slow walk")
         return sequence
 
@@ -103,7 +111,8 @@ def _records(path: Path):
                 if not line.isascii():
                     raise ValueError("the line is not ASCII")
                 kind, target, condition, value, seq = line.split("\t")
-                query = ComplexityQuery(kind, word(target), None if condition == "-" else word(condition))
+                x = word(target) if kind == KIND_DET_TOTAL else used(target)
+                query = ComplexityQuery(kind, x, None if condition == "-" else used(condition))
                 sequence = walk(seq)
                 if len(sequence) != len(query.target) + 1:
                     raise ValueError("the sequence is not a walk over the word")

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+import time
 
 from .automata import (
     CapacityError,
@@ -30,7 +31,6 @@ from .automata import (
 )
 from .cache import ResultCache
 from .complexity import (
-    Budget,
     BudgetExceeded,
     ComplexityQuery,
     compute,
@@ -91,10 +91,13 @@ def _write(path: str, text: str) -> None:
 def _report(args, query: ComplexityQuery, label: str) -> int:
     """Compute ``query`` and print its value as ``symbol(label)``, then the
     ``--stats`` line and the ``--certificate`` and ``--dot`` outputs."""
-    result = compute(query, Budget(max_states=args.max_states, max_nodes=args.budget), _cache(args))
+    cache = _cache(args)
+    started = time.perf_counter()
+    result = compute(query, cache, max_states=args.max_states, max_nodes=args.budget)
+    elapsed = time.perf_counter() - started
     print(f"{KINDS[query.kind].symbol}({label}) = {result.value}")
     if args.stats:
-        print(f"explored {result.explored} nodes in {result.elapsed:.3f}s")
+        print(f"explored {result.explored} nodes in {elapsed:.3f}s")
     if args.certificate:
         _write(args.certificate, certificate_to_json(result.certificate, indent=2) + "\n")
     if args.dot:
@@ -115,7 +118,7 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    kind = MetricKind.parse(args.kind)
+    kind = MetricKind(args.kind)
     x = _parse_word(args.x, None)
     y = _parse_word(args.y, None)
     value = metric_value(kind, x, y, _provider(args), det_baseline=args.det_baseline)
@@ -124,7 +127,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_verify_metric(args) -> int:
-    kind = MetricKind.parse(args.kind)
+    kind = MetricKind(args.kind)
     report = verify_metric(args.n, kind, _provider(args), tolerance=args.tolerance)
     print(
         f"{args.kind} on length-{args.n} representatives "
@@ -169,11 +172,10 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     provider = _provider(args)
     if args.sample is not None:
-        row = sample_distribution(args.sample, args.samples, args.seed, provider)
-        _print_rows([row], args.format)
+        rows = [sample_distribution(args.sample, args.samples, args.seed, provider)]
     else:
         rows = distribution_table(args.n, provider)
-        _print_rows(rows, args.format)
+    _print_rows(rows, args.format)
     return EXIT_OK
 
 
@@ -209,16 +211,19 @@ def cmd_sparse(args) -> int:
         seqs = " ".join("".join(str(s) for s in seq) for seq in entry.sequences)
         flavor = "also-unique" if entry.is_unique_witness else "not-unique"
         print(f"  sparse witness: {entry.edge_count} edges, {flavor}, sequences {seqs}")
-    if report.has_sparse_non_unique_witness():
-        print("sparse witness that is not a unique-acceptance witness: yes")
-    else:
-        print("sparse witness that is not a unique-acceptance witness: no")
+    found = "yes" if report.has_sparse_non_unique_witness() else "no"
+    print(f"sparse witness that is not a unique-acceptance witness: {found}")
     return EXIT_OK
 
 
+def _read_certificate(path: str):
+    """The certificate of the JSON file ``path``."""
+    with open(path, "r", encoding="ascii") as fh:
+        return certificate_from_json(fh.read())
+
+
 def cmd_check(args) -> int:
-    with open(args.certificate, "r", encoding="ascii") as fh:
-        cert = certificate_from_json(fh.read())
+    cert = _read_certificate(args.certificate)
     ok, why = verify_certificate(cert)
     target = str(cert.target)
     claim = f"{cert.kind} witness with {cert.claimed_states} state(s) for {target}"
@@ -232,9 +237,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    with open(args.certificate, "r", encoding="ascii") as fh:
-        cert = certificate_from_json(fh.read())
-    _write(args.output, certificate_to_dot(cert))
+    _write(args.output, certificate_to_dot(_read_certificate(args.certificate)))
     return EXIT_OK
 
 

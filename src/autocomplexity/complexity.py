@@ -66,7 +66,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NoReturn
 
@@ -123,18 +122,9 @@ class ComplexityQuery:
             raise ValueError("condition and target must have equal length")
 
 
-@dataclass
-class Budget:
-    """Limits for one query: allowed witness states and visited search nodes."""
-
-    max_states: int | None = None
-    max_nodes: int = DEFAULT_MAX_NODES
-
-
 @dataclass(frozen=True)
 class ComplexityResult:
-    """A query's value, its certificate, the search nodes spent and the
-    seconds taken.
+    """A query's value, its certificate and the search nodes spent.
 
     ``certificate`` is built once, when first read, and then kept. A search
     or a full check hands over the certificate it has just verified; a hit
@@ -145,7 +135,6 @@ class ComplexityResult:
     value: int
     _certificate: WitnessCertificate | Callable[[], WitnessCertificate] = field(repr=False, compare=False)
     explored: int
-    elapsed: float
 
     @property
     def certificate(self) -> WitnessCertificate:
@@ -795,27 +784,18 @@ def _complete_to_total(base: Nfa, n: int, nodes: _Nodes) -> Nfa | None:
     return None
 
 
-def _sink_completion(base: Nfa) -> Nfa:
-    """Total DFA with one extra dead state absorbing all undefined transitions."""
-    q = base.state_count
-    sigma = base.alphabet_size
-    defined = {(frm, label) for frm, label, _ in base.edges}
-    edges = set(base.edges)
-    for s in range(q + 1):
-        for a in range(sigma):
-            if (s, a) not in defined:
-                edges.add((s, a, q))
-    return Nfa(q + 1, base.start, base.accepts, frozenset(edges), sigma)
-
-
 def _total_dfa(base: Nfa, value: int, n: int, nodes: _Nodes) -> Nfa | None:
     """A total DFA on ``value`` states from the deterministic witness ``base``:
     ``base`` filled in when ``value`` is its state count, ``base`` plus one
-    dead state when ``value`` is one more; None otherwise or if no filling
-    keeps a single accepted word."""
-    if value == base.state_count + 1:
-        return _sink_completion(base)
-    if value == base.state_count:
+    dead state that takes every transition ``base`` leaves undefined when
+    ``value`` is one more; None otherwise or if no filling keeps a single
+    accepted word."""
+    q = base.state_count
+    if value == q + 1:
+        defined = {(frm, label) for frm, label, _ in base.edges}
+        dead = {(s, a, q) for s in range(value) for a in range(base.alphabet_size) if (s, a) not in defined}
+        return Nfa(value, base.start, base.accepts, base.edges | dead, base.alphabet_size)
+    if value == q:
         return _complete_to_total(base, n, nodes)
     return None
 
@@ -1157,7 +1137,7 @@ def class_key(key: tuple) -> tuple:
         return kind, fx, third
     fy, by = (None, None) if third is None else forms(third)
     forward = kind, fx, fy
-    if not KINDS[kind].reversible:
+    if KINDS[kind].deterministic:
         return forward
     back = kind, bx, by
     return back if back < forward else forward
@@ -1165,15 +1145,17 @@ def class_key(key: tuple) -> tuple:
 
 def compute(
     query: ComplexityQuery,
-    budget: Budget | None = None,
     cache=None,
+    *,
+    max_states: int | None = None,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> ComplexityResult:
     """Smallest witness state count for the query, with a verified certificate.
 
     Searches walk-generated witnesses on increasing state counts from 1, so
     the first hit is minimal and the lexicographically least witnessing
     sequence is returned. The search stops at the *cap*:
-    ``budget.max_states`` when given (0 if negative), but never above
+    ``max_states`` when given (0 if negative), but never above
     ``value_cap``. When no level up to the cap holds a witness,
     ``BudgetExceeded(cap + 1)`` says the value is above it. The empty word
     is the record ``(1, (0,))`` with no search, and under a cap of 0 it
@@ -1212,24 +1194,23 @@ def compute(
     record bounds a value from below: every lower bound ``compute`` and
     ``value_at_most`` report rests on a search of the same call. A hit's
     check sets no level, so a node-budget overrun there raises
-    ``BudgetExceeded(1)`` (``_Nodes``).
+    ``BudgetExceeded(1)`` (``_Nodes``). ``max_nodes`` is the node limit of
+    the search and of each check.
     """
-    budget = budget or Budget()
-    started = time.perf_counter()
     target, condition, kind = query.target, query.condition, query.kind
     n = len(target)
     cap = value_cap(kind, n)
-    if budget.max_states is not None:
-        cap = min(cap, max(budget.max_states, 0))
+    if max_states is not None:
+        cap = min(cap, max(max_states, 0))
     if n == 0:
         if cap == 0:
             raise BudgetExceeded(1, 0)
         # the empty word's record; det-total's loops are filled in, not searched
         cert, why = _record_certificate(query, 1, (0,), _Nodes())
         assert why is None, why
-        return ComplexityResult(1, cert, 0, time.perf_counter() - started)
+        return ComplexityResult(1, cert, 0)
 
-    nodes = _Nodes(budget.max_nodes)
+    nodes = _Nodes(max_nodes)
     if cache is not None:
         key = canonical_key(memo_key(query))
         hit = cache.get(key)
@@ -1237,14 +1218,14 @@ def compute(
         if hit is not None and hit[0] <= cap:
             cert = _hit_certificate(key, *hit, query, nodes)
             if cert is not None:
-                return ComplexityResult(hit[0], cert, nodes.count, time.perf_counter() - started)
+                return ComplexityResult(hit[0], cert, nodes.count)
 
     value, seq = _least_witness(kind, *_walk_words(kind, target, condition), cap, nodes)
     cert, why = _record_certificate(query, value, seq, _Nodes(nodes.limit))
     assert why is None, why
     if cache is not None:
         cache.put(key, value, seq)
-    return ComplexityResult(value, cert, nodes.count, time.perf_counter() - started)
+    return ComplexityResult(value, cert, nodes.count)
 
 
 def value_at_most(
@@ -1254,7 +1235,7 @@ def value_at_most(
     above; a node-budget overrun, which proves neither, raises
     ``BudgetExceeded``."""
     try:
-        return compute(query, Budget(max_states=max_states, max_nodes=max_nodes), cache).value
+        return compute(query, cache, max_states=max_states, max_nodes=max_nodes).value
     except BudgetExceeded as e:
         if e.lower_bound > max_states:
             return None
@@ -1361,8 +1342,8 @@ def sparse_witness_report(
     exact_query = ComplexityQuery(exact_kind, x, y)
     unique_query = ComplexityQuery(unique_kind, x, y)
 
-    exact_value = compute(exact_query, Budget(max_nodes=max_nodes), cache).value
-    unique_value = compute(unique_query, Budget(max_nodes=max_nodes), cache).value
+    exact_value = compute(exact_query, cache, max_nodes=max_nodes).value
+    unique_value = compute(unique_query, cache, max_nodes=max_nodes).value
 
     # the exact and unique kinds read the same labels
     labels = _walk_words(exact_kind, x, y)[0]
@@ -1421,7 +1402,7 @@ def emergent_simplicity(w: Word, cache=None, max_nodes: int = DEFAULT_MAX_NODES)
     n = len(w)
     if n < 1:
         raise ValueError("emergent simplicity is undefined for the empty word")
-    value = compute(ComplexityQuery(KIND_UNIQUE, w), Budget(max_nodes=max_nodes), cache).value
+    value = compute(ComplexityQuery(KIND_UNIQUE, w), cache, max_nodes=max_nodes).value
     if value != max_complexity(n):
         return False
     square = Word(w.symbols * 2, w.alphabet_size)

@@ -21,16 +21,18 @@ class Kind:
     are verified against it. The walk search keeps that count, except that
     it counts walks for the ``deterministic`` kinds, whose witnesses allow
     one successor per (state, label): there each word has at most one walk,
-    so the two counts agree. ``reversible`` kinds have ``A(w) = A(w^R)`` (see
-    ``complexity.class_key``). ``alias`` is the command-line ``--kind`` name,
-    shared by a kind and its conditional form, and ``symbol`` its display name.
+    so the two counts agree. Reversing a witness keeps it one for the
+    reversed word but does not keep determinism, so ``A(w) = A(w^R)`` holds
+    for the kinds that are not ``deterministic`` and is used for them only
+    (see ``complexity.class_key``). ``alias`` is the command-line
+    ``--kind`` name, shared by a kind and its conditional form, and
+    ``symbol`` its display name.
     """
 
     name: str
     alias: str
     symbol: str
     conditional: bool
-    reversible: bool
     counts: str
     deterministic: bool = False
 
@@ -38,12 +40,12 @@ class Kind:
 KINDS = {
     k.name: k
     for k in (
-        Kind(KIND_UNIQUE, "anu", "A_Nu", False, True, "walks"),
-        Kind(KIND_EXACT, "ane", "A_Ne", False, True, "words"),
-        Kind(KIND_DET_TOTAL, "a", "A", False, False, "words", deterministic=True),
-        Kind(KIND_DET_PARTIAL, "aminus", "A-", False, False, "words", deterministic=True),
-        Kind(KIND_COND_UNIQUE, "anu", "A_Nu", True, True, "walks"),
-        Kind(KIND_COND_EXACT, "ane", "A_Ne", True, True, "words"),
+        Kind(KIND_UNIQUE, "anu", "A_Nu", False, "walks"),
+        Kind(KIND_EXACT, "ane", "A_Ne", False, "words"),
+        Kind(KIND_DET_TOTAL, "a", "A", False, "words", deterministic=True),
+        Kind(KIND_DET_PARTIAL, "aminus", "A-", False, "words", deterministic=True),
+        Kind(KIND_COND_UNIQUE, "anu", "A_Nu", True, "walks"),
+        Kind(KIND_COND_EXACT, "ane", "A_Ne", True, "words"),
     )
 }
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -32,7 +33,6 @@ from .complexity import (
     KIND_COND_UNIQUE,
     KIND_DET_PARTIAL,
     KIND_UNIQUE,
-    Budget,
     BudgetExceeded,
     _group_witnesses,
     _Nodes,
@@ -52,13 +52,6 @@ class MetricKind(Enum):
     J_NUM_MAX = "jnum-max"
     J = "j"
     J_MAX = "jmax"
-
-    @classmethod
-    def parse(cls, name: str) -> MetricKind:
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown metric kind {name!r}")
 
 
 class ComplexityProvider:
@@ -102,7 +95,7 @@ class ComplexityProvider:
         """The value of ``key`` by ``compute`` under ``max_nodes``, its nodes,
         those of an overrun too, added to ``nodes``."""
         try:
-            result = compute(key_query(key), Budget(max_nodes=self.max_nodes), cache)
+            result = compute(key_query(key), cache, max_nodes=self.max_nodes)
         except BudgetExceeded as e:
             self.nodes += e.explored
             raise
@@ -279,11 +272,7 @@ class MetricReport:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.identity_violations
-            or self.symmetry_violations
-            or self.triangle_violations
-        )
+        return self.violation_count == 0
 
     @property
     def violation_count(self) -> int:
@@ -504,11 +493,8 @@ class DistributionRow:
 
 
 def _tally(values) -> tuple[int, ...]:
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    top = max(counts)
-    return tuple(counts.get(q, 0) for q in range(1, top + 1))
+    counts = Counter(values)
+    return tuple(counts[q] for q in range(1, max(counts) + 1))
 
 
 def _distribution_row(n: int, provider: ComplexityProvider) -> DistributionRow:

@@ -91,12 +91,16 @@ def slow_normalize(w: Word) -> Word:
     return Word(slow_symbols(w.symbols), w.alphabet_size)
 
 
-def is_slow(w: Word) -> bool:
+def is_slow(symbols) -> bool:
+    """Whether a word, or any sequence of ints such as a walk's states,
+    starts at 0 and never skips a fresh value: each is at least 0 and at
+    most one above all before it."""
     top = -1
-    for s in w.symbols:
-        if s > top + 1:
+    for s in symbols:
+        if not 0 <= s <= top + 1:
             return False
-        top = max(top, s)
+        if s > top:
+            top = s
     return True
 
 

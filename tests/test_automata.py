@@ -74,6 +74,8 @@ def test_walk_count_trivia():
     assert count_words_given_projection(no_accepts, one_class_word(1)).count == 0
     with pytest.raises(ValueError):
         count_walks_given_projection(lonely, one_class_word(1), cap=1)
+    with pytest.raises(ValueError):
+        count_words_given_projection(lonely, one_class_word(1), cap=1)
 
 
 def test_conditional_walk_counting_on_pair_witness():

@@ -6,7 +6,6 @@ from autocomplexity import (
     KIND_COND_UNIQUE,
     KIND_DET_TOTAL,
     KIND_UNIQUE,
-    Budget,
     BudgetExceeded,
     ComplexityQuery,
     ResultCache,
@@ -193,17 +192,21 @@ def test_corrupt_lines_skipped(tmp_path):
         "unique\t0100@2\t-\t3\t0, 1,0,1,2",
         "unique\t0.1.0.0@2\t-\t3\t0,1,0,1,2",
         " unique\t0100@2\t-\t3\t0,1,0,1,2 ",
+        "unique\t0100@3\t-\t3\t0,1,0,1,2",
+        "conditional-unique\t01@2\t00@2\t2\t0,0,1",
     ],
     ids=[
         "underscore-value", "signed-value", "spaced-value", "spaced-walk", "dotted-binary-word",
-        "spaced-line",
+        "spaced-line", "unused-letter-target", "unused-letter-condition",
     ],
 )
 def test_a_line_the_writer_would_not_write_is_a_corrupt_line(tmp_path, line):
     """``int()`` takes these fields, but ``put_many`` writes each word with
     ``format_symbols`` and each value and state as ``str`` of an int: the
     line ``unique 0100@2 - 3 0,1,0,1,2`` with one field written otherwise,
-    or with spaces around it, is not served."""
+    or with spaces around it, is not served. Nor is a word written over a
+    letter it does not use (``0100@3``, the condition ``00@2``): only
+    det-total's target is written over the alphabet size of its key."""
     cache = cache_holding(tmp_path / "cache", ["unique\t0100@2\t-\t3\t0,1,0,1,2\n", line + "\n"])
     with pytest.warns(UserWarning, match="skipping corrupt cache line 2"):
         assert len(cache) == 1
@@ -271,12 +274,12 @@ def test_max_states_hit_is_verified_before_it_is_answered(tmp_path):
     valid = ResultCache(tmp_path / "valid")
     value = compute(q_plain("0010"), cache=valid).value
     assert value == 3
-    assert compute(q_plain("0010"), Budget(max_states=3), ResultCache(tmp_path / "valid")).explored == 0
+    assert compute(q_plain("0010"), ResultCache(tmp_path / "valid"), max_states=3).explored == 0
     # a record above the allowance answers nothing: a search proves the bound
     with pytest.raises(BudgetExceeded) as e:
-        compute(q_plain("0010"), Budget(max_states=2), ResultCache(tmp_path / "valid"))
+        compute(q_plain("0010"), ResultCache(tmp_path / "valid"), max_states=2)
     with pytest.raises(BudgetExceeded) as plain:
-        compute(q_plain("0010"), Budget(max_states=2))
+        compute(q_plain("0010"), max_states=2)
     assert (e.value.lower_bound, e.value.explored) == (3, plain.value.explored)
     assert plain.value.explored > 0
 
@@ -306,7 +309,7 @@ def test_det_total_hit_check_proves_no_lower_bound(tmp_path):
         value_at_most(query, 2, cache_holding(tmp_path / "at-most", forged), max_nodes=1)
     assert e.value.lower_bound == 1
     with pytest.raises(BudgetExceeded) as e:
-        compute(query, Budget(max_nodes=1), cache_holding(tmp_path / "compute", forged))
+        compute(query, cache_holding(tmp_path / "compute", forged), max_nodes=1)
     assert (e.value.lower_bound, e.value.explored) == (1, 2)
 
 
@@ -457,6 +460,9 @@ def test_memory_only_cache(monkeypatch):
     assert cache.get(key("0001")) == (2, (0, 0, 0, 0, 1))
     assert cache.get((KIND_COND_UNIQUE, (0, 1), (0, 0))) == (2, (0, 0, 1))
     assert len(cache) == 3 and cache.path is None
+    # with no file, compact writes nothing and audit has no line to check
+    cache.compact()
+    assert list(cache.audit()) == [] and len(cache) == 3
     provider = ComplexityProvider()
     distribution_table(4, provider)
     assert len(provider.cache) > 0

@@ -442,7 +442,9 @@ def test_capacity_exit_code(tmp_path, capsys):
 def test_check_of_a_huge_state_count_keeps_no_slot_per_state(tmp_path, capsys):
     """The walk count steps only from the states that have edges, so a
     unique certificate for ``01`` that claims 10^30 states is checked, not
-    refused with a traceback or a list of 10^30 slots."""
+    refused with a traceback or a list of 10^30 slots. ``export-dot`` writes
+    a line for the start, the accepts and the states an edge names only:
+    the start marker, q0 and q1."""
     cert_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "complexity", "01", "--certificate", str(cert_path))
     assert code == 0
@@ -452,6 +454,9 @@ def test_check_of_a_huge_state_count_keeps_no_slot_per_state(tmp_path, capsys):
     cert_path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "check", str(cert_path))
     assert code == 0 and out.startswith(f"OK: unique witness with {10**30} state(s) for 01")
+    code, out, _ = run(capsys, "export-dot", str(cert_path))
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines() if "[shape=" in line] == ["__start", "q0", "q1"]
 
 
 def test_determinism_same_invocation(capsys):

@@ -14,7 +14,6 @@ from autocomplexity import (
     KIND_DET_TOTAL,
     KIND_EXACT,
     KIND_UNIQUE,
-    Budget,
     BudgetExceeded,
     ComplexityQuery,
     ResultCache,
@@ -34,7 +33,7 @@ from autocomplexity.complexity import (
     _group_witnesses,
     _iter_witness_sequences,
     _Nodes,
-    _sink_completion,
+    _total_dfa,
     _walk_words,
 )
 from autocomplexity.kinds import KINDS
@@ -180,7 +179,7 @@ def test_lone_length_two_conditional_instance():
 def test_budget_raises_with_lower_bound():
     w = Word.parse("00110100101101", 2)
     with pytest.raises(BudgetExceeded) as e:
-        compute(ComplexityQuery(KIND_UNIQUE, w), Budget(max_nodes=50))
+        compute(ComplexityQuery(KIND_UNIQUE, w), max_nodes=50)
     assert e.value.lower_bound >= 1
     assert e.value.explored > 50
 
@@ -188,13 +187,13 @@ def test_budget_raises_with_lower_bound():
 def test_max_states_bound():
     w = Word.parse("0001000", 2)
     with pytest.raises(BudgetExceeded) as e:
-        compute(ComplexityQuery(KIND_UNIQUE, w), Budget(max_states=3))
+        compute(ComplexityQuery(KIND_UNIQUE, w), max_states=3)
     assert e.value.lower_bound == 4
     assert value_at_most(ComplexityQuery(KIND_UNIQUE, w), 3) is None
     assert value_at_most(ComplexityQuery(KIND_UNIQUE, w), 4) == 4
     # a negative allowance proves only the bound 1, which needs no search
     with pytest.raises(BudgetExceeded) as e:
-        compute(ComplexityQuery(KIND_UNIQUE, w), Budget(max_states=-3))
+        compute(ComplexityQuery(KIND_UNIQUE, w), max_states=-3)
     assert (e.value.lower_bound, e.value.explored) == (1, 0)
     # running out of nodes proves nothing about the bound: "unknown" raises
     with pytest.raises(BudgetExceeded) as e:
@@ -215,7 +214,7 @@ def test_negative_node_budget_is_zero():
     q = ComplexityQuery(KIND_UNIQUE, Word.parse("0110", 2))
     for max_nodes in (0, -5):
         with pytest.raises(BudgetExceeded) as e:
-            compute(q, Budget(max_nodes=max_nodes))
+            compute(q, max_nodes=max_nodes)
         assert (e.value.lower_bound, e.value.explored) == (1, 1)
     with pytest.raises(BudgetExceeded) as e:
         value_at_most(q, 3, max_nodes=-3)
@@ -228,7 +227,7 @@ def test_empty_word_honours_the_allowance(kind):
     empty = Word((), 2)
     query = ComplexityQuery(kind, empty, empty if KINDS[kind].conditional else None)
     with pytest.raises(BudgetExceeded) as e:
-        compute(query, Budget(max_states=0))
+        compute(query, max_states=0)
     assert (e.value.lower_bound, e.value.explored) == (1, 0)
     assert value_at_most(query, 0) is None
     assert value_at_most(query, 1) == 1
@@ -1057,7 +1056,7 @@ def reference_levels(query):
                 witness = total
                 break
             # no total DFA on q states: a dead state completes the first walk
-            witness = witness or _sink_completion(walk_nfa(seq, labels))
+            witness = witness or _total_dfa(walk_nfa(seq, labels), q + 1, len(x), meter)
         ends.append(meter.count)
         if witness is not None:
             return ends, witness
@@ -1076,10 +1075,10 @@ def test_budget_overrun_matches_the_reference(kind, x, y, explored):
     budgets.update(end + d for end in ends for d in (-1, 0, 1))
     for max_nodes in sorted(b for b in budgets if 0 <= b < explored):
         with pytest.raises(BudgetExceeded) as e:
-            compute(query, Budget(max_nodes=max_nodes))
+            compute(query, max_nodes=max_nodes)
         level = 1 + sum(end <= max_nodes for end in ends)
         assert (e.value.explored, e.value.lower_bound) == (max_nodes + 1, level), max_nodes
-    result = compute(query, Budget(max_nodes=explored))
+    result = compute(query, max_nodes=explored)
     assert result.explored == explored and result.certificate.nfa == witness
 
 
@@ -1158,6 +1157,13 @@ def test_batch_nodes_match_the_reference(targets):
         _group_witnesses([y], [xs], _Nodes(nodes - 1))
     assert (e.value.lower_bound, e.value.explored) == (max(v for v, _ in found), nodes)
     assert _group_witnesses([y], [xs], _Nodes(nodes))[0] == found
+
+
+def test_batch_without_a_pair_searches_nothing():
+    meter = _Nodes()
+    assert _group_witnesses([], [], meter) == []
+    assert _group_witnesses([(0, 1), (0, 0)], [[], []], meter) == [[], []]
+    assert meter.count == 0 and meter.level == 1
 
 
 def test_batch_refuses_other_lengths_and_repeated_conditions():

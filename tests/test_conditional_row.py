@@ -30,7 +30,6 @@ from autocomplexity import (
     KIND_DET_TOTAL,
     KIND_EXACT,
     KIND_UNIQUE,
-    Budget,
     BudgetExceeded,
     ComplexityQuery,
     Nfa,
@@ -90,7 +89,7 @@ def defined_class_key(kind, x, y):
     reversible kinds the least of it and ``least_key`` of the reversed
     words."""
     keys = [least_key(kind, x, y)]
-    if KINDS[kind].reversible:
+    if not KINDS[kind].deterministic:
         keys.append(least_key(kind, reverse(x), reverse(y)))
     return min(keys)
 
@@ -804,7 +803,7 @@ def test_budget_overrun_is_unknown_not_a_value():
     x, y = Word.parse("00100100", 2), Word.parse("00100011", 2)
     rep = key_query(class_key(("track", x.symbols, y.symbols)))
     with pytest.raises(BudgetExceeded) as searched:
-        compute(rep, Budget(max_nodes=100))
+        compute(rep, max_nodes=100)
     provider = ComplexityProvider(max_nodes=100)
     for _ in range(2):
         with pytest.raises(BudgetExceeded) as e:

@@ -32,7 +32,6 @@ from autocomplexity import (
     KIND_DET_PARTIAL,
     KIND_EXACT,
     KIND_UNIQUE,
-    Budget,
     BudgetExceeded,
     ComplexityQuery,
     ResultCache,
@@ -84,9 +83,9 @@ def assert_bound_is_searched(query, max_states, cache):
     """``compute`` under ``max_states`` raises with the lower bound and the
     node count of a search with no cache, and returns that bound."""
     with pytest.raises(BudgetExceeded) as cached:
-        compute(query, Budget(max_states=max_states), cache)
+        compute(query, cache, max_states=max_states)
     with pytest.raises(BudgetExceeded) as plain:
-        compute(query, Budget(max_states=max_states))
+        compute(query, max_states=max_states)
     assert cached.value.explored == plain.value.explored > 0
     assert cached.value.lower_bound == plain.value.lower_bound
     return cached.value.lower_bound

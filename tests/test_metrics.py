@@ -28,9 +28,9 @@ from reference import expected_unit_distance_pairs, power
 
 
 def test_metric_kind_parse():
-    assert MetricKind.parse("jnum-max") is MetricKind.J_NUM_MAX
+    assert MetricKind("jnum-max") is MetricKind.J_NUM_MAX
     with pytest.raises(ValueError):
-        MetricKind.parse("euclid")
+        MetricKind("euclid")
 
 
 def test_distance_to_self_is_zero(provider):
@@ -50,6 +50,13 @@ def test_constant_word_at_unit_distance(provider):
     zero = Word.parse("0000", 2)
     assert metric_value(MetricKind.J, x, zero, provider) == 1.0
     assert is_unit_j_distance(x, zero, provider)
+
+
+def test_relabelings_are_not_at_unit_distance(provider):
+    # both conditionals are 1, so J is 0, whatever the pair word's value
+    x, y = Word.parse("0110", 2), Word.parse("1001", 2)
+    assert provider.conditional(x, y) == provider.conditional(y, x) == 1
+    assert not is_unit_j_distance(x, y, provider)
 
 
 def test_jaccard_value_formula(provider):
