@@ -31,7 +31,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .complexity import ComplexityQuery, audit_record, memo_key
+from .complexity import ComplexityQuery, audit_record, key_query
 from .kinds import KIND_DET_TOTAL
 from .words import Word, is_slow
 
@@ -66,26 +66,30 @@ def parse_word(text: str) -> Word:
 
 
 def _records(path: Path):
-    """(query, value, sequence, line number, line) for each valid line of a
-    cache file.
+    """(memo key, (value, sequence), line number, line) for each valid line
+    of a cache file; ``complexity.key_query`` gives the key's query.
 
     A line is valid when it is ASCII, its kind and words make a
     ``ComplexityQuery``, its sequence is a slow walk of one step per letter,
     and each word, value and state is written as ``put_many`` writes it:
     every word over the letters it uses, but det-total's target, whose
     alphabet size is part of its key. Other lines are skipped with a
-    warning. Each distinct word field, value and slow walk is parsed and
-    checked once per file, and the records share them.
+    warning. Each distinct word field, state and (value, walk) pair is
+    parsed and checked once per file, and the records share them.
+    ``ComplexityQuery``'s rules read only the kind and the lengths of the
+    words, so they are checked once per (kind, target length, condition
+    length) on a query of those lengths, and no query is built per line;
+    the keys share that check's kind string, not one per line.
     """
     # a field that fails raises again on every line that holds it
     word = functools.cache(parse_word)
 
     @functools.cache
-    def used(text: str) -> Word:
+    def used(text: str) -> tuple[int, ...]:
         w = word(text)
         if w.alphabet_size != max(w.symbols, default=0) + 1:
             raise ValueError(f"word field {text!r} is not over the letters it uses")
-        return w
+        return w.symbols
 
     @functools.cache
     def number(text: str) -> int:
@@ -95,11 +99,16 @@ def _records(path: Path):
         return value
 
     @functools.cache
-    def walk(text: str) -> tuple[int, ...]:
-        sequence = tuple(map(number, text.split(",")))
+    def entry(value: str, walk: str) -> tuple[int, tuple[int, ...]]:
+        sequence = tuple(map(number, walk.split(",")))
         if not is_slow(sequence):
             raise ValueError("the sequence is not a slow walk")
-        return sequence
+        return number(value), sequence
+
+    @functools.cache
+    def query_kind(kind: str, n: int, m: int | None) -> str:
+        ComplexityQuery(kind, Word((0,) * n, 1), None if m is None else Word((0,) * m, 1))
+        return kind
 
     # a byte outside ASCII decodes to a lone surrogate, which fails its line only
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -110,17 +119,21 @@ def _records(path: Path):
             try:
                 if not line.isascii():
                     raise ValueError("the line is not ASCII")
-                kind, target, condition, value, seq = line.split("\t")
-                x = word(target) if kind == KIND_DET_TOTAL else used(target)
-                query = ComplexityQuery(kind, x, None if condition == "-" else used(condition))
-                sequence = walk(seq)
-                if len(sequence) != len(query.target) + 1:
+                kind, target, condition, value, walk = line.split("\t")
+                y = None if condition == "-" else used(condition)
+                if kind == KIND_DET_TOTAL:
+                    w = word(target)
+                    x, third = w.symbols, w.alphabet_size
+                else:
+                    x, third = used(target), y
+                kind = query_kind(kind, len(x), None if y is None else len(y))
+                record = entry(value, walk)
+                if len(record[1]) != len(x) + 1:
                     raise ValueError("the sequence is not a walk over the word")
-                record = query, number(value), sequence, lineno, line + "\n"
             except (ValueError, IndexError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {path}")
                 continue
-            yield record
+            yield (kind, x, third), record, lineno, line + "\n"
 
 
 def _word_field(fields: dict, symbols: tuple[int, ...], alphabet_size: int | None) -> str:
@@ -138,10 +151,10 @@ class ResultCache:
 
     Keys must already be canonical (``complexity.canonical_key``);
     ``complexity.compute`` builds them before calling in. A line read from
-    the file is keyed by the ``memo_key`` of its query. With
-    ``directory=None`` the cache is memory-only and formats no line. A
-    ``directory`` that exists and is not a directory, or lies below a file,
-    raises ``NotADirectoryError``.
+    the file is keyed by the ``memo_key`` of its query, built from its
+    fields with no query. With ``directory=None`` the cache is memory-only
+    and formats no line. A ``directory`` that exists and is not a
+    directory, or lies below a file, raises ``NotADirectoryError``.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
@@ -175,8 +188,8 @@ class ResultCache:
         path = self.path
         if path is None or not path.exists():
             return
-        for query, value, sequence, _lineno, _line in _records(path):
-            self._memo[memo_key(query)] = (value, sequence)
+        for key, record, _lineno, _line in _records(path):
+            self._memo[key] = record
 
     def get(self, key: tuple) -> tuple[int, tuple[int, ...]] | None:
         if not self._loaded:
@@ -240,20 +253,22 @@ class ResultCache:
         return len(self._memo)
 
     def compact(self) -> None:
-        """Rewrite the backing file with the last valid line per key, atomically."""
+        """Rewrite the backing file with the last valid line per key,
+        atomically and with the file's mode. With no file, write nothing."""
         path = self.path
-        if path is None:
+        if path is None or not path.exists():
             return
         latest = {}
-        if path.exists():
-            for query, _value, _sequence, _lineno, line in _records(path):
-                latest[memo_key(query)] = line
-        path.parent.mkdir(parents=True, exist_ok=True)
+        for key, _record, _lineno, line in _records(path):
+            latest[key] = line
+        mode = stat.S_IMODE(path.stat().st_mode)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".cache-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
                 for line in sorted(latest.values()):
                     fh.write(line)
+            # mkstemp makes the file 0600, which would hide a shared cache
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -268,8 +283,8 @@ class ResultCache:
         path = self.path
         if path is None or not path.exists():
             return
-        for query, value, sequence, lineno, line in _records(path):
-            yield lineno, line, audit_record(query, value, sequence)
+        for key, record, lineno, line in _records(path):
+            yield lineno, line, audit_record(key_query(key), *record)
 
     def clear(self) -> None:
         self._memo.clear()

@@ -647,14 +647,21 @@ def _hit_certificate(
     return None
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=8192)
 def _shape_index(y: tuple[int, ...], sequence: tuple[int, ...]) -> tuple[int, ...] | None:
     """The step-partition index of the walk shape ``(y, sequence)`` (see
     ``_hit_certificate``) when the walk NFA of ``sequence`` reading y has
     exactly one accepting walk that reads y, else None, also for a sequence
     that ``walk_nfa`` refuses: empty, not one longer than y, not slow, or
-    with a negative state. Bounded, like ``_slow_form``; a shape that is not
-    proven is kept as well.
+    with a negative state. A shape that is not proven is kept as well.
+
+    Bounded, like ``_slow_form``, at 8,192 shapes: an n <= 8 study meets
+    4,789 shapes, in the same order each round, so a bound below that
+    evicts each shape just before the next round asks for it again (4,757
+    proofs per round at 4,096), while this one proves each shape once per
+    process. A cold binary row 10 proves 41,201 shapes; against a bound of
+    4,096, this one raised its peak resident set by under 1 MB, and 16,384
+    by about 3 MB (CPython 3.11, x86-64 Linux).
 
     The walks are counted with bit masks, with no NFA built:
 

@@ -131,6 +131,19 @@ class ComplexityProvider:
         ``BudgetExceeded`` before any record is written; one ``max_nodes``
         spans every group of the call. Without a cache a throwaway memory
         cache is used.
+
+        A pair key's class key is also the class key of its swap:
+        ``class_key(("track", x, y)) == class_key(("track", y, x))``. The
+        pair words ``track(x, y)`` and ``track(y, x)`` differ by the map
+        ``(a, b) -> (b, a)`` of letter pairs, one to one, applied at every
+        position. So two positions hold equal letters in one exactly when
+        they do in the other, and their slow forms, which depend on that
+        pattern alone, are equal; so are those of their reversals, and the
+        forward and reversed forms tie or sort alike. So the class key
+        computed for a pair key is kept under its swap, and the swap, when
+        it comes, reads it there: one ``class_key`` per unordered pair, as
+        a metric check sends both orders of every pair. No other kind is
+        swapped: ``C(x|y)`` and ``C(y|x)`` differ.
         """
         memo = self._memo
         cache = self.cache if self.cache is not None else ResultCache()
@@ -141,12 +154,17 @@ class ComplexityProvider:
         misses: dict[tuple, tuple] = {}  # class key -> itself, in first-miss order
         waiting: list[tuple] = []
         classes: list[tuple] = []
+        swaps: dict[tuple, tuple] = {}  # ("track", y, x) -> class key of ("track", x, y)
         for key in keys:
             if key in memo:
                 continue
             if key[0] not in ("track", KIND_UNIQUE, KIND_COND_UNIQUE):
                 raise ValueError(f"no batch serves the kind {key[0]!r}")
-            rep_key = class_key(key)
+            rep_key = swaps.pop(key, None)
+            if rep_key is None:
+                rep_key = class_key(key)
+                if key[0] == "track":
+                    swaps["track", key[2], key[1]] = rep_key
             if rep_key in misses:
                 rep_key = misses[rep_key]
             else:

@@ -1,3 +1,4 @@
+import stat
 import warnings
 
 import pytest
@@ -194,10 +195,19 @@ def test_corrupt_lines_skipped(tmp_path):
         " unique\t0100@2\t-\t3\t0,1,0,1,2 ",
         "unique\t0100@3\t-\t3\t0,1,0,1,2",
         "conditional-unique\t01@2\t00@2\t2\t0,0,1",
+        # each field as the writer writes it, but no ComplexityQuery takes
+        # the kind with these words, or a field is extra
+        "conditional-unique\t01@2\t-\t2\t0,0,1",
+        "unique\t01@2\t01@2\t2\t0,1,1",
+        "det-total\t01@2\t01@2\t2\t0,1,1",
+        "unique\t0100@2\t-\t3\t0,1,0,1,2\t3",
+        "\t0100@2\t-\t3\t0,1,0,1,2",
     ],
     ids=[
         "underscore-value", "signed-value", "spaced-value", "spaced-walk", "dotted-binary-word",
         "spaced-line", "unused-letter-target", "unused-letter-condition",
+        "conditional-without-condition", "unique-with-condition", "det-total-with-condition",
+        "six-fields", "empty-kind",
     ],
 )
 def test_a_line_the_writer_would_not_write_is_a_corrupt_line(tmp_path, line):
@@ -438,6 +448,29 @@ def test_compaction_dedupes(tmp_path):
         lines = [line for line in fh if line.strip()]
     assert len(lines) == 1
     assert ResultCache(tmp_path).get(key("0001")) == (2, (0, 0, 0, 0, 1))
+
+
+def test_compaction_keeps_the_file_mode(tmp_path):
+    """A cache shared through its directory stays readable to those it was
+    shared with: ``compact`` writes a new file, with the old file's mode."""
+    cache = ResultCache(tmp_path)
+    cache.put(key("0001"), 2, (0, 0, 0, 0, 1))
+    for mode in (0o644, 0o640):
+        cache.path.chmod(mode)
+        cache.compact()
+        assert stat.S_IMODE(cache.path.stat().st_mode) == mode
+    assert ResultCache(tmp_path).get(key("0001")) == (2, (0, 0, 0, 0, 1))
+
+
+def test_compaction_of_no_file_writes_nothing(tmp_path):
+    missing = tmp_path / "missing"
+    ResultCache(missing).compact()
+    assert not missing.exists()
+    assert main(["cache", "compact", "--cache-dir", str(missing)]) == 0
+    assert not missing.exists()
+    # nor in a directory that holds no cache file
+    ResultCache(tmp_path).compact()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_clear(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autocomplexity import KIND_UNIQUE, ComplexityQuery, ResultCache, compute, oracle_min_states
+from autocomplexity import metrics as metrics_module
 from autocomplexity.complexity import class_key, memo_key
 from autocomplexity.metrics import (
     ComplexityProvider,
@@ -541,3 +542,28 @@ def test_normalized_quotient_is_a_metric(space):
             assert abs(dq(i, j) - dq(j, i)) <= tol
             for k in range(size):
                 assert dq(i, k) <= dq(i, j) + dq(j, k) + tol
+
+
+def test_j_check_keys_each_pair_word_once_per_unordered_pair(monkeypatch):
+    # class_key(("track", x, y)) == class_key(("track", y, x)), so prefetch
+    # reads a swapped pair key's class key from the one its swap computed
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return class_key(key)
+
+    monkeypatch.setattr(metrics_module, "class_key", counted)
+    provider = ComplexityProvider()
+    verify_metric(8, MetricKind.J, provider)
+    ground = list(slow_words(8, 2))
+    needed = {
+        frozenset((x, y)) for x in ground for y in ground
+        if (provider.conditional(x, y), provider.conditional(y, x)) != (1, 1)
+    }
+    track_calls = [key for key in calls if key[0] == "track"]
+    assert len(track_calls) == len(needed) == 128 * 127 // 2
+    assert {frozenset(key[1:]) for key in track_calls} == {frozenset((x.symbols, y.symbols)) for x, y in needed}
+    for x, y in needed:
+        rep_key = class_key(("track", x.symbols, y.symbols))
+        assert provider.track_value(x, y) == provider.track_value(y, x) == provider._memo[rep_key]
